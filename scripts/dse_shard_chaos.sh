@@ -3,8 +3,12 @@
 # sweeps at several thread counts, then supervised sharded sweeps
 # whose shard children are SIGKILLed mid-sweep, and asserts:
 #
+#   - the serial sweep explores exactly |RANKS| x 8 candidates (the
+#     --ranks list replaces the default grid rather than adding to it),
 #   - the merged result file is BYTE-IDENTICAL to the serial one at
 #     LRD_THREADS=1/4/8 (kills and all),
+#   - at least one kill landed mid-sweep (some run retried a shard), so
+#     the soak cannot pass by killing only finished runs,
 #   - recomputed work stays below one checkpoint interval per retry
 #     (resume really resumes; nothing is double-counted),
 #   - a clean supervised run recomputes nothing,
@@ -69,7 +73,8 @@ RETRIES=3
 for threads in 1 4 8; do
     LRD_THREADS="${threads}" "${lrdtool}" dse --tasks="${TASKS}" \
         --every="${EVERY}" --ranks="${RANKS}" \
-        --out="${workdir}/serial-t${threads}.bin" >/dev/null 2>&1 \
+        --out="${workdir}/serial-t${threads}.bin" \
+        >"${workdir}/serial-t${threads}.log" 2>&1 \
         || fail "serial dse at ${threads} threads failed"
 done
 for threads in 4 8; do
@@ -77,6 +82,15 @@ for threads in 4 8; do
         || fail "serial result differs between 1 and ${threads} threads"
 done
 echo "dse_shard_chaos: serial result identical at 1/4/8 threads"
+
+# The grid is |RANKS| x 8 layer counts of the tiny-llama stand-in.
+num_ranks="$(tr ',' '\n' <<<"${RANKS}" | wc -l)"
+want_explored=$((num_ranks * 8))
+explored="$(sed -n 's/^explored *\([0-9]*\) candidates.*/\1/p' \
+    "${workdir}/serial-t1.log")"
+[[ "${explored}" == "${want_explored}" ]] \
+    || fail "serial sweep explored '${explored}' candidates, want ${want_explored} (|RANKS| x 8)"
+echo "dse_shard_chaos: serial sweep explored ${explored} = |RANKS| x 8"
 
 # Supervised sweeps with shard children SIGKILLed mid-sweep. Two kill
 # rounds per run; the supervisor must relaunch the victims, resume
@@ -92,6 +106,7 @@ supervised_run() {
     sup_pid=$!
 }
 
+total_retried=0
 for threads in 1 4 8; do
     dir="${workdir}/shards-t${threads}"
     out="${workdir}/merged-t${threads}.bin"
@@ -122,7 +137,12 @@ for threads in 1 4 8; do
         || fail "recomputed ${recomputed} exceeds ${bound} (retried=${retried} x every=${EVERY})"
     echo "dse_shard_chaos: ${threads} threads — merged == serial," \
         "retried ${retried}, recomputed ${recomputed} <= ${bound}"
+    total_retried=$((total_retried + retried))
 done
+# Every kill can miss when the shards finish before it lands; then the
+# runs above checked nothing about crash recovery.
+[[ "${total_retried}" -ge 1 ]] \
+    || fail "no killed run retried a shard: every kill landed after the sweep finished"
 
 # A clean supervised run (nobody killed) must recompute nothing.
 dir="${workdir}/shards-clean"

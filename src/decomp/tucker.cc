@@ -176,11 +176,16 @@ tucker2dDecompose(const Tensor &w, int64_t prunedRank)
         MetricsRegistry::instance().counter("tucker2d.calls");
     calls->inc();
     require(w.rank() == 2, "tucker2dDecompose: weight must be a matrix");
-    const int64_t h = w.dim(0), wd = w.dim(1);
-    require(prunedRank >= 1 && prunedRank <= std::min(h, wd),
+    require(prunedRank >= 1 && prunedRank <= std::min(w.dim(0), w.dim(1)),
             strCat("tucker2dDecompose: pruned rank ", prunedRank,
                    " invalid for ", shapeToString(w.shape())));
-    SvdResult s = truncatedSvd(w, prunedRank);
+    return tucker2dFromSvd(svd(w), prunedRank);
+}
+
+Tucker2d
+tucker2dFromSvd(const SvdResult &full, int64_t prunedRank)
+{
+    SvdResult s = svdPrefix(full, prunedRank);
     Tucker2d out;
     out.status = std::move(s.status);
     out.u1 = std::move(s.u);
@@ -189,6 +194,32 @@ tucker2dDecompose(const Tensor &w, int64_t prunedRank)
         out.core(i, i) = static_cast<float>(s.s[static_cast<size_t>(i)]);
     out.u2 = transpose2d(s.v);
     return out;
+}
+
+SvdResult
+decomposeWithPolicy(const Tensor &w, const std::string &name)
+{
+    SvdResult d = svd(w);
+    if (d.status.ok())
+        return d;
+    const RobustPolicy policy = robustPolicy();
+    if (policy.mode == RobustMode::Retry) {
+        for (int attempt = 0; attempt < policy.maxRetries && !d.status.ok();
+             ++attempt) {
+            noteRetry();
+            d = svd(w);
+        }
+        if (d.status.ok())
+            return d;
+    }
+    if (policy.mode == RobustMode::Strict)
+        fatal("factorize(" + name + "): " + d.status.toString());
+    static Counter *degraded = MetricsRegistry::instance().counter(
+        "robust.degradedFactorizations");
+    degraded->inc();
+    warn("factorize(" + name + "): keeping dense weight; "
+         + d.status.toString());
+    return d;
 }
 
 int64_t

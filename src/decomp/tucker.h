@@ -9,8 +9,10 @@
 #ifndef LRD_DECOMP_TUCKER_H
 #define LRD_DECOMP_TUCKER_H
 
+#include <string>
 #include <vector>
 
+#include "linalg/linalg.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -81,8 +83,26 @@ struct Tucker2d
     int64_t paramCount() const;
 };
 
-/** Rank-pruned 2D Tucker of a weight matrix via truncated SVD. */
+/** Rank-pruned 2D Tucker of a weight matrix:
+ *  tucker2dFromSvd(svd(w), prunedRank). */
 Tucker2d tucker2dDecompose(const Tensor &w, int64_t prunedRank);
+
+/**
+ * The rank-pr factors held in a full SVD of the weight: U1 = U[:, :pr],
+ * core = diag(s[:pr]), U2 = V[:, :pr]^T, status carried over. With
+ * `full` = svd(w) this is bitwise tucker2dDecompose(w, pr) for every
+ * pr, so one SVD per weight serves every pruned rank.
+ */
+Tucker2d tucker2dFromSvd(const SvdResult &full, int64_t prunedRank);
+
+/**
+ * svd(w) with a failed result resolved by the recovery policy: bounded
+ * deterministic re-attempts under retry (injected faults are consumed
+ * by their occurrence counters, so a retry can genuinely clear), fatal
+ * under strict, and otherwise the failed status is returned so the
+ * caller keeps the weight dense. `name` labels the diagnostics.
+ */
+SvdResult decomposeWithPolicy(const Tensor &w, const std::string &name);
 
 /** @name Compression arithmetic (Section 2.3)
  *  @{

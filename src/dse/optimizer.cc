@@ -115,6 +115,12 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
             "optimizeDecomposition: tau must be >= 0");
     require(!opts.candidateRanks.empty(),
             "optimizeDecomposition: no candidate ranks");
+    std::vector<int64_t> sortedRanks = opts.candidateRanks;
+    std::sort(sortedRanks.begin(), sortedRanks.end());
+    require(std::adjacent_find(sortedRanks.begin(), sortedRanks.end())
+                == sortedRanks.end(),
+            "optimizeDecomposition: duplicate candidate rank (each grid "
+            "point must be evaluated once)");
 
     OptimizerResult result;
 
@@ -134,16 +140,23 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
 
     // Pruned candidate family (Section 3.4 insights): all tensors,
     // spread interior layer schedules, small ranks. Candidates are
-    // independent (each deserializes its own probe model), so the
-    // enumeration fans out across the pool; records land in a fixed
-    // grid slot and the feasibility/best fold below runs serially in
-    // enumeration order, keeping the result thread-count invariant.
+    // independent (each deserializes its own model and slices its
+    // factors from the shared bank), so the enumeration fans out
+    // across the pool; records land in a fixed grid slot and the
+    // feasibility/best fold below runs serially in enumeration order,
+    // keeping the result thread-count invariant.
     TransformerModel probe = TransformerModel::deserialize(modelBytes);
     const ModelConfig cfg = probe.config();
     std::vector<Candidate> grid;
-    for (int64_t rank : opts.candidateRanks)
-        for (int count = 1; count <= cfg.nLayers; ++count)
+    std::vector<DecompConfig> configs;
+    for (int64_t rank : opts.candidateRanks) {
+        for (int count = 1; count <= cfg.nLayers; ++count) {
             grid.push_back({rank, count});
+            configs.push_back(DecompConfig::allTensors(
+                cfg, spreadSchedule(static_cast<int>(cfg.nLayers), count),
+                rank));
+        }
+    }
 
     std::vector<CandidateRecord> records(grid.size());
     std::vector<uint8_t> done(grid.size(), 0);
@@ -208,6 +221,20 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         baselineTainted = cancelRequested();
     }
 
+    // Decompose once: one SVD per distinct weight that the candidates
+    // this process will evaluate (owned, not restored) decompose. Each
+    // candidate then slices its rank prefix, bitwise what factorizing
+    // its own copy would give. An invalid candidate (a rank above a
+    // weight's) stays out of the bank and fails in its own slot.
+    std::vector<DecompConfig> pending;
+    for (size_t i = 0; i < grid.size(); ++i)
+        if (owned[i] != 0 && done[i] == 0 && configs[i].valid(cfg))
+            pending.push_back(configs[i]);
+    const FactorBank bank = [&] {
+        LRD_TRACE_SPAN("dse.factor_bank");
+        return FactorBank(probe, pending);
+    }();
+
     const auto total = static_cast<int64_t>(grid.size());
     const bool checkpointing =
         !opts.checkpointPath.empty() && opts.checkpointEvery > 0;
@@ -224,13 +251,8 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                         continue; // Already evaluated before resume.
                     LRD_TRACE_SPAN("dse.candidate");
                     candidates->inc();
-                    const Candidate &cand =
-                        grid[static_cast<size_t>(idx)];
-                    DecompConfig gamma = DecompConfig::allTensors(
-                        cfg,
-                        spreadSchedule(static_cast<int>(cfg.nLayers),
-                                       cand.count),
-                        cand.rank);
+                    const DecompConfig &gamma =
+                        configs[static_cast<size_t>(idx)];
 
                     CandidateRecord rec;
                     rec.config = gamma;
@@ -238,7 +260,7 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                     auto evaluate = [&] {
                         TransformerModel model =
                             TransformerModel::deserialize(modelBytes);
-                        Status ds = gamma.applyTo(model);
+                        Status ds = gamma.applyTo(model, bank);
                         if (!ds.ok()) {
                             rec.failed = true;
                             rec.failure = ds.toString();

@@ -29,7 +29,9 @@ struct OptimizerOptions
     double accuracyDropTolerance = 0.05; ///< tau.
     int evalTasks = 80;                  ///< Items per benchmark.
     uint64_t evalSeed = 991;
-    std::vector<int64_t> candidateRanks = {1}; ///< Insight: rank-1.
+    /** Distinct pruned ranks, each swept over every layer count
+     *  (insight: rank-1). */
+    std::vector<int64_t> candidateRanks = {1};
     DeviceSpec device;                         ///< Default: A100.
     GenerationWorkload workload;               ///< EDP workload.
     /**
@@ -121,7 +123,9 @@ OptimizerResult foldCandidateRecords(double baselineAccuracy,
                                      std::vector<CandidateRecord> records);
 
 /**
- * Run the Definition 1 search.
+ * Run the Definition 1 search. Each weight the evaluated candidates
+ * decompose is factorized once, into a FactorBank, and every candidate
+ * slices its rank prefix from it.
  *
  * @param modelBytes Serialized dense checkpoint (each candidate gets
  *                   a fresh copy, since decomposition is destructive).

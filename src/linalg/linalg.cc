@@ -347,16 +347,24 @@ SvdResult
 truncatedSvd(const Tensor &a, int64_t k)
 {
     require(a.rank() == 2, "truncatedSvd: input must be a matrix");
-    const int64_t m = a.dim(0), n = a.dim(1);
-    require(k >= 1 && k <= std::min(m, n),
+    require(k >= 1 && k <= std::min(a.dim(0), a.dim(1)),
             strCat("truncatedSvd: rank ", k, " invalid for ",
                    shapeToString(a.shape())));
-    SvdResult full = svd(a);
+    return svdPrefix(svd(a), k);
+}
+
+SvdResult
+svdPrefix(const SvdResult &full, int64_t k)
+{
+    require(k >= 1 && k <= static_cast<int64_t>(full.s.size()),
+            strCat("svdPrefix: rank ", k, " invalid for a ",
+                   full.s.size(), "-triplet SVD"));
+    const int64_t m = full.u.dim(0), n = full.v.dim(0);
     SvdResult out;
-    out.status = std::move(full.status);
+    out.status = full.status;
     out.u = Tensor({m, k});
     out.v = Tensor({n, k});
-    out.s.assign(full.s.begin(), full.s.begin() + k);
+    out.s = std::vector<double>(full.s.begin(), full.s.begin() + k);
     for (int64_t i = 0; i < m; ++i)
         for (int64_t j = 0; j < k; ++j)
             out.u(i, j) = full.u(i, j);

@@ -69,10 +69,19 @@ struct SvdResult
 SvdResult svd(const Tensor &a);
 
 /**
- * Rank-k truncated SVD (Eckart-Young optimal k-rank approximation).
+ * Rank-k truncated SVD (Eckart-Young optimal k-rank approximation):
+ * svdPrefix(svd(a), k).
  * @param k Target rank, 1 <= k <= min(m, n).
  */
 SvdResult truncatedSvd(const Tensor &a, int64_t k);
+
+/**
+ * The first k singular triplets of a full SVD, status included. svd()
+ * never looks at k, so this is bitwise truncatedSvd(a, k) for every k:
+ * one full SVD serves every rank.
+ * @param k Prefix length, 1 <= k <= full.s.size().
+ */
+SvdResult svdPrefix(const SvdResult &full, int64_t k);
 
 /**
  * Top-k left singular vectors of A — the `SVD(k, .)` primitive in

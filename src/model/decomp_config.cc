@@ -4,9 +4,33 @@
 #include <sstream>
 
 #include "decomp/tucker.h"
+#include "parallel/thread_pool.h"
 #include "util/logging.h"
 
 namespace lrd {
+
+namespace {
+
+/** WeightKind values; Output is the last enumerator. */
+constexpr int kNumKinds = static_cast<int>(WeightKind::Output) + 1;
+
+/** FactorBank slot of weight (layer, kind), layer-major. */
+size_t
+slotIndex(int layer, WeightKind kind)
+{
+    return static_cast<size_t>(layer) * kNumKinds
+           + static_cast<size_t>(kind);
+}
+
+void
+requireValid(const DecompConfig &gamma, const ModelConfig &cfg)
+{
+    std::string why;
+    require(gamma.valid(cfg, &why),
+            "DecompConfig::applyTo: invalid configuration: " + why);
+}
+
+} // namespace
 
 DecompConfig
 DecompConfig::identity()
@@ -142,13 +166,19 @@ DecompConfig::parameterReduction(const ModelConfig &cfg) const
 Status
 DecompConfig::applyTo(TransformerModel &model) const
 {
-    std::string why;
-    require(valid(model.config(), &why),
-            "DecompConfig::applyTo: invalid configuration: " + why);
+    return applyTo(model, FactorBank(model, {*this}));
+}
+
+Status
+DecompConfig::applyTo(TransformerModel &model, const FactorBank &bank) const
+{
+    requireValid(*this, model.config());
+    const std::vector<PrunedRankEntry> entries = prunedRanks();
     Status first;
     int64_t numFailed = 0;
-    for (const PrunedRankEntry &e : prunedRanks()) {
-        Status s = model.applyTucker(e.layer, e.kind, e.rank);
+    for (const PrunedRankEntry &e : entries) {
+        Status s = model.linear(e.layer, e.kind)
+                       .factorizeFromSvd(bank.at(e.layer, e.kind), e.rank);
         if (!s.ok()) {
             ++numFailed;
             if (first.ok())
@@ -157,7 +187,7 @@ DecompConfig::applyTo(TransformerModel &model) const
     }
     if (numFailed > 0)
         return Status(first.code(), "decomp.apply",
-                      strCat(numFailed, " of ", prunedRanks().size(),
+                      strCat(numFailed, " of ", entries.size(),
                              " tensors left dense; first: ",
                              first.toString()));
     return Status();
@@ -179,6 +209,53 @@ DecompConfig::describe() const
     if (!rankOverrides.empty())
         oss << " (+" << rankOverrides.size() << " overrides)";
     return oss.str();
+}
+
+FactorBank::FactorBank(TransformerModel &dense,
+                       const std::vector<DecompConfig> &configs)
+    : slots_(static_cast<size_t>(dense.config().nLayers * kNumKinds)),
+      banked_(slots_.size(), 0)
+{
+    // Collect the weights serially: an invalid configuration or an
+    // already factorized weight is reported on the calling thread,
+    // before any SVD runs.
+    std::vector<const Parameter *> weights(slots_.size(), nullptr);
+    for (const DecompConfig &gamma : configs) {
+        requireValid(gamma, dense.config());
+        for (int l : gamma.layers) {
+            for (WeightKind k : gamma.tensors) {
+                const size_t i = slotIndex(l, k);
+                weights[i] = &dense.linear(l, k).weight();
+                banked_[i] = 1;
+            }
+        }
+    }
+    // A chunk the pool's cancel drain skips never writes its slot, so
+    // every banked slot starts out Cancelled rather than as an ok
+    // empty SVD.
+    for (size_t i = 0; i < slots_.size(); ++i)
+        if (banked_[i] != 0)
+            slots_[i].status =
+                Status(StatusCode::Cancelled, "decomp.bank",
+                       "SVD skipped: cancellation drained its chunk");
+    parallelFor(0, static_cast<int64_t>(slots_.size()), 1,
+                [&](int64_t lo, int64_t hi) {
+                    for (auto i = static_cast<size_t>(lo);
+                         i < static_cast<size_t>(hi); ++i)
+                        if (weights[i] != nullptr)
+                            slots_[i] = decomposeWithPolicy(
+                                weights[i]->value, weights[i]->name);
+                });
+}
+
+const SvdResult &
+FactorBank::at(int layer, WeightKind kind) const
+{
+    const size_t i = slotIndex(layer, kind);
+    require(layer >= 0 && i < slots_.size() && banked_[i] != 0,
+            strCat("FactorBank: no SVD of ", weightKindName(kind),
+                   " in layer ", layer));
+    return slots_[i];
 }
 
 } // namespace lrd

@@ -17,10 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "linalg/linalg.h"
 #include "model/config.h"
 #include "model/transformer.h"
 
 namespace lrd {
+
+class FactorBank;
 
 /** One (layer, tensor, prunedRank) element of PR(m) (Definition 3). */
 struct PrunedRankEntry
@@ -85,16 +88,54 @@ struct DecompConfig
     double parameterReduction(const ModelConfig &cfg) const;
 
     /**
-     * Factorize the selected weights of a live model in place. An
-     * invalid configuration is fatal; a tensor whose SVD fails to
-     * converge is resolved by the recovery policy — under degrade the
-     * tensor stays dense and the first failure's status is returned
-     * (the model remains consistent and usable).
+     * Factorize the selected weights of a live model in place: builds
+     * a FactorBank of this configuration's weights from `model` and
+     * applies it. An invalid configuration is fatal; a tensor whose
+     * SVD fails to converge is resolved by the recovery policy — under
+     * degrade the tensor stays dense and the first failure's status is
+     * returned (the model remains consistent and usable).
      */
     Status applyTo(TransformerModel &model) const;
 
+    /**
+     * Install each entry's rank-rankFor(l, k) prefix of the bank's SVD
+     * of weight (l, k). The bank must hold every entry and have been
+     * built from a dense model with `model`'s weights. A failed bank
+     * slot leaves its tensor dense and is reported as in applyTo().
+     */
+    Status applyTo(TransformerModel &model, const FactorBank &bank) const;
+
     /** "layers={3,18,32} tensors=all pr=1" style summary. */
     std::string describe() const;
+};
+
+/**
+ * Decompose once, truncate per configuration: one full SVD per distinct
+ * decomposed (layer, tensor) weight of a dense model. A rank-k
+ * truncated SVD is the first k triplets of the full one, and svd()
+ * never looks at k, so every configuration's slice is bitwise the
+ * factorization it would have computed on its own copy of the weight.
+ */
+class FactorBank
+{
+  public:
+    /**
+     * One SVD per distinct (layer, kind) entry across `configs`, read
+     * from `dense` and resolved by the recovery policy
+     * (decomposeWithPolicy). The SVDs fan out over the pool into fixed
+     * slots in ascending (layer, kind) order. A slot the pool's cancel
+     * drain skipped reads Cancelled. Invalid configurations are fatal.
+     */
+    FactorBank(TransformerModel &dense,
+               const std::vector<DecompConfig> &configs);
+
+    /** The full SVD of weight (layer, kind); fatal when not banked. */
+    const SvdResult &at(int layer, WeightKind kind) const;
+
+  private:
+    /** One slot per (layer, kind), layer-major. */
+    std::vector<SvdResult> slots_;
+    std::vector<uint8_t> banked_; ///< 1 where some config asked for it.
 };
 
 } // namespace lrd

@@ -8,7 +8,6 @@
 #include "decomp/tucker.h"
 #include "model/train_mode.h"
 #include "obs/metrics.h"
-#include "robust/recovery.h"
 #include "tensor/ops.h"
 #include "tensor/simd/fused.h"
 #include "util/logging.h"
@@ -43,39 +42,6 @@ fusedCounters()
                              reg.counter("model.linear.weightPacks")};
     }();
     return c;
-}
-
-/**
- * Resolve a failed decomposition per the recovery policy: bounded
- * deterministic re-attempts under retry (injected faults are consumed
- * by their occurrence counters, so a retry can genuinely clear), fatal
- * under strict, and a degraded-but-usable dense layer otherwise.
- */
-template <class Decompose>
-Tucker2d
-decomposeWithPolicy(const Decompose &decompose, const std::string &name)
-{
-    Tucker2d d = decompose();
-    if (d.status.ok())
-        return d;
-    const RobustPolicy policy = robustPolicy();
-    if (policy.mode == RobustMode::Retry) {
-        for (int attempt = 0; attempt < policy.maxRetries && !d.status.ok();
-             ++attempt) {
-            noteRetry();
-            d = decompose();
-        }
-        if (d.status.ok())
-            return d;
-    }
-    if (policy.mode == RobustMode::Strict)
-        fatal("Linear::factorize(" + name + "): " + d.status.toString());
-    static Counter *degraded = MetricsRegistry::instance().counter(
-        "robust.degradedFactorizations");
-    degraded->inc();
-    warn("Linear::factorize(" + name + "): keeping dense weight; "
-         + d.status.toString());
-    return d;
 }
 
 } // namespace
@@ -195,18 +161,24 @@ Status
 Linear::factorize(int64_t prunedRank)
 {
     require(!factorized_, "Linear::factorize: already factorized");
-    Tucker2d d = decomposeWithPolicy(
-        [&] { return tucker2dDecompose(w_.value, prunedRank); }, w_.name);
-    if (!d.status.ok())
-        return d.status;
-    prunedRank_ = prunedRank;
-    const std::string base = w_.name;
-    u1_ = Parameter(base + ".u1", std::move(d.u1));
-    core_ = Parameter(base + ".core", std::move(d.core));
-    u2_ = Parameter(base + ".u2", std::move(d.u2));
-    w_ = Parameter(base, Tensor({0}));
-    factorized_ = true;
-    invalidatePackedWeights();
+    require(prunedRank >= 1 && prunedRank <= std::min(outDim_, inDim_),
+            strCat("Linear::factorize: rank ", prunedRank, " invalid for (",
+                   outDim_, ", ", inDim_, ")"));
+    return factorizeFromSvd(decomposeWithPolicy(w_.value, w_.name),
+                            prunedRank);
+}
+
+Status
+Linear::factorizeFromSvd(const SvdResult &full, int64_t prunedRank)
+{
+    require(!factorized_, "Linear::factorizeFromSvd: already factorized");
+    if (!full.status.ok())
+        return full.status;
+    require(full.u.dim(0) == outDim_ && full.v.dim(0) == inDim_,
+            strCat("Linear::factorizeFromSvd: SVD of a (", full.u.dim(0),
+                   ", ", full.v.dim(0), ") matrix for (", outDim_, ", ",
+                   inDim_, ")"));
+    installFactors(tucker2dFromSvd(full, prunedRank));
     return Status();
 }
 
@@ -230,23 +202,16 @@ Linear::factorizeActivationAware(int64_t prunedRank,
         for (int64_t c = 0; c < inDim_; ++c)
             row[c] *= colScale[static_cast<size_t>(c)];
     }
-    Tucker2d d = decomposeWithPolicy(
-        [&] { return tucker2dDecompose(scaled, prunedRank); }, w_.name);
-    if (!d.status.ok())
-        return d.status;
+    const SvdResult full = decomposeWithPolicy(scaled, w_.name);
+    if (!full.status.ok())
+        return full.status;
+    Tucker2d d = tucker2dFromSvd(full, prunedRank);
     for (int64_t r = 0; r < prunedRank; ++r) {
         float *row = d.u2.data() + r * inDim_;
         for (int64_t c = 0; c < inDim_; ++c)
             row[c] /= colScale[static_cast<size_t>(c)];
     }
-    prunedRank_ = prunedRank;
-    const std::string base = w_.name;
-    u1_ = Parameter(base + ".u1", std::move(d.u1));
-    core_ = Parameter(base + ".core", std::move(d.core));
-    u2_ = Parameter(base + ".u2", std::move(d.u2));
-    w_ = Parameter(base, Tensor({0}));
-    factorized_ = true;
-    invalidatePackedWeights();
+    installFactors(std::move(d));
     return Status();
 }
 
@@ -257,11 +222,21 @@ Linear::installFactorShape(int64_t prunedRank)
     require(prunedRank >= 1 && prunedRank <= std::min(outDim_, inDim_),
             strCat("Linear::installFactorShape: rank ", prunedRank,
                    " invalid for (", outDim_, ", ", inDim_, ")"));
-    prunedRank_ = prunedRank;
+    Tucker2d zeros;
+    zeros.u1 = Tensor({outDim_, prunedRank});
+    zeros.core = Tensor({prunedRank, prunedRank});
+    zeros.u2 = Tensor({prunedRank, inDim_});
+    installFactors(std::move(zeros));
+}
+
+void
+Linear::installFactors(Tucker2d d)
+{
+    prunedRank_ = d.core.dim(0);
     const std::string base = w_.name;
-    u1_ = Parameter(base + ".u1", Tensor({outDim_, prunedRank}));
-    core_ = Parameter(base + ".core", Tensor({prunedRank, prunedRank}));
-    u2_ = Parameter(base + ".u2", Tensor({prunedRank, inDim_}));
+    u1_ = Parameter(base + ".u1", std::move(d.u1));
+    core_ = Parameter(base + ".core", std::move(d.core));
+    u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
     invalidatePackedWeights();

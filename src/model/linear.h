@@ -28,6 +28,8 @@
 namespace lrd {
 
 class Counter;
+struct SvdResult;
+struct Tucker2d;
 
 /** Dense-or-factorized linear layer with manual backprop. */
 class Linear
@@ -63,6 +65,15 @@ class Linear
      * @param prunedRank Pruned rank in [1, min(out, in)].
      */
     Status factorize(int64_t prunedRank);
+
+    /**
+     * Install the rank-pruned factors held in `full`, a full SVD of
+     * this layer's dense weight computed once elsewhere (a FactorBank
+     * slot, see model/decomp_config.h). The recovery policy was
+     * resolved when `full` was computed: a failed status leaves the
+     * layer dense and is returned.
+     */
+    Status factorizeFromSvd(const SvdResult &full, int64_t prunedRank);
 
     /**
      * Activation-aware factorization (ASVD-style): decompose
@@ -153,6 +164,8 @@ class Linear
     Tensor cachedT1_; ///< x * U2^T.
     Tensor cachedT2_; ///< t1 * core^T.
 
+    /** Switch to the factorized layout holding d's factors. */
+    void installFactors(Tucker2d d);
     /** Rebuild packedU*_ if dirty or the factors changed under us. */
     void ensurePackedFactors();
     /** FNV-1a over the factor values' bit patterns. */

@@ -176,6 +176,7 @@ Server::run(std::vector<ServeRequest> workload)
     const auto offerOne = [&](ServeRequest req) {
         if (req.deadlineTick < tick) {
             missedCtr->inc();
+            ++stats.deadlineMissed;
             settle(req.id, ServeOutcome::DeadlineMissed,
                    Status(StatusCode::DeadlineExceeded, "serve.admit",
                           "deadline expired during client backoff"),

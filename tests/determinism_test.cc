@@ -2,8 +2,9 @@
  * @file
  * Bitwise determinism of every parallelized path across thread
  * counts: the pool's fixed chunk partitioning must make matmul (all
- * transpose variants), truncatedSvd, the evaluator, and the trainer
- * produce identical bits at LRD_THREADS=1 and LRD_THREADS=8.
+ * transpose variants), truncatedSvd, the evaluator, the trainer and
+ * the decompose-once DSE sweep produce identical bits at LRD_THREADS=1
+ * and LRD_THREADS=8.
  *
  * This suite is the one the verify script re-runs under
  * -DLRD_SANITIZE=thread: it exercises the pool from a single posting
@@ -14,9 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <vector>
 
+#include "dse/optimizer.h"
+#include "dse/schedules.h"
 #include "eval/evaluator.h"
+#include "hw/roofline.h"
 #include "linalg/linalg.h"
 #include "model/config.h"
 #include "model/linear.h"
@@ -24,6 +29,7 @@
 #include "parallel/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
+#include "sweep_fixture.h"
 #include "train/model_zoo.h"
 #include "train/trainer.h"
 
@@ -212,6 +218,97 @@ TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
             withThreads(kManyThreads, [&] { return l.forward(x); });
         EXPECT_TRUE(bitwiseEqual(y1, y4)) << dim << "/" << rank;
         EXPECT_TRUE(bitwiseEqual(y1, yN)) << dim << "/" << rank;
+    }
+}
+
+/** Distinct (layer, tensor) weights the sweep's grid decomposes. */
+int64_t
+distinctSweepWeights(const ModelConfig &cfg)
+{
+    std::set<int> layers;
+    for (int count = 1; count <= cfg.nLayers; ++count)
+        for (int l : spreadSchedule(static_cast<int>(cfg.nLayers), count))
+            layers.insert(l);
+    return static_cast<int64_t>(layers.size()
+                                * decomposableKinds(cfg.arch).size());
+}
+
+/**
+ * The sweep computed the direct way: the dense baseline, then for every
+ * grid point a fresh model with applyTucker per entry, evaluated and
+ * estimated as optimizeDecomposition does (EDP projected onto
+ * Llama2-7B), folded by the same serial fold.
+ */
+OptimizerResult
+perCandidateReference(const std::vector<uint8_t> &bytes,
+                      const OptimizerOptions &opts)
+{
+    const ModelConfig cfg = TransformerModel::deserialize(bytes).config();
+    const ModelConfig shape = llama2_7bConfig();
+    const EvalOptions evalOpts{opts.evalTasks, opts.evalSeed, false};
+    const auto estimate = [&](CandidateRecord &rec) {
+        rec.reduction = rec.config.parameterReduction(cfg);
+        const InferenceEstimate est = estimateGeneration(
+            shape, scheduleForReduction(shape, rec.reduction), opts.device,
+            opts.workload);
+        rec.latencySec = est.latencySec;
+        rec.energyJ = est.energyJoules;
+        rec.edp = est.latencySec * est.energyJoules;
+    };
+
+    TransformerModel dense = TransformerModel::deserialize(bytes);
+    CandidateRecord baseline;
+    baseline.accuracy = Evaluator(dense, sweepfix::smallWorld(), evalOpts)
+                            .aggregateAccuracy();
+    estimate(baseline);
+
+    std::vector<CandidateRecord> records;
+    for (int64_t rank : opts.candidateRanks) {
+        for (int count = 1; count <= cfg.nLayers; ++count) {
+            CandidateRecord rec;
+            rec.config = DecompConfig::allTensors(
+                cfg, spreadSchedule(static_cast<int>(cfg.nLayers), count),
+                rank);
+            TransformerModel model = TransformerModel::deserialize(bytes);
+            for (const PrunedRankEntry &e : rec.config.prunedRanks())
+                EXPECT_TRUE(model.applyTucker(e.layer, e.kind, e.rank).ok());
+            rec.accuracy =
+                Evaluator(model, sweepfix::smallWorld(), evalOpts)
+                    .aggregateAccuracy();
+            estimate(rec);
+            records.push_back(rec);
+        }
+    }
+    return foldCandidateRecords(baseline.accuracy, baseline.edp,
+                                opts.accuracyDropTolerance,
+                                std::move(records));
+}
+
+/** The decompose-once sweep builds its factor bank over the pool: at
+ *  every thread count it runs one SVD per distinct weight and its
+ *  records are bitwise those of factorizing each candidate's own
+ *  model. */
+TEST(Determinism, DseFactorBankSweepAcrossThreadCounts)
+{
+    OptimizerOptions opts;
+    opts.evalTasks = 6;
+    opts.accuracyDropTolerance = 1.1;
+    opts.candidateRanks = {1, 2, 4, 8};
+    const std::vector<uint8_t> &bytes = sweepfix::trainedBytes();
+    const OptimizerResult ref = withThreads(
+        1, [&] { return perCandidateReference(bytes, opts); });
+    Counter *svdCalls = MetricsRegistry::instance().counter("svd.calls");
+    for (const int threads : {1, 4, kManyThreads}) {
+        SCOPED_TRACE(threads);
+        const int64_t before = svdCalls->total();
+        const OptimizerResult r = withThreads(threads, [&] {
+            return optimizeDecomposition(bytes, sweepfix::smallWorld(),
+                                         opts);
+        });
+        EXPECT_EQ(svdCalls->total() - before,
+                  distinctSweepWeights(sweepfix::smallConfig()));
+        EXPECT_EQ(r.numFailed, 0);
+        sweepfix::expectSameRecords(r.explored, ref.explored);
     }
 }
 

@@ -3,7 +3,8 @@
  * Tests for the design-space module: gamma validity (Prop 3.1),
  * parameter-reduction arithmetic, Theorem 3.2 vs brute-force
  * enumeration, Table 4 consistency against the paper's own reduction
- * percentages, and the spread-schedule generator.
+ * percentages, the spread-schedule generator, and the Definition-1
+ * candidate grid.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 
 #include "model/decomp_config.h"
 #include "dse/design_space.h"
+#include "dse/optimizer.h"
 #include "dse/schedules.h"
+#include "sweep_fixture.h"
 
 namespace lrd {
 namespace {
@@ -237,6 +240,35 @@ TEST(Schedules, CaseStudyTargetsAreMonotoneLadder)
     for (size_t i = 1; i < targets.size(); ++i)
         EXPECT_GT(targets[i], targets[i - 1]);
     EXPECT_LT(targets.back(), 1.0);
+}
+
+TEST(DseGrid, IsRanksTimesLayersAndRejectsDuplicateRanks)
+{
+    const std::vector<uint8_t> bytes =
+        TransformerModel(sweepfix::smallConfig(), 17).serialize();
+    OptimizerOptions opts;
+    opts.evalTasks = 2;
+    opts.accuracyDropTolerance = 1.1;
+
+    // A repeated rank would evaluate its grid points twice and collide
+    // on the shard key.
+    opts.candidateRanks = {2, 1, 2};
+    EXPECT_THROW(optimizeDecomposition(bytes, sweepfix::smallWorld(), opts),
+                 std::runtime_error);
+
+    opts.candidateRanks = {2, 1};
+    const OptimizerResult r =
+        optimizeDecomposition(bytes, sweepfix::smallWorld(), opts);
+    const int64_t nLayers = sweepfix::smallConfig().nLayers;
+    EXPECT_EQ(r.gridSize, 2 * nLayers);
+    ASSERT_EQ(static_cast<int64_t>(r.explored.size()), r.gridSize);
+    for (int64_t i = 0; i < r.gridSize; ++i) {
+        const CandidateRecord &rec = r.explored[static_cast<size_t>(i)];
+        EXPECT_EQ(rec.gridIndex, i);
+        EXPECT_EQ(rec.config.prunedRank, i < nLayers ? 2 : 1);
+        EXPECT_EQ(static_cast<int64_t>(rec.config.layers.size()),
+                  i % nLayers + 1);
+    }
 }
 
 } // namespace

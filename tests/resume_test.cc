@@ -4,11 +4,13 @@
  * (an injected cancellation mid-run, then a resumed run that must be
  * bitwise identical to the uninterrupted one at every thread count),
  * evaluator failure budgets under poisoned activations, retry-based
- * healing, and recovery-policy behavior of the factorization path.
+ * healing, and recovery-policy behavior of the factorization path and
+ * of the DSE sweep's shared factor bank.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -23,12 +25,14 @@
 #include "robust/fault.h"
 #include "robust/recovery.h"
 #include "robust/signal.h"
+#include "sweep_fixture.h"
 #include "train/trainer.h"
 
 namespace lrd {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace sweepfix;
 
 /** Restores the default policy and disarms faults around each test. */
 struct RobustGuard
@@ -48,60 +52,6 @@ struct RobustGuard
         resetSignalsForTest();
     }
 };
-
-WorldSpec
-smallSpec()
-{
-    WorldSpec s;
-    s.numEntities = 12;
-    s.numColors = 5;
-    s.numCategories = 5;
-    s.numPlaces = 5;
-    s.numNumbers = 14;
-    s.numVerbs = 3;
-    s.numPatternSymbols = 6;
-    s.seed = 7;
-    return s;
-}
-
-const World &
-smallWorld()
-{
-    static World w(smallSpec());
-    return w;
-}
-
-ModelConfig
-smallConfig()
-{
-    ModelConfig cfg = testLlamaConfig();
-    cfg.vocabSize = smallWorld().vocabSize();
-    cfg.dModel = 32;
-    cfg.nHeads = 4;
-    cfg.dFf = 64;
-    cfg.nLayers = 4;
-    cfg.maxSeq = 48;
-    return cfg;
-}
-
-/** A briefly-trained small decoder shared by the DSE tests. */
-const std::vector<uint8_t> &
-trainedBytes()
-{
-    static const std::vector<uint8_t> bytes = [] {
-        TransformerModel model(smallConfig(), 17);
-        TrainOptions t;
-        t.steps = 60;
-        t.batchSeqs = 4;
-        t.seqLen = 40;
-        t.warmupSteps = 10;
-        t.logEvery = 0;
-        Trainer trainer(model, smallWorld(), t);
-        trainer.run();
-        return model.serialize();
-    }();
-    return bytes;
-}
 
 /** Fresh checkpoint path (primary, .prev and .tmp all removed). */
 std::string
@@ -232,23 +182,6 @@ TEST(Resume, TrainerResumeWithoutCheckpointStartsFresh)
     trainer.run();
     EXPECT_TRUE(trainer.runStatus().ok());
     EXPECT_TRUE(fs::exists(opts.checkpointPath));
-}
-
-void
-expectSameRecords(const std::vector<CandidateRecord> &a,
-                  const std::vector<CandidateRecord> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].config.describe(), b[i].config.describe()) << i;
-        EXPECT_EQ(a[i].accuracy, b[i].accuracy) << i;
-        EXPECT_EQ(a[i].latencySec, b[i].latencySec) << i;
-        EXPECT_EQ(a[i].energyJ, b[i].energyJ) << i;
-        EXPECT_EQ(a[i].edp, b[i].edp) << i;
-        EXPECT_EQ(a[i].reduction, b[i].reduction) << i;
-        EXPECT_EQ(a[i].feasible, b[i].feasible) << i;
-        EXPECT_EQ(a[i].failed, b[i].failed) << i;
-    }
 }
 
 TEST(Resume, DseKillAndResumeMatchesUninterruptedSweep)
@@ -499,6 +432,162 @@ TEST(Resume, DseKillAndResumeIsBitwiseWithFusedPathEngaged)
     expectSameRecords(resumed.explored, ref.explored);
     EXPECT_EQ(resumed.best.edp, ref.best.edp);
     MetricsRegistry::instance().setEnabled(false);
+    ThreadPool::instance().resize(1);
+}
+
+/** The decompose-once sweep over ranks {1,2,4,8} (its records and SVD
+ *  count are checked against a per-candidate reference in
+ *  determinism_test): options shared by the fault tests below. */
+OptimizerOptions
+bankSweepOptions()
+{
+    OptimizerOptions opts;
+    opts.evalTasks = 6;
+    opts.accuracyDropTolerance = 1.1;
+    opts.candidateRanks = {1, 2, 4, 8};
+    return opts;
+}
+
+TEST(Resume, DseRetryHealsANonConvergedBankSvdAtEveryThreadCount)
+{
+    RobustGuard guard;
+    const OptimizerOptions opts = bankSweepOptions();
+    ThreadPool::instance().resize(1);
+    const OptimizerResult clean =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+
+    RobustPolicy retry;
+    retry.mode = RobustMode::Retry;
+    retry.maxRetries = 2;
+    setRobustPolicy(retry);
+    for (int nThreads : {1, 4, 8}) {
+        SCOPED_TRACE(nThreads);
+        ThreadPool::instance().resize(nThreads);
+        setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
+        const OptimizerResult healed =
+            optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+        clearFaults();
+        EXPECT_EQ(healed.numFailed, 0);
+        expectSameRecords(healed.explored, clean.explored);
+    }
+    ThreadPool::instance().resize(1);
+}
+
+/** Under degrade a poisoned bank key fails every candidate whose
+ *  configuration decomposes that weight, and only those. */
+TEST(Resume, DseDegradeFailsExactlyTheCandidatesUsingAPoisonedBankKey)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(1);
+    const OptimizerOptions opts = bankSweepOptions();
+    const OptimizerResult clean =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+
+    RobustPolicy degrade;
+    degrade.failureBudget = 1.0;
+    setRobustPolicy(degrade);
+    // On one thread the bank computes its slots in ascending (layer,
+    // kind) order, so the first Jacobi run is the lowest decomposed
+    // layer's first tensor.
+    int poisonedLayer = smallConfig().nLayers;
+    for (const CandidateRecord &rec : clean.explored)
+        poisonedLayer = std::min(poisonedLayer, rec.config.layers.front());
+    setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
+    const OptimizerResult r =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    clearFaults();
+
+    ASSERT_EQ(r.explored.size(), clean.explored.size());
+    int expectFailed = 0;
+    for (size_t i = 0; i < r.explored.size(); ++i) {
+        const std::vector<int> &layers = clean.explored[i].config.layers;
+        const bool poisoned =
+            std::find(layers.begin(), layers.end(), poisonedLayer)
+            != layers.end();
+        expectFailed += poisoned ? 1 : 0;
+        EXPECT_EQ(r.explored[i].failed, poisoned) << i;
+        if (!poisoned) {
+            EXPECT_TRUE(
+                sameBits(r.explored[i].accuracy, clean.explored[i].accuracy))
+                << i;
+        }
+    }
+    EXPECT_GT(expectFailed, 0);
+    EXPECT_LT(expectFailed, static_cast<int>(r.explored.size()));
+    EXPECT_EQ(r.numFailed, expectFailed);
+}
+
+/** A kill inside the bank build stops the sweep before any candidate
+ *  runs; the resumed sweep reproduces the uninterrupted one. */
+TEST(Resume, DseCancelDuringFactorBankCommitsNoCandidateAndResumes)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(4);
+    OptimizerOptions opts = bankSweepOptions();
+    const OptimizerResult ref =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+
+    opts.checkpointPath = ckptPath("lrd_resume_dse_bank.bin");
+    opts.checkpointEvery = 4;
+    setFault(FaultSpec{"jacobi", FaultKind::Cancel, 1});
+    const OptimizerResult cut =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    clearFaults();
+    clearCancelRequest();
+    resetSignalsForTest();
+    ASSERT_TRUE(cut.cancelled);
+    EXPECT_EQ(cut.status.code(), StatusCode::Cancelled);
+    EXPECT_TRUE(cut.explored.empty());
+    EXPECT_EQ(cut.evaluatedThisRun, 0);
+
+    opts.resume = true;
+    const OptimizerResult resumed =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    ASSERT_FALSE(resumed.cancelled);
+    EXPECT_TRUE(sameBits(resumed.baselineAccuracy, ref.baselineAccuracy));
+    expectSameRecords(resumed.explored, ref.explored);
+    EXPECT_EQ(resumed.best.config.describe(), ref.best.config.describe());
+    ThreadPool::instance().resize(1);
+}
+
+/** Bank slots the pool's cancel drain skipped read Cancelled, never as
+ *  an ok empty SVD, and a config applied from them stays dense. */
+TEST(Resume, FactorBankSlotsSkippedByCancelReadCancelled)
+{
+    RobustGuard guard;
+    const ModelConfig cfg = smallConfig();
+    std::vector<int> all(static_cast<size_t>(cfg.nLayers));
+    for (size_t l = 0; l < all.size(); ++l)
+        all[l] = static_cast<int>(l);
+    const DecompConfig gamma = DecompConfig::allTensors(cfg, all, 2);
+    for (int nThreads : {1, 4}) {
+        SCOPED_TRACE(nThreads);
+        ThreadPool::instance().resize(nThreads);
+        TransformerModel model = TransformerModel::deserialize(trainedBytes());
+        setFault(FaultSpec{"jacobi", FaultKind::Cancel, 1});
+        const FactorBank bank(model, {gamma});
+        clearFaults();
+        for (const PrunedRankEntry &e : gamma.prunedRanks()) {
+            SCOPED_TRACE(strCat(weightKindName(e.kind), " in layer ",
+                                e.layer));
+            const SvdResult &slot = bank.at(e.layer, e.kind);
+            if (nThreads == 1 || !slot.status.ok()) {
+                EXPECT_EQ(slot.status.code(), StatusCode::Cancelled);
+            } else {
+                // Finished before the cancel landed: a complete SVD.
+                const Linear &lin = model.linear(e.layer, e.kind);
+                EXPECT_EQ(static_cast<int64_t>(slot.s.size()),
+                          std::min(lin.outDim(), lin.inDim()));
+            }
+        }
+        const Status s = gamma.applyTo(model, bank);
+        EXPECT_EQ(s.code(), StatusCode::Cancelled);
+        if (nThreads == 1) {
+            EXPECT_FALSE(model.anyFactorized());
+        }
+        clearCancelRequest();
+        resetSignalsForTest();
+    }
     ThreadPool::instance().resize(1);
 }
 

@@ -429,6 +429,35 @@ TEST(Server, ExpiredDeadlinesAreExcisedNotScored)
     }
 }
 
+TEST(Server, DeadlineExpiredInClientBackoffIsCounted)
+{
+    // Eight attempts at the default backoff (2, 4, 8, ... ticks) add up
+    // to more than the default 64-tick deadline, so requests the tiny
+    // queue keeps shedding come back from backoff already expired.
+    // Those settle at admission, and ServeStats must still count them.
+    ServeGuard guard;
+    ThreadPool::instance().resize(1);
+    TransformerModel model(serveConfig(), 42);
+    ServeOptions opts;
+    opts.queueCapacity = 2;
+    opts.maxBatch = 1;
+    opts.maxClientAttempts = 8;
+    Server server(model, opts);
+    WorkloadOptions wl = smallWorkload(48);
+    wl.deadlineTicks = opts.defaultDeadlineTicks;
+    const ServeReport r =
+        server.run(makeSyntheticWorkload(serveConfig(), wl));
+    ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    int64_t expiredInBackoff = 0;
+    for (const ServeResponse &resp : r.responses)
+        if (resp.outcome == ServeOutcome::DeadlineMissed
+            && std::string(resp.status.site()) == "serve.admit")
+            ++expiredInBackoff;
+    EXPECT_GT(expiredInBackoff, 0)
+        << "the workload must exercise the expired-in-backoff path";
+    expectExactlyOnce(r, 48);
+}
+
 TEST(Server, DegradationLadderEngagesUnderBurst)
 {
     ServeGuard guard;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "decomp/tucker.h"
 #include "linalg/linalg.h"
@@ -161,6 +164,33 @@ TEST(Tucker2d, ReconstructionMatchesTruncatedSvd)
         SvdResult s = truncatedSvd(w, pr);
         EXPECT_LT(relativeError(d.reconstruct(), s.reconstruct()), 1e-5)
             << "pr " << pr;
+    }
+}
+
+TEST(Tucker2d, PrefixOfOneSvdIsBitwiseThePerRankDecomposition)
+{
+    // The decompose-once fact: svd() never looks at the pruned rank, so
+    // every rank-k factorization is a prefix of the one full SVD, bit
+    // for bit, for short-fat and tall weights alike.
+    Rng rng(13);
+    const auto sameBits = [](const Tensor &a, const Tensor &b) {
+        return a.shape() == b.shape()
+               && std::memcmp(a.data(), b.data(),
+                              static_cast<size_t>(a.size()) * sizeof(float))
+                      == 0;
+    };
+    for (const Shape &shape : {Shape{9, 14}, Shape{17, 6}}) {
+        const Tensor w = Tensor::randn(shape, rng);
+        const SvdResult full = svd(w);
+        const int64_t maxRank = std::min(shape[0], shape[1]);
+        for (int64_t k : {int64_t{1}, int64_t{2}, int64_t{5}, maxRank}) {
+            SCOPED_TRACE(shapeToString(shape) + " k=" + std::to_string(k));
+            const Tucker2d sliced = tucker2dFromSvd(full, k);
+            const Tucker2d direct = tucker2dDecompose(w, k);
+            EXPECT_TRUE(sameBits(sliced.u1, direct.u1));
+            EXPECT_TRUE(sameBits(sliced.core, direct.core));
+            EXPECT_TRUE(sameBits(sliced.u2, direct.u2));
+        }
     }
 }
 

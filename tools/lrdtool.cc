@@ -441,10 +441,14 @@ selfExePath(const char *argv0)
     return std::string(argv0);
 }
 
-/** Parse "--ranks=1,2,4" into positive integers; false on bad text. */
+/**
+ * Parse "--ranks=1,2,4" into distinct positive integers that replace
+ * `out`; false (leaving `out` untouched) on bad text or a repeated rank.
+ */
 bool
 parseRanksFlag(const std::string &text, std::vector<int64_t> &out)
 {
+    std::vector<int64_t> ranks;
     size_t pos = 0;
     for (;;) {
         const size_t comma = text.find(',', pos);
@@ -455,14 +459,17 @@ parseRanksFlag(const std::string &text, std::vector<int64_t> &out)
         if (tok.empty() || tok.size() > 6
             || tok.find_first_not_of("0123456789") != std::string::npos)
             return false;
-        out.push_back(std::atoll(tok.c_str()));
-        if (out.back() < 1)
+        const int64_t rank = std::atoll(tok.c_str());
+        if (rank < 1
+            || std::find(ranks.begin(), ranks.end(), rank) != ranks.end())
             return false;
+        ranks.push_back(rank);
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
-    return !out.empty();
+    out = std::move(ranks);
+    return true;
 }
 
 void
@@ -508,7 +515,8 @@ cmdDse(const Flags &flags, const char *argv0)
     if (flags.has("ranks")
         && !parseRanksFlag(flags.str("ranks"), opts.candidateRanks)) {
         std::fprintf(stderr,
-                     "dse: bad --ranks '%s' (want e.g. --ranks=1,2,4)\n",
+                     "dse: bad --ranks '%s' (want distinct positive "
+                     "ranks, e.g. --ranks=1,2,4)\n",
                      flags.str("ranks").c_str());
         usage();
         return 1;
