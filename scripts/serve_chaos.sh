@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Chaos soak for the serving layer. Rotates an injected fault through
 # every serve.* site/kind pair, interrupts an open-loop run mid-load
-# with a real SIGINT, and checks the cross-thread determinism of the
-# response vector — asserting, for every scenario, that the server
-# never deadlocks (every run finishes), drains gracefully, and exits
-# with the documented code:
+# with a real SIGINT, rejects malformed serve/loadgen flags, and checks
+# the cross-thread determinism of the response vector — asserting, for
+# every scenario, that the server never deadlocks (every run finishes),
+# drains gracefully, and exits with the documented code:
 #
 #   0  clean run                      3  cancelled (signal / injected)
-#   7  response delivery unavailable
+#   1  malformed flag (usage text)    7  response delivery unavailable
 #
 # Usage: scripts/serve_chaos.sh [build-dir]
 set -euo pipefail
@@ -59,11 +59,38 @@ run_case "serve.respond:alloc:2" 0  # one failure; delivery retry recovers
 run_case "serve.respond:alloc:2,serve.respond:alloc:3,serve.respond:alloc:4" 7
 run_case "serve.respond:cancel:2" 3
 
+# Malformed flags: values are digits only, >= 1 for --queue/--batch/
+# --retries/--deadline/--requests/--tenants and >= 0 for --backoff/
+# --fallback-rank/--gap/--seed. Anything else exits 1 with the usage
+# text instead of running with a half-parsed value.
+bad_flag() {
+    local got=0 out
+    out="$("${lrdtool}" "$@" 2>&1)" || got=$?
+    [[ "${got}" == "1" ]] || fail "lrdtool $*: exit ${got}, want 1"
+    grep -q "^usage: lrdtool" <<<"${out}" \
+        || fail "lrdtool $*: no usage text"
+    echo "serve_chaos: lrdtool $* -> exit 1 (ok)"
+}
+
+bad_flag serve --batch=4x
+bad_flag serve --fallback-rank=x
+bad_flag serve --retries=0
+bad_flag serve --tenants=-2
+bad_flag serve --queue=0
+bad_flag serve --deadline=
+bad_flag serve --requests=+8
+bad_flag serve --seed=99999999999
+bad_flag loadgen --gap=-1
+bad_flag loadgen --backoff=2.5
+
 # A real SIGINT mid-load: stop admitting, finish the in-flight batch,
-# drain, exit 3. --preserve-status forwards lrdtool's own exit code;
-# 124/137 would mean the drain wedged until timeout gave up.
+# drain, exit 3. --foreground makes timeout signal lrdtool alone; without
+# it timeout also signals its own process group, lrdtool can see a
+# second SIGINT, and a second signal force-exits 130. --preserve-status
+# forwards lrdtool's own exit code; 124/137 would mean the drain wedged
+# until timeout gave up.
 got=0
-timeout --preserve-status -s INT -k 30 2 \
+timeout --foreground --preserve-status -s INT -k 30 2 \
     "${lrdtool}" loadgen --requests=100000 --queue=32 >/dev/null 2>&1 \
     || got=$?
 [[ "${got}" == "3" ]] \

@@ -5,6 +5,20 @@
 
 namespace lrd {
 
+namespace {
+
+// Hysteresis thresholds as fractions of queue capacity.
+constexpr double kShrinkHigh = 0.50;   // Enter BatchShrink at/above this.
+constexpr double kShrinkLow = 0.25;    // Leave BatchShrink below this.
+constexpr double kFallbackHigh = 0.80; // Enter RankFallback at/above this.
+constexpr double kFallbackLow = 0.50;  // Leave RankFallback below this.
+static_assert(kShrinkLow <= kShrinkHigh && kShrinkHigh <= kFallbackHigh
+                  && kFallbackLow <= kFallbackHigh,
+              "ladder thresholds must be ordered shrinkLow <= shrinkHigh "
+              "<= fallbackHigh, fallbackLow <= fallbackHigh");
+
+} // namespace
+
 const char *
 serviceLevelName(ServiceLevel level)
 {
@@ -17,16 +31,6 @@ serviceLevelName(ServiceLevel level)
         return "rank-fallback";
     }
     return "unknown";
-}
-
-LoadController::LoadController(LoadControlOptions opts) : opts_(opts)
-{
-    require(opts.shrinkLow <= opts.shrinkHigh
-                && opts.shrinkHigh <= opts.fallbackHigh
-                && opts.fallbackLow <= opts.fallbackHigh,
-            "LoadController: thresholds must be ordered "
-            "shrinkLow <= shrinkHigh <= fallbackHigh, "
-            "fallbackLow <= fallbackHigh");
 }
 
 ServiceLevel
@@ -44,21 +48,21 @@ LoadController::update(int64_t queueDepth, int64_t queueCapacity)
     ServiceLevel next = level_;
     switch (level_) {
     case ServiceLevel::Normal:
-        if (occupancy >= opts_.fallbackHigh)
+        if (occupancy >= kFallbackHigh)
             next = ServiceLevel::RankFallback;
-        else if (occupancy >= opts_.shrinkHigh)
+        else if (occupancy >= kShrinkHigh)
             next = ServiceLevel::BatchShrink;
         break;
     case ServiceLevel::BatchShrink:
-        if (occupancy >= opts_.fallbackHigh)
+        if (occupancy >= kFallbackHigh)
             next = ServiceLevel::RankFallback;
-        else if (occupancy < opts_.shrinkLow)
+        else if (occupancy < kShrinkLow)
             next = ServiceLevel::Normal;
         break;
     case ServiceLevel::RankFallback:
-        if (occupancy < opts_.fallbackLow)
-            next = occupancy < opts_.shrinkLow ? ServiceLevel::Normal
-                                               : ServiceLevel::BatchShrink;
+        if (occupancy < kFallbackLow)
+            next = occupancy < kShrinkLow ? ServiceLevel::Normal
+                                          : ServiceLevel::BatchShrink;
         break;
     }
     if (next != level_) {
@@ -67,7 +71,6 @@ LoadController::update(int64_t queueDepth, int64_t queueCapacity)
                       serviceLevelName(next), " (queue ", queueDepth, "/",
                       queueCapacity, ")"));
         level_ = next;
-        ++transitions_;
         transitions->inc();
     }
     levelGauge->set(static_cast<double>(static_cast<int>(level_)));

@@ -10,10 +10,11 @@
  * additionally routes scoring to a lower-rank variant of the model
  * (a DecompConfig-factorized copy — the paper's accuracy/efficiency
  * trade-off applied as an overload valve). Transitions use
- * hysteresis (enter above `high`, leave below `low`) so occupancy
- * noise near a threshold cannot flap the ladder, and every
- * transition is logged and counted (serve.degrade.transitions,
- * serve.degrade.level).
+ * hysteresis with fixed thresholds (enter BatchShrink at 50% queue
+ * occupancy and leave it below 25%; enter RankFallback at 80% and
+ * leave it below 50%) so occupancy noise near a threshold cannot flap
+ * the ladder, and every transition is logged and counted
+ * (serve.degrade.transitions, serve.degrade.level).
  */
 
 #ifndef LRD_SERVE_LOAD_CONTROL_H
@@ -34,20 +35,9 @@ enum class ServiceLevel : int
 /** Stable lowercase name for a level ("batch-shrink", ...). */
 const char *serviceLevelName(ServiceLevel level);
 
-/** Hysteresis thresholds as fractions of queue capacity. */
-struct LoadControlOptions
-{
-    double shrinkHigh = 0.50;   ///< Enter BatchShrink at/above this.
-    double shrinkLow = 0.25;    ///< Leave BatchShrink below this.
-    double fallbackHigh = 0.80; ///< Enter RankFallback at/above this.
-    double fallbackLow = 0.50;  ///< Leave RankFallback below this.
-};
-
 class LoadController
 {
   public:
-    explicit LoadController(LoadControlOptions opts);
-
     /**
      * Re-evaluate the ladder for this tick's queue occupancy.
      * Called once per tick from the control thread (a serial point),
@@ -68,12 +58,8 @@ class LoadController
         return level_ == ServiceLevel::RankFallback;
     }
 
-    int64_t transitions() const { return transitions_; }
-
   private:
-    LoadControlOptions opts_;
     ServiceLevel level_ = ServiceLevel::Normal;
-    int64_t transitions_ = 0;
 };
 
 } // namespace lrd

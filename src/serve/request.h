@@ -67,8 +67,6 @@ struct ServeResponse
     bool degraded = false;
     /** Tick at which the outcome settled. */
     int64_t settledTick = 0;
-    /** Shed only: suggested ticks to wait before re-offering. */
-    int64_t retryAfterTicks = 0;
     /** Non-ok for every outcome except a clean Responded. */
     Status status;
 };

@@ -1,7 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <deque>
 #include <utility>
 
 #include "model/decomp_config.h"
@@ -17,18 +17,8 @@ namespace lrd {
 
 namespace {
 
-int64_t
-envInt64(const char *name, int64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    char *end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    require(end != nullptr && *end == '\0',
-            strCat(name, ": '", env, "' is not an integer"));
-    return static_cast<int64_t>(v);
-}
+/** Delivery attempts per response at the serve.respond site. */
+constexpr int kDeliveryAttempts = 3;
 
 /** Quantile of a sorted sample set (nearest-rank; deterministic). */
 double
@@ -52,28 +42,11 @@ struct RetryEntry
 
 } // namespace
 
-ServeOptions
-ServeOptions::fromEnv()
-{
-    ServeOptions opts;
-    opts.queueCapacity = envInt64("LRD_SERVE_QUEUE", opts.queueCapacity);
-    opts.maxBatch = envInt64("LRD_SERVE_BATCH", opts.maxBatch);
-    opts.maxClientAttempts = static_cast<int>(
-        envInt64("LRD_SERVE_RETRIES", opts.maxClientAttempts));
-    opts.retryBackoffBaseTicks =
-        envInt64("LRD_SERVE_BACKOFF", opts.retryBackoffBaseTicks);
-    opts.fallbackRank = envInt64("LRD_SERVE_FALLBACK_RANK", opts.fallbackRank);
-    opts.defaultDeadlineTicks =
-        envInt64("LRD_SERVE_DEADLINE", opts.defaultDeadlineTicks);
-    require(opts.queueCapacity > 0 && opts.maxBatch > 0
-                && opts.maxClientAttempts > 0,
-            "LRD_SERVE_*: queue, batch, and retries must be positive");
-    return opts;
-}
-
 Server::Server(TransformerModel &model, ServeOptions opts)
     : model_(model), opts_(opts)
 {
+    require(opts_.queueCapacity > 0 && opts_.maxBatch > 0,
+            "Server: queueCapacity and maxBatch must be positive");
     if (opts_.fallbackRank <= 0)
         return;
     const ModelConfig &cfg = model_.config();
@@ -121,6 +94,10 @@ Server::run(std::vector<ServeRequest> workload)
         MetricsRegistry::instance().counter("serve.unavailable");
     static Counter *retriesCtr =
         MetricsRegistry::instance().counter("serve.client.retries");
+    static Counter *admittedCtr =
+        MetricsRegistry::instance().counter("serve.admitted");
+    static Counter *shedCtr =
+        MetricsRegistry::instance().counter("serve.shed");
     static Gauge *depthGauge =
         MetricsRegistry::instance().gauge("serve.queue.depth");
     static Histogram *latencyTicksHist =
@@ -161,9 +138,8 @@ Server::run(std::vector<ServeRequest> workload)
 
     WatchdogSection watched("serve");
     Timer wall;
-    BoundedMpmcQueue<ServeRequest> queue(opts_.queueCapacity);
-    AdmissionController admission(opts_.queueCapacity, opts_.maxBatch);
-    LoadController ladder(opts_.ladder);
+    std::deque<ServeRequest> queue; // FIFO, at most queueCapacity.
+    LoadController ladder;
     Batcher batcher(model_, fallback_.get());
     ServeStats &stats = report.stats;
 
@@ -184,16 +160,21 @@ Server::run(std::vector<ServeRequest> workload)
             return;
         }
         ++stats.offered;
-        const AdmitDecision decision = admission.offer(queue.size());
-        if (decision.admitted) {
+        // Admission: an injected serve.admit alloc fault sheds exactly
+        // as a full queue does, so chaos runs reach the shed path at
+        // any load.
+        const bool injectedShed = faultAt("serve.admit", FaultKind::Alloc);
+        if (!injectedShed
+            && static_cast<int64_t>(queue.size()) < opts_.queueCapacity) {
             if (offerWallSeconds[static_cast<size_t>(req.id)] == 0.0)
                 offerWallSeconds[static_cast<size_t>(req.id)] =
                     wall.elapsedSeconds();
             ++stats.admitted;
-            require(queue.tryPush(std::move(req)),
-                    "Server: admission admitted into a full queue");
+            admittedCtr->inc();
+            queue.push_back(std::move(req));
             return;
         }
+        shedCtr->inc();
         if (req.attempt + 1 < opts_.maxClientAttempts) {
             RetryEntry entry;
             entry.dueTick = tick
@@ -213,14 +194,16 @@ Server::run(std::vector<ServeRequest> workload)
             return;
         }
         ++stats.shed;
-        ServeResponse &slot = report.responses[static_cast<size_t>(req.id)];
-        settle(req.id, ServeOutcome::Shed, decision.status, tick);
-        slot.retryAfterTicks = decision.retryAfterTicks;
+        settle(req.id, ServeOutcome::Shed,
+               Status(StatusCode::ResourceExhausted, "serve.admit",
+                      injectedShed ? "injected admission failure"
+                                   : "queue at capacity"),
+               tick);
     };
 
     for (;;) {
         const bool workRemains = nextArrival < workload.size()
-                                 || !backlog.empty() || queue.size() > 0;
+                                 || !backlog.empty() || !queue.empty();
         if (!workRemains)
             break;
         pollCancelFault("serve.admit");
@@ -243,26 +226,27 @@ Server::run(std::vector<ServeRequest> workload)
 
         // Degradation ladder, then batch formation with deadline
         // excision — all still on the control thread.
-        ladder.update(queue.size(), opts_.queueCapacity);
+        ladder.update(static_cast<int64_t>(queue.size()),
+                      opts_.queueCapacity);
         stats.maxServiceLevel =
             std::max(stats.maxServiceLevel,
                      static_cast<int64_t>(ladder.level()));
         const int64_t maxBatch = ladder.maxBatch(opts_.maxBatch);
         std::vector<ServeRequest> batch;
-        while (static_cast<int64_t>(batch.size()) < maxBatch) {
-            std::optional<ServeRequest> item = queue.tryPop();
-            if (!item)
-                break;
-            if (item->deadlineTick < tick) {
+        while (static_cast<int64_t>(batch.size()) < maxBatch
+               && !queue.empty()) {
+            ServeRequest item = std::move(queue.front());
+            queue.pop_front();
+            if (item.deadlineTick < tick) {
                 missedCtr->inc();
                 ++stats.deadlineMissed;
-                settle(item->id, ServeOutcome::DeadlineMissed,
+                settle(item.id, ServeOutcome::DeadlineMissed,
                        Status(StatusCode::DeadlineExceeded, "serve.batch",
                               "deadline expired before batch execution"),
                        tick);
                 continue;
             }
-            batch.push_back(std::move(*item));
+            batch.push_back(std::move(item));
         }
 
         // LRD_DEADLINE=items:<n>: the batch that exhausts the budget
@@ -299,14 +283,14 @@ Server::run(std::vector<ServeRequest> workload)
             batchesCtr->inc();
 
             // Delivery phase: serial, per-response, with bounded
-            // deterministic retry at the serve.respond fault site.
+            // retry at the serve.respond fault site. Delivery draws no
+            // randomness, so the retry seed is just the request id.
             pollCancelFault("serve.respond");
             for (size_t i = 0; i < batch.size(); ++i) {
                 ServeResponse &resp = *slots[i];
                 const Status delivered = retryWithReseed(
-                    opts_.retrySeed
-                        ^ static_cast<uint64_t>(batch[i].id),
-                    opts_.responderAttempts, [&](Rng &, int) {
+                    static_cast<uint64_t>(batch[i].id), kDeliveryAttempts,
+                    [](Rng &, int) {
                         if (faultAt("serve.respond", FaultKind::Alloc))
                             return Status(StatusCode::Unavailable,
                                           "serve.respond",
@@ -341,7 +325,7 @@ Server::run(std::vector<ServeRequest> workload)
         // Open-loop fast-forward: with nothing queued and nothing
         // due, jump straight to the next arrival / backoff event
         // instead of spinning empty ticks.
-        if (batch.empty() && queue.size() == 0) {
+        if (batch.empty() && queue.empty()) {
             int64_t nextEvent = tick;
             bool have = false;
             if (nextArrival < workload.size()) {
@@ -357,10 +341,10 @@ Server::run(std::vector<ServeRequest> workload)
         }
     }
 
-    // Drain (serial point): stop admitting, then give every still-
-    // pending request its terminal outcome. Reached on cancellation,
-    // budget expiry, or natural completion (where it settles nothing).
-    queue.close();
+    // Drain (serial point): the loop has stopped admitting; give every
+    // still-pending request its terminal outcome. Reached on
+    // cancellation, budget expiry, or natural completion (where it
+    // settles nothing).
     if (budgetExpired)
         expireDeadline("serve.batch");
     const Status drainStatus = cancelStatus("serve.drain");
@@ -374,8 +358,8 @@ Server::run(std::vector<ServeRequest> workload)
                    : drainStatus,
                tick);
     };
-    while (std::optional<ServeRequest> item = queue.tryPop())
-        settleDrained(*item, "drained from the queue");
+    for (const ServeRequest &req : queue)
+        settleDrained(req, "drained from the queue");
     for (const ServeRequest &req : truncated)
         settleDrained(req, "cut by the items budget");
     for (const RetryEntry &entry : backlog)

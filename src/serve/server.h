@@ -1,9 +1,9 @@
 /**
  * @file
- * The request server: a single control loop that ties the bounded
- * queue, admission control, the degradation ladder, the continuous
- * batcher, client-side retry, and graceful drain into one
- * deterministic scheduler.
+ * The request server: a single control loop that admits into a
+ * bounded FIFO queue, steps the degradation ladder, feeds the
+ * continuous batcher, schedules client-side retry, and drains
+ * gracefully — one deterministic scheduler.
  *
  * Control-loop contract: every scheduling decision — admit/shed,
  * ladder transitions, batch membership, deadline excision, drain —
@@ -37,10 +37,8 @@
 #include <vector>
 
 #include "model/transformer.h"
-#include "serve/admission.h"
 #include "serve/batcher.h"
 #include "serve/load_control.h"
-#include "serve/queue.h"
 #include "serve/request.h"
 #include "util/status.h"
 
@@ -48,14 +46,13 @@ namespace lrd {
 
 struct ServeOptions
 {
+    /** Bound of the request queue; a full queue sheds the offer. */
     int64_t queueCapacity = 16;
     int64_t maxBatch = 4;
     /** Admission attempts per request (first offer + retries). */
     int maxClientAttempts = 3;
     /** Backoff base: attempt k re-offers after base * 2^k ticks. */
     int64_t retryBackoffBaseTicks = 2;
-    /** Delivery attempts per response at serve.respond. */
-    int responderAttempts = 3;
     /**
      * Pruned rank of the degradation-ladder fallback variant
      * (DecompConfig::allTensors over every layer). 0 disables the
@@ -65,12 +62,6 @@ struct ServeOptions
     int64_t fallbackRank = 0;
     /** Deadline assigned to workloads that do not carry one. */
     int64_t defaultDeadlineTicks = 64;
-    /** Seed for the deterministic delivery-retry stream. */
-    uint64_t retrySeed = 0x5EEDu;
-    LoadControlOptions ladder;
-
-    /** Defaults overridden by LRD_SERVE_* environment variables. */
-    static ServeOptions fromEnv();
 };
 
 /** Aggregate outcome counts and latency quantiles of one run. */
@@ -110,6 +101,7 @@ class Server
      * @param model The serving model (borrowed; must outlive the
      *        server). Never mutated; the fallback variant is built
      *        from a deserialized copy.
+     * @param opts queueCapacity and maxBatch must be positive.
      */
     Server(TransformerModel &model, ServeOptions opts);
 

@@ -34,8 +34,8 @@
  * tiny-bert.
  *
  * Environment: LRD_THREADS, LRD_LOG, LRD_TRACE, LRD_STATS,
- * LRD_TELEMETRY, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE, LRD_WATCHDOG,
- * LRD_SERVE_* (see usage()).
+ * LRD_TELEMETRY, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE, LRD_WATCHDOG
+ * (see usage()). serve/loadgen take their settings from flags only.
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
  * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
@@ -50,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -363,7 +364,7 @@ cmdStats(double percent)
     return 0;
 }
 
-/** "--key=value" / "--flag" parsing for the train/dse subcommands. */
+/** "--key=value" / "--flag" parsing for the flag-taking subcommands. */
 struct Flags
 {
     std::map<std::string, std::string> kv;
@@ -396,6 +397,34 @@ struct Flags
     {
         const auto it = kv.find(key);
         return it == kv.end() ? fallback : std::atoi(it->second.c_str());
+    }
+
+    /**
+     * Strict "--key=N": digits only, at least `min`, at most INT_MAX.
+     * An absent flag leaves `out` as is. On bad text, prints why to
+     * stderr (prefixed by `cmd`) and returns false.
+     */
+    template <class T>
+    bool count(const char *cmd, const std::string &key, int min,
+               T &out) const
+    {
+        const auto it = kv.find(key);
+        if (it == kv.end())
+            return true;
+        const std::string &text = it->second;
+        const bool digits =
+            !text.empty() && text.size() <= 10
+            && text.find_first_not_of("0123456789") == std::string::npos;
+        const long long v = digits ? std::atoll(text.c_str()) : -1;
+        if (v < min || v > std::numeric_limits<int>::max()) {
+            std::fprintf(stderr,
+                         "%s: bad --%s '%s' (want an integer %d..%d)\n",
+                         cmd, key.c_str(), text.c_str(), min,
+                         std::numeric_limits<int>::max());
+            return false;
+        }
+        out = static_cast<T>(v);
+        return true;
     }
 
     bool has(const std::string &key) const { return kv.count(key) != 0; }
@@ -694,22 +723,32 @@ responseDigest(const std::vector<ServeResponse> &responses)
 int
 runServeCommand(const Flags &flags, bool openLoop)
 {
+    const char *cmd = openLoop ? "loadgen" : "serve";
+    ServeOptions opts;
+    opts.fallbackRank = 2;
+    WorkloadOptions w;
+    w.numRequests = openLoop ? 96 : 48;
+    w.maxArrivalGapTicks = openLoop ? 2 : 0;
+    // Flags are the only configuration, so they are checked strictly.
+    const bool flagsOk =
+        flags.count(cmd, "queue", 1, opts.queueCapacity)
+        && flags.count(cmd, "batch", 1, opts.maxBatch)
+        && flags.count(cmd, "retries", 1, opts.maxClientAttempts)
+        && flags.count(cmd, "backoff", 0, opts.retryBackoffBaseTicks)
+        && flags.count(cmd, "fallback-rank", 0, opts.fallbackRank)
+        && flags.count(cmd, "deadline", 1, opts.defaultDeadlineTicks)
+        && flags.count(cmd, "requests", 1, w.numRequests)
+        && flags.count(cmd, "tenants", 1, w.tenants)
+        && flags.count(cmd, "seed", 0, w.seed)
+        && (!openLoop || flags.count(cmd, "gap", 0, w.maxArrivalGapTicks));
+    if (!flagsOk) {
+        usage();
+        return 1;
+    }
+    w.deadlineTicks = opts.defaultDeadlineTicks;
     // Serving reports through obs metrics (and the flight recorder
     // when LRD_TELEMETRY is set), so recording must be on.
     MetricsRegistry::instance().setEnabled(true);
-    ServeOptions opts = ServeOptions::fromEnv();
-    opts.queueCapacity =
-        flags.num("queue", static_cast<int>(opts.queueCapacity));
-    opts.maxBatch = flags.num("batch", static_cast<int>(opts.maxBatch));
-    opts.maxClientAttempts =
-        flags.num("retries", opts.maxClientAttempts);
-    opts.retryBackoffBaseTicks = flags.num(
-        "backoff", static_cast<int>(opts.retryBackoffBaseTicks));
-    opts.fallbackRank = flags.num(
-        "fallback-rank",
-        static_cast<int>(opts.fallbackRank > 0 ? opts.fallbackRank : 2));
-    opts.defaultDeadlineTicks = flags.num(
-        "deadline", static_cast<int>(opts.defaultDeadlineTicks));
 
     // The untrained tiny model serves by default: synthetic workloads
     // only need deterministic scores, and chaos/CI runs should not
@@ -730,16 +769,10 @@ runServeCommand(const Flags &flags, bool openLoop)
         }
         workload = std::move(loaded).value();
     } else {
-        WorkloadOptions w;
-        w.numRequests = flags.num("requests", openLoop ? 96 : 48);
-        w.tenants = flags.num("tenants", 4);
-        w.deadlineTicks = opts.defaultDeadlineTicks;
-        w.maxArrivalGapTicks = openLoop ? flags.num("gap", 2) : 0;
-        w.seed = static_cast<uint64_t>(flags.num("seed", 42));
         workload = makeSyntheticWorkload(model.config(), w);
     }
 
-    inform(strCat(openLoop ? "loadgen" : "serve", ": ", workload.size(),
+    inform(strCat(cmd, ": ", workload.size(),
                   " requests, queue ", opts.queueCapacity, ", batch ",
                   opts.maxBatch, ", ", parallelWorkers(),
                   " worker thread(s)"));
@@ -1253,6 +1286,8 @@ usage()
         "                                closed-loop serving run\n"
         "  loadgen [serve flags] [--gap=N]\n"
         "                                open-loop seeded arrivals\n"
+        "        (N is digits only; --backoff, --fallback-rank, --gap\n"
+        "         and --seed may be 0, the rest must be >= 1)\n"
         "  faults                        fault-injection site table\n"
         "  monitor <file> [--follow]     per-phase summary of a\n"
         "                                flight-recorder JSONL file\n"
@@ -1280,15 +1315,6 @@ usage()
         "                      wall:<secs> (wall clock)\n"
         "  LRD_WATCHDOG=<secs> report stalled pipelines after <secs>\n"
         "                      without progress (report-only)\n"
-        "  LRD_SERVE_QUEUE=<n>     serve: bounded request-queue capacity\n"
-        "  LRD_SERVE_BATCH=<n>     serve: max batch size per tick\n"
-        "  LRD_SERVE_RETRIES=<n>   serve: admission attempts per request\n"
-        "  LRD_SERVE_BACKOFF=<n>   serve: client backoff base (ticks)\n"
-        "  LRD_SERVE_FALLBACK_RANK=<n>\n"
-        "                      serve: pruned rank of the degradation-\n"
-        "                      ladder fallback variant (0 = off)\n"
-        "  LRD_SERVE_DEADLINE=<n>  serve: default per-request deadline\n"
-        "                      (ticks after arrival)\n"
         "  LRD_SANITIZE        build-time option (see CMakeLists.txt)\n"
         "exit codes:\n"
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
