@@ -12,7 +12,8 @@
 #   - recomputed work stays below one checkpoint interval per retry
 #     (resume really resumes; nothing is double-counted),
 #   - a clean supervised run recomputes nothing,
-#   - bad --shard/--supervise arguments exit 1,
+#   - bad --shard/--supervise arguments and malformed numeric train/dse
+#     flags exit 1 with the usage text,
 #   - a shard that keeps dying exhausts its retry budget and the
 #     supervisor exits with the documented code 8.
 #
@@ -49,17 +50,25 @@ for site in dse.shard.spawn dse.shard.merge dse.batch; do
 done
 echo "dse_shard_chaos: all dse.shard.* sites registered"
 
-# Malformed shard/supervise arguments must exit 1 with usage, never
-# start a sweep.
-for bad in --shard=3/2 --shard=x/y --shard=0/0 --shard=1 \
-           --supervise=0 --supervise=9999; do
+# Malformed shard/supervise arguments and numeric flags must exit 1
+# with usage, never start a sweep or a training run.
+for bad in "dse --shard=3/2" "dse --shard=x/y" "dse --shard=0/0" \
+           "dse --shard=1" "dse --supervise=0" "dse --supervise=9999" \
+           "dse --supervise=2x" "dse --tasks=2x" "dse --tasks=abc" \
+           "dse --tasks=0" "dse --every=-1" "dse --merge=2x" \
+           "dse --supervise=2 --retries=x" "dse --supervise=2 --backoff=1s" \
+           "dse --supervise=2 --stale-secs=-5" "train --steps=abc" \
+           "train --steps=-5" "train --log-every=x" "train --every=2x"; do
+    read -r -a args <<<"${bad}"
     got=0
-    "${lrdtool}" dse "${bad}" --dir="${workdir}/never" \
-        >/dev/null 2>&1 || got=$?
-    [[ "${got}" == "1" ]] || fail "dse ${bad}: exit ${got}, want 1"
+    out="$("${lrdtool}" "${args[@]}" --dir="${workdir}/never" 2>&1)" \
+        || got=$?
+    [[ "${got}" == "1" ]] || fail "lrdtool ${bad}: exit ${got}, want 1"
+    grep -q "^usage: lrdtool" <<<"${out}" \
+        || fail "lrdtool ${bad}: no usage text"
 done
 [[ ! -e "${workdir}/never" ]] || fail "bad args still created a dir"
-echo "dse_shard_chaos: malformed --shard/--supervise args exit 1"
+echo "dse_shard_chaos: malformed shard and numeric train/dse args exit 1"
 
 TASKS=8
 EVERY=2

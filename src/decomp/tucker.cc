@@ -18,13 +18,12 @@ namespace {
 void
 checkRanks(const Tensor &t, const std::vector<int64_t> &ranks)
 {
-    require(static_cast<int64_t>(ranks.size()) == t.rank(),
-            strCat("tucker: ", ranks.size(), " ranks given for order-",
-                   t.rank(), " tensor"));
+    require(static_cast<int64_t>(ranks.size()) == t.rank(), "tucker: ",
+            ranks.size(), " ranks given for order-", t.rank(), " tensor");
     for (size_t i = 0; i < ranks.size(); ++i)
         require(ranks[i] >= 1 && ranks[i] <= t.dim(static_cast<int64_t>(i)),
-                strCat("tucker: rank ", ranks[i], " invalid for mode ", i,
-                       " extent ", t.dim(static_cast<int64_t>(i))));
+                "tucker: rank ", ranks[i], " invalid for mode ", i, " extent ",
+                t.dim(static_cast<int64_t>(i)));
 }
 
 /** Contract t with the transposes of all factors except `skip`. */
@@ -177,8 +176,8 @@ tucker2dDecompose(const Tensor &w, int64_t prunedRank)
     calls->inc();
     require(w.rank() == 2, "tucker2dDecompose: weight must be a matrix");
     require(prunedRank >= 1 && prunedRank <= std::min(w.dim(0), w.dim(1)),
-            strCat("tucker2dDecompose: pruned rank ", prunedRank,
-                   " invalid for ", shapeToString(w.shape())));
+            "tucker2dDecompose: pruned rank ", prunedRank, " invalid for ",
+            w.shape());
     return tucker2dFromSvd(svd(w), prunedRank);
 }
 

@@ -13,7 +13,7 @@ calibrateActivationScales(TransformerModel &model,
 {
     std::string why;
     require(gamma.valid(model.config(), &why),
-            "calibrateActivationScales: invalid gamma: " + why);
+            "calibrateActivationScales: invalid gamma: ", why);
     require(!calibrationDocs.empty(),
             "calibrateActivationScales: no calibration documents");
 

@@ -45,9 +45,8 @@ std::vector<int>
 spreadSchedule(int nLayers, int count)
 {
     require(nLayers >= 1, "spreadSchedule: nLayers must be >= 1");
-    require(count >= 0 && count <= nLayers,
-            strCat("spreadSchedule: count ", count,
-                   " out of range for ", nLayers, " layers"));
+    require(count >= 0 && count <= nLayers, "spreadSchedule: count ", count,
+            " out of range for ", nLayers, " layers");
     if (count == 0)
         return {};
 

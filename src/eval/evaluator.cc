@@ -58,32 +58,31 @@ scoreWithPolicy(const Body &body)
 
 /**
  * Score one multiple-choice item on a decoder model by summed
- * log-likelihood of each choice continuation over a shared-context
- * KV-cache session.
+ * log-likelihood of each choice continuation over one KV-cache
+ * session: the context is appended once, and the session is rewound
+ * to it after each choice.
  */
 int
 pickCausal(TransformerModel &model, const McTask &task,
            const EvalOptions &opts)
 {
-    InferenceSession base(model);
-    Tensor firstLogits = base.append(task.context);
+    InferenceSession session(model);
+    const Tensor contextLp = logSoftmaxLastDim(session.append(task.context));
+    const int64_t contextLen = session.length();
 
     double bestScore = -std::numeric_limits<double>::infinity();
     int best = 0;
     for (size_t c = 0; c < task.choices.size(); ++c) {
         const TokenSeq &choice = task.choices[c];
         require(!choice.empty(), "Evaluator: empty choice");
-        // Copy the shared-context session so each choice extends its
-        // own KV cache.
-        InferenceSession session = base;
-        Tensor logits = firstLogits;
-        double ll = 0.0;
-        for (size_t i = 0; i < choice.size(); ++i) {
-            Tensor lp = logSoftmaxLastDim(logits);
-            ll += lp[choice[i]];
-            if (i + 1 < choice.size())
-                logits = session.append({choice[i]});
+        // Every token but the last extends the context; a one-token
+        // choice never touches the session.
+        double ll = contextLp[choice[0]];
+        for (size_t i = 1; i < choice.size(); ++i) {
+            const Tensor logits = session.append({choice[i - 1]});
+            ll += logSoftmaxLastDim(logits)[choice[i]];
         }
+        session.truncate(contextLen);
         if (opts.lengthNormalize)
             ll /= static_cast<double>(choice.size());
         if (ll > bestScore) {

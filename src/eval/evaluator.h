@@ -5,10 +5,11 @@
  * harness protocol the paper follows); GSM8K-style items are scored
  * by greedy-decode exact match.
  *
- * Decoder (LlamaStyle) models share the context prefix across choices
- * through a copied KV-cache session. Encoder (BertStyle) models are
- * scored by pseudo-log-likelihood: each choice position is masked in
- * turn and the original token's probability read out.
+ * Decoder (LlamaStyle) models append the context to one KV-cache
+ * session once and truncate it back to the context after each choice.
+ * Encoder (BertStyle) models are scored by pseudo-log-likelihood: each
+ * choice position is masked in turn and the original token's
+ * probability read out.
  */
 
 #ifndef LRD_EVAL_EVALUATOR_H

@@ -48,8 +48,8 @@ profileTransformer(const ModelConfig &cfg, const DecompConfig &gamma,
                    const WorkloadParams &wl)
 {
     std::string why;
-    require(gamma.valid(cfg, &why),
-            "profileTransformer: invalid gamma: " + why);
+    require(gamma.valid(cfg, &why), "profileTransformer: invalid gamma: ",
+            why);
     const int64_t tokens = wl.batch * wl.seqLen;
     const int64_t bp = wl.bytesPerParam;
     std::vector<OpProfile> ops;
@@ -95,8 +95,8 @@ transformerWeightBytes(const ModelConfig &cfg, const DecompConfig &gamma,
                        int bytesPerParam)
 {
     std::string why;
-    require(gamma.valid(cfg, &why),
-            "transformerWeightBytes: invalid gamma: " + why);
+    require(gamma.valid(cfg, &why), "transformerWeightBytes: invalid gamma: ",
+            why);
     // Total params minus the savings of the decomposed tensors.
     const int64_t saved = gamma.paramsBefore(cfg) - gamma.paramsAfter(cfg);
     return (cfg.totalParams() - saved) * bytesPerParam;

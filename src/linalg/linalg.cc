@@ -347,9 +347,8 @@ SvdResult
 truncatedSvd(const Tensor &a, int64_t k)
 {
     require(a.rank() == 2, "truncatedSvd: input must be a matrix");
-    require(k >= 1 && k <= std::min(a.dim(0), a.dim(1)),
-            strCat("truncatedSvd: rank ", k, " invalid for ",
-                   shapeToString(a.shape())));
+    require(k >= 1 && k <= std::min(a.dim(0), a.dim(1)), "truncatedSvd: rank ",
+            k, " invalid for ", a.shape());
     return svdPrefix(svd(a), k);
 }
 
@@ -357,8 +356,8 @@ SvdResult
 svdPrefix(const SvdResult &full, int64_t k)
 {
     require(k >= 1 && k <= static_cast<int64_t>(full.s.size()),
-            strCat("svdPrefix: rank ", k, " invalid for a ",
-                   full.s.size(), "-triplet SVD"));
+            "svdPrefix: rank ", k, " invalid for a ", full.s.size(),
+            "-triplet SVD");
     const int64_t m = full.u.dim(0), n = full.v.dim(0);
     SvdResult out;
     out.status = full.status;
@@ -378,9 +377,8 @@ Tensor
 leftSingularVectors(const Tensor &a, int64_t k, Status *convergence)
 {
     require(a.rank() == 2, "leftSingularVectors: input must be a matrix");
-    require(k >= 1 && k <= a.dim(0),
-            strCat("leftSingularVectors: rank ", k, " invalid for ",
-                   shapeToString(a.shape())));
+    require(k >= 1 && k <= a.dim(0), "leftSingularVectors: rank ", k,
+            " invalid for ", a.shape());
     // Always via the (m x m) Gram matrix: we only need U.
     Tensor gram = matmulTransB(a, a);
     EigenResult eig = symmetricEigen(gram);
@@ -399,9 +397,8 @@ randomizedSvd(const Tensor &a, int64_t k, Rng &rng, int64_t oversample,
 {
     require(a.rank() == 2, "randomizedSvd: input must be a matrix");
     const int64_t m = a.dim(0), n = a.dim(1);
-    require(k >= 1 && k <= std::min(m, n),
-            strCat("randomizedSvd: rank ", k, " invalid for ",
-                   shapeToString(a.shape())));
+    require(k >= 1 && k <= std::min(m, n), "randomizedSvd: rank ", k,
+            " invalid for ", a.shape());
     const int64_t l = std::min(k + oversample, std::min(m, n));
 
     // Range finder: Q approximates the column space of A.
@@ -447,8 +444,8 @@ orthonormalityError(const Tensor &q)
 Tensor
 randomOrthonormal(int64_t m, int64_t k, Rng &rng)
 {
-    require(k >= 1 && k <= m,
-            strCat("randomOrthonormal: invalid dims (", m, ", ", k, ")"));
+    require(k >= 1 && k <= m, "randomOrthonormal: invalid dims (", m, ", ", k,
+            ")");
     Tensor g = Tensor::randn({m, k}, rng);
     return qrDecompose(g).q;
 }

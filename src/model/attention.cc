@@ -82,8 +82,7 @@ MultiHeadAttention::forward(const Tensor &x)
 {
     LRD_TRACE_SPAN("attn.forward");
     require(x.rank() == 2 && x.dim(1) == dModel_,
-            strCat("MultiHeadAttention::forward: bad input ",
-                   shapeToString(x.shape())));
+            "MultiHeadAttention::forward: bad input ", x.shape());
     const int64_t t = x.dim(0);
     cachedQ_ = wq_->forward(x);
     cachedK_ = wk_->forward(x);
@@ -225,8 +224,8 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache)
     const int64_t n = x.dim(0);
     const int64_t start = cache.len;
     require(start + n <= cache.k.dim(0),
-            strCat("MultiHeadAttention::forwardCached: cache overflow (",
-                   start + n, " > ", cache.k.dim(0), ")"));
+            "MultiHeadAttention::forwardCached: cache overflow (", start + n,
+            " > ", cache.k.dim(0), ")");
 
     Tensor q = wq_->forward(x);
     Tensor k = wk_->forward(x);

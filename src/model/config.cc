@@ -116,15 +116,14 @@ ModelConfig::validate() const
     require(vocabSize > 0, "ModelConfig: vocabSize must be positive");
     require(dModel > 0 && nLayers > 0 && nHeads > 0 && dFf > 0 && maxSeq > 0,
             "ModelConfig: all dimensions must be positive");
-    require(dModel % nHeads == 0,
-            strCat("ModelConfig: dModel ", dModel,
-                   " not divisible by nHeads ", nHeads));
+    require(dModel % nHeads == 0, "ModelConfig: dModel ", dModel,
+            " not divisible by nHeads ", nHeads);
     require(headDim() % 2 == 0,
             "ModelConfig: head dim must be even (RoPE pairs)");
     require(nKvHeads >= 0 && kvHeads() <= nHeads
                 && nHeads % kvHeads() == 0,
-            strCat("ModelConfig: nKvHeads ", nKvHeads,
-                   " must divide nHeads ", nHeads));
+            "ModelConfig: nKvHeads ", nKvHeads, " must divide nHeads ",
+            nHeads);
 }
 
 ModelConfig

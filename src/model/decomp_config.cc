@@ -27,7 +27,7 @@ requireValid(const DecompConfig &gamma, const ModelConfig &cfg)
 {
     std::string why;
     require(gamma.valid(cfg, &why),
-            "DecompConfig::applyTo: invalid configuration: " + why);
+            "DecompConfig::applyTo: invalid configuration: ", why);
 }
 
 } // namespace
@@ -252,9 +252,9 @@ const SvdResult &
 FactorBank::at(int layer, WeightKind kind) const
 {
     const size_t i = slotIndex(layer, kind);
-    require(layer >= 0 && i < slots_.size() && banked_[i] != 0,
-            strCat("FactorBank: no SVD of ", weightKindName(kind),
-                   " in layer ", layer));
+    if (layer < 0 || i >= slots_.size() || banked_[i] == 0)
+        fatal(strCat("FactorBank: no SVD of ", weightKindName(kind),
+                     " in layer ", layer));
     return slots_[i];
 }
 

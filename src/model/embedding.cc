@@ -25,16 +25,15 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos)
     require(n > 0, "Embedding::forward: empty token sequence");
     if (usePositions_)
         require(startPos + n <= pos_.value.dim(0),
-                strCat("Embedding::forward: positions ", startPos + n,
-                       " exceed maxSeq ", pos_.value.dim(0)));
+                "Embedding::forward: positions ", startPos + n,
+                " exceed maxSeq ", pos_.value.dim(0));
     cachedTokens_ = tokens;
     cachedStart_ = startPos;
     Tensor y({n, dim_});
     for (int64_t i = 0; i < n; ++i) {
         const int t = tokens[static_cast<size_t>(i)];
-        require(t >= 0 && t < vocab_,
-                strCat("Embedding::forward: token ", t,
-                       " out of vocab ", vocab_));
+        require(t >= 0 && t < vocab_, "Embedding::forward: token ", t,
+                " out of vocab ", vocab_);
         const float *row = tok_.value.data() + static_cast<int64_t>(t) * dim_;
         float *out = y.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j)

@@ -61,9 +61,8 @@ Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
 Tensor
 Linear::forward(const Tensor &x)
 {
-    require(x.rank() == 2 && x.dim(1) == inDim_,
-            strCat("Linear::forward: input ", shapeToString(x.shape()),
-                   " incompatible with in dim ", inDim_));
+    require(x.rank() == 2 && x.dim(1) == inDim_, "Linear::forward: input ",
+            x.shape(), " incompatible with in dim ", inDim_);
     if (MetricsRegistry::enabled()) {
         if (!macsCounter_)
             macsCounter_ = MetricsRegistry::instance().counter(
@@ -115,9 +114,8 @@ Linear::forward(const Tensor &x)
 Tensor
 Linear::backward(const Tensor &dy)
 {
-    require(dy.rank() == 2 && dy.dim(1) == outDim_,
-            strCat("Linear::backward: grad ", shapeToString(dy.shape()),
-                   " incompatible with out dim ", outDim_));
+    require(dy.rank() == 2 && dy.dim(1) == outDim_, "Linear::backward: grad ",
+            dy.shape(), " incompatible with out dim ", outDim_);
     require(cachedX_.rank() == 2 && dy.dim(0) == cachedX_.dim(0),
             "Linear::backward: no matching forward cached");
 
@@ -162,8 +160,8 @@ Linear::factorize(int64_t prunedRank)
 {
     require(!factorized_, "Linear::factorize: already factorized");
     require(prunedRank >= 1 && prunedRank <= std::min(outDim_, inDim_),
-            strCat("Linear::factorize: rank ", prunedRank, " invalid for (",
-                   outDim_, ", ", inDim_, ")"));
+            "Linear::factorize: rank ", prunedRank, " invalid for (", outDim_,
+            ", ", inDim_, ")");
     return factorizeFromSvd(decomposeWithPolicy(w_.value, w_.name),
                             prunedRank);
 }
@@ -175,9 +173,8 @@ Linear::factorizeFromSvd(const SvdResult &full, int64_t prunedRank)
     if (!full.status.ok())
         return full.status;
     require(full.u.dim(0) == outDim_ && full.v.dim(0) == inDim_,
-            strCat("Linear::factorizeFromSvd: SVD of a (", full.u.dim(0),
-                   ", ", full.v.dim(0), ") matrix for (", outDim_, ", ",
-                   inDim_, ")"));
+            "Linear::factorizeFromSvd: SVD of a (", full.u.dim(0), ", ",
+            full.v.dim(0), ") matrix for (", outDim_, ", ", inDim_, ")");
     installFactors(tucker2dFromSvd(full, prunedRank));
     return Status();
 }
@@ -189,8 +186,8 @@ Linear::factorizeActivationAware(int64_t prunedRank,
     require(!factorized_,
             "Linear::factorizeActivationAware: already factorized");
     require(static_cast<int64_t>(colScale.size()) == inDim_,
-            strCat("Linear::factorizeActivationAware: ", colScale.size(),
-                   " scales for in dim ", inDim_));
+            "Linear::factorizeActivationAware: ", colScale.size(),
+            " scales for in dim ", inDim_);
     for (float s : colScale)
         require(s > 0.0F && std::isfinite(s),
                 "Linear::factorizeActivationAware: scales must be "
@@ -220,8 +217,8 @@ Linear::installFactorShape(int64_t prunedRank)
 {
     require(!factorized_, "Linear::installFactorShape: already factorized");
     require(prunedRank >= 1 && prunedRank <= std::min(outDim_, inDim_),
-            strCat("Linear::installFactorShape: rank ", prunedRank,
-                   " invalid for (", outDim_, ", ", inDim_, ")"));
+            "Linear::installFactorShape: rank ", prunedRank, " invalid for (",
+            outDim_, ", ", inDim_, ")");
     Tucker2d zeros;
     zeros.u1 = Tensor({outDim_, prunedRank});
     zeros.core = Tensor({prunedRank, prunedRank});

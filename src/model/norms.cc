@@ -14,9 +14,8 @@ RmsNorm::RmsNorm(int64_t dim, const std::string &name) : dim_(dim)
 Tensor
 RmsNorm::forward(const Tensor &x)
 {
-    require(x.rank() == 2 && x.dim(1) == dim_,
-            strCat("RmsNorm::forward: bad input ",
-                   shapeToString(x.shape())));
+    require(x.rank() == 2 && x.dim(1) == dim_, "RmsNorm::forward: bad input ",
+            x.shape());
     cachedX_ = x;
     const int64_t n = x.dim(0);
     cachedInvRms_.resize(static_cast<size_t>(n));
@@ -80,8 +79,7 @@ Tensor
 LayerNorm::forward(const Tensor &x)
 {
     require(x.rank() == 2 && x.dim(1) == dim_,
-            strCat("LayerNorm::forward: bad input ",
-                   shapeToString(x.shape())));
+            "LayerNorm::forward: bad input ", x.shape());
     const int64_t n = x.dim(0);
     cachedXhat_ = Tensor(x.shape());
     cachedInvStd_.resize(static_cast<size_t>(n));

@@ -173,8 +173,8 @@ Tensor
 TransformerModel::forward(const TokenSeq &tokens)
 {
     require(static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
-            strCat("TransformerModel::forward: sequence length ",
-                   tokens.size(), " exceeds maxSeq ", cfg_.maxSeq));
+            "TransformerModel::forward: sequence length ", tokens.size(),
+            " exceeds maxSeq ", cfg_.maxSeq);
     Tensor h = embedding_->forward(tokens);
     for (size_t l = 0; l < blocks_.size(); ++l) {
         h = blocks_[l]->forward(h);
@@ -285,8 +285,7 @@ Linear &
 TransformerModel::linear(int64_t layer, WeightKind kind)
 {
     require(layer >= 0 && layer < numLayers(),
-            strCat("TransformerModel::linear: layer ", layer,
-                   " out of range"));
+            "TransformerModel::linear: layer ", layer, " out of range");
     return blocks_[static_cast<size_t>(layer)]->linear(kind);
 }
 
@@ -396,16 +395,15 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
     auto params = model.parameters();
     const uint64_t n = r.getU64();
     require(n == params.size(),
-            strCat("TransformerModel::deserialize: parameter count ",
-                   n, " != expected ", params.size()));
+            "TransformerModel::deserialize: parameter count ", n,
+            " != expected ", params.size());
     for (Parameter *p : params) {
         const std::string name = r.getString();
-        require(name == p->name,
-                strCat("TransformerModel::deserialize: expected ", p->name,
-                       ", found ", name));
+        require(name == p->name, "TransformerModel::deserialize: expected ",
+                p->name, ", found ", name);
         std::vector<float> data = r.getFloats();
         require(static_cast<int64_t>(data.size()) == p->value.size(),
-                "TransformerModel::deserialize: size mismatch for " + name);
+                "TransformerModel::deserialize: size mismatch for ", name);
         p->value.storage() = std::move(data);
     }
     return model;
@@ -434,6 +432,15 @@ InferenceSession::reset()
     caches_.assign(static_cast<size_t>(model_->numLayers()),
                    KvCache(model_->config().maxSeq,
                            model_->config().kvDim()));
+}
+
+void
+InferenceSession::truncate(int64_t n)
+{
+    require(n >= 0 && n <= length(), "InferenceSession::truncate: length ", n,
+            " outside [0, ", length(), "]");
+    for (KvCache &cache : caches_)
+        cache.len = n;
 }
 
 Tensor

@@ -130,8 +130,9 @@ class TransformerModel
 
 /**
  * KV-cache incremental decoding session over a LlamaStyle model.
- * Sessions are cheaply copyable, which the evaluator uses to score
- * multiple choices against a shared context prefix.
+ * truncate() rewinds it to a shorter prefix, which the evaluator uses
+ * to score every choice of an item against one shared context; copies
+ * are deep (they duplicate the whole cache) and diverge independently.
  */
 class InferenceSession
 {
@@ -149,6 +150,14 @@ class InferenceSession
 
     /** Number of tokens consumed so far. */
     int64_t length() const { return caches_.empty() ? 0 : caches_[0].len; }
+
+    /**
+     * Rewind to the first `n` tokens (0 <= n <= length()). Cached
+     * attention reads only rows below the cache length and the next
+     * append overwrites rows from `n` on, so the session then computes
+     * bitwise what a copy taken at length `n` would.
+     */
+    void truncate(int64_t n);
 
   private:
     TransformerModel *model_;

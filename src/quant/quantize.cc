@@ -18,8 +18,8 @@ QuantizedTensor
 quantizeWeight(const Tensor &w, int bits)
 {
     require(w.rank() == 2, "quantizeWeight: weight must be a matrix");
-    require(bits >= 2 && bits <= 8,
-            strCat("quantizeWeight: bits ", bits, " out of [2, 8]"));
+    require(bits >= 2 && bits <= 8, "quantizeWeight: bits ", bits,
+            " out of [2, 8]");
     const int64_t rows = w.dim(0), cols = w.dim(1);
     const int32_t qmax = (1 << (bits - 1)) - 1;
 

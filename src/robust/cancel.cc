@@ -269,7 +269,8 @@ initCancelFromEnv()
     const char *deadline = std::getenv("LRD_DEADLINE");
     if (deadline != nullptr && *deadline != '\0') {
         Result<Deadline> parsed = parseDeadline(deadline);
-        require(parsed.ok(), "LRD_DEADLINE: " + parsed.status().toString());
+        if (!parsed.ok())
+            fatal("LRD_DEADLINE: " + parsed.status().toString());
         setDeadline(parsed.value());
         inform(strCat("deadline armed: ", deadline));
     }
@@ -278,9 +279,8 @@ initCancelFromEnv()
         char *end = nullptr;
         const double secs = std::strtod(watchdog, &end);
         require(end != nullptr && *end == '\0' && secs > 0.0,
-                strCat("LRD_WATCHDOG must be a positive number of seconds, "
-                       "got '",
-                       watchdog, "'"));
+                "LRD_WATCHDOG must be a positive number of seconds, got '",
+                watchdog, "'");
         startWatchdog(secs);
     }
 }

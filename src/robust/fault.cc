@@ -134,7 +134,8 @@ initFaultsFromEnv()
                                   : comma - start);
         if (!one.empty()) {
             Result<FaultSpec> spec = parseFaultSpec(one);
-            require(spec.ok(), "LRD_FAULT: " + spec.status().toString());
+            if (!spec.ok())
+                fatal("LRD_FAULT: " + spec.status().toString());
             setFault(spec.value());
             inform(strCat("fault injection armed: ", spec.value().site, ":",
                           faultKindName(spec.value().kind), ":",

@@ -131,8 +131,8 @@ robustPolicy()
         const char *env = std::getenv("LRD_ROBUST");
         if (env != nullptr && *env != '\0') {
             Result<RobustPolicy> parsed = parseRobustPolicy(env);
-            require(parsed.ok(),
-                    "LRD_ROBUST: " + parsed.status().toString());
+            if (!parsed.ok())
+                fatal("LRD_ROBUST: " + parsed.status().toString());
             s.policy = parsed.value();
         }
     }

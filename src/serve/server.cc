@@ -128,8 +128,8 @@ Server::run(std::vector<ServeRequest> workload)
     const auto settle = [&](int64_t id, ServeOutcome outcome,
                             Status status, int64_t tick) {
         ServeResponse &slot = report.responses[static_cast<size_t>(id)];
-        require(slot.outcome == ServeOutcome::Pending,
-                strCat("Server: request ", id, " settled twice"));
+        require(slot.outcome == ServeOutcome::Pending, "Server: request ", id,
+                " settled twice");
         slot.id = id;
         slot.outcome = outcome;
         slot.status = std::move(status);

@@ -58,17 +58,14 @@ gemmCounters()
 void
 checkSameShape(const Tensor &a, const Tensor &b, const char *what)
 {
-    require(a.shape() == b.shape(),
-            strCat(what, ": shape mismatch ", shapeToString(a.shape()),
-                   " vs ", shapeToString(b.shape())));
+    require(a.shape() == b.shape(), what, ": shape mismatch ", a.shape(),
+            " vs ", b.shape());
 }
 
 void
 checkMatrix(const Tensor &a, const char *what)
 {
-    require(a.rank() == 2,
-            strCat(what, ": expected rank-2 tensor, got ",
-                   shapeToString(a.shape())));
+    require(a.rank() == 2, what, ": expected rank-2 tensor, got ", a.shape());
 }
 
 /*
@@ -333,9 +330,8 @@ matmul(const Tensor &a, const Tensor &b)
 {
     checkMatrix(a, "matmul");
     checkMatrix(b, "matmul");
-    require(a.dim(1) == b.dim(0),
-            strCat("matmul: inner dims differ: ", shapeToString(a.shape()),
-                   " x ", shapeToString(b.shape())));
+    require(a.dim(1) == b.dim(0), "matmul: inner dims differ: ", a.shape(),
+            " x ", b.shape());
     Tensor c({a.dim(0), b.dim(1)});
     gemm(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(1));
     return c;
@@ -346,10 +342,8 @@ matmulTransB(const Tensor &a, const Tensor &b)
 {
     checkMatrix(a, "matmulTransB");
     checkMatrix(b, "matmulTransB");
-    require(a.dim(1) == b.dim(1),
-            strCat("matmulTransB: inner dims differ: ",
-                   shapeToString(a.shape()), " x ",
-                   shapeToString(b.shape()), "^T"));
+    require(a.dim(1) == b.dim(1), "matmulTransB: inner dims differ: ",
+            a.shape(), " x ", b.shape(), "^T");
     Tensor c({a.dim(0), b.dim(0)});
     gemmTransB(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(0));
     return c;
@@ -360,10 +354,8 @@ matmulTransA(const Tensor &a, const Tensor &b)
 {
     checkMatrix(a, "matmulTransA");
     checkMatrix(b, "matmulTransA");
-    require(a.dim(0) == b.dim(0),
-            strCat("matmulTransA: inner dims differ: ",
-                   shapeToString(a.shape()), "^T x ",
-                   shapeToString(b.shape())));
+    require(a.dim(0) == b.dim(0), "matmulTransA: inner dims differ: ",
+            a.shape(), "^T x ", b.shape());
     Tensor c({a.dim(1), b.dim(1)});
     gemmTransA(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(1));
     return c;
@@ -385,9 +377,8 @@ Tensor
 matvec(const Tensor &a, const Tensor &x)
 {
     checkMatrix(a, "matvec");
-    require(x.rank() == 1 && x.dim(0) == a.dim(1),
-            strCat("matvec: vector shape ", shapeToString(x.shape()),
-                   " incompatible with matrix ", shapeToString(a.shape())));
+    require(x.rank() == 1 && x.dim(0) == a.dim(1), "matvec: vector shape ",
+            x.shape(), " incompatible with matrix ", a.shape());
     Tensor y({a.dim(0)});
     const int64_t m = a.dim(0), n = a.dim(1);
     const float *ad = a.data();

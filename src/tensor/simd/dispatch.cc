@@ -133,9 +133,8 @@ activeLevel()
 void
 setActiveLevel(Level level)
 {
-    require(cpuSupports(level),
-            strCat("setActiveLevel: this CPU/build cannot run '",
-                   levelName(level), "'"));
+    require(cpuSupports(level), "setActiveLevel: this CPU/build cannot run '",
+            levelName(level), "'");
     ensureResolved(); // keep first-use resolution ordering simple
     gActiveLevel.store(static_cast<int>(level), std::memory_order_release);
     noteDispatch(level);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/memprobe.h"
@@ -12,15 +11,7 @@ namespace lrd {
 std::string
 shapeToString(const Shape &shape)
 {
-    std::ostringstream oss;
-    oss << "[";
-    for (size_t i = 0; i < shape.size(); ++i) {
-        if (i)
-            oss << ", ";
-        oss << shape[i];
-    }
-    oss << "]";
-    return oss.str();
+    return strCat(shape);
 }
 
 int64_t
@@ -29,7 +20,7 @@ numElements(const Shape &shape)
     int64_t n = 1;
     for (int64_t d : shape) {
         if (d < 0)
-            fatal("numElements: negative extent in " + shapeToString(shape));
+            fatal(strCat("numElements: negative extent in ", shape));
         n *= d;
     }
     return n;
@@ -59,8 +50,7 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
     : shape_(std::move(shape)), data_(std::move(data))
 {
     require(static_cast<int64_t>(data_.size()) == numElements(shape_),
-            strCat("Tensor: data size ", data_.size(), " != shape ",
-                   shapeToString(shape_)));
+            "Tensor: data size ", data_.size(), " != shape ", shape_);
     accountAlloc();
 }
 
@@ -158,9 +148,8 @@ Tensor::randu(Shape shape, Rng &rng, float lo, float hi)
 int64_t
 Tensor::dim(int64_t i) const
 {
-    require(i >= 0 && i < rank(),
-            strCat("Tensor::dim: mode ", i, " out of range for rank ",
-                   rank()));
+    require(i >= 0 && i < rank(), "Tensor::dim: mode ", i,
+            " out of range for rank ", rank());
     return shape_[static_cast<size_t>(i)];
 }
 
@@ -168,14 +157,13 @@ int64_t
 Tensor::offsetOf(const std::vector<int64_t> &index) const
 {
     require(static_cast<int64_t>(index.size()) == rank(),
-            strCat("Tensor::offsetOf: index rank ", index.size(),
-                   " != tensor rank ", rank()));
+            "Tensor::offsetOf: index rank ", index.size(), " != tensor rank ",
+            rank());
     int64_t off = 0;
     for (size_t i = 0; i < index.size(); ++i) {
         require(index[i] >= 0 && index[i] < shape_[i],
-                strCat("Tensor::offsetOf: index ", index[i],
-                       " out of bounds for mode ", i, " extent ",
-                       shape_[i]));
+                "Tensor::offsetOf: index ", index[i],
+                " out of bounds for mode ", i, " extent ", shape_[i]);
         off = off * shape_[i] + index[i];
     }
     return off;
@@ -208,9 +196,8 @@ Tensor::operator()(int64_t i, int64_t j) const
 Tensor
 Tensor::reshaped(Shape shape) const
 {
-    require(numElements(shape) == size(),
-            strCat("Tensor::reshaped: cannot reshape ",
-                   shapeToString(shape_), " to ", shapeToString(shape)));
+    require(numElements(shape) == size(), "Tensor::reshaped: cannot reshape ",
+            shape_, " to ", shape);
     return Tensor(std::move(shape), data_);
 }
 
@@ -264,7 +251,7 @@ Tensor::maxValue() const
 std::string
 Tensor::describe() const
 {
-    return strCat("Tensor", shapeToString(shape_), " (", size(), " elems)");
+    return strCat("Tensor", shape_, " (", size(), " elems)");
 }
 
 } // namespace lrd

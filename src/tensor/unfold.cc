@@ -32,9 +32,8 @@ Tensor
 unfold(const Tensor &t, int64_t mode)
 {
     require(t.rank() >= 1, "unfold: tensor must have rank >= 1");
-    require(mode >= 0 && mode < t.rank(),
-            strCat("unfold: mode ", mode, " out of range for rank ",
-                   t.rank()));
+    require(mode >= 0 && mode < t.rank(), "unfold: mode ", mode,
+            " out of range for rank ", t.rank());
     const Shape &shape = t.shape();
     const int64_t rows = shape[static_cast<size_t>(mode)];
     const int64_t cols = t.size() / rows;
@@ -64,15 +63,12 @@ fold(const Tensor &m, int64_t mode, const Shape &fullShape)
 {
     require(m.rank() == 2, "fold: input must be a matrix");
     require(mode >= 0 && mode < static_cast<int64_t>(fullShape.size()),
-            strCat("fold: mode ", mode, " out of range for shape ",
-                   shapeToString(fullShape)));
+            "fold: mode ", mode, " out of range for shape ", fullShape);
     require(fullShape[static_cast<size_t>(mode)] == m.dim(0),
-            strCat("fold: leading extent ", m.dim(0),
-                   " != target mode extent ",
-                   fullShape[static_cast<size_t>(mode)]));
+            "fold: leading extent ", m.dim(0), " != target mode extent ",
+            fullShape[static_cast<size_t>(mode)]);
     require(numElements(fullShape) == m.size(),
-            strCat("fold: element count mismatch for ",
-                   shapeToString(fullShape)));
+            "fold: element count mismatch for ", fullShape);
 
     Tensor out(fullShape);
     const auto cstrides = columnStrides(fullShape, mode);
@@ -100,13 +96,10 @@ Tensor
 modeProduct(const Tensor &t, const Tensor &m, int64_t mode)
 {
     require(m.rank() == 2, "modeProduct: factor must be a matrix");
-    require(mode >= 0 && mode < t.rank(),
-            strCat("modeProduct: mode ", mode, " out of range for rank ",
-                   t.rank()));
-    require(m.dim(1) == t.dim(mode),
-            strCat("modeProduct: factor ", shapeToString(m.shape()),
-                   " incompatible with mode ", mode, " of ",
-                   shapeToString(t.shape())));
+    require(mode >= 0 && mode < t.rank(), "modeProduct: mode ", mode,
+            " out of range for rank ", t.rank());
+    require(m.dim(1) == t.dim(mode), "modeProduct: factor ", m.shape(),
+            " incompatible with mode ", mode, " of ", t.shape());
     // Y_(mode) = M * T_(mode), then refold with the new extent.
     Tensor unfolded = unfold(t, mode);
     Tensor product = matmul(m, unfolded);

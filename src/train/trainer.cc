@@ -333,9 +333,9 @@ Trainer::run()
         if (!firstBad.ok()) {
             if (robustPolicy().mode == RobustMode::Strict)
                 fatal("trainer: " + firstBad.toString());
-            require(numGood > 0,
-                    "trainer: every batch item failed at step "
-                        + strCat(step, "; first: ", firstBad.toString()));
+            if (numGood <= 0)
+                fatal(strCat("trainer: every batch item failed at step ",
+                             step, "; first: ", firstBad.toString()));
             enforceFailureBudget("train.step",
                                  opts_.batchSeqs - numGood,
                                  opts_.batchSeqs, firstBad);

@@ -48,14 +48,15 @@ cacheWrite(const std::string &name, const std::vector<uint8_t> &bytes)
     const std::string tmp = path + ".tmp";
     {
         std::ofstream ofs(tmp, std::ios::binary);
-        require(static_cast<bool>(ofs), "cacheWrite: cannot open " + tmp);
+        require(static_cast<bool>(ofs), "cacheWrite: cannot open ", tmp);
         ofs.write(reinterpret_cast<const char *>(bytes.data()),
                   static_cast<std::streamsize>(bytes.size()));
-        require(static_cast<bool>(ofs), "cacheWrite: short write to " + tmp);
+        require(static_cast<bool>(ofs), "cacheWrite: short write to ", tmp);
     }
     std::error_code ec;
     fs::rename(tmp, path, ec);
-    require(!ec, "cacheWrite: rename failed: " + ec.message());
+    if (ec)
+        fatal("cacheWrite: rename failed: " + ec.message());
 }
 
 Result<std::vector<uint8_t>>

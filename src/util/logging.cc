@@ -100,6 +100,22 @@ parseLogSpec(const std::string &spec)
     return out;
 }
 
+namespace detail {
+
+void
+streamPart(std::ostream &os, const std::vector<int64_t> &shape)
+{
+    os << "[";
+    for (size_t i = 0; i < shape.size(); ++i) {
+        if (i)
+            os << ", ";
+        os << shape[i];
+    }
+    os << "]";
+}
+
+} // namespace detail
+
 void
 inform(const std::string &msg)
 {

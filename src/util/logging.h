@@ -13,9 +13,12 @@
 #ifndef LRD_UTIL_LOGGING_H
 #define LRD_UTIL_LOGGING_H
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace lrd {
 
@@ -74,22 +77,52 @@ void debug(const std::string &msg);
  */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Require a condition; calls fatal() with the message when violated. */
-inline void
-require(bool cond, const std::string &msg)
+namespace detail {
+
+/** Stream one strCat part with its own operator<<. */
+template <typename T>
+void
+streamPart(std::ostream &os, const T &part)
 {
-    if (!cond)
-        fatal(msg);
+    os << part;
 }
 
-/** Variadic stream-style message builder: strCat(1, " + ", 2.5). */
+/** A std::vector<int64_t> (a tensor Shape) prints as "[a, b, c]". */
+void streamPart(std::ostream &os, const std::vector<int64_t> &shape);
+
+} // namespace detail
+
+/**
+ * Variadic stream-style message builder: strCat(1, " + ", 2.5). A
+ * Shape part prints as "[a, b, c]".
+ */
 template <typename... Args>
 std::string
-strCat(Args &&...args)
+strCat(const Args &...args)
 {
     std::ostringstream oss;
-    static_cast<void>((oss << ... << args));
+    (detail::streamPart(oss, args), ...);
     return oss.str();
+}
+
+/**
+ * Require a condition; calls fatal(strCat(parts...)) when violated.
+ *
+ * The message is passed as parts and formatted only on failure, so a
+ * passing check costs one branch: require(n == 4, "got ", n, " of ",
+ * t.shape()). A std::string temporary as a part (strCat(...),
+ * shapeToString(...), "a" + b) would be built on every call, so it
+ * does not compile; pass its pieces instead.
+ */
+template <class... Parts>
+void
+require(bool cond, Parts &&...parts)
+{
+    static_assert(
+        !(std::is_same_v<std::remove_const_t<Parts>, std::string> || ...),
+        "require: pass the message as parts, not a built std::string");
+    if (!cond) [[unlikely]]
+        fatal(strCat(parts...));
 }
 
 } // namespace lrd

@@ -22,8 +22,8 @@ void
 TablePrinter::addRow(const std::vector<std::string> &row)
 {
     require(header_.empty() || row.size() == header_.size(),
-            strCat("TablePrinter: row width ", row.size(),
-                   " != header width ", header_.size()));
+            "TablePrinter: row width ", row.size(), " != header width ",
+            header_.size());
     rows_.push_back(row);
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "model/decomp_config.h"
 #include "dse/design_space.h"
@@ -102,7 +103,15 @@ TEST(DecompConfig, ApplyInvalidConfigIsFatal)
     const ModelConfig cfg = testLlamaConfig();
     TransformerModel model(cfg, 3);
     DecompConfig bad = DecompConfig::allTensors(cfg, {7});
-    EXPECT_THROW(bad.applyTo(model), std::runtime_error);
+    try {
+        (void)bad.applyTo(model);
+        FAIL() << "applyTo accepted an invalid configuration";
+    } catch (const std::runtime_error &e) {
+        // The message carries the reason valid() reported.
+        EXPECT_NE(std::string(e.what()).find("layer 7 out of range"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(DesignSpace, Theorem32MatchesBruteForceEnumeration)

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline.h"
 #include "cache.h"
 #include "lint.h"
 #include "output.h"
@@ -597,6 +598,39 @@ void coldSetup(std::vector<float> &v) { v.reserve(64); }
 } // namespace lrd
 )"}});
     EXPECT_FALSE(hasRule(diags, kRuleHotPathAlloc));
+}
+
+TEST(LintHotPath, BaselinedLambdaSurvivesLinesInsertedAbove)
+{
+    // A lambda is keyed by its ordinal in the enclosing function, not
+    // by its line, so a baseline entry outlives code moving above it.
+    const auto source = [](const std::string &file,
+                           const std::string &body) {
+        return R"(
+namespace lrd {
+)" + file + R"(void scoreAll(long n, std::vector<int> &sink) {
+)" + body + R"(    parallelFor(0, n, 1, [&](long lo, long hi) {
+        sink.push_back(static_cast<int>(lo + hi));
+    });
+}
+} // namespace lrd
+)";
+    };
+    const auto before = lintFiles({{"src/eval/items.cc", source("", "")}});
+    const Diagnostic *d = findRule(before, kRuleHotPathAlloc);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ("lrd::scoreAll::<lambda#1>", d->symbol);
+    const Baseline baseline = parseBaseline(renderBaseline(before));
+
+    const auto after = lintFiles({{"src/eval/items.cc",
+                                   source("// Moved down.\n\n",
+                                          "    const long m = n;\n\n")}});
+    const Diagnostic *moved = findRule(after, kRuleHotPathAlloc);
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(d->line + 4, moved->line); // diagnostics keep file:line
+    size_t suppressed = 0;
+    EXPECT_TRUE(applyBaseline(after, baseline, &suppressed).empty());
+    EXPECT_EQ(before.size(), suppressed);
 }
 
 // --------------------------------------------------------- lock-discipline

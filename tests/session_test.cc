@@ -1,9 +1,12 @@
 /**
  * @file
  * Tests for InferenceSession lifecycle and evaluator options:
- * reset/reuse, copy independence (the shared-context scoring trick),
- * overflow handling, stop tokens, and length normalization.
+ * reset/reuse, copy independence, truncation (the shared-context
+ * scoring trick), overflow handling, stop tokens, and length
+ * normalization.
  */
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +55,32 @@ TEST(Session, CopyDivergesIndependently)
     Tensor want = fresh.append({1, 2, 3, 4});
     for (int64_t j = 0; j < want.dim(0); ++j)
         EXPECT_NEAR(la[j], want[j], 2e-3);
+}
+
+TEST(Session, TruncatedSessionMatchesACopyBitwise)
+{
+    TransformerModel m(cfgWithVocab(32), 6);
+    InferenceSession s(m);
+    (void)s.append({1, 2, 3});
+    InferenceSession copy = s;
+    (void)s.append({4});
+    s.truncate(3);
+    EXPECT_EQ(s.length(), 3);
+    const Tensor rewound = s.append({5});
+    const Tensor copied = copy.append({5});
+    ASSERT_EQ(rewound.size(), copied.size());
+    EXPECT_EQ(0, std::memcmp(rewound.data(), copied.data(),
+                             sizeof(float) * rewound.size()));
+}
+
+TEST(Session, TruncateOutsideTheSessionThrows)
+{
+    TransformerModel m(cfgWithVocab(32), 7);
+    InferenceSession s(m);
+    (void)s.append({1, 2});
+    EXPECT_THROW(s.truncate(-1), std::runtime_error);
+    EXPECT_THROW(s.truncate(s.length() + 1), std::runtime_error);
+    EXPECT_EQ(s.length(), 2);
 }
 
 TEST(Session, OverflowingMaxSeqThrows)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the util module: Rng determinism and distribution
- * sanity, logging levels, TablePrinter formatting, cache round-trips,
- * and ByteWriter/ByteReader serialization.
+ * sanity, logging levels and lazy require() messages, TablePrinter
+ * formatting, cache round-trips, and ByteWriter/ByteReader
+ * serialization.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <set>
 
+#include "tensor/tensor.h"
 #include "util/cache.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -176,6 +178,41 @@ TEST(Logging, RequirePassesAndFails)
 TEST(Logging, StrCatConcatenatesMixedTypes)
 {
     EXPECT_EQ(strCat("a", 1, "b", 2.5), "a1b2.5");
+}
+
+/** A message part that counts how often it is formatted. */
+struct FormatProbe
+{
+    int *formats;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FormatProbe &probe)
+{
+    ++*probe.formats;
+    return os << "probe";
+}
+
+TEST(Logging, RequireFormatsItsPartsOnlyOnFailure)
+{
+    int formats = 0;
+    const FormatProbe probe{&formats};
+    require(true, "n=", 3, probe);
+    EXPECT_EQ(formats, 0);
+    try {
+        require(false, "n=", 3, probe);
+        FAIL() << "require(false, ...) did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fatal: n=3probe");
+    }
+    EXPECT_EQ(formats, 1);
+}
+
+TEST(Logging, StrCatPrintsAShapeLikeShapeToString)
+{
+    EXPECT_EQ(strCat(Shape{2, 3}), "[2, 3]");
+    EXPECT_EQ(shapeToString(Shape{2, 3}), "[2, 3]");
+    EXPECT_EQ(strCat("x ", Shape{}, Shape{7}), "x [][7]");
 }
 
 TEST(Table, MarkdownContainsHeaderAndRows)

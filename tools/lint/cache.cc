@@ -11,7 +11,7 @@ namespace lrd::lint {
 
 namespace {
 
-const char *kMagic = "lrdlint-summary v1";
+const char *kMagic = "lrdlint-summary v2";
 
 /** Escape tab/newline/backslash so fields can be tab-separated. */
 std::string

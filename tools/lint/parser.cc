@@ -716,9 +716,6 @@ class DeclParser
         fn.enclosing = enclosingIdx;
         fn.internal = true;
         fn.name = "<lambda>";
-        fn.qualName =
-            out_.functions[static_cast<size_t>(enclosingIdx)].qualName
-            + "::<lambda@" + std::to_string(line) + ">";
         for (auto it = callStack.rbegin(); it != callStack.rend(); ++it)
             if (!it->empty()) {
                 fn.passedTo = *it;
@@ -779,6 +776,17 @@ class DeclParser
         if (done() || cur().text != "{")
             return; // not a lambda body after all (e.g. declarator)
 
+        // Name it by its ordinal among the lambdas of the enclosing
+        // function, so a baseline entry survives lines moving above it.
+        const auto ordinal =
+            1 + std::count_if(out_.functions.begin(), out_.functions.end(),
+                              [&](const FunctionInfo &f) {
+                                  return f.isLambda
+                                         && f.enclosing == enclosingIdx;
+                              });
+        fn.qualName =
+            out_.functions[static_cast<size_t>(enclosingIdx)].qualName
+            + "::<lambda#" + std::to_string(ordinal) + ">";
         out_.functions.push_back(std::move(fn));
         const int idx = static_cast<int>(out_.functions.size() - 1);
         ++i_; // '{'

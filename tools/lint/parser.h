@@ -80,7 +80,8 @@ struct FunctionInfo
     /** Last name component ("parallelFor"); lambdas: "<lambda>". */
     std::string name;
     /** Qualified name ("lrd::ThreadPool::parallelFor"); anonymous
-     *  namespaces contribute "(anon)", lambdas "<lambda@LINE>". */
+     *  namespaces contribute "(anon)", lambdas "<lambda#N>" (the
+     *  N-th lambda directly inside its enclosing function). */
     std::string qualName;
     int line = 0;
     bool isLambda = false;

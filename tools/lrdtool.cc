@@ -393,20 +393,14 @@ struct Flags
         return it == kv.end() ? fallback : it->second;
     }
 
-    int num(const std::string &key, int fallback) const
-    {
-        const auto it = kv.find(key);
-        return it == kv.end() ? fallback : std::atoi(it->second.c_str());
-    }
-
     /**
-     * Strict "--key=N": digits only, at least `min`, at most INT_MAX.
-     * An absent flag leaves `out` as is. On bad text, prints why to
-     * stderr (prefixed by `cmd`) and returns false.
+     * Strict "--key=N": digits only, in [min, max]. An absent flag
+     * leaves `out` as is. On bad text, prints why to stderr (prefixed
+     * by `cmd`) and returns false.
      */
     template <class T>
-    bool count(const char *cmd, const std::string &key, int min,
-               T &out) const
+    bool count(const char *cmd, const std::string &key, int min, T &out,
+               int max = std::numeric_limits<int>::max()) const
     {
         const auto it = kv.find(key);
         if (it == kv.end())
@@ -416,11 +410,10 @@ struct Flags
             !text.empty() && text.size() <= 10
             && text.find_first_not_of("0123456789") == std::string::npos;
         const long long v = digits ? std::atoll(text.c_str()) : -1;
-        if (v < min || v > std::numeric_limits<int>::max()) {
+        if (v < min || v > max) {
             std::fprintf(stderr,
                          "%s: bad --%s '%s' (want an integer %d..%d)\n",
-                         cmd, key.c_str(), text.c_str(), min,
-                         std::numeric_limits<int>::max());
+                         cmd, key.c_str(), text.c_str(), min, max);
             return false;
         }
         out = static_cast<T>(v);
@@ -438,13 +431,19 @@ struct Flags
 int
 cmdTrain(const Flags &flags)
 {
-    TransformerModel model(tinyLlamaConfig(), /*seed=*/1001);
     TrainOptions t = zooTrainOptions(Arch::LlamaStyle);
-    t.steps = flags.num("steps", 12);
-    t.logEvery = flags.num("log-every", 0);
+    t.steps = 12;
+    t.logEvery = 0;
+    t.checkpointEvery = 4;
+    if (!flags.count("train", "steps", 1, t.steps)
+        || !flags.count("train", "log-every", 0, t.logEvery)
+        || !flags.count("train", "every", 0, t.checkpointEvery)) {
+        usage();
+        return 1;
+    }
     t.checkpointPath = flags.str("ckpt");
-    t.checkpointEvery = flags.num("every", 4);
     t.resume = flags.has("resume");
+    TransformerModel model(tinyLlamaConfig(), /*seed=*/1001);
     Trainer trainer(model, defaultWorld(), t);
     const double loss = trainer.run();
     const std::vector<uint8_t> bytes = model.serialize();
@@ -537,9 +536,14 @@ int
 cmdDse(const Flags &flags, const char *argv0)
 {
     OptimizerOptions opts;
-    opts.evalTasks = flags.num("tasks", 24);
+    opts.evalTasks = 24;
+    opts.checkpointEvery = 8;
+    if (!flags.count("dse", "tasks", 1, opts.evalTasks)
+        || !flags.count("dse", "every", 0, opts.checkpointEvery)) {
+        usage();
+        return 1;
+    }
     opts.checkpointPath = flags.str("ckpt");
-    opts.checkpointEvery = flags.num("every", 8);
     opts.resume = flags.has("resume");
     if (flags.has("ranks")
         && !parseRanksFlag(flags.str("ranks"), opts.candidateRanks)) {
@@ -553,21 +557,16 @@ cmdDse(const Flags &flags, const char *argv0)
     const std::string dir = flags.str("dir", "dse_shards");
 
     if (flags.has("supervise")) {
-        const int shards = flags.num("supervise", 0);
-        if (shards < 1 || shards > 4096) {
-            std::fprintf(stderr,
-                         "dse: bad --supervise '%s' (want 1..4096)\n",
-                         flags.str("supervise").c_str());
+        SupervisorOptions sup;
+        if (!flags.count("dse", "supervise", 1, sup.shards, 4096)
+            || !flags.count("dse", "retries", 0, sup.maxRetries)
+            || !flags.count("dse", "backoff", 0, sup.backoffBaseTicks)
+            || !flags.count("dse", "stale-secs", 0, sup.staleLeaseSeconds)) {
             usage();
             return 1;
         }
         MetricsRegistry::instance().setEnabled(true);
-        SupervisorOptions sup;
-        sup.shards = shards;
         sup.dir = dir;
-        sup.maxRetries = flags.num("retries", 3);
-        sup.backoffBaseTicks = flags.num("backoff", 100);
-        sup.staleLeaseSeconds = flags.num("stale-secs", 900);
         sup.accuracyDropTolerance = opts.accuracyDropTolerance;
         sup.childArgs = {selfExePath(argv0), "dse", "--shard={shard}",
                          "--dir=" + dir,
@@ -607,11 +606,8 @@ cmdDse(const Flags &flags, const char *argv0)
     }
 
     if (flags.has("merge")) {
-        const int shards = flags.num("merge", 0);
-        if (shards < 1 || shards > 4096) {
-            std::fprintf(stderr,
-                         "dse: bad --merge '%s' (want 1..4096)\n",
-                         flags.str("merge").c_str());
+        int shards = 0;
+        if (!flags.count("dse", "merge", 1, shards, 4096)) {
             usage();
             return 1;
         }
@@ -1272,7 +1268,8 @@ usage()
         "  breakeven <H> <W>\n"
         "  eval [reduction-percent]\n"
         "  stats [reduction-percent]     (default 50)\n"
-        "  train [--steps=N] [--ckpt=FILE] [--every=N] [--resume]\n"
+        "  train [--steps=N] [--log-every=N] [--ckpt=FILE] [--every=N]\n"
+        "        [--resume]\n"
         "  dse   [--tasks=N] [--ckpt=FILE] [--every=N] [--resume]\n"
         "        [--ranks=R1,R2,...] [--out=FILE]\n"
         "        [--shard=I/N --dir=DIR]     run one shard of the sweep\n"
@@ -1280,6 +1277,8 @@ usage()
         "         [--stale-secs=S]]          spawn+watch N shard children,\n"
         "                                    merge to serial-identical out\n"
         "        [--merge=N --dir=DIR]       merge an existing shard dir\n"
+        "        (N, MS and S are digits only; --supervise and --merge\n"
+        "         are 1..4096, --steps and --tasks >= 1, the rest >= 0)\n"
         "  serve [--requests=N] [--file=JSONL] [--queue=N] [--batch=N]\n"
         "        [--retries=N] [--backoff=N] [--fallback-rank=N]\n"
         "        [--deadline=N] [--seed=N] [--tenants=N] [--pretrained]\n"
