@@ -82,6 +82,10 @@ bad_flag serve --requests=+8
 bad_flag serve --seed=99999999999
 bad_flag loadgen --gap=-1
 bad_flag loadgen --backoff=2.5
+# Unknown flags, including --gap outside loadgen, exit 1 too: a typo
+# must not silently leave a setting at its default.
+bad_flag loadgen --request=8
+bad_flag serve --gap=1
 
 # A real SIGINT mid-load: stop admitting, finish the in-flight batch,
 # drain, exit 3. --foreground makes timeout signal lrdtool alone; without

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include <unistd.h>
-
 #include "dse/schedules.h"
-#include "dse/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -29,6 +26,8 @@ namespace {
 /** Payload-format version of DSE checkpoints. v2 added the grid
  *  index and feasibility flag to serialized candidate records. */
 constexpr uint32_t kDseCkptVersion = 2;
+/** Payload-format version of `writeDseResultFile` output. */
+constexpr uint32_t kDseResultVersion = 1;
 
 /** One point of the pruned candidate grid. */
 struct Candidate
@@ -37,10 +36,81 @@ struct Candidate
     int count;
 };
 
-// Record (de)serialization is shared with the shard protocol — see
-// putCandidateRecord/getCandidateRecord in dse/shard.h. All metric
-// doubles round-trip as raw f64 bits, so a resumed sweep reports
-// bitwise the same records as an uninterrupted one.
+// Record (de)serialization for the checkpoint and the result file.
+// All metric doubles round-trip as raw f64 bits, so a resumed sweep
+// reports bitwise the same records as an uninterrupted one.
+
+void
+putDecompConfig(ByteWriter &w, const DecompConfig &c)
+{
+    w.putU64(c.layers.size());
+    for (int l : c.layers)
+        w.putU32(static_cast<uint32_t>(l));
+    w.putU64(c.tensors.size());
+    for (WeightKind k : c.tensors)
+        w.putU32(static_cast<uint32_t>(k));
+    w.putU64(static_cast<uint64_t>(c.prunedRank));
+    w.putU64(c.rankOverrides.size());
+    for (const auto &[key, rank] : c.rankOverrides) {
+        w.putU32(static_cast<uint32_t>(key.first));
+        w.putU32(static_cast<uint32_t>(key.second));
+        w.putU64(static_cast<uint64_t>(rank));
+    }
+}
+
+DecompConfig
+getDecompConfig(ByteReader &r)
+{
+    DecompConfig c;
+    const uint64_t nLayers = r.getU64();
+    c.layers.resize(nLayers);
+    for (uint64_t i = 0; i < nLayers; ++i)
+        c.layers[i] = static_cast<int>(r.getU32());
+    const uint64_t nTensors = r.getU64();
+    c.tensors.resize(nTensors);
+    for (uint64_t i = 0; i < nTensors; ++i)
+        c.tensors[i] = static_cast<WeightKind>(r.getU32());
+    c.prunedRank = static_cast<int64_t>(r.getU64());
+    const uint64_t nOverrides = r.getU64();
+    for (uint64_t i = 0; i < nOverrides; ++i) {
+        const int layer = static_cast<int>(r.getU32());
+        const int kind = static_cast<int>(r.getU32());
+        c.rankOverrides[{layer, kind}] = static_cast<int64_t>(r.getU64());
+    }
+    return c;
+}
+
+void
+putCandidateRecord(ByteWriter &w, const CandidateRecord &rec)
+{
+    putDecompConfig(w, rec.config);
+    w.putU64(static_cast<uint64_t>(rec.gridIndex));
+    w.putF64(rec.accuracy);
+    w.putF64(rec.latencySec);
+    w.putF64(rec.energyJ);
+    w.putF64(rec.edp);
+    w.putF64(rec.reduction);
+    w.putU32(rec.feasible ? 1 : 0);
+    w.putU32(rec.failed ? 1 : 0);
+    w.putString(rec.failure);
+}
+
+CandidateRecord
+getCandidateRecord(ByteReader &r)
+{
+    CandidateRecord rec;
+    rec.config = getDecompConfig(r);
+    rec.gridIndex = static_cast<int64_t>(r.getU64());
+    rec.accuracy = r.getF64();
+    rec.latencySec = r.getF64();
+    rec.energyJ = r.getF64();
+    rec.edp = r.getF64();
+    rec.reduction = r.getF64();
+    rec.feasible = r.getU32() != 0;
+    rec.failed = r.getU32() != 0;
+    rec.failure = r.getString();
+    return rec;
+}
 
 void
 writeDseCheckpoint(const OptimizerOptions &opts,
@@ -115,25 +185,16 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
             "optimizeDecomposition: tau must be >= 0");
     require(!opts.candidateRanks.empty(),
             "optimizeDecomposition: no candidate ranks");
-    std::vector<int64_t> sortedRanks = opts.candidateRanks;
-    std::sort(sortedRanks.begin(), sortedRanks.end());
-    require(std::adjacent_find(sortedRanks.begin(), sortedRanks.end())
-                == sortedRanks.end(),
-            "optimizeDecomposition: duplicate candidate rank (each grid "
-            "point must be evaluated once)");
 
     OptimizerResult result;
 
-    // EDP is computed either on the probe model's own shape or
-    // projected onto the full Llama2-7B shape at the same reduction.
+    // EDP is projected onto the full Llama2-7B shape at the same
+    // reduction: accuracy comes from the trainable stand-in model,
+    // efficiency from the paper's real model shape.
     const ModelConfig edpShape = llama2_7bConfig();
-    auto edpEstimate = [&](const ModelConfig &probeCfg,
-                           const DecompConfig &gamma) {
-        if (!opts.projectEdpOnLlama7b)
-            return estimateGeneration(probeCfg, gamma, opts.device,
-                                      opts.workload);
-        const DecompConfig projected = scheduleForReduction(
-            edpShape, gamma.parameterReduction(probeCfg));
+    auto edpEstimate = [&](double reduction) {
+        const DecompConfig projected =
+            scheduleForReduction(edpShape, reduction);
         return estimateGeneration(edpShape, projected, opts.device,
                                   opts.workload);
     };
@@ -147,6 +208,12 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
     // keeping the result thread-count invariant.
     TransformerModel probe = TransformerModel::deserialize(modelBytes);
     const ModelConfig cfg = probe.config();
+    std::vector<int64_t> sortedRanks = opts.candidateRanks;
+    std::sort(sortedRanks.begin(), sortedRanks.end());
+    require(std::adjacent_find(sortedRanks.begin(), sortedRanks.end())
+                == sortedRanks.end(),
+            "optimizeDecomposition: duplicate candidate rank (each grid "
+            "point must be evaluated once)");
     std::vector<Candidate> grid;
     std::vector<DecompConfig> configs;
     for (int64_t rank : opts.candidateRanks) {
@@ -155,36 +222,24 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
             configs.push_back(DecompConfig::allTensors(
                 cfg, spreadSchedule(static_cast<int>(cfg.nLayers), count),
                 rank));
+            // Every grid point must be a configuration the sweep can
+            // apply and that shrinks (or keeps) the model; a bad rank
+            // would otherwise fail all its candidates after the
+            // baseline evaluation.
+            std::string why;
+            require(configs.back().valid(cfg, &why),
+                    "optimizeDecomposition: candidate rank ", rank,
+                    " is invalid for ", cfg.name, ": ", why);
+            require(configs.back().parameterReduction(cfg) >= 0.0,
+                    "optimizeDecomposition: candidate rank ", rank,
+                    " is past the break-even rank of ", cfg.name,
+                    " (it grows the model)");
         }
     }
 
     std::vector<CandidateRecord> records(grid.size());
     std::vector<uint8_t> done(grid.size(), 0);
     result.gridSize = static_cast<int64_t>(grid.size());
-
-    // Sharded sweeps: this process only evaluates the slots whose
-    // stable key hash lands on its shard. The mask depends purely on
-    // the grid coordinates and shardCount — never on LRD_THREADS or
-    // timing — so every run partitions identically.
-    require(opts.shardCount >= 1 && opts.shardIndex >= 0
-                && opts.shardIndex < opts.shardCount,
-            "optimizeDecomposition: bad shard spec");
-    std::vector<uint8_t> owned(grid.size(), 1);
-    if (opts.shardCount > 1) {
-        int64_t numOwned = 0;
-        for (size_t i = 0; i < grid.size(); ++i) {
-            owned[i] = shardOfKey(candidateShardKey(grid[i].rank,
-                                                    grid[i].count),
-                                  opts.shardCount)
-                               == opts.shardIndex
-                           ? 1
-                           : 0;
-            numOwned += owned[i];
-        }
-        inform(strCat("dse: shard ", opts.shardIndex, "/",
-                      opts.shardCount, " owns ", numOwned, " of ",
-                      grid.size(), " candidates"));
-    }
 
     bool resumed = false;
     if (opts.resume && !opts.checkpointPath.empty()) {
@@ -213,8 +268,7 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         Evaluator ev(dense, world,
                      EvalOptions{opts.evalTasks, opts.evalSeed, false});
         result.baselineAccuracy = ev.aggregateAccuracy();
-        const InferenceEstimate est =
-            edpEstimate(cfg, DecompConfig::identity());
+        const InferenceEstimate est = edpEstimate(0.0);
         result.baselineEdp = est.latencySec * est.energyJoules;
         // A cancel during the baseline eval leaves a partial accuracy;
         // never checkpoint it, so a resumed sweep recomputes it.
@@ -222,13 +276,12 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
     }
 
     // Decompose once: one SVD per distinct weight that the candidates
-    // this process will evaluate (owned, not restored) decompose. Each
-    // candidate then slices its rank prefix, bitwise what factorizing
-    // its own copy would give. An invalid candidate (a rank above a
-    // weight's) stays out of the bank and fails in its own slot.
+    // still to evaluate (not restored) decompose. Each candidate then
+    // slices its rank prefix, bitwise what factorizing its own copy
+    // would give.
     std::vector<DecompConfig> pending;
     for (size_t i = 0; i < grid.size(); ++i)
-        if (owned[i] != 0 && done[i] == 0 && configs[i].valid(cfg))
+        if (done[i] == 0)
             pending.push_back(configs[i]);
     const FactorBank bank = [&] {
         LRD_TRACE_SPAN("dse.factor_bank");
@@ -245,8 +298,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                 static Counter *candidates =
                     MetricsRegistry::instance().counter("dse.candidates");
                 for (int64_t idx = lo; idx < hi; ++idx) {
-                    if (owned[static_cast<size_t>(idx)] == 0)
-                        continue; // Another shard's slot.
                     if (done[static_cast<size_t>(idx)] != 0)
                         continue; // Already evaluated before resume.
                     LRD_TRACE_SPAN("dse.candidate");
@@ -272,7 +323,7 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                         rec.accuracy = ev.aggregateAccuracy();
                         rec.reduction = gamma.parameterReduction(cfg);
                         const InferenceEstimate est =
-                            edpEstimate(cfg, gamma);
+                            edpEstimate(rec.reduction);
                         rec.latencySec = est.latencySec;
                         rec.energyJ = est.energyJoules;
                         rec.edp = est.latencySec * est.energyJoules;
@@ -298,13 +349,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                 }
             });
     };
-    const auto countDone = [&] {
-        int64_t n = 0;
-        for (uint8_t d : done)
-            n += d != 0;
-        return n;
-    };
-    const int64_t doneAtStart = countDone();
     for (int64_t batchStart = 0; batchStart < total;
          batchStart += stride) {
         // Batch boundaries are the sweep's cancellation points: a
@@ -324,20 +368,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
             // Re-check: a signal may have landed mid-batch.
             cancel = checkCancellation("dse.batch");
         }
-        result.evaluatedThisRun = countDone() - doneAtStart;
-        // Heartbeat before the checkpoint: if a crash lands between
-        // the two, the lease has already banked this batch's work, so
-        // the retry's re-evaluation of it is counted as recomputed
-        // rather than silently absorbed.
-        if (!opts.leasePath.empty()) {
-            const Status ls = writeShardLease(
-                opts.leasePath,
-                ShardLease{static_cast<int64_t>(::getpid()),
-                           opts.evalsEverBase + result.evaluatedThisRun});
-            if (!ls.ok())
-                warn("dse: shard lease heartbeat skipped; "
-                     + ls.toString());
-        }
         if (checkpointing && !baselineTainted)
             writeDseCheckpoint(opts, result, grid, done, records);
         if (!cancel.ok()) {
@@ -347,12 +377,11 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         }
     }
 
-    // Serial fold, shared with the shard merge so both produce
-    // bitwise-identical results from identical records.
+    // Serial fold over the evaluated records in enumeration order.
     std::vector<CandidateRecord> doneRecords;
     for (size_t i = 0; i < records.size(); ++i) {
         if (done[i] == 0)
-            continue; // Cancelled before this slot, or another shard's.
+            continue; // Cancelled before this slot.
         records[i].gridIndex = static_cast<int64_t>(i);
         doneRecords.push_back(std::move(records[i]));
     }
@@ -411,6 +440,20 @@ foldCandidateRecords(double baselineAccuracy, double baselineEdp,
     }
     result.explored = std::move(records);
     return result;
+}
+
+Status
+writeDseResultFile(const std::string &path, const OptimizerResult &result)
+{
+    ByteWriter w;
+    w.putF64(result.baselineAccuracy);
+    w.putF64(result.baselineEdp);
+    w.putU32(static_cast<uint32_t>(result.numFailed));
+    putCandidateRecord(w, result.best);
+    w.putU64(result.explored.size());
+    for (const CandidateRecord &rec : result.explored)
+        putCandidateRecord(w, rec);
+    return writeCheckpoint(path, kDseResultVersion, w.bytes());
 }
 
 } // namespace lrd

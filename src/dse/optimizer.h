@@ -14,6 +14,7 @@
 #ifndef LRD_DSE_OPTIMIZER_H
 #define LRD_DSE_OPTIMIZER_H
 
+#include <string>
 #include <vector>
 
 #include "model/decomp_config.h"
@@ -33,15 +34,10 @@ struct OptimizerOptions
      *  (insight: rank-1). */
     std::vector<int64_t> candidateRanks = {1};
     DeviceSpec device;                         ///< Default: A100.
-    GenerationWorkload workload;               ///< EDP workload.
-    /**
-     * When true, EDP is projected onto the full-size Llama2-7B shape
-     * at the candidate's parameter-reduction rate (accuracy is still
-     * measured on the live stand-in model). This mirrors the repo's
-     * substitution methodology: accuracy from the trainable model,
-     * efficiency from the paper's real model shape.
-     */
-    bool projectEdpOnLlama7b = true;
+    /** EDP workload. EDP is projected onto the full-size Llama2-7B
+     *  shape at the candidate's parameter-reduction rate; accuracy is
+     *  measured on the live stand-in model. */
+    GenerationWorkload workload;
 
     /** Checkpoint file; empty disables checkpointing. */
     std::string checkpointPath;
@@ -50,24 +46,6 @@ struct OptimizerOptions
     /** Resume from checkpointPath when it exists. */
     bool resume = false;
 
-    /**
-     * Sharded-sweep membership: this process owns the grid slots
-     * whose stable candidate-key hash lands on shardIndex (see
-     * dse/shard.h). shardCount 1 = unsharded; the partition depends
-     * only on (rank, count, shardCount), never on LRD_THREADS.
-     */
-    int shardIndex = 0;
-    int shardCount = 1;
-    /**
-     * Heartbeat lease file (sharded runs): rewritten at every batch
-     * boundary with this pid and the cumulative evaluation count, so
-     * a supervisor can tell a live shard from a dead one by mtime and
-     * a merge can report recomputed work. Empty disables.
-     */
-    std::string leasePath;
-    /** Evaluations performed by earlier attempts of this shard. */
-    int64_t evalsEverBase = 0;
-
     OptimizerOptions();
 };
 
@@ -75,8 +53,7 @@ struct OptimizerOptions
 struct CandidateRecord
 {
     DecompConfig config;
-    /** Slot in the enumeration-order candidate grid. Lets shard
-     *  result files land records back in their serial position. */
+    /** Slot in the enumeration-order candidate grid. */
     int64_t gridIndex = 0;
     double accuracy = 0;   ///< Aggregate benchmark accuracy.
     double latencySec = 0;
@@ -101,21 +78,18 @@ struct OptimizerResult
     bool cancelled = false;
     /** Cancelled/DeadlineExceeded when the sweep stopped early. */
     Status status;
-    /** Candidates evaluated by this run (excludes slots restored from
-     *  a checkpoint) — the shard lease's progress delta. */
-    int64_t evaluatedThisRun = 0;
-    /** Full candidate-grid size (all shards), for coverage checks. */
+    /** Full candidate-grid size, for coverage checks. */
     int64_t gridSize = 0;
 };
 
 /**
- * The serial tail of the search, shared with the shard merge: given
- * every evaluated record in grid-enumeration order, compute
- * feasibility against tau, pick the min-EDP feasible candidate
- * (falling back to the identity when nothing is feasible), and count
- * failures. Pure — same inputs, bitwise-same OptimizerResult — which
- * is what makes a sharded merge byte-identical to a serial sweep.
- * Does NOT enforce the failure budget; callers that sweep do.
+ * The serial tail of the search: given every evaluated record in
+ * grid-enumeration order, compute feasibility against tau, pick the
+ * min-EDP feasible candidate (falling back to the identity when
+ * nothing is feasible), and count failures. Pure — same inputs,
+ * bitwise-same OptimizerResult — so records evaluated in any order or
+ * restored from a checkpoint fold to the same result. Does NOT
+ * enforce the failure budget; optimizeDecomposition does.
  */
 OptimizerResult foldCandidateRecords(double baselineAccuracy,
                                      double baselineEdp,
@@ -125,7 +99,9 @@ OptimizerResult foldCandidateRecords(double baselineAccuracy,
 /**
  * Run the Definition 1 search. Each weight the evaluated candidates
  * decompose is factorized once, into a FactorBank, and every candidate
- * slices its rank prefix from it.
+ * slices its rank prefix from it. Every grid point must be a valid
+ * configuration that does not grow the model; a rank that breaks
+ * either (or repeats) fails a require before the baseline evaluation.
  *
  * @param modelBytes Serialized dense checkpoint (each candidate gets
  *                   a fresh copy, since decomposition is destructive).
@@ -134,6 +110,14 @@ OptimizerResult foldCandidateRecords(double baselineAccuracy,
 OptimizerResult optimizeDecomposition(
     const std::vector<uint8_t> &modelBytes, const World &world,
     const OptimizerOptions &opts = OptimizerOptions());
+
+/**
+ * Serialize a completed search result to `path` (atomic,
+ * CRC-protected). Metric doubles are stored as raw f64 bits, so
+ * byte-comparing two result files is the determinism check.
+ */
+Status writeDseResultFile(const std::string &path,
+                          const OptimizerResult &result);
 
 } // namespace lrd
 

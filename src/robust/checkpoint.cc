@@ -1,14 +1,11 @@
 #include "robust/checkpoint.h"
 
 #include <array>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include <fcntl.h>
-#include <signal.h>
 #include <unistd.h>
 
 #include "obs/metrics.h"
@@ -104,53 +101,7 @@ std::string
 checkpointTmpPath(const std::string &path)
 {
     // lrd-lint: allow(hot-path-alloc) checkpoint writes are file I/O bound
-    return path + "." + std::to_string(::getpid()) + ".tmp";
-}
-
-bool
-processAlive(int64_t pid)
-{
-    if (pid <= 0)
-        return false;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0)
-        return true;
-    return errno == EPERM; // Alive, just not ours to signal.
-}
-
-int64_t
-sweepOrphanCheckpointTmps(const std::string &dir)
-{
-    static Counter *orphansSwept =
-        MetricsRegistry::instance().counter("checkpoint.orphanTmpSwept");
-    std::error_code ec;
-    int64_t swept = 0;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        // Match "<anything>.<digits>.tmp" and extract the writer pid.
-        if (name.size() < 5 || name.compare(name.size() - 4, 4, ".tmp") != 0)
-            continue;
-        const size_t pidEnd = name.size() - 4;
-        const size_t pidDot = name.rfind('.', pidEnd - 1);
-        if (pidDot == std::string::npos || pidDot + 1 == pidEnd)
-            continue;
-        const std::string pidText = name.substr(pidDot + 1,
-                                                pidEnd - pidDot - 1);
-        if (pidText.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        const int64_t pid = std::strtoll(pidText.c_str(), nullptr, 10);
-        if (pid == static_cast<int64_t>(::getpid()) || processAlive(pid))
-            continue; // Our own, or a live sibling's in-flight write.
-        warn("checkpoint: sweeping orphaned temp file "
-             + entry.path().string() + " (writer pid "
-             + std::to_string(pid) + " is gone)");
-        std::error_code rmEc;
-        if (fs::remove(entry.path(), rmEc)) {
-            orphansSwept->inc();
-            ++swept;
-        }
-    }
-    return swept;
+    return path + ".tmp";
 }
 
 Status
@@ -167,12 +118,10 @@ writeCheckpoint(const std::string &path, uint32_t version,
         return Status(StatusCode::ResourceExhausted, "ckpt.write",
                       "injected allocation failure");
 
-    // Sweep the leftover of one of *our* earlier writes that was
-    // interrupted: a stale .tmp is never a valid resume source (it
-    // was never renamed), only disk waste and confusion. The name is
-    // pid-unique, so another live process's in-flight write in the
-    // same directory is never touched; dead writers' orphans are
-    // reclaimed separately by sweepOrphanCheckpointTmps().
+    // Sweep the leftover of an earlier write to this path that was
+    // interrupted, by this process or one that died: a stale .tmp is
+    // never a valid resume source (it was never renamed), only disk
+    // waste and confusion.
     const std::string tmp = checkpointTmpPath(path);
     {
         std::error_code ec;

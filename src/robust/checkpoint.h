@@ -11,13 +11,11 @@
  *   bytes 20..23 u32 CRC32 (IEEE, reflected) of the payload
  *   bytes 24..   payload
  *
- * Writes are atomic: the blob goes to <path>.<pid>.tmp, is fsync'd,
- * the previous checkpoint (if any) rotates to <path>.prev, and the
- * tmp file renames into place. The in-flight name carries the writer
- * pid so multiple processes checkpointing into one directory (e.g.
- * DSE shards) never clobber each other's half-written files; orphaned
- * tmps whose writer died are reclaimed by
- * sweepOrphanCheckpointTmps(). A truncated, bit-flipped, or otherwise
+ * Writes are atomic: the blob goes to <path>.tmp, is fsync'd, the
+ * previous checkpoint (if any) rotates to <path>.prev, and the tmp
+ * file renames into place. Each checkpoint path has one writer, so a
+ * <path>.tmp left by a writer that died mid-write is swept by the
+ * next write to the same path. A truncated, bit-flipped, or otherwise
  * corrupt <path> is detected on read (DataLoss) and
  * readCheckpointWithFallback transparently falls back to the rotated
  * previous-good file.
@@ -44,23 +42,8 @@ uint32_t crc32(const std::vector<uint8_t> &bytes);
 /** Rotation target for the previous good checkpoint: <path>.prev. */
 std::string checkpointPrevPath(const std::string &path);
 
-/**
- * In-flight write target for this process: <path>.<pid>.tmp. The pid
- * component keeps concurrent writers in a shared directory from
- * racing on one tmp name (and from sweeping each other's live
- * writes).
- */
+/** In-flight write target: <path>.tmp. */
 std::string checkpointTmpPath(const std::string &path);
-
-/** Whether `pid` names a live process (EPERM counts as alive). */
-bool processAlive(int64_t pid);
-
-/**
- * Remove checkpoint temp files ("<name>.<pid>.tmp") in `dir` whose
- * writer process is no longer alive. A live sibling's in-flight write
- * is left untouched. Returns the number of orphans removed.
- */
-int64_t sweepOrphanCheckpointTmps(const std::string &dir);
 
 /**
  * Atomically write a checkpoint (write-tmp, fsync, rotate, rename).

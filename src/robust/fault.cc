@@ -167,11 +167,6 @@ registeredFaultSites()
          "Top of a trainer optimizer step (src/train)"},
         {"dse.batch", "cancel",
          "Top of a DSE candidate batch (src/dse)"},
-        {"dse.shard.spawn", "alloc,cancel",
-         "Shard child-process launch in the DSE supervisor (src/dse)"},
-        {"dse.shard.merge", "alloc,cancel",
-         "Per-shard result merge into the serial-identical fold "
-         "(src/dse)"},
         {"ckpt.write", "alloc,truncate,bitflip,cancel",
          "Checkpoint serialization and atomic write (src/robust)"},
         {"ckpt.read", "alloc,cancel",

@@ -1,12 +1,8 @@
 #include "robust/recovery.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
-
-#include "robust/retry.h"
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -229,14 +225,6 @@ firstNonFinite(const float *p, int64_t n)
         if (!std::isfinite(p[i]))
             return i;
     return -1; // Sum overflowed without a non-finite element.
-}
-
-void
-sleepForBackoff(int64_t ticks)
-{
-    if (ticks <= 0)
-        return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(ticks));
 }
 
 void

@@ -42,15 +42,6 @@ backoffTicks(int64_t baseTicks, int attempt, int64_t maxTicks = 1 << 20)
     return ticks < maxTicks ? ticks : maxTicks;
 }
 
-/**
- * Block the calling thread for `ticks` milliseconds. The one
- * sanctioned sleep for process supervisors (shard relaunch backoff):
- * it lives in src/robust/ because pipeline and numeric code must
- * never sleep, and it only ever delays operational actions — never
- * anything that feeds a deterministic result.
- */
-void sleepForBackoff(int64_t ticks);
-
 template <class Fn>
 Status
 retryWithReseed(uint64_t baseSeed, int maxAttempts, const Fn &fn)

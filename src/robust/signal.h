@@ -33,15 +33,8 @@ inline constexpr int kExitDeadline = 4;          ///< LRD_DEADLINE expired.
 inline constexpr int kExitCorruptCheckpoint = 5; ///< Checkpoint data loss.
 inline constexpr int kExitNonConvergence = 6;    ///< Kernel sweep cap hit.
 inline constexpr int kExitUnavailable = 7;       ///< Response delivery failed.
-inline constexpr int kExitShardFailed = 8;       ///< Shard died past retries.
 
-/**
- * Map a pipeline Status to the documented process exit code.
- * kExitShardFailed is not produced here: it is reserved for the DSE
- * shard supervisor, which reports a shard that exhausted its retry
- * budget via a Status at site "dse.shard.retry" (see
- * dse/coordinator.h) that lrdtool maps to 8 explicitly.
- */
+/** Map a pipeline Status to the documented process exit code. */
 int exitCodeForStatus(const Status &status);
 
 /**

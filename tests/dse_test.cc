@@ -259,11 +259,25 @@ TEST(DseGrid, IsRanksTimesLayersAndRejectsDuplicateRanks)
     opts.evalTasks = 2;
     opts.accuracyDropTolerance = 1.1;
 
-    // A repeated rank would evaluate its grid points twice and collide
-    // on the shard key.
+    // A repeated rank would evaluate its grid points twice.
     opts.candidateRanks = {2, 1, 2};
     EXPECT_THROW(optimizeDecomposition(bytes, sweepfix::smallWorld(), opts),
                  std::runtime_error);
+    // Rank 20 factorizes every 32-wide weight but grows the model
+    // (past its break-even), and rank 33 exceeds dModel = 32: neither
+    // can make a shrinking candidate, so the sweep refuses to start.
+    for (const int64_t bad : {20, 33}) {
+        opts.candidateRanks = {1, bad};
+        try {
+            optimizeDecomposition(bytes, sweepfix::smallWorld(), opts);
+            ADD_FAILURE() << "rank " << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "candidate rank " + std::to_string(bad) + " "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
     opts.candidateRanks = {2, 1};
     const OptimizerResult r =

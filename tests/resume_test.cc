@@ -538,7 +538,6 @@ TEST(Resume, DseCancelDuringFactorBankCommitsNoCandidateAndResumes)
     ASSERT_TRUE(cut.cancelled);
     EXPECT_EQ(cut.status.code(), StatusCode::Cancelled);
     EXPECT_TRUE(cut.explored.empty());
-    EXPECT_EQ(cut.evaluatedThisRun, 0);
 
     opts.resume = true;
     const OptimizerResult resumed =

@@ -15,10 +15,7 @@
  *                                         stand-in, dump metrics JSON
  *   lrdtool train [flags]                 checkpointed training run
  *   lrdtool dse [flags]                   checkpointed Definition-1
- *                                         sweep on the tiny stand-in;
- *                                         --shard/--supervise/--merge
- *                                         run it as crash-supervised
- *                                         shard processes
+ *                                         sweep on the tiny stand-in
  *   lrdtool serve [flags]                 closed-loop serving run over
  *                                         a request file or synthetic
  *                                         workload
@@ -36,12 +33,14 @@
  * Environment: LRD_THREADS, LRD_LOG, LRD_TRACE, LRD_STATS,
  * LRD_TELEMETRY, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE, LRD_WATCHDOG
  * (see usage()). serve/loadgen take their settings from flags only.
+ * Arguments are parsed strictly: an unknown flag or a malformed
+ * number exits 1 with the usage text.
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
  * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
  * 5 corrupt checkpoint, 6 non-convergence, 7 response delivery
- * unavailable, 8 shard failed past its retry budget. A second signal
- * force-exits with the POSIX 128+signo code.
+ * unavailable. A second signal force-exits with the POSIX 128+signo
+ * code.
  */
 
 #include <algorithm>
@@ -53,18 +52,15 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "decomp/tucker.h"
 #include "util/logging.h"
-#include "dse/coordinator.h"
 #include "dse/design_space.h"
 #include "dse/optimizer.h"
 #include "dse/schedules.h"
-#include "dse/shard.h"
 #include "eval/evaluator.h"
 #include "hw/opcount.h"
 #include "hw/roofline.h"
@@ -364,6 +360,66 @@ cmdStats(double percent)
     return 0;
 }
 
+/**
+ * Strict integer text: digits only (no sign, space or suffix), in
+ * [min, max]. False on anything else.
+ */
+bool
+parseCount(const std::string &text, long long min, long long max,
+           long long &out)
+{
+    const bool digits =
+        !text.empty() && text.size() <= 10
+        && text.find_first_not_of("0123456789") == std::string::npos;
+    const long long v = digits ? std::atoll(text.c_str()) : -1;
+    if (v < min || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+/**
+ * Positional reduction percent: a plain decimal (digits with at most
+ * one '.') in [0, 100]. On anything else, prints why to stderr
+ * (prefixed by `cmd`) and returns false.
+ */
+bool
+percentArg(const std::string &cmd, const std::string &text, double &out)
+{
+    const size_t dot = text.find('.');
+    const bool plain =
+        text.find_first_of("0123456789") != std::string::npos
+        && text.find_first_not_of("0123456789.") == std::string::npos
+        && (dot == std::string::npos
+            || text.find('.', dot + 1) == std::string::npos);
+    const double v = plain ? std::atof(text.c_str()) : -1.0;
+    if (v < 0.0 || v > 100.0) {
+        std::fprintf(stderr,
+                     "%s: bad reduction percent '%s' (want a decimal "
+                     "0..100)\n",
+                     cmd.c_str(), text.c_str());
+        return false;
+    }
+    out = v;
+    return true;
+}
+
+/** Positional matrix dimension for breakeven: an integer >= 1. */
+bool
+dimensionArg(const std::string &text, int64_t &out)
+{
+    long long v = 0;
+    if (!parseCount(text, 1, std::numeric_limits<int>::max(), v)) {
+        std::fprintf(stderr,
+                     "breakeven: bad dimension '%s' (want an integer "
+                     "1..%d)\n",
+                     text.c_str(), std::numeric_limits<int>::max());
+        return false;
+    }
+    out = v;
+    return true;
+}
+
 /** "--key=value" / "--flag" parsing for the flag-taking subcommands. */
 struct Flags
 {
@@ -386,11 +442,29 @@ struct Flags
         return f;
     }
 
-    std::string str(const std::string &key,
-                    const std::string &fallback = "") const
+    std::string str(const std::string &key) const
     {
         const auto it = kv.find(key);
-        return it == kv.end() ? fallback : it->second;
+        return it == kv.end() ? std::string() : it->second;
+    }
+
+    /**
+     * True when every given flag is one of `known`. Otherwise prints
+     * "<cmd>: unknown flag --<key>" to stderr and returns false, so a
+     * mistyped flag cannot silently leave its setting at the default.
+     */
+    bool onlyKnown(const char *cmd,
+                   const std::vector<std::string_view> &known) const
+    {
+        for (const auto &[key, value] : kv) {
+            static_cast<void>(value);
+            if (std::find(known.begin(), known.end(), key) == known.end()) {
+                std::fprintf(stderr, "%s: unknown flag --%s\n", cmd,
+                             key.c_str());
+                return false;
+            }
+        }
+        return true;
     }
 
     /**
@@ -405,15 +479,11 @@ struct Flags
         const auto it = kv.find(key);
         if (it == kv.end())
             return true;
-        const std::string &text = it->second;
-        const bool digits =
-            !text.empty() && text.size() <= 10
-            && text.find_first_not_of("0123456789") == std::string::npos;
-        const long long v = digits ? std::atoll(text.c_str()) : -1;
-        if (v < min || v > max) {
+        long long v = 0;
+        if (!parseCount(it->second, min, max, v)) {
             std::fprintf(stderr,
                          "%s: bad --%s '%s' (want an integer %d..%d)\n",
-                         cmd, key.c_str(), text.c_str(), min, max);
+                         cmd, key.c_str(), it->second.c_str(), min, max);
             return false;
         }
         out = static_cast<T>(v);
@@ -435,7 +505,9 @@ cmdTrain(const Flags &flags)
     t.steps = 12;
     t.logEvery = 0;
     t.checkpointEvery = 4;
-    if (!flags.count("train", "steps", 1, t.steps)
+    if (!flags.onlyKnown("train",
+                         {"steps", "log-every", "ckpt", "every", "resume"})
+        || !flags.count("train", "steps", 1, t.steps)
         || !flags.count("train", "log-every", 0, t.logEvery)
         || !flags.count("train", "every", 0, t.checkpointEvery)) {
         usage();
@@ -454,19 +526,6 @@ cmdTrain(const Flags &flags)
     std::printf("weights    crc32 %08x (%zu bytes)\n", crc32(bytes),
                 bytes.size());
     return exitCodeForStatus(trainer.runStatus());
-}
-
-/** Absolute path of this binary, for respawning shard children. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return std::string(buf);
-    }
-    return std::string(argv0);
 }
 
 /**
@@ -500,45 +559,21 @@ parseRanksFlag(const std::string &text, std::vector<int64_t> &out)
     return true;
 }
 
-void
-printDseResult(const OptimizerResult &r)
-{
-    std::printf("explored   %zu candidates (%d degraded)\n",
-                r.explored.size(), r.numFailed);
-    std::printf("baseline   acc %.3f  edp %.4g\n", r.baselineAccuracy,
-                r.baselineEdp);
-    std::printf("best       %s\n", r.best.config.describe().c_str());
-    std::printf("           acc %.3f  edp %.4g  reduction %.2f%%\n",
-                r.best.accuracy, r.best.edp, r.best.reduction * 100.0);
-}
-
-/** Exit code for a DSE-family status: the supervisor's retry-budget
- *  failure gets its own documented code 8. */
-int
-dseExitCode(const Status &status)
-{
-    if (!status.ok()
-        && std::strcmp(status.site(), "dse.shard.retry") == 0)
-        return kExitShardFailed;
-    return exitCodeForStatus(status);
-}
-
 /**
- * A checkpointed Definition-1 sweep on the tiny stand-in model.
- *
- * Four modes: serial (default), one shard of a partitioned sweep
- * (--shard=i/n), supervisor of n shard child processes
- * (--supervise=n), and merge-only over an existing results directory
- * (--merge=n). A supervised run's merged --out file is bitwise
- * identical to a serial run's at any LRD_THREADS.
+ * A checkpointed Definition-1 sweep on the tiny stand-in model. The
+ * --out file is bitwise identical at any LRD_THREADS, and a run killed
+ * mid-sweep and rerun with --resume writes the same file as an
+ * uninterrupted one.
  */
 int
-cmdDse(const Flags &flags, const char *argv0)
+cmdDse(const Flags &flags)
 {
     OptimizerOptions opts;
     opts.evalTasks = 24;
     opts.checkpointEvery = 8;
-    if (!flags.count("dse", "tasks", 1, opts.evalTasks)
+    if (!flags.onlyKnown("dse", {"tasks", "every", "ckpt", "resume",
+                                 "ranks", "out"})
+        || !flags.count("dse", "tasks", 1, opts.evalTasks)
         || !flags.count("dse", "every", 0, opts.checkpointEvery)) {
         usage();
         return 1;
@@ -554,115 +589,6 @@ cmdDse(const Flags &flags, const char *argv0)
         usage();
         return 1;
     }
-    const std::string dir = flags.str("dir", "dse_shards");
-
-    if (flags.has("supervise")) {
-        SupervisorOptions sup;
-        if (!flags.count("dse", "supervise", 1, sup.shards, 4096)
-            || !flags.count("dse", "retries", 0, sup.maxRetries)
-            || !flags.count("dse", "backoff", 0, sup.backoffBaseTicks)
-            || !flags.count("dse", "stale-secs", 0, sup.staleLeaseSeconds)) {
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        sup.dir = dir;
-        sup.accuracyDropTolerance = opts.accuracyDropTolerance;
-        sup.childArgs = {selfExePath(argv0), "dse", "--shard={shard}",
-                         "--dir=" + dir,
-                         "--tasks=" + std::to_string(opts.evalTasks),
-                         "--every="
-                             + std::to_string(opts.checkpointEvery)};
-        if (flags.has("ranks"))
-            sup.childArgs.push_back("--ranks=" + flags.str("ranks"));
-        const SupervisorReport rep = superviseDse(sup);
-        std::printf("status     %s\n", rep.status.ok()
-                                           ? "completed"
-                                           : rep.status.toString().c_str());
-        std::printf("launched   %d\n", rep.launched);
-        std::printf("retried    %d\n", rep.retried);
-        std::printf("reclaimed  %d\n", rep.reclaimed);
-        std::printf("skipped    %d\n", rep.skipped);
-        std::printf("failed     %d\n", rep.failed);
-        std::printf("merged     %d\n", rep.shardsMerged);
-        std::printf("evals ever %lld\n",
-                    static_cast<long long>(rep.evalsEver));
-        std::printf("recomputed %lld\n",
-                    static_cast<long long>(rep.recomputed));
-        std::printf("orphan tmps %lld\n",
-                    static_cast<long long>(rep.orphanTmpsSwept));
-        if (!rep.status.ok())
-            return dseExitCode(rep.status);
-        printDseResult(rep.result);
-        if (flags.has("out")) {
-            const Status ws =
-                writeDseResultFile(flags.str("out"), rep.result);
-            if (!ws.ok()) {
-                std::fprintf(stderr, "dse: %s\n", ws.toString().c_str());
-                return exitCodeForStatus(ws);
-            }
-        }
-        return 0;
-    }
-
-    if (flags.has("merge")) {
-        int shards = 0;
-        if (!flags.count("dse", "merge", 1, shards, 4096)) {
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        Result<MergeReport> merge =
-            mergeShardResults(dir, shards, opts.accuracyDropTolerance);
-        if (!merge.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         merge.status().toString().c_str());
-            return exitCodeForStatus(merge.status());
-        }
-        const MergeReport &rep = merge.value();
-        std::printf("status     completed\n");
-        std::printf("merged     %d\n", rep.shardsMerged);
-        std::printf("evals ever %lld\n",
-                    static_cast<long long>(rep.evalsEver));
-        std::printf("recomputed %lld\n",
-                    static_cast<long long>(rep.recomputed));
-        printDseResult(rep.result);
-        if (flags.has("out")) {
-            const Status ws =
-                writeDseResultFile(flags.str("out"), rep.result);
-            if (!ws.ok()) {
-                std::fprintf(stderr, "dse: %s\n", ws.toString().c_str());
-                return exitCodeForStatus(ws);
-            }
-        }
-        return 0;
-    }
-
-    if (flags.has("shard")) {
-        Result<ShardSpec> spec = parseShardSpec(flags.str("shard"));
-        if (!spec.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         spec.status().toString().c_str());
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        TransformerModel model = pretrainedTinyLlama();
-        Result<OptimizerResult> run = runDseShard(
-            model.serialize(), defaultWorld(), opts, spec.value(), dir);
-        if (!run.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         run.status().toString().c_str());
-            return exitCodeForStatus(run.status());
-        }
-        const OptimizerResult &r = run.value();
-        std::printf("status     completed\n");
-        std::printf("shard      %d/%d: %zu of %lld candidates\n",
-                    spec.value().index, spec.value().count,
-                    r.explored.size(),
-                    static_cast<long long>(r.gridSize));
-        return 0;
-    }
 
     TransformerModel model = pretrainedTinyLlama();
     const OptimizerResult r =
@@ -671,7 +597,13 @@ cmdDse(const Flags &flags, const char *argv0)
                 r.cancelled ? (r.status.toString()
                                + " (resume with --resume)").c_str()
                             : "completed");
-    printDseResult(r);
+    std::printf("explored   %zu candidates (%d degraded)\n",
+                r.explored.size(), r.numFailed);
+    std::printf("baseline   acc %.3f  edp %.4g\n", r.baselineAccuracy,
+                r.baselineEdp);
+    std::printf("best       %s\n", r.best.config.describe().c_str());
+    std::printf("           acc %.3f  edp %.4g  reduction %.2f%%\n",
+                r.best.accuracy, r.best.edp, r.best.reduction * 100.0);
     if (flags.has("out") && !r.cancelled) {
         const Status ws = writeDseResultFile(flags.str("out"), r);
         if (!ws.ok()) {
@@ -726,8 +658,14 @@ runServeCommand(const Flags &flags, bool openLoop)
     w.numRequests = openLoop ? 96 : 48;
     w.maxArrivalGapTicks = openLoop ? 2 : 0;
     // Flags are the only configuration, so they are checked strictly.
+    std::vector<std::string_view> known = {
+        "queue", "batch", "retries", "backoff", "fallback-rank", "deadline",
+        "requests", "tenants", "seed", "file", "pretrained"};
+    if (openLoop)
+        known.push_back("gap");
     const bool flagsOk =
-        flags.count(cmd, "queue", 1, opts.queueCapacity)
+        flags.onlyKnown(cmd, known)
+        && flags.count(cmd, "queue", 1, opts.queueCapacity)
         && flags.count(cmd, "batch", 1, opts.maxBatch)
         && flags.count(cmd, "retries", 1, opts.maxClientAttempts)
         && flags.count(cmd, "backoff", 0, opts.retryBackoffBaseTicks)
@@ -1003,36 +941,6 @@ printPhaseTable(const TelemetryFile &tf)
                                               1))});
             serve.print();
         }
-        // Supervised sharded sweeps roll up their process-level
-        // lifecycle: how many children launched, how often the
-        // retry/backoff path fired, and how much work the merge saw
-        // evaluated more than once.
-        if (counterAt("dse.shard.launched") > 0) {
-            TablePrinter shard("Sharded DSE supervision");
-            shard.setHeader({"metric", "value"});
-            shard.addRow(
-                {"shards launched",
-                 std::to_string(counterAt("dse.shard.launched"))});
-            shard.addRow(
-                {"retried",
-                 std::to_string(counterAt("dse.shard.retried"))});
-            shard.addRow(
-                {"leases reclaimed",
-                 std::to_string(counterAt("dse.shard.reclaimed"))});
-            shard.addRow(
-                {"failed past budget",
-                 std::to_string(counterAt("dse.shard.failed"))});
-            shard.addRow(
-                {"shards merged",
-                 std::to_string(counterAt("dse.shard.merged"))});
-            shard.addRow(
-                {"evals recomputed",
-                 std::to_string(counterAt("dse.shard.recomputed"))});
-            shard.addRow({"orphan tmps swept",
-                          std::to_string(counterAt(
-                              "checkpoint.orphanTmpSwept"))});
-            shard.print();
-        }
     }
     if (tf.hasFinal)
         std::printf("final: %lld samples over %.2f s (%lld rotations)\n",
@@ -1265,20 +1173,16 @@ usage()
         "  designspace <preset>\n"
         "  schedule <preset> <reduction-percent>\n"
         "  profile <preset> [reduction-percent]\n"
-        "  breakeven <H> <W>\n"
+        "  breakeven <H> <W>             (integers >= 1)\n"
         "  eval [reduction-percent]\n"
         "  stats [reduction-percent]     (default 50)\n"
+        "        (reduction-percent is a plain decimal in 0..100)\n"
         "  train [--steps=N] [--log-every=N] [--ckpt=FILE] [--every=N]\n"
         "        [--resume]\n"
         "  dse   [--tasks=N] [--ckpt=FILE] [--every=N] [--resume]\n"
         "        [--ranks=R1,R2,...] [--out=FILE]\n"
-        "        [--shard=I/N --dir=DIR]     run one shard of the sweep\n"
-        "        [--supervise=N --dir=DIR [--retries=N] [--backoff=MS]\n"
-        "         [--stale-secs=S]]          spawn+watch N shard children,\n"
-        "                                    merge to serial-identical out\n"
-        "        [--merge=N --dir=DIR]       merge an existing shard dir\n"
-        "        (N, MS and S are digits only; --supervise and --merge\n"
-        "         are 1..4096, --steps and --tasks >= 1, the rest >= 0)\n"
+        "        (N is digits only; --steps and --tasks >= 1, the rest\n"
+        "         >= 0; ranks are distinct and must not grow the model)\n"
         "  serve [--requests=N] [--file=JSONL] [--queue=N] [--batch=N]\n"
         "        [--retries=N] [--backoff=N] [--fallback-rank=N]\n"
         "        [--deadline=N] [--seed=N] [--tenants=N] [--pretrained]\n"
@@ -1319,8 +1223,8 @@ usage()
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
         "  4 deadline exceeded  5 corrupt checkpoint  6 non-convergence\n"
         "  7 response delivery unavailable\n"
-        "  8 shard failed past its retry budget (dse --supervise)\n"
-        "  (a second SIGINT/SIGTERM force-exits with 128+signo)\n");
+        "  (an unknown flag or malformed argument exits 1 with this text;\n"
+        "   a second SIGINT/SIGTERM force-exits with 128+signo)\n");
 }
 
 } // namespace
@@ -1359,27 +1263,35 @@ main(int argc, char **argv)
         }
         startTelemetryFromEnv();
 
+        // A malformed positional number fails its command's condition
+        // below, so it falls through to the usage text and exit 1.
         int ret = -1;
+        double percent = cmd == "stats" ? 50.0 : 0.0;
+        int64_t h = 0;
+        int64_t w = 0;
         if (cmd == "info" && argc >= 3)
             ret = cmdInfo(argv[2]);
         else if (cmd == "designspace" && argc >= 3)
             ret = cmdDesignSpace(argv[2]);
-        else if (cmd == "schedule" && argc >= 4)
-            ret = cmdSchedule(argv[2], std::atof(argv[3]));
-        else if (cmd == "profile" && argc >= 3)
-            ret = cmdProfile(argv[2],
-                             argc >= 4 ? std::atof(argv[3]) : 0.0);
-        else if (cmd == "breakeven" && argc >= 4)
-            ret = cmdBreakEven(std::atoll(argv[2]),
-                               std::atoll(argv[3]));
-        else if (cmd == "eval")
-            ret = cmdEval(argc >= 3 ? std::atof(argv[2]) : 0.0);
-        else if (cmd == "stats")
-            ret = cmdStats(argc >= 3 ? std::atof(argv[2]) : 50.0);
+        else if (cmd == "schedule" && argc >= 4
+                 && percentArg(cmd, argv[3], percent))
+            ret = cmdSchedule(argv[2], percent);
+        else if (cmd == "profile" && argc >= 3
+                 && (argc < 4 || percentArg(cmd, argv[3], percent)))
+            ret = cmdProfile(argv[2], percent);
+        else if (cmd == "breakeven" && argc >= 4
+                 && dimensionArg(argv[2], h) && dimensionArg(argv[3], w))
+            ret = cmdBreakEven(h, w);
+        else if (cmd == "eval"
+                 && (argc < 3 || percentArg(cmd, argv[2], percent)))
+            ret = cmdEval(percent);
+        else if (cmd == "stats"
+                 && (argc < 3 || percentArg(cmd, argv[2], percent)))
+            ret = cmdStats(percent);
         else if (cmd == "train")
             ret = cmdTrain(Flags::parse(argc, argv, 2));
         else if (cmd == "dse")
-            ret = cmdDse(Flags::parse(argc, argv, 2), argv[0]);
+            ret = cmdDse(Flags::parse(argc, argv, 2));
         else if (cmd == "serve")
             ret = runServeCommand(Flags::parse(argc, argv, 2),
                                   /*openLoop=*/false);
