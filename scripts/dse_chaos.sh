@@ -13,7 +13,9 @@
 #     but not all candidates), so the soak cannot pass by killing only
 #     finished runs,
 #   - unknown flags, malformed numeric flags and positional numbers,
-#     and --ranks values that cannot make a shrinking candidate exit 1.
+#     and --ranks values that cannot make a shrinking candidate exit 1,
+#   - an LRD_* variable lrdtool does not read, or a malformed
+#     LRD_ROBUST, exits 1 naming the variable before loading a model.
 #
 # Usage: scripts/dse_chaos.sh [build-dir]
 set -euo pipefail
@@ -70,8 +72,23 @@ for bad in "dse --tasks=2x" "dse --tasks=abc" "dse --tasks=0" \
     read -r -a args <<<"${bad}"
     bad_args ": bad " "${args[@]}"
 done
+# Typos and retired names (the rows below) and malformed values
+# must not be silently ignored.
+bad_env() {
+    local var="$1" got=0 err
+    err="$(env "${var}" "${lrdtool}" dse --ranks=1 2>&1 >/dev/null)" \
+        || got=$?
+    [[ "${got}" == "1" ]] || fail "${var} lrdtool dse: exit ${got}, want 1"
+    grep -q -- "${var%%=*}" <<<"${err}" \
+        || fail "${var} lrdtool dse: stderr does not name ${var%%=*}"
+}
+for var in LRD_WATCHDOG=5 LRD_FUSED=0 LRD_THREAD=4 LRD_ROBUST=retry \
+           LRD_ROBUST=bogus; do
+    bad_env "${var}"
+done
 [[ ! -e "${LRD_CACHE_DIR}" ]] || fail "bad args loaded or trained a model"
-echo "dse_chaos: unknown flags and malformed numbers exit 1 with usage"
+echo "dse_chaos: unknown flags, malformed numbers and unknown or" \
+    "malformed LRD_* variables exit 1"
 
 TASKS=8
 EVERY=2

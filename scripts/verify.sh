@@ -18,8 +18,8 @@ cd "${repo_root}"
 echo "== tier-1: Release build + ctest =="
 cmake -B build -S .
 cmake --build build -j
-# --timeout: a hung cancellation drain or unjoined watchdog thread
-# must fail the run, not wedge it.
+# --timeout: a hung cancellation drain must fail the run, not wedge
+# it.
 ctest --test-dir build --output-on-failure --timeout 300 -j "$(nproc)"
 
 echo "== lint: lrd-lint over src/ tools/ tests/ bench/ =="

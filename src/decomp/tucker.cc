@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/recovery.h"
-#include "robust/retry.h"
 #include "tensor/ops.h"
 #include "tensor/unfold.h"
 #include "util/logging.h"
@@ -75,13 +74,13 @@ hosvd(const Tensor &t, const std::vector<int64_t> &ranks)
     return out;
 }
 
-namespace {
-
-/** One full HOI run; the retry policy wraps this. */
 TuckerResult
-hooiOnce(const Tensor &t, const std::vector<int64_t> &ranks,
-         const HoiOptions &opts)
+hooi(const Tensor &t, const std::vector<int64_t> &ranks,
+     const HoiOptions &opts)
 {
+    checkRanks(t, ranks);
+    require(opts.maxIters >= 1, "hooi: maxIters must be >= 1");
+
     TuckerResult cur;
     if (opts.hosvdInit) {
         cur = hosvd(t, ranks);
@@ -118,40 +117,6 @@ hooiOnce(const Tensor &t, const std::vector<int64_t> &ranks,
             break;
         prevFit = fit;
     }
-    return cur;
-}
-
-} // namespace
-
-TuckerResult
-hooi(const Tensor &t, const std::vector<int64_t> &ranks,
-     const HoiOptions &opts)
-{
-    checkRanks(t, ranks);
-    require(opts.maxIters >= 1, "hooi: maxIters must be >= 1");
-
-    TuckerResult cur = hooiOnce(t, ranks, opts);
-    const RobustPolicy policy = robustPolicy();
-    if (cur.status.ok() || policy.mode != RobustMode::Retry)
-        return cur;
-
-    // Attempt 0 replays the failure already in hand; later attempts
-    // re-run HOI from a reseeded random initialization so the retry
-    // sequence depends only on (opts.seed, attempt index).
-    // The outcome is folded into cur.status by the lambda; the
-    // returned copy carries no extra information.
-    (void)retryWithReseed(opts.seed, policy.maxRetries + 1,
-                    [&](Rng &rng, int attempt) -> Status {
-                        if (attempt == 0)
-                            return cur.status;
-                        HoiOptions ropts = opts;
-                        ropts.hosvdInit = false;
-                        ropts.seed = rng.next();
-                        TuckerResult again = hooiOnce(t, ranks, ropts);
-                        if (again.status.ok())
-                            cur = std::move(again);
-                        return cur.status;
-                    });
     return cur;
 }
 
@@ -201,17 +166,7 @@ decomposeWithPolicy(const Tensor &w, const std::string &name)
     SvdResult d = svd(w);
     if (d.status.ok())
         return d;
-    const RobustPolicy policy = robustPolicy();
-    if (policy.mode == RobustMode::Retry) {
-        for (int attempt = 0; attempt < policy.maxRetries && !d.status.ok();
-             ++attempt) {
-            noteRetry();
-            d = svd(w);
-        }
-        if (d.status.ok())
-            return d;
-    }
-    if (policy.mode == RobustMode::Strict)
+    if (robustPolicy().mode == RobustMode::Strict)
         fatal("factorize(" + name + "): " + d.status.toString());
     static Counter *degraded = MetricsRegistry::instance().counter(
         "robust.degradedFactorizations");

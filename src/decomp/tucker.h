@@ -56,9 +56,7 @@ TuckerResult hosvd(const Tensor &t, const std::vector<int64_t> &ranks);
  * [1, n_i].
  *
  * A Jacobi non-convergence inside any factor update surfaces in the
- * result's status. Under LRD_ROBUST=retry the iteration deterministically
- * re-runs with a reseeded random initialization (bounded attempts)
- * before reporting failure.
+ * result's status.
  */
 TuckerResult hooi(const Tensor &t, const std::vector<int64_t> &ranks,
                   const HoiOptions &opts = {});
@@ -96,10 +94,8 @@ Tucker2d tucker2dDecompose(const Tensor &w, int64_t prunedRank);
 Tucker2d tucker2dFromSvd(const SvdResult &full, int64_t prunedRank);
 
 /**
- * svd(w) with a failed result resolved by the recovery policy: bounded
- * deterministic re-attempts under retry (injected faults are consumed
- * by their occurrence counters, so a retry can genuinely clear), fatal
- * under strict, and otherwise the failed status is returned so the
+ * svd(w) with a failed result resolved by the recovery policy: fatal
+ * under strict; under degrade the failed status is returned so the
  * caller keeps the weight dense. `name` labels the diagnostics.
  */
 SvdResult decomposeWithPolicy(const Tensor &w, const std::string &name);

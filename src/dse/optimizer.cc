@@ -5,6 +5,7 @@
 
 #include "dse/schedules.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
@@ -260,7 +261,7 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         }
     }
 
-    WatchdogSection watched("dse");
+    const TelemetryPhase phase("dse");
     bool baselineTainted = false;
     if (!resumed) {
         // Baseline accuracy and EDP on the dense model.

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
@@ -19,13 +20,11 @@ namespace lrd {
 namespace {
 
 /**
- * Run one item's scoring body under the recovery policy and return
- * the item's final Status. The body writes its answer into the item's
- * fixed result slot; a numeric fault noted while it runs (NaN guard)
- * or an injected "eval.item" allocation failure marks the item
- * failed. Retry mode re-runs the body a bounded number of times —
- * injected faults are consumed by their occurrence counters, so a
- * retry can genuinely clear. Runs entirely on the calling worker, so
+ * Run one item's scoring body and return the item's Status. The body
+ * writes its answer into the item's fixed result slot; a numeric
+ * fault noted while it runs (NaN guard) or an injected "eval.item"
+ * allocation failure marks the item failed, and the fold applies the
+ * recovery policy's budget. Runs entirely on the calling worker, so
  * the per-item outcome is independent of the thread partition.
  */
 template <class Body>
@@ -36,24 +35,11 @@ scoreWithPolicy(const Body &body)
     if (cancelRequested())
         return cancelStatus("eval.item");
     (void)takeNumericFault(); // Drop any stale note from a previous item.
-    const RobustPolicy policy = robustPolicy();
-    const int attempts =
-        policy.mode == RobustMode::Retry ? policy.maxRetries + 1 : 1;
-    Status last;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0)
-            noteRetry();
-        if (faultAt("eval.item", FaultKind::Alloc)) {
-            last = Status(StatusCode::ResourceExhausted, "eval.item",
-                          "injected allocation failure");
-            continue;
-        }
-        body();
-        last = takeNumericFault();
-        if (last.ok())
-            return last;
-    }
-    return last;
+    if (faultAt("eval.item", FaultKind::Alloc))
+        return Status(StatusCode::ResourceExhausted, "eval.item",
+                      "injected allocation failure");
+    body();
+    return takeNumericFault();
 }
 
 /**
@@ -281,7 +267,7 @@ Evaluator::runMc(BenchmarkKind kind)
     const auto tasks =
         makeMcTasks(kind, world_, opts_.numTasks, opts_.seed);
     const bool causal = model_.config().arch == Arch::LlamaStyle;
-    WatchdogSection watched("eval");
+    const TelemetryPhase phase("eval");
     const auto n = static_cast<int64_t>(tasks.size());
     std::vector<int> picks(tasks.size(), 0);
     // Items past the admitted budget (or dropped by a mid-run cancel)
@@ -309,7 +295,7 @@ Evaluator::runGen()
 {
     const auto tasks = makeGsm8kTasks(world_, opts_.numTasks, opts_.seed);
     const bool causal = model_.config().arch == Arch::LlamaStyle;
-    WatchdogSection watched("eval");
+    const TelemetryPhase phase("eval");
     const auto n = static_cast<int64_t>(tasks.size());
     std::vector<uint8_t> correct(tasks.size(), 0);
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());

@@ -232,7 +232,6 @@ symmetricEigen(const Tensor &s, int maxSweeps)
         }
         ++sweepsDone;
         jm.sweeps->inc();
-        noteProgress("jacobi.sweep");
         offNow = off();
     }
     jm.sweepsPerCall->record(sweepsDone);

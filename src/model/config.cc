@@ -94,8 +94,10 @@ ModelConfig::totalParams() const
     if (arch == Arch::LlamaStyle) {
         perLayer += 2 * dModel; // two RMSNorm weights
     } else {
-        perLayer += 2 * 2 * dModel;            // two LayerNorms (w + b)
-        perLayer += 4 * dModel + dFf + dModel; // linear biases
+        perLayer += 2 * 2 * dModel; // two LayerNorms (w + b)
+        // Linear biases: Wq and Wo are dModel wide, Wk and Wv kvDim
+        // (narrower under grouped KV heads), then Wint and Wout.
+        perLayer += 2 * dModel + 2 * kvDim() + dFf + dModel;
     }
     n += nLayers * perLayer;
     if (arch == Arch::LlamaStyle)

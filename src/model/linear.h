@@ -58,9 +58,8 @@ class Linear
      * Replace the dense weight by its rank-pruned Tucker factors.
      *
      * A non-converged SVD is resolved by the active recovery policy:
-     * strict fails fast, retry re-attempts a bounded number of times,
-     * and degrade keeps the dense weight and returns the
-     * NonConvergence status (the layer stays usable).
+     * strict fails fast, and degrade keeps the dense weight and
+     * returns the NonConvergence status (the layer stays usable).
      *
      * @param prunedRank Pruned rank in [1, min(out, in)].
      */
@@ -134,9 +133,9 @@ class Linear
      * Process-wide switch for the fused factorized forward (chains
      * U2/core/U1 through register-blocked row panels against
      * pre-packed weights instead of materializing intermediates).
-     * Defaults to on unless LRD_FUSED is 0/off; training-mode
-     * forwards and skinny batches (rows < microkernel tile height)
-     * always take the unfused path regardless.
+     * On by default; tests and benches flip it in process to compare
+     * the two paths. Training-mode forwards and skinny batches (rows
+     * < microkernel tile height) always take the unfused path.
      */
     static bool fusedForwardEnabled();
     static void setFusedForwardEnabled(bool enabled);

@@ -94,12 +94,32 @@ void requestTelemetryFlush();
  * Label the pipeline phase recorded with each sample ("train",
  * "eval", "dse", ...). `phase` must be a string literal or other
  * static-duration string. Returns the previous phase so scoped
- * callers (WatchdogSection) can restore it.
+ * callers (TelemetryPhase) can restore it.
  */
 const char *setTelemetryPhase(const char *phase);
 
 /** Current phase label ("" when none set). */
 const char *telemetryPhase();
+
+/**
+ * RAII phase label: tags every sample taken while the scope is open
+ * with `phase` and restores the previous label on exit, so nested
+ * phases (an evaluator inside a DSE sweep) attribute correctly.
+ */
+class TelemetryPhase
+{
+  public:
+    explicit TelemetryPhase(const char *phase)
+        : prev_(setTelemetryPhase(phase))
+    {
+    }
+    ~TelemetryPhase() { setTelemetryPhase(prev_); }
+    TelemetryPhase(const TelemetryPhase &) = delete;
+    TelemetryPhase &operator=(const TelemetryPhase &) = delete;
+
+  private:
+    const char *prev_;
+};
 
 } // namespace lrd
 

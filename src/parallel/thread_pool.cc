@@ -156,7 +156,6 @@ ThreadPool::runAvailableChunks(std::unique_lock<std::mutex> &lock)
             error = std::current_exception();
         }
         setInParallelRegion(wasIn);
-        noteProgress("pool.chunk");
         lock.lock();
         if (error && !jobError_)
             jobError_ = error;
@@ -215,7 +214,6 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
                 chunksCounter_->inc();
                 LRD_TRACE_SPAN("pool.chunk");
                 body(c, lo, std::min(end, lo + g));
-                noteProgress("pool.chunk");
             }
         } catch (...) {
             setInParallelRegion(wasIn);

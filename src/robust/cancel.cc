@@ -1,13 +1,10 @@
 #include "robust/cancel.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "util/worker_lane.h"
@@ -61,8 +58,6 @@ cancelCauseName(CancelCause cause)
         return "signal";
     case CancelCause::Deadline:
         return "deadline";
-    case CancelCause::Watchdog:
-        return "watchdog";
     case CancelCause::Test:
         return "test";
     }
@@ -274,178 +269,6 @@ initCancelFromEnv()
         setDeadline(parsed.value());
         inform(strCat("deadline armed: ", deadline));
     }
-    const char *watchdog = std::getenv("LRD_WATCHDOG");
-    if (watchdog != nullptr && *watchdog != '\0') {
-        char *end = nullptr;
-        const double secs = std::strtod(watchdog, &end);
-        require(end != nullptr && *end == '\0' && secs > 0.0,
-                "LRD_WATCHDOG must be a positive number of seconds, got '",
-                watchdog, "'");
-        startWatchdog(secs);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Watchdog
-
-namespace {
-
-/**
- * Watchdog state. The monitor thread is report-only: it watches the
- * progress heartbeat while sections are open and logs stalls, but
- * never cancels or kills work itself.
- */
-struct WatchdogState
-{
-    std::atomic<bool> armed{false}; ///< Gates the noteProgress fast path.
-    std::atomic<int64_t> progress{0};
-    std::atomic<const char *> lastSite{""};
-    std::atomic<int> activeSections{0};
-    std::atomic<const char *> sectionSite{""};
-    std::atomic<int64_t> stalls{0};
-
-    std::mutex mu;
-    std::condition_variable cv;
-    bool stopping = false;
-    double stallSeconds = 0.0;
-    std::thread monitor; // lrd-lint: allow(thread-outside-parallel)
-};
-
-WatchdogState &
-watchdogState()
-{
-    static WatchdogState s;
-    return s;
-}
-
-void
-watchdogMain()
-{
-    WatchdogState &w = watchdogState();
-    static Counter *stallCounter =
-        MetricsRegistry::instance().counter("watchdog.stalls");
-    static Gauge *stallGauge =
-        MetricsRegistry::instance().gauge("watchdog.lastStallSeconds");
-    double stallSeconds = 0.0;
-    {
-        std::lock_guard<std::mutex> lock(w.mu);
-        stallSeconds = w.stallSeconds;
-    }
-    const double tickSeconds =
-        stallSeconds / 4.0 < 0.01 ? 0.01
-        : stallSeconds / 4.0 > 1.0 ? 1.0
-                                   : stallSeconds / 4.0;
-    const auto tick = std::chrono::duration<double>(tickSeconds);
-    int64_t lastSeen = w.progress.load(std::memory_order_acquire);
-    Timer sinceProgress;
-    bool reported = false;
-    std::unique_lock<std::mutex> lock(w.mu);
-    while (!w.stopping) {
-        w.cv.wait_for(lock, tick);
-        if (w.stopping)
-            break;
-        const int64_t now = w.progress.load(std::memory_order_acquire);
-        if (now != lastSeen
-            || w.activeSections.load(std::memory_order_acquire) == 0) {
-            lastSeen = now;
-            sinceProgress.reset();
-            reported = false;
-            continue;
-        }
-        const double stalled = sinceProgress.elapsedSeconds();
-        if (stalled < stallSeconds || reported)
-            continue;
-        // One report per stall episode; the next heartbeat re-arms it.
-        reported = true;
-        w.stalls.fetch_add(1, std::memory_order_acq_rel);
-        stallCounter->inc();
-        stallGauge->set(stalled);
-        warn(strCat("watchdog: no progress for ", stalled,
-                    "s in section '",
-                    w.sectionSite.load(std::memory_order_acquire),
-                    "' (last progress at '",
-                    w.lastSite.load(std::memory_order_acquire), "')"));
-    }
-}
-
-} // namespace
-
-void
-startWatchdog(double stallSeconds)
-{
-    require(stallSeconds > 0.0,
-            "startWatchdog: stallSeconds must be positive");
-    stopWatchdog();
-    WatchdogState &w = watchdogState();
-    {
-        std::lock_guard<std::mutex> lock(w.mu);
-        w.stopping = false;
-        w.stallSeconds = stallSeconds;
-        // The monitor is a supervisor, not a worker: it never computes,
-        // so it lives outside the pool's deterministic lane structure.
-        // lrd-lint: allow(thread-outside-parallel)
-        w.monitor = std::thread(watchdogMain);
-    }
-    w.armed.store(true, std::memory_order_release);
-    inform(strCat("watchdog armed: stall threshold ", stallSeconds, "s"));
-}
-
-void
-stopWatchdog()
-{
-    WatchdogState &w = watchdogState();
-    std::thread monitor; // lrd-lint: allow(thread-outside-parallel)
-    {
-        std::lock_guard<std::mutex> lock(w.mu);
-        if (!w.monitor.joinable())
-            return;
-        w.stopping = true;
-        monitor = std::move(w.monitor);
-    }
-    w.armed.store(false, std::memory_order_release);
-    w.cv.notify_all();
-    monitor.join();
-}
-
-bool
-watchdogRunning()
-{
-    WatchdogState &w = watchdogState();
-    std::lock_guard<std::mutex> lock(w.mu);
-    return w.monitor.joinable();
-}
-
-int64_t
-watchdogStallCount()
-{
-    return watchdogState().stalls.load(std::memory_order_acquire);
-}
-
-void
-noteProgress(const char *site)
-{
-    WatchdogState &w = watchdogState();
-    if (!w.armed.load(std::memory_order_relaxed))
-        return;
-    w.lastSite.store(site, std::memory_order_release);
-    w.progress.fetch_add(1, std::memory_order_acq_rel);
-}
-
-WatchdogSection::WatchdogSection(const char *site)
-    : prevPhase_(setTelemetryPhase(site))
-{
-    WatchdogState &w = watchdogState();
-    w.sectionSite.store(site, std::memory_order_release);
-    w.activeSections.fetch_add(1, std::memory_order_acq_rel);
-    noteProgress(site);
-}
-
-WatchdogSection::~WatchdogSection()
-{
-    WatchdogState &w = watchdogState();
-    w.activeSections.fetch_sub(1, std::memory_order_acq_rel);
-    noteProgress("section.exit");
-    setTelemetryPhase(prevPhase_);
 }
 
 } // namespace lrd

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative cancellation, deadlines, and the stall watchdog.
+ * Cooperative cancellation and deadlines.
  *
  * One process-wide cancel token: anything (a signal handler, an
  * expired deadline, a test) can request cancellation, and every
@@ -23,12 +23,6 @@
  *   pipeline boundaries only (never inside the numeric core), read
  *   off steady_clock.
  *
- * The watchdog (LRD_WATCHDOG=<secs>, opt-in) is a report-only
- * background thread: while any WatchdogSection is open it expects the
- * progress heartbeat (noteProgress(), fed by pool chunks, Jacobi
- * sweeps, and trainer steps) to keep advancing, and logs the stall
- * site plus metrics through obs when it does not.
- *
  * This module sits below src/parallel/ in the layering: the pool
  * includes cancel.h, never the reverse. Serial-point detection goes
  * through util/worker_lane.h.
@@ -50,7 +44,6 @@ enum class CancelCause : int
     None = 0,
     Signal,   ///< SIGINT/SIGTERM arrived (robust/signal.h).
     Deadline, ///< An LRD_DEADLINE budget or wall limit expired.
-    Watchdog, ///< Reserved: the watchdog is report-only today.
     Test,     ///< Simulated kill from an injected cancel fault.
 };
 
@@ -144,54 +137,8 @@ void expireDeadline(const char *site);
  */
 Status checkCancellation(const char *site);
 
-/** Arm LRD_DEADLINE / start LRD_WATCHDOG from the environment. */
+/** Arm LRD_DEADLINE from the environment (fatal on a bad value). */
 void initCancelFromEnv();
-
-// ---------------------------------------------------------------------
-// Watchdog
-
-/**
- * Start the stall watchdog: while at least one WatchdogSection is
- * open, a missing progress heartbeat for `stallSeconds` logs the last
- * progress site and bumps the "watchdog.stalls" counter (report-only;
- * it never kills work). Restarts the monitor if already running.
- */
-void startWatchdog(double stallSeconds);
-
-/** Stop and join the watchdog thread (no-op when not running). */
-void stopWatchdog();
-
-/** Whether the watchdog thread is running. */
-bool watchdogRunning();
-
-/** Stalls detected since startWatchdog() (for tests and reports). */
-int64_t watchdogStallCount();
-
-/**
- * Progress heartbeat. One relaxed load when the watchdog is off; the
- * pool's chunk loop, Jacobi sweeps, and trainer steps call this.
- * `site` must be a string literal.
- */
-void noteProgress(const char *site);
-
-/**
- * RAII marker for a pipeline the watchdog should supervise. Doubles
- * as the telemetry phase label: the site name ("train", "eval",
- * "dse") tags every flight-recorder sample taken while the section
- * is open, and the previous phase is restored on exit so nested
- * sections attribute correctly.
- */
-class WatchdogSection
-{
-  public:
-    explicit WatchdogSection(const char *site);
-    ~WatchdogSection();
-    WatchdogSection(const WatchdogSection &) = delete;
-    WatchdogSection &operator=(const WatchdogSection &) = delete;
-
-  private:
-    const char *prevPhase_;
-};
 
 } // namespace lrd
 

@@ -42,20 +42,6 @@ parseFraction(const std::string &text)
 
 } // namespace
 
-const char *
-robustModeName(RobustMode mode)
-{
-    switch (mode) {
-    case RobustMode::Strict:
-        return "strict";
-    case RobustMode::Degrade:
-        return "degrade";
-    case RobustMode::Retry:
-        return "retry";
-    }
-    return "unknown";
-}
-
 Result<RobustPolicy>
 parseRobustPolicy(const std::string &text)
 {
@@ -85,36 +71,9 @@ parseRobustPolicy(const std::string &text)
         }
         return p;
     }
-    if (mode == "retry") {
-        p.mode = RobustMode::Retry;
-        if (!rest.empty()) {
-            const size_t c2 = rest.find(':');
-            const std::string attempts =
-                c2 == std::string::npos ? rest : rest.substr(0, c2);
-            char *end = nullptr;
-            const long n = std::strtol(attempts.c_str(), &end, 10);
-            if (attempts.empty() || end == nullptr || *end != '\0'
-                || n < 1)
-                return Status(StatusCode::InvalidArgument, "robust.parse",
-                              "retry attempts must be a positive "
-                              "integer, got '" + attempts + "'");
-            p.maxRetries = static_cast<int>(n);
-            if (c2 != std::string::npos) {
-                const double budget = parseFraction(rest.substr(c2 + 1));
-                if (budget < 0.0)
-                    return Status(StatusCode::InvalidArgument,
-                                  "robust.parse",
-                                  "retry budget must be a fraction in "
-                                  "[0, 1]");
-                p.failureBudget = budget;
-            }
-        }
-        return p;
-    }
     return Status(StatusCode::InvalidArgument, "robust.parse",
                   "unknown mode '" + mode
-                      + "' (strict, degrade[:<budget>], "
-                        "retry[:<attempts>[:<budget>]])");
+                      + "' (strict, degrade[:<budget>])");
 }
 
 RobustPolicy
@@ -147,6 +106,8 @@ setRobustPolicy(const RobustPolicy &policy)
 int64_t
 failureBudgetItems(const RobustPolicy &policy, int64_t n)
 {
+    if (policy.mode == RobustMode::Strict)
+        return 0;
     return static_cast<int64_t>(
         std::ceil(policy.failureBudget * static_cast<double>(n)));
 }
@@ -162,16 +123,20 @@ enforceFailureBudget(const char *site, int64_t numFailed, int64_t total,
     degraded->add(numFailed);
     const RobustPolicy policy = robustPolicy();
     const int64_t budget = failureBudgetItems(policy, total);
-    if (numFailed > budget)
+    if (numFailed > budget) {
+        const std::string spec =
+            policy.mode == RobustMode::Strict
+                ? std::string("strict")
+                : strCat("degrade:", policy.failureBudget);
         // Carries the structured code through the unwind so lrdtool
         // can exit with the documented degraded-past-budget code.
         throwStatus(Status(
             StatusCode::ResourceExhausted, site,
             strCat(numFailed, " of ", total,
                    " items failed, exceeding the failure budget of ",
-                   budget, " (LRD_ROBUST=", robustModeName(policy.mode),
-                   ", budget ", policy.failureBudget, "); first: ",
+                   budget, " (LRD_ROBUST=", spec, "); first: ",
                    example.toString())));
+    }
     warn(strCat(site, ": degraded ", numFailed, " of ", total,
                 " items (budget ", budget, "); first: ",
                 example.toString()));
@@ -201,14 +166,6 @@ bool
 numericFaultPending()
 {
     return tlHasFault;
-}
-
-void
-noteRetry()
-{
-    static Counter *retries =
-        MetricsRegistry::instance().counter("robust.retries");
-    retries->inc();
 }
 
 int64_t

@@ -1,15 +1,15 @@
 /**
  * @file
- * Recovery policy for faults surfaced as Status: strict (fail fast,
- * the historical behavior), degrade (record the failed item and keep
- * sweeping, bounded by a failure budget), or retry (bounded
- * deterministic re-execution before degrading).
+ * Recovery policy for faults surfaced as Status: strict (fail fast:
+ * the failure budget is zero, so the first failed item is fatal) or
+ * degrade (record the failed item and keep sweeping, bounded by a
+ * failure budget). Every pipeline item is deterministic, so a failed
+ * item is never re-run: an identical rerun would fail the same way.
  *
  * Selected via LRD_ROBUST:
  *
  *   LRD_ROBUST=strict
  *   LRD_ROBUST=degrade[:<budget-fraction>]      (default, budget 0.1)
- *   LRD_ROBUST=retry[:<attempts>[:<budget>]]    (attempts default 2)
  *
  * Also here: the thread-local numeric-fault slot that NaN/Inf layer
  * guards report into. A worker notes the first fault it sees while
@@ -31,20 +31,15 @@ namespace lrd {
 /** How pipelines react to a non-ok Status. */
 enum class RobustMode : int
 {
-    Strict,  ///< fatal() at the detection site.
+    Strict,  ///< fatal() at the detection site; zero failure budget.
     Degrade, ///< Record the failure, continue, enforce the budget.
-    Retry,   ///< Bounded deterministic retries, then degrade.
 };
-
-/** Stable lowercase name ("strict", "degrade", "retry"). */
-const char *robustModeName(RobustMode mode);
 
 /** Active recovery policy. */
 struct RobustPolicy
 {
     RobustMode mode = RobustMode::Degrade;
-    double failureBudget = 0.10; ///< Max failed fraction per sweep.
-    int maxRetries = 2;          ///< Bounded attempts in Retry mode.
+    double failureBudget = 0.10; ///< Max failed fraction (degrade).
 };
 
 /** Parse an LRD_ROBUST value. */
@@ -59,7 +54,10 @@ RobustPolicy robustPolicy();
 /** Override the policy (tests; call between parallel regions). */
 void setRobustPolicy(const RobustPolicy &policy);
 
-/** Absolute item budget for a sweep of n items: ceil(budget * n). */
+/**
+ * Absolute item budget for a sweep of n items: ceil(budget * n) under
+ * degrade, 0 under strict.
+ */
 int64_t failureBudgetItems(const RobustPolicy &policy, int64_t n);
 
 /**
@@ -83,9 +81,6 @@ Status takeNumericFault();
 bool numericFaultPending();
 /** @} */
 
-/** Count one bounded retry (robust.retries). */
-void noteRetry();
-
 /**
  * Index of the first non-finite value in p[0..n), or -1. The common
  * all-finite case is one vectorizable |x| accumulation; the exact
@@ -95,9 +90,9 @@ int64_t firstNonFinite(const float *p, int64_t n);
 
 /**
  * Handle a non-finite value detected at `site` (layer `layer`, flat
- * element `index`): strict mode fails fast with the location; the
- * other modes note the fault for the current item and let the caller
- * degrade or retry at the item boundary.
+ * element `index`): strict mode fails fast with the location; degrade
+ * notes the fault for the current item and lets the caller drop the
+ * item at its boundary.
  */
 void reportNonFinite(const char *site, int64_t layer, int64_t index);
 

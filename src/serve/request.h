@@ -36,6 +36,23 @@ enum class ServeOutcome : int
 /** Stable lowercase name for an outcome ("responded", ...). */
 const char *serveOutcomeName(ServeOutcome outcome);
 
+/**
+ * Client-side backoff in ticks: attempt k (0-based) waits
+ * baseTicks * 2^k, capped at maxTicks. Pure integer arithmetic on the
+ * attempt number, never wall clock, so a shed request re-offers itself
+ * at the same tick at any LRD_THREADS.
+ */
+inline int64_t
+backoffTicks(int64_t baseTicks, int attempt, int64_t maxTicks = 1 << 20)
+{
+    if (baseTicks <= 0)
+        return 0;
+    int64_t ticks = baseTicks;
+    for (int k = 0; k < attempt && ticks < maxTicks; ++k)
+        ticks *= 2;
+    return ticks < maxTicks ? ticks : maxTicks;
+}
+
 /** Whether an outcome is terminal (everything except Pending). */
 inline bool
 serveOutcomeTerminal(ServeOutcome outcome)

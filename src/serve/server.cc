@@ -6,9 +6,9 @@
 
 #include "model/decomp_config.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "robust/cancel.h"
 #include "robust/fault.h"
-#include "robust/retry.h"
 #include "robust/signal.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -136,7 +136,7 @@ Server::run(std::vector<ServeRequest> workload)
         slot.settledTick = tick;
     };
 
-    WatchdogSection watched("serve");
+    const TelemetryPhase phase("serve");
     Timer wall;
     std::deque<ServeRequest> queue; // FIFO, at most queueCapacity.
     LoadController ladder;
@@ -282,24 +282,20 @@ Server::run(std::vector<ServeRequest> workload)
             ++stats.batches;
             batchesCtr->inc();
 
-            // Delivery phase: serial, per-response, with bounded
-            // retry at the serve.respond fault site. Delivery draws no
-            // randomness, so the retry seed is just the request id.
+            // Delivery phase: serial, per-response, with up to
+            // kDeliveryAttempts tries at the serve.respond fault site.
             pollCancelFault("serve.respond");
             for (size_t i = 0; i < batch.size(); ++i) {
                 ServeResponse &resp = *slots[i];
-                const Status delivered = retryWithReseed(
-                    static_cast<uint64_t>(batch[i].id), kDeliveryAttempts,
-                    [](Rng &, int) {
-                        if (faultAt("serve.respond", FaultKind::Alloc))
-                            return Status(StatusCode::Unavailable,
-                                          "serve.respond",
-                                          "injected delivery failure");
-                        return Status();
-                    });
-                if (!delivered.ok()) {
+                bool delivered = false;
+                for (int attempt = 0;
+                     attempt < kDeliveryAttempts && !delivered; ++attempt)
+                    delivered = !faultAt("serve.respond", FaultKind::Alloc);
+                if (!delivered) {
                     resp.outcome = ServeOutcome::Unavailable;
-                    resp.status = delivered;
+                    resp.status = Status(StatusCode::Unavailable,
+                                         "serve.respond",
+                                         "injected delivery failure");
                     ++stats.unavailable;
                     unavailableCtr->inc();
                     continue;
@@ -320,7 +316,6 @@ Server::run(std::vector<ServeRequest> workload)
 
         ++tick;
         ticksCtr->inc();
-        noteProgress("serve.batch");
 
         // Open-loop fast-forward: with nothing queued and nothing
         // due, jump straight to the next arrival / backoff event

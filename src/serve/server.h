@@ -24,9 +24,8 @@
  *  - LRD_DEADLINE=items:<n> budgets serve work exactly like eval
  *    work: the batch that exhausts the budget is truncated at a
  *    serial point and the run winds down as DeadlineExceeded.
- *  - The watchdog supervises the loop (WatchdogSection "serve" +
- *    a per-tick heartbeat), so a wedged batcher is reported like a
- *    wedged trainer.
+ *  - The loop runs under the "serve" telemetry phase, so flight-
+ *    recorder samples taken while it serves are labeled "serve".
  */
 
 #ifndef LRD_SERVE_SERVER_H

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
@@ -209,7 +210,7 @@ Trainer::run()
 
     static Counter *stepCounter =
         MetricsRegistry::instance().counter("train.steps");
-    WatchdogSection watched("train");
+    const TelemetryPhase phase("train");
     for (int step = startStep; step < opts_.steps; ++step) {
         // Top-of-step is the trainer's cancellation point: the state
         // here equals the end of the previous step, so the final
@@ -259,39 +260,23 @@ Trainer::run()
             const auto params = m.parameters();
             for (int64_t b = lo; b < hi; ++b) {
                 LRD_TRACE_SPAN("train.item");
-                // The recovery policy resolves each item on the
-                // worker that owns it: the noted numeric fault (or a
-                // non-finite loss) marks the item's fixed slot, and
-                // retry re-runs the item in place — injected faults
-                // are consumed by their counters, so a retry clears.
+                // Each item resolves on the worker that owns it: the
+                // noted numeric fault (or a non-finite loss) marks the
+                // item's fixed slot, and the fold below applies the
+                // recovery policy.
                 (void)takeNumericFault();
-                const RobustPolicy policy = robustPolicy();
-                const int attempts =
-                    policy.mode == RobustMode::Retry
-                        ? policy.maxRetries + 1
-                        : 1;
-                Status st;
-                for (int attempt = 0; attempt < attempts; ++attempt) {
-                    if (attempt > 0)
-                        noteRetry();
-                    m.zeroGrad();
-                    itemLoss[static_cast<size_t>(b)] = m.lossAndGrad(
-                        tokens[static_cast<size_t>(b)],
-                        targets[static_cast<size_t>(b)]);
-                    st = takeNumericFault();
-                    if (st.ok()
-                        && !std::isfinite(
-                            itemLoss[static_cast<size_t>(b)]))
-                        st = Status(
-                            StatusCode::NonFinite, "train.item",
-                            strCat("non-finite loss at batch item ", b));
-                    if (st.ok()) {
-                        extractGrads(params,
-                                     itemGrads[static_cast<size_t>(b)]);
-                        break;
-                    }
-                }
-                itemStatus[static_cast<size_t>(b)] = st;
+                m.zeroGrad();
+                itemLoss[static_cast<size_t>(b)] = m.lossAndGrad(
+                    tokens[static_cast<size_t>(b)],
+                    targets[static_cast<size_t>(b)]);
+                Status st = takeNumericFault();
+                if (st.ok()
+                    && !std::isfinite(itemLoss[static_cast<size_t>(b)]))
+                    st = Status(StatusCode::NonFinite, "train.item",
+                                strCat("non-finite loss at batch item ", b));
+                if (st.ok())
+                    extractGrads(params, itemGrads[static_cast<size_t>(b)]);
+                itemStatus[static_cast<size_t>(b)] = std::move(st);
             }
         });
 
@@ -358,7 +343,6 @@ Trainer::run()
                           static_cast<int>(timer.elapsedSeconds()),
                           "s elapsed)"));
         }
-        noteProgress("train.step");
     }
     model_.clearCache();
     return lastLoss;

@@ -7,7 +7,7 @@
  * Status lives in util (layer 0) so that everything above it — the
  * cache, linalg, decomposition, trainer, evaluator, DSE optimizer —
  * can return one without a layering back-edge. The recovery policies
- * that *act* on a Status (degrade, retry, checkpoint fallback) live
+ * that *act* on a Status (strict, degrade, checkpoint fallback) live
  * one module up in src/robust/.
  *
  * The ok path allocates nothing: a default-constructed Status is code

@@ -1,20 +1,18 @@
 /**
  * @file
- * Tests for cooperative cancellation, deadlines, signal handling, and
- * the stall watchdog: token semantics (first cause wins), LRD_DEADLINE
- * parsing, serial-point work-budget accounting and its determinism at
- * any thread count, pool drain on cancel, the real SIGINT handler path
- * (including the second-signal force-exit), trainer/evaluator/DSE
- * deadline truncation, and report-only stall detection.
+ * Tests for cooperative cancellation, deadlines and signal handling:
+ * token semantics (first cause wins), LRD_DEADLINE parsing,
+ * serial-point work-budget accounting and its determinism at any
+ * thread count, pool drain on cancel, the real SIGINT handler path
+ * (including the second-signal force-exit), and trainer/evaluator/DSE
+ * deadline truncation.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dse/optimizer.h"
@@ -25,8 +23,6 @@
 #include "robust/fault.h"
 #include "robust/recovery.h"
 #include "robust/signal.h"
-#include "serve/server.h"
-#include "serve/workload.h"
 #include "train/trainer.h"
 
 namespace lrd {
@@ -46,7 +42,6 @@ struct CancelGuard
         clearCancelRequest();
         clearDeadline();
         resetSignalsForTest();
-        stopWatchdog();
     }
 };
 
@@ -139,7 +134,6 @@ TEST(Cancel, CauseNamesAreStable)
     EXPECT_STREQ(cancelCauseName(CancelCause::None), "none");
     EXPECT_STREQ(cancelCauseName(CancelCause::Signal), "signal");
     EXPECT_STREQ(cancelCauseName(CancelCause::Deadline), "deadline");
-    EXPECT_STREQ(cancelCauseName(CancelCause::Watchdog), "watchdog");
     EXPECT_STREQ(cancelCauseName(CancelCause::Test), "test");
 }
 
@@ -386,89 +380,6 @@ TEST(Deadline, DseStepsBudgetTruncatesTheSweep)
     EXPECT_EQ(r.status.code(), StatusCode::DeadlineExceeded);
     EXPECT_EQ(r.explored.size(), 2U); // Exactly the admitted prefix.
     ThreadPool::instance().resize(1);
-}
-
-TEST(Watchdog, ReportsAStalledSectionAndStopsCleanly)
-{
-    CancelGuard guard;
-    EXPECT_FALSE(watchdogRunning());
-    startWatchdog(0.05);
-    EXPECT_TRUE(watchdogRunning());
-
-    const int64_t before = watchdogStallCount();
-    {
-        WatchdogSection section("test.stall");
-        // Hold the section open well past the stall threshold without
-        // a single progress heartbeat.
-        std::this_thread::sleep_for( // lrd-lint: allow(blocking-sleep)
-            std::chrono::milliseconds(300));
-    }
-    EXPECT_GT(watchdogStallCount(), before);
-    EXPECT_FALSE(cancelRequested()); // Report-only: never cancels.
-
-    stopWatchdog();
-    EXPECT_FALSE(watchdogRunning());
-    stopWatchdog(); // Idempotent.
-}
-
-TEST(Watchdog, ProgressHeartbeatSuppressesStallReports)
-{
-    CancelGuard guard;
-    startWatchdog(10.0); // Threshold far beyond the test's runtime.
-    const int64_t before = watchdogStallCount();
-    {
-        WatchdogSection section("test.busy");
-        for (int i = 0; i < 100; ++i)
-            noteProgress("test.busy");
-    }
-    EXPECT_EQ(watchdogStallCount(), before);
-    stopWatchdog();
-}
-
-TEST(Watchdog, ServeLoopHeartbeatsAndAWedgedBatcherIsReported)
-{
-    CancelGuard guard;
-    ThreadPool::instance().resize(1);
-
-    // A healthy serve run under the watchdog: the per-tick heartbeat
-    // keeps the stall count flat.
-    startWatchdog(10.0);
-    const int64_t before = watchdogStallCount();
-    {
-        ModelConfig cfg = testLlamaConfig();
-        cfg.vocabSize = 64;
-        cfg.dModel = 32;
-        cfg.nHeads = 4;
-        cfg.dFf = 64;
-        cfg.nLayers = 2;
-        cfg.maxSeq = 48;
-        TransformerModel model(cfg, 42);
-        ServeOptions opts;
-        opts.queueCapacity = 8;
-        WorkloadOptions wl;
-        wl.numRequests = 6;
-        wl.maxContextLen = 6;
-        wl.maxContinuationLen = 3;
-        wl.deadlineTicks = 256;
-        Server server(model, opts);
-        const ServeReport r = server.run(makeSyntheticWorkload(cfg, wl));
-        EXPECT_TRUE(r.status.ok()) << r.status.toString();
-    }
-    EXPECT_EQ(watchdogStallCount(), before);
-    stopWatchdog();
-
-    // A wedged batcher — the serve section open with no heartbeat —
-    // is reported (and only reported: the run is never killed).
-    startWatchdog(0.05);
-    const int64_t stalled = watchdogStallCount();
-    {
-        WatchdogSection section("serve");
-        std::this_thread::sleep_for( // lrd-lint: allow(blocking-sleep)
-            std::chrono::milliseconds(300));
-    }
-    EXPECT_GT(watchdogStallCount(), stalled);
-    EXPECT_FALSE(cancelRequested());
-    stopWatchdog();
 }
 
 } // namespace

@@ -19,6 +19,8 @@
 #include "dse/optimizer.h"
 #include "dse/schedules.h"
 #include "sweep_fixture.h"
+#include "util/logging.h"
+#include "util/rng.h"
 
 namespace lrd {
 namespace {
@@ -83,19 +85,96 @@ TEST(DecompConfig, PrunedRanksFollowDefinition3)
     }
 }
 
+/** A random small model config of either architecture, with nKvHeads
+ *  0 (full heads) or a proper divisor of nHeads. */
+ModelConfig
+randomModelConfig(Rng &rng)
+{
+    ModelConfig cfg =
+        rng.bernoulli(0.5) ? testLlamaConfig() : testBertConfig();
+    cfg.nHeads = rng.bernoulli(0.5) ? 2 : 4;
+    cfg.dModel = cfg.nHeads * (rng.bernoulli(0.5) ? 2 : 4);
+    std::vector<int64_t> kvChoices = {0};
+    for (int64_t d = 1; d < cfg.nHeads; ++d)
+        if (cfg.nHeads % d == 0)
+            kvChoices.push_back(d);
+    cfg.nKvHeads = kvChoices[rng.uniformInt(kvChoices.size())];
+    cfg.nLayers = 1 + static_cast<int64_t>(rng.uniformInt(3));
+    cfg.dFf = 8 + static_cast<int64_t>(rng.uniformInt(17));
+    cfg.vocabSize = 16 + static_cast<int64_t>(rng.uniformInt(17));
+    cfg.maxSeq = 8 + static_cast<int64_t>(rng.uniformInt(9));
+    cfg.validate();
+    return cfg;
+}
+
+/** A random valid gamma: non-empty layer and tensor subsets, a uniform
+ *  rank every selected tensor admits, and sometimes rank overrides. */
+DecompConfig
+randomDecompConfig(const ModelConfig &cfg, Rng &rng)
+{
+    DecompConfig gamma;
+    while (gamma.layers.empty())
+        for (int l = 0; l < cfg.nLayers; ++l)
+            if (rng.bernoulli(0.5))
+                gamma.layers.push_back(l);
+    const std::vector<WeightKind> kinds = decomposableKinds(cfg.arch);
+    while (gamma.tensors.empty())
+        for (WeightKind k : kinds)
+            if (rng.bernoulli(0.5))
+                gamma.tensors.push_back(k);
+    const auto maxRank = [&](WeightKind k) {
+        const auto shape = cfg.weightShape(k);
+        return std::min(shape[0], shape[1]);
+    };
+    int64_t cap = maxRank(gamma.tensors.front());
+    for (WeightKind k : gamma.tensors)
+        cap = std::min(cap, maxRank(k));
+    gamma.prunedRank =
+        1 + static_cast<int64_t>(rng.uniformInt(static_cast<uint64_t>(cap)));
+    for (int o = 0; o < 2; ++o) {
+        if (!rng.bernoulli(0.5))
+            continue;
+        const int l = gamma.layers[rng.uniformInt(gamma.layers.size())];
+        const WeightKind k =
+            gamma.tensors[rng.uniformInt(gamma.tensors.size())];
+        gamma.rankOverrides[{l, static_cast<int>(k)}] =
+            1 + static_cast<int64_t>(
+                    rng.uniformInt(static_cast<uint64_t>(maxRank(k))));
+    }
+    return gamma;
+}
+
 TEST(DecompConfig, ParamArithmeticMatchesModel)
 {
-    // parameterReduction must equal the live model's param drop.
-    const ModelConfig cfg = testLlamaConfig();
-    DecompConfig gamma = DecompConfig::allTensors(cfg, {0}, 1);
-    TransformerModel model(cfg, 3);
-    const int64_t before = model.paramCount();
-    ASSERT_TRUE(gamma.applyTo(model).ok());
-    const int64_t after = model.paramCount();
-    EXPECT_EQ(before - after,
-              gamma.paramsBefore(cfg) - gamma.paramsAfter(cfg));
-    EXPECT_NEAR(gamma.parameterReduction(cfg),
-                static_cast<double>(before - after) / before, 1e-12);
+    // Seeded property test: over random (architecture, KV heads, layer
+    // set, tensor set, rank, overrides) configs, the closed-form
+    // parameter arithmetic must equal a direct count on a live model.
+    int groupedBert = 0;
+    int groupedLlama = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        const ModelConfig cfg = randomModelConfig(rng);
+        const bool grouped = cfg.kvHeads() < cfg.nHeads;
+        groupedBert += grouped && cfg.arch == Arch::BertStyle ? 1 : 0;
+        groupedLlama += grouped && cfg.arch == Arch::LlamaStyle ? 1 : 0;
+        const DecompConfig gamma = randomDecompConfig(cfg, rng);
+        SCOPED_TRACE(strCat("seed ", seed, " ", cfg.name, " dModel ",
+                            cfg.dModel, " heads ", cfg.nHeads, "/",
+                            cfg.nKvHeads, " ", gamma.describe()));
+        ASSERT_TRUE(gamma.valid(cfg));
+        TransformerModel model(cfg, seed);
+        const int64_t before = model.paramCount();
+        EXPECT_EQ(cfg.totalParams(), before);
+        ASSERT_TRUE(gamma.applyTo(model).ok());
+        const int64_t drop = before - model.paramCount();
+        EXPECT_EQ(drop, gamma.paramsBefore(cfg) - gamma.paramsAfter(cfg));
+        EXPECT_NEAR(gamma.parameterReduction(cfg),
+                    static_cast<double>(drop) / static_cast<double>(before),
+                    1e-12);
+    }
+    // The seeds cover grouped KV heads in both architectures.
+    EXPECT_GT(groupedBert, 0);
+    EXPECT_GT(groupedLlama, 0);
 }
 
 TEST(DecompConfig, ApplyInvalidConfigIsFatal)

@@ -269,7 +269,7 @@ TEST(LintSleep, FlaggedInPipelineCodeAndSuppressible)
     )");
     const Diagnostic *d = findRule(diags, kRuleBlockingSleep);
     ASSERT_NE(nullptr, d);
-    EXPECT_NE(std::string::npos, d->message.find("robust"));
+    EXPECT_NE(std::string::npos, d->message.find("tools/"));
 
     const auto ok = lintSnippet("src/train/trainer.cc", R"(
         void f() {
@@ -282,10 +282,12 @@ TEST(LintSleep, FlaggedInPipelineCodeAndSuppressible)
 
 TEST(LintSleep, WatchdogAndToolsAreExempt)
 {
+    // Only operator tooling may sleep; src/robust/ is library code
+    // like the rest of src/.
     const std::string snippet =
         "void f() { std::this_thread::sleep_for(t); }";
-    EXPECT_FALSE(hasRule(lintSnippet("src/robust/cancel.cc", snippet),
-                         kRuleBlockingSleep));
+    EXPECT_TRUE(hasRule(lintSnippet("src/robust/cancel.cc", snippet),
+                        kRuleBlockingSleep));
     EXPECT_FALSE(hasRule(lintSnippet("tools/lrdtool.cc", snippet),
                          kRuleBlockingSleep));
     EXPECT_TRUE(hasRule(lintSnippet("src/eval/evaluator.cc", snippet),
@@ -631,6 +633,38 @@ namespace lrd {
     size_t suppressed = 0;
     EXPECT_TRUE(applyBaseline(after, baseline, &suppressed).empty());
     EXPECT_EQ(before.size(), suppressed);
+}
+
+TEST(LintBaseline, EntryMatchingNoFindingInAScannedFileIsStale)
+{
+    const std::string content =
+        "# comment\n"
+        "hot-path-alloc\tsrc/eval/items.cc\tlrd::scoreAll\tlive\n"
+        "hot-path-alloc\tsrc/eval/items.cc\tlrd::gone\tfixed since\n"
+        "hot-path-alloc\tsrc/eval/other.cc\tlrd::elsewhere\tunscanned\n";
+    const Baseline baseline = parseBaseline(content);
+    Diagnostic live;
+    live.file = "src/eval/items.cc";
+    live.rule = kRuleHotPathAlloc;
+    live.symbol = "lrd::scoreAll";
+
+    // Only the entry whose file was scanned and that matched nothing
+    // is reported, at its line of the baseline file.
+    const auto stale = staleBaselineEntries(
+        {live}, baseline, {"src/eval/items.cc"}, "tools/lint/baseline.txt");
+    ASSERT_EQ(1U, stale.size());
+    EXPECT_EQ(kRuleStaleBaseline, stale[0].rule);
+    EXPECT_EQ("tools/lint/baseline.txt", stale[0].file);
+    EXPECT_EQ(3, stale[0].line);
+    EXPECT_EQ("lrd::gone", stale[0].symbol);
+    EXPECT_NE(std::string::npos, stale[0].message.find("src/eval/items.cc"));
+
+    // Every entry matched: nothing is stale.
+    Diagnostic gone = live;
+    gone.symbol = "lrd::gone";
+    EXPECT_TRUE(staleBaselineEntries({live, gone}, baseline,
+                                     {"src/eval/items.cc"}, "b.txt")
+                    .empty());
 }
 
 // --------------------------------------------------------- lock-discipline

@@ -3,9 +3,9 @@
  * End-to-end fault-tolerance tests: trainer and DSE kill-and-resume
  * (an injected cancellation mid-run, then a resumed run that must be
  * bitwise identical to the uninterrupted one at every thread count),
- * evaluator failure budgets under poisoned activations, retry-based
- * healing, and recovery-policy behavior of the factorization path and
- * of the DSE sweep's shared factor bank.
+ * evaluator failure budgets under poisoned activations, and
+ * recovery-policy behavior of the factorization path and of the DSE
+ * sweep's shared factor bank.
  */
 
 #include <gtest/gtest.h>
@@ -272,7 +272,6 @@ TEST(Resume, DseSigintKillAndResumeMatchesUninterruptedSweep)
 TEST(Resume, EvaluatorDegradesPoisonedItemsWithinBudget)
 {
     RobustGuard guard;
-    ThreadPool::instance().resize(1);
     RobustPolicy degrade;
     degrade.mode = RobustMode::Degrade;
     degrade.failureBudget = 0.5;
@@ -281,13 +280,18 @@ TEST(Resume, EvaluatorDegradesPoisonedItemsWithinBudget)
     TransformerModel model(smallConfig(), 42);
     Evaluator ev(model, smallWorld(), EvalOptions{12, 5, false});
 
-    // One poisoned activation: exactly one item fails, the sweep
-    // completes, and the failure is reported in the result.
-    setFault(FaultSpec{"model.block", FaultKind::Nan, 1});
-    const EvalResult r = ev.run(BenchmarkKind::ArcEasy);
-    clearFaults();
-    EXPECT_EQ(r.numFailed, 1);
-    EXPECT_EQ(r.numTasks, 12);
+    // One poisoned activation: exactly one item fails, whichever
+    // worker hits it, the sweep completes, and the failure is
+    // reported in the result.
+    for (int nThreads : {1, 4, 8}) {
+        ThreadPool::instance().resize(nThreads);
+        setFault(FaultSpec{"model.block", FaultKind::Nan, 1});
+        const EvalResult r = ev.run(BenchmarkKind::ArcEasy);
+        clearFaults();
+        EXPECT_EQ(r.numFailed, 1) << "threads=" << nThreads;
+        EXPECT_EQ(r.numTasks, 12) << "threads=" << nThreads;
+    }
+    ThreadPool::instance().resize(1);
 
     // With a zero budget the same poisoned run is fatal.
     degrade.failureBudget = 0.0;
@@ -313,34 +317,14 @@ TEST(Resume, EvaluatorDegradesInjectedAllocFailure)
     clearFaults();
     EXPECT_EQ(r.numFailed, 1);
     EXPECT_EQ(r.numTasks, 12);
-}
 
-TEST(Resume, RetryHealsAPoisonedItemAtEveryThreadCount)
-{
-    RobustGuard guard;
-    TransformerModel model(smallConfig(), 42);
-    Evaluator ev(model, smallWorld(), EvalOptions{12, 5, false});
-    ThreadPool::instance().resize(1);
-    const EvalResult clean = ev.run(BenchmarkKind::ArcEasy);
-
-    RobustPolicy retry;
-    retry.mode = RobustMode::Retry;
-    retry.maxRetries = 2;
-    retry.failureBudget = 0.0; // Any unhealed failure would be fatal.
-    setRobustPolicy(retry);
-    for (int nThreads : {1, 4, 8}) {
-        ThreadPool::instance().resize(nThreads);
-        setFault(FaultSpec{"model.block", FaultKind::Nan, 1});
-        const EvalResult healed = ev.run(BenchmarkKind::ArcEasy);
-        clearFaults();
-        // The injected NaN is consumed by its occurrence counter, so
-        // the bounded retry re-scores the item cleanly: zero failures
-        // and the exact clean result, whichever worker hit the fault.
-        EXPECT_EQ(healed.numFailed, 0) << "threads=" << nThreads;
-        EXPECT_EQ(healed.numCorrect, clean.numCorrect)
-            << "threads=" << nThreads;
-    }
-    ThreadPool::instance().resize(1);
+    // Strict has no failure budget: the same failed item is fatal.
+    RobustPolicy strict;
+    strict.mode = RobustMode::Strict;
+    setRobustPolicy(strict);
+    setFault(FaultSpec{"eval.item", FaultKind::Alloc, 3});
+    EXPECT_THROW(ev.run(BenchmarkKind::ArcEasy), std::runtime_error);
+    clearFaults();
 }
 
 TEST(Resume, FactorizeDegradeKeepsDenseOnNonConvergence)
@@ -358,24 +342,6 @@ TEST(Resume, FactorizeDegradeKeepsDenseOnNonConvergence)
     // usable.
     EXPECT_FALSE(model.linear(0, WeightKind::Query).isFactorized());
     EXPECT_EQ(model.paramCount(), denseParams);
-}
-
-TEST(Resume, FactorizeRetryHealsForcedNonConvergence)
-{
-    RobustGuard guard;
-    ThreadPool::instance().resize(1);
-    RobustPolicy retry;
-    retry.mode = RobustMode::Retry;
-    retry.maxRetries = 2;
-    setRobustPolicy(retry);
-
-    TransformerModel model(smallConfig(), 42);
-    setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
-    const Status s = model.applyTucker(0, WeightKind::Query, 2);
-    clearFaults();
-    // The forced non-convergence fires once; the retry factorizes.
-    EXPECT_TRUE(s.ok()) << s.toString();
-    EXPECT_TRUE(model.linear(0, WeightKind::Query).isFactorized());
 }
 
 TEST(Resume, StrictPolicyFailsFastOnNonConvergence)
@@ -446,31 +412,6 @@ bankSweepOptions()
     opts.accuracyDropTolerance = 1.1;
     opts.candidateRanks = {1, 2, 4, 8};
     return opts;
-}
-
-TEST(Resume, DseRetryHealsANonConvergedBankSvdAtEveryThreadCount)
-{
-    RobustGuard guard;
-    const OptimizerOptions opts = bankSweepOptions();
-    ThreadPool::instance().resize(1);
-    const OptimizerResult clean =
-        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
-
-    RobustPolicy retry;
-    retry.mode = RobustMode::Retry;
-    retry.maxRetries = 2;
-    setRobustPolicy(retry);
-    for (int nThreads : {1, 4, 8}) {
-        SCOPED_TRACE(nThreads);
-        ThreadPool::instance().resize(nThreads);
-        setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
-        const OptimizerResult healed =
-            optimizeDecomposition(trainedBytes(), smallWorld(), opts);
-        clearFaults();
-        EXPECT_EQ(healed.numFailed, 0);
-        expectSameRecords(healed.explored, clean.explored);
-    }
-    ThreadPool::instance().resize(1);
 }
 
 /** Under degrade a poisoned bank key fails every candidate whose

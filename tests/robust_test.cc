@@ -3,8 +3,8 @@
  * Unit tests for the fault-tolerance layer: Status/Result semantics,
  * the fault-injection harness, CRC-protected checkpoints (including
  * injected truncation/bit-flip/allocation failures), numeric-fault
- * detection, the failure budget, retry-with-reseed determinism, and a
- * parametrized cancel-kill pass over every registered fault site.
+ * detection, the failure budget, and a parametrized cancel-kill pass
+ * over every registered fault site.
  */
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/recovery.h"
-#include "robust/retry.h"
 #include "robust/signal.h"
 #include "serve/server.h"
 #include "serve/workload.h"
@@ -184,12 +183,6 @@ TEST(RobustPolicyParse, AcceptsAllThreeModes)
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().mode, RobustMode::Degrade);
     EXPECT_DOUBLE_EQ(r.value().failureBudget, 0.25);
-
-    r = parseRobustPolicy("retry:5:0.5");
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value().mode, RobustMode::Retry);
-    EXPECT_EQ(r.value().maxRetries, 5);
-    EXPECT_DOUBLE_EQ(r.value().failureBudget, 0.5);
 }
 
 TEST(RobustPolicyParse, RejectsBadValues)
@@ -198,8 +191,8 @@ TEST(RobustPolicyParse, RejectsBadValues)
     EXPECT_FALSE(parseRobustPolicy("lenient").ok());
     EXPECT_FALSE(parseRobustPolicy("strict:0.5").ok());
     EXPECT_FALSE(parseRobustPolicy("degrade:1.5").ok());
-    EXPECT_FALSE(parseRobustPolicy("retry:0").ok());
-    EXPECT_FALSE(parseRobustPolicy("retry:2:nope").ok());
+    EXPECT_FALSE(parseRobustPolicy("retry").ok());
+    EXPECT_FALSE(parseRobustPolicy("retry:3:0.5").ok());
 }
 
 TEST(Crc32, MatchesTheIeeeTestVector)
@@ -388,37 +381,17 @@ TEST(FailureBudget, WithinBudgetWarnsAndOverBudgetIsFatal)
                      "test", 1, 8,
                      Status(StatusCode::NonFinite, "x", "y")),
                  std::runtime_error);
-}
 
-TEST(Retry, ReseedsDeterministicallyAndStopsAtFirstOk)
-{
-    RobustGuard guard;
-    std::vector<uint64_t> draws1, draws2;
-    const auto runOnce = [](std::vector<uint64_t> &draws) {
-        return retryWithReseed(1234, 4, [&](Rng &rng, int attempt) {
-            draws.push_back(rng.next());
-            return attempt < 2 ? Status(StatusCode::NonConvergence,
-                                        "test", "not yet")
-                               : Status();
-        });
-    };
-    EXPECT_TRUE(runOnce(draws1).ok());
-    EXPECT_TRUE(runOnce(draws2).ok());
-    ASSERT_EQ(draws1.size(), 3U); // Attempts 0, 1, 2; stopped at ok.
-    EXPECT_EQ(draws1, draws2);    // Bitwise-identical retry streams.
-    EXPECT_NE(draws1[0], draws1[1]); // Each attempt is reseeded.
-}
-
-TEST(Retry, ExhaustedAttemptsReturnTheLastFailure)
-{
-    RobustGuard guard;
-    int calls = 0;
-    const Status s = retryWithReseed(7, 3, [&](Rng &, int) {
-        ++calls;
-        return Status(StatusCode::NonConvergence, "test", "never");
-    });
-    EXPECT_EQ(calls, 3);
-    EXPECT_EQ(s.code(), StatusCode::NonConvergence);
+    // Strict ignores the fraction: its budget is zero items, so the
+    // first failure is fatal.
+    RobustPolicy strict;
+    strict.mode = RobustMode::Strict;
+    setRobustPolicy(strict);
+    EXPECT_EQ(failureBudgetItems(strict, 8), 0);
+    EXPECT_THROW(enforceFailureBudget(
+                     "test", 1, 8,
+                     Status(StatusCode::NonFinite, "x", "y")),
+                 std::runtime_error);
 }
 
 TEST(Checkpoint, SweepsAStaleTmpFileBeforeWriting)

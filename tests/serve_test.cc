@@ -22,7 +22,6 @@
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
 #include "robust/fault.h"
-#include "robust/retry.h"
 #include "robust/signal.h"
 #include "serve/load_control.h"
 #include "serve/server.h"

@@ -408,10 +408,10 @@ TEST(Sampler, PhaseLabelNestsAndRestores)
 {
     EXPECT_STREQ(telemetryPhase(), "");
     {
-        WatchdogSection outer("outer.phase");
+        const TelemetryPhase outer("outer.phase");
         EXPECT_STREQ(telemetryPhase(), "outer.phase");
         {
-            WatchdogSection inner("inner.phase");
+            const TelemetryPhase inner("inner.phase");
             EXPECT_STREQ(telemetryPhase(), "inner.phase");
         }
         EXPECT_STREQ(telemetryPhase(), "outer.phase");

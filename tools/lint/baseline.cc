@@ -1,6 +1,7 @@
 #include "baseline.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace lrd::lint {
@@ -17,7 +18,9 @@ parseBaseline(const std::string &content)
     Baseline out;
     std::istringstream iss(content);
     std::string line;
+    int lineNo = 0;
     while (std::getline(iss, line)) {
+        ++lineNo;
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.empty() || line[0] == '#')
@@ -32,7 +35,7 @@ parseBaseline(const std::string &content)
         }
         if (tabs < 2)
             continue; // malformed: fewer than three columns
-        out.keys.insert(line.substr(0, end));
+        out.keys.emplace(line.substr(0, end), lineNo);
     }
     return out;
 }
@@ -52,6 +55,39 @@ applyBaseline(const std::vector<Diagnostic> &diags,
     if (suppressed)
         *suppressed = hits;
     return live;
+}
+
+std::vector<Diagnostic>
+staleBaselineEntries(const std::vector<Diagnostic> &diags,
+                     const Baseline &baseline,
+                     const std::vector<std::string> &scanned,
+                     const std::string &baselinePath)
+{
+    std::set<std::string> matched;
+    for (const Diagnostic &d : diags)
+        matched.insert(baselineKey(d));
+    const std::set<std::string> files(scanned.begin(), scanned.end());
+    std::vector<Diagnostic> stale;
+    for (const auto &[key, line] : baseline.keys) {
+        const size_t tab1 = key.find('\t');
+        const size_t tab2 = key.find('\t', tab1 + 1);
+        const std::string file = key.substr(tab1 + 1, tab2 - tab1 - 1);
+        if (matched.count(key) || !files.count(file))
+            continue;
+        Diagnostic d;
+        d.file = baselinePath;
+        d.line = line;
+        d.rule = kRuleStaleBaseline;
+        d.symbol = key.substr(tab2 + 1);
+        d.message = "entry '" + key.substr(0, tab1) + "' for " + d.symbol
+                    + " in " + file + " matches no finding; delete it";
+        stale.push_back(std::move(d));
+    }
+    std::sort(stale.begin(), stale.end(),
+              [](const Diagnostic &a, const Diagnostic &b) {
+                  return a.line < b.line;
+              });
+    return stale;
 }
 
 std::string

@@ -5,8 +5,9 @@
  * A baseline grandfathers existing findings so a new rule can land
  * blocking without an atomic fix-the-world commit. Entries key on
  * (rule, file, symbol) — not line numbers — so they survive edits
- * that move code around; a fixed finding leaves a stale entry that
- * `--write-baseline` prunes.
+ * that move code around. A fixed finding leaves a stale entry, which
+ * `--baseline` reports as a stale-baseline finding until it is
+ * deleted.
  *
  * File format, one entry per line:
  *
@@ -21,7 +22,7 @@
 #ifndef LRD_TOOLS_LINT_BASELINE_H
 #define LRD_TOOLS_LINT_BASELINE_H
 
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,10 @@
 
 namespace lrd::lint {
 
-/** Parsed baseline: the set of suppression keys. */
+/** Parsed baseline: suppression key -> its line in the file. */
 struct Baseline
 {
-    std::set<std::string> keys;
+    std::map<std::string, int> keys;
 };
 
 /** "rule\tfile\tsymbol" — the suppression identity of a finding. */
@@ -48,6 +49,15 @@ Baseline parseBaseline(const std::string &content);
 std::vector<Diagnostic> applyBaseline(const std::vector<Diagnostic> &diags,
                                       const Baseline &baseline,
                                       size_t *suppressed);
+
+/**
+ * One stale-baseline finding per entry whose file is in `scanned` but
+ * which matches none of `diags`, located at the entry's line of
+ * `baselinePath`, in file order.
+ */
+std::vector<Diagnostic> staleBaselineEntries(
+    const std::vector<Diagnostic> &diags, const Baseline &baseline,
+    const std::vector<std::string> &scanned, const std::string &baselinePath);
 
 /** Serialize findings as a fresh baseline file (sorted, unique). */
 std::string renderBaseline(const std::vector<Diagnostic> &diags);

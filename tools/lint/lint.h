@@ -81,6 +81,7 @@ inline constexpr const char *kRuleLockDiscipline = "lock-discipline";
 inline constexpr const char *kRuleUncheckedResult = "unchecked-result";
 inline constexpr const char *kRuleFpOrder = "fp-order";
 inline constexpr const char *kRuleDeadSymbol = "dead-symbol";
+inline constexpr const char *kRuleStaleBaseline = "stale-baseline";
 
 /**
  * Layer of a module directory in the declared layering, or -1 when

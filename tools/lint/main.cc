@@ -20,8 +20,10 @@
  * (post-baseline) findings; both are deterministic.
  *
  * --baseline suppresses findings listed in the given file (keyed by
- * rule/file/symbol); --write-baseline regenerates that file from the
- * current findings and exits 0.
+ * rule/file/symbol) and reports each entry whose file was scanned but
+ * which matched no finding as a stale-baseline finding;
+ * --write-baseline regenerates that file from the current findings
+ * and exits 0.
  *
  * --cache-dir enables the incremental parse cache: per-file parse
  * results are stored keyed by content hash, and a warm run re-parses
@@ -251,8 +253,17 @@ main(int argc, char **argv)
         // A missing baseline is an empty baseline: the flag can be
         // wired into CI before the first entry exists.
         readFile(root / baselinePath, content);
-        diags = lrd::lint::applyBaseline(
-            diags, lrd::lint::parseBaseline(content), &suppressed);
+        const lrd::lint::Baseline baseline =
+            lrd::lint::parseBaseline(content);
+        std::vector<std::string> scanned;
+        scanned.reserve(files.size());
+        for (const lrd::lint::SourceFile &f : files)
+            scanned.push_back(f.path);
+        std::vector<lrd::lint::Diagnostic> stale =
+            lrd::lint::staleBaselineEntries(diags, baseline, scanned,
+                                            baselinePath);
+        diags = lrd::lint::applyBaseline(diags, baseline, &suppressed);
+        diags.insert(diags.end(), stale.begin(), stale.end());
     }
 
     if (!sarifPath.empty()

@@ -26,7 +26,7 @@ const RuleDoc kRuleDocs[] = {
     {kRuleLayering, "Include layering back-edge"},
     {kRuleCycle, "Include cycle"},
     {kRuleNakedThrow, "throw outside src/util"},
-    {kRuleBlockingSleep, "Blocking sleep outside watchdog/tools"},
+    {kRuleBlockingSleep, "Blocking sleep outside tools/"},
     {kRuleIntrinsics, "SIMD intrinsics outside src/tensor/simd"},
     {kRuleHotPathAlloc, "Allocation reachable from a hot path"},
     {kRuleLockDiscipline, "Mutex annotation or lock-order violation"},
@@ -34,6 +34,7 @@ const RuleDoc kRuleDocs[] = {
     {kRuleFpOrder,
      "Unordered floating-point reduction in a parallel chunk body"},
     {kRuleDeadSymbol, "Public function with no in-tree caller"},
+    {kRuleStaleBaseline, "Baseline entry that matches no finding"},
 };
 
 } // namespace

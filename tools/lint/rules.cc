@@ -94,10 +94,9 @@ checkBannedIdentifiers(const SourceFile &file, const std::vector<Token> &toks,
                             startsWith(file.path, "src/util/worker_lane.");
     const bool throwHome =
         !startsWith(file.path, "src/") || startsWith(file.path, "src/util/");
-    // The watchdog monitor (src/robust/) and operator tooling may
-    // block on a timeout; pipeline and numeric code must never sleep.
-    const bool sleepHome = startsWith(file.path, "src/robust/") ||
-                           startsWith(file.path, "tools/");
+    // Only operator tooling may block on a timeout; library code must
+    // never sleep.
+    const bool sleepHome = startsWith(file.path, "tools/");
     const std::string mod = moduleOf(file.path);
     const bool numericCore =
         startsWith(file.path, "src/") && kNumericCore.count(mod) > 0;
@@ -147,7 +146,7 @@ checkBannedIdentifiers(const SourceFile &file, const std::vector<Token> &toks,
                       "'" + t.text +
                           "' blocks a pool lane and stretches wall-clock "
                           "deadlines nondeterministically; sleeps belong "
-                          "in src/robust/ (watchdog) or tools/ only");
+                          "in tools/ only");
         }
         if (!threadHome) {
             const bool stdThread =

@@ -30,11 +30,13 @@
  * Presets: llama2-7b, llama2-70b, bert-base, bert-large, tiny-llama,
  * tiny-bert.
  *
- * Environment: LRD_THREADS, LRD_LOG, LRD_TRACE, LRD_STATS,
- * LRD_TELEMETRY, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE, LRD_WATCHDOG
- * (see usage()). serve/loadgen take their settings from flags only.
- * Arguments are parsed strictly: an unknown flag or a malformed
- * number exits 1 with the usage text.
+ * Environment: LRD_THREADS, LRD_SIMD, LRD_LOG, LRD_TRACE, LRD_STATS,
+ * LRD_TELEMETRY, LRD_CACHE_DIR, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE
+ * (see usage()). Any other LRD_* variable exits 1 with the usage text,
+ * so a typo or a retired name cannot be silently ignored.
+ * serve/loadgen take their settings from flags only. Arguments are
+ * parsed strictly: an unknown flag or a malformed number exits 1 with
+ * the usage text.
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
  * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
@@ -72,6 +74,7 @@
 #include "robust/cancel.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
+#include "robust/recovery.h"
 #include "robust/signal.h"
 #include "serve/load_control.h"
 #include "serve/server.h"
@@ -83,11 +86,36 @@
 #include "util/table.h"
 #include "util/timer.h"
 
+extern char **environ;
+
 using namespace lrd;
 
 namespace {
 
 void usage();
+
+/** The environment variables lrdtool reads, as usage() lists them. */
+constexpr std::string_view kEnvNames[] = {
+    "LRD_THREADS",   "LRD_SIMD",      "LRD_LOG",    "LRD_TRACE",
+    "LRD_STATS",     "LRD_TELEMETRY", "LRD_CACHE_DIR", "LRD_ROBUST",
+    "LRD_FAULT",     "LRD_DEADLINE",
+};
+
+/** The first LRD_* variable set that lrdtool does not read, or "". */
+std::string
+unknownEnvName()
+{
+    for (char **e = environ; e && *e; ++e) {
+        const std::string_view entry(*e);
+        if (entry.rfind("LRD_", 0) != 0)
+            continue;
+        const std::string_view name = entry.substr(0, entry.find('='));
+        if (std::find(std::begin(kEnvNames), std::end(kEnvNames), name)
+            == std::end(kEnvNames))
+            return std::string(name);
+    }
+    return "";
+}
 
 ModelConfig
 presetByName(const std::string &name)
@@ -1195,8 +1223,10 @@ usage()
         "  monitor <file> [--follow]     per-phase summary of a\n"
         "                                flight-recorder JSONL file\n"
         "  compare <runA> <runB>         diff two flight-recorder runs\n"
-        "environment:\n"
+        "environment (any other LRD_* variable exits 1):\n"
         "  LRD_THREADS=<n>     thread-pool size (default: all cores)\n"
+        "  LRD_SIMD=<level>    pin the GEMM kernel: scalar|avx2|avx512|\n"
+        "                      neon (default: best the CPU supports)\n"
         "  LRD_LOG=<level>[+ts]  debug|info|warn|error; +ts adds\n"
         "                      timestamp / worker prefixes\n"
         "  LRD_TRACE=<file>    write chrome://tracing JSON (and\n"
@@ -1207,18 +1237,17 @@ usage()
         "                      flight recorder: sample counters/RSS/\n"
         "                      quantiles every <ms> into a JSONL file\n"
         "                      (default lrd_telemetry.jsonl)\n"
-        "  LRD_ROBUST=<mode>   strict | degrade[:budget] |\n"
-        "                      retry[:attempts[:budget]]\n"
-        "                      (default degrade:0.1)\n"
+        "  LRD_CACHE_DIR=<dir> trained-model cache (default\n"
+        "                      <tmp>/lrd-cache)\n"
+        "  LRD_ROBUST=<mode>   strict | degrade[:budget]: the failed-item\n"
+        "                      fraction a sweep may drop (strict: none;\n"
+        "                      default degrade:0.1)\n"
         "  LRD_FAULT=<spec>    inject faults: <site>:<kind>[:<nth>],...\n"
         "                      kinds: nan nonconv truncate bitflip\n"
         "                      alloc cancel\n"
         "  LRD_DEADLINE=<spec> stop early: steps:<n> | items:<n>\n"
         "                      (deterministic work budgets) or\n"
         "                      wall:<secs> (wall clock)\n"
-        "  LRD_WATCHDOG=<secs> report stalled pipelines after <secs>\n"
-        "                      without progress (report-only)\n"
-        "  LRD_SANITIZE        build-time option (see CMakeLists.txt)\n"
         "exit codes:\n"
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
         "  4 deadline exceeded  5 corrupt checkpoint  6 non-convergence\n"
@@ -1232,6 +1261,13 @@ usage()
 int
 main(int argc, char **argv)
 {
+    const std::string badEnv = unknownEnvName();
+    if (!badEnv.empty()) {
+        std::fprintf(stderr, "lrdtool: unknown environment variable %s\n",
+                     badEnv.c_str());
+        usage();
+        return 1;
+    }
     if (argc < 2) {
         usage();
         return 1;
@@ -1241,6 +1277,7 @@ main(int argc, char **argv)
         initObservabilityFromEnv();
         initFaultsFromEnv();
         initCancelFromEnv();
+        robustPolicy(); // Parses LRD_ROBUST: a bad value fails here.
         installSignalHandlers();
         // With tracing on, spawn the pool up front so every worker
         // emits its lane marker even for purely analytic commands.
@@ -1309,7 +1346,6 @@ main(int argc, char **argv)
             ret = cmdCompare(argv[2], argv[3]);
         if (ret >= 0) {
             shutdownFlush();
-            stopWatchdog();
             return ret;
         }
     } catch (const StatusError &e) {
@@ -1317,12 +1353,10 @@ main(int argc, char **argv)
         // map to their documented exit codes.
         std::fprintf(stderr, "%s\n", e.what());
         shutdownFlush();
-        stopWatchdog();
         return exitCodeForStatus(e.status());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         shutdownFlush();
-        stopWatchdog();
         return 1;
     }
     usage();
