@@ -117,7 +117,9 @@ BM_GemmTelemetryOn(benchmark::State &state)
 }
 BENCHMARK(BM_GemmTelemetryOn)->Arg(256);
 
-/** BM_Gemm with tracing on (spans recorded into the ring buffers). */
+/** BM_Gemm with tracing on: each span closes into its lane's metrics
+ *  shard, as one timeline ring event plus one "span.<name>" histogram
+ *  sample. */
 void
 BM_GemmTraceOn(benchmark::State &state)
 {
@@ -131,7 +133,7 @@ BM_GemmTraceOn(benchmark::State &state)
         benchmark::DoNotOptimize(c.data());
     }
     Tracer::instance().setEnabled(false);
-    Tracer::instance().clear();
+    MetricsRegistry::instance().reset();
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmTraceOn)->Arg(256);

@@ -15,7 +15,9 @@
 #   - unknown flags, malformed numeric flags and positional numbers,
 #     and --ranks values that cannot make a shrinking candidate exit 1,
 #   - an LRD_* variable lrdtool does not read, or a malformed
-#     LRD_ROBUST, exits 1 naming the variable before loading a model.
+#     LRD_ROBUST, exits 1 naming the variable before loading a model,
+#   - a metrics file that cannot be written (LRD_STATS=/dev/full)
+#     warns and is never reported as written.
 #
 # Usage: scripts/dse_chaos.sh [build-dir]
 set -euo pipefail
@@ -86,9 +88,18 @@ for var in LRD_WATCHDOG=5 LRD_FUSED=0 LRD_THREAD=4 LRD_ROBUST=retry \
            LRD_ROBUST=bogus; do
     bad_env "${var}"
 done
+# A full disk shows up only when the stats file is flushed and closed.
+# (Never point LRD_TRACE at /dev/full as root: that creates
+# /dev/full.summary.csv.)
+err="$(LRD_STATS=/dev/full "${lrdtool}" info tiny-llama 2>&1 >/dev/null)" \
+    || true
+grep -q "warn:" <<<"${err}" || fail "LRD_STATS=/dev/full: no warning"
+if grep -q "wrote metrics" <<<"${err}"; then
+    fail "LRD_STATS=/dev/full: reported as written"
+fi
 [[ ! -e "${LRD_CACHE_DIR}" ]] || fail "bad args loaded or trained a model"
 echo "dse_chaos: unknown flags, malformed numbers and unknown or" \
-    "malformed LRD_* variables exit 1"
+    "malformed LRD_* variables exit 1; an unwritable LRD_STATS warns"
 
 TASKS=8
 EVERY=2

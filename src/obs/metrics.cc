@@ -1,11 +1,13 @@
 #include "metrics.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/worker_lane.h"
 
@@ -17,8 +19,12 @@ std::atomic<bool> gMetricsEnabled{false};
 
 namespace {
 
+constexpr int64_t kNoMin = std::numeric_limits<int64_t>::max();
+constexpr int64_t kNoMax = std::numeric_limits<int64_t>::min();
+
 /** One thread's private cells. Single writer; relaxed atomics make
- *  snapshot reads race-free. */
+ *  snapshot reads race-free. The trace ring is plain memory, read
+ *  only by exports that run after the writers have quiesced. */
 struct Shard
 {
     int lane = 0;
@@ -28,9 +34,13 @@ struct Shard
     {
         std::atomic<int64_t> count{0};
         std::atomic<int64_t> sum{0};
+        std::atomic<int64_t> min{kNoMin};
+        std::atomic<int64_t> max{kNoMax};
         std::array<std::atomic<int64_t>, kHistBuckets> buckets{};
     };
     std::array<HistCells, kMaxHistograms> hists{};
+    uint64_t traceWritten = 0; ///< Total events; the ring holds the last N.
+    std::vector<TraceEvent> ring; ///< Empty until the first traced record.
 
     void
     zero()
@@ -40,9 +50,12 @@ struct Shard
         for (auto &h : hists) {
             h.count.store(0, std::memory_order_relaxed);
             h.sum.store(0, std::memory_order_relaxed);
+            h.min.store(kNoMin, std::memory_order_relaxed);
+            h.max.store(kNoMax, std::memory_order_relaxed);
             for (auto &b : h.buckets)
                 b.store(0, std::memory_order_relaxed);
         }
+        traceWritten = 0;
     }
 };
 
@@ -73,6 +86,18 @@ cellAdd(std::atomic<int64_t> &cell, int64_t n)
 {
     cell.store(cell.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
+}
+
+void
+histAdd(Shard::HistCells &h, int64_t value)
+{
+    cellAdd(h.count, 1);
+    cellAdd(h.sum, value);
+    cellAdd(h.buckets[static_cast<size_t>(Histogram::bucketOf(value))], 1);
+    if (value < h.min.load(std::memory_order_relaxed))
+        h.min.store(value, std::memory_order_relaxed);
+    if (value > h.max.load(std::memory_order_relaxed))
+        h.max.store(value, std::memory_order_relaxed);
 }
 
 Shard *
@@ -125,6 +150,36 @@ myShard()
     return *ref.shard;
 }
 
+/** Add e to the shard's ring, allocating the ring under the registry
+ *  lock on the shard's first traced record so exports see it whole. */
+void
+appendToRing(Shard &sh, const TraceEvent &e)
+{
+    if (sh.ring.empty()) {
+        std::lock_guard<std::mutex> lock(state().mu);
+        sh.ring.resize(kTraceRingCapacity); // lrd-lint: allow(hot-path-alloc) first traced record per shard
+    }
+    sh.ring[static_cast<size_t>(sh.traceWritten % kTraceRingCapacity)] = e;
+    ++sh.traceWritten;
+}
+
+/** All shards in deterministic (lane, creation) order; caller holds
+ *  the registry lock. */
+std::vector<Shard *>
+orderedShards(State &s)
+{
+    std::vector<Shard *> ordered;
+    ordered.reserve(s.shards.size());
+    for (const auto &sh : s.shards)
+        ordered.push_back(sh.get());
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto *a, const auto *b) {
+                  return a->lane != b->lane ? a->lane < b->lane
+                                            : a->seq < b->seq;
+              });
+    return ordered;
+}
+
 } // namespace
 
 void
@@ -136,10 +191,43 @@ addToCounterSlot(int slot, int64_t n)
 void
 recordToHistogramSlot(int slot, int64_t value)
 {
-    auto &h = myShard().hists[static_cast<size_t>(slot)];
-    cellAdd(h.count, 1);
-    cellAdd(h.sum, value);
-    cellAdd(h.buckets[static_cast<size_t>(Histogram::bucketOf(value))], 1);
+    histAdd(myShard().hists[static_cast<size_t>(slot)], value);
+}
+
+void
+appendTraceEvent(const TraceEvent &e)
+{
+    appendToRing(myShard(), e);
+}
+
+void
+closeSpan(SpanSite &site, int64_t t0Ns, double arg, bool hasArg)
+{
+    const int64_t durNs = Tracer::nowNs() - t0Ns;
+    int slot = site.slot.load(std::memory_order_relaxed);
+    if (slot < 0) {
+        // First enabled close of this site: racing closers resolve
+        // the same find-or-create slot.
+        slot = MetricsRegistry::instance()
+                   .histogram(strCat("span.", site.name))
+                   ->slot_;
+        site.slot.store(slot, std::memory_order_relaxed);
+    }
+    Shard &sh = myShard();
+    appendToRing(sh, TraceEvent{site.name, t0Ns, durNs, arg, hasArg});
+    histAdd(sh.hists[static_cast<size_t>(slot)], durNs);
+}
+
+void
+forEachTraceRing(
+    const std::function<void(int, const std::vector<TraceEvent> &,
+                             uint64_t)> &fn)
+{
+    State &s = state();
+    std::lock_guard<std::mutex> lock(s.mu);
+    for (const Shard *sh : orderedShards(s))
+        if (!sh->ring.empty())
+            fn(sh->lane, sh->ring, sh->traceWritten);
 }
 
 } // namespace obsdetail
@@ -266,19 +354,12 @@ Counter::total() const
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
+    // Cold; the allows below answer lrd-lint's by-name call graph,
+    // where TablePrinter::writeCsv's toCsv() reaches Tracer::toCsv.
     auto &s = state();
     std::lock_guard<std::mutex> lock(s.mu);
-
-    // Deterministic merge order: (lane, creation seq).
-    std::vector<obsdetail::Shard *> ordered;
-    ordered.reserve(s.shards.size());
-    for (const auto &sh : s.shards)
-        ordered.push_back(sh.get());
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto *a, const auto *b) {
-                  return a->lane != b->lane ? a->lane < b->lane
-                                            : a->seq < b->seq;
-              });
+    const std::vector<obsdetail::Shard *> ordered =
+        obsdetail::orderedShards(s);
     int maxLane = 0;
     for (const auto *sh : ordered)
         maxLane = std::max(maxLane, sh->lane);
@@ -294,48 +375,36 @@ MetricsRegistry::snapshot() const
             total += v;
             perLane[static_cast<size_t>(sh->lane)] += v;
         }
-        out.counters.emplace_back(c->name(), total);
-        if (c->perLane_)
+        out.counters.emplace_back(c->name(), total); // lrd-lint: allow(hot-path-alloc) export path
+        if (c->perLane_) // lrd-lint: allow(hot-path-alloc) export path
             out.perLaneCounters.emplace_back(c->name(),
                                              std::move(perLane));
     }
-    for (const auto &g : s.gauges)
+    for (const auto &g : s.gauges) // lrd-lint: allow(hot-path-alloc) export path
         out.gauges.emplace_back(g->name(), g->value());
     for (const auto &h : s.histograms) {
         HistogramSnapshot hs;
+        hs.min = obsdetail::kNoMin;
+        hs.max = obsdetail::kNoMax;
         for (const auto *sh : ordered) {
             const auto &cells = sh->hists[static_cast<size_t>(h->slot_)];
             hs.count += cells.count.load(std::memory_order_relaxed);
             hs.sum += cells.sum.load(std::memory_order_relaxed);
+            hs.min = std::min(hs.min,
+                              cells.min.load(std::memory_order_relaxed));
+            hs.max = std::max(hs.max,
+                              cells.max.load(std::memory_order_relaxed));
             for (int b = 0; b < kHistBuckets; ++b)
                 hs.buckets[static_cast<size_t>(b)] +=
                     cells.buckets[static_cast<size_t>(b)].load(
                         std::memory_order_relaxed);
         }
-        out.histograms.emplace_back(h->name(), hs);
+        if (hs.count == 0)
+            hs.min = hs.max = 0;
+        out.histograms.emplace_back(h->name(), hs); // lrd-lint: allow(hot-path-alloc) export path
     }
     return out;
 }
-
-namespace {
-
-void
-appendJsonString(std::ostringstream &oss, const std::string &sv)
-{
-    oss << '"';
-    for (char ch : sv) {
-        switch (ch) {
-          case '"': oss << "\\\""; break;
-          case '\\': oss << "\\\\"; break;
-          case '\n': oss << "\\n"; break;
-          case '\t': oss << "\\t"; break;
-          default: oss << ch;
-        }
-    }
-    oss << '"';
-}
-
-} // namespace
 
 std::string
 MetricsRegistry::toJson() const
@@ -348,7 +417,7 @@ MetricsRegistry::toJson() const
     oss << "  \"counters\": {";
     for (size_t i = 0; i < snap.counters.size(); ++i) {
         oss << (i ? ",\n    " : "\n    ");
-        appendJsonString(oss, snap.counters[i].first);
+        oss << jsonQuote(snap.counters[i].first);
         oss << ": " << snap.counters[i].second;
     }
     oss << (snap.counters.empty() ? "},\n" : "\n  },\n");
@@ -356,7 +425,7 @@ MetricsRegistry::toJson() const
     oss << "  \"gauges\": {";
     for (size_t i = 0; i < snap.gauges.size(); ++i) {
         oss << (i ? ",\n    " : "\n    ");
-        appendJsonString(oss, snap.gauges[i].first);
+        oss << jsonQuote(snap.gauges[i].first);
         oss << ": " << snap.gauges[i].second;
     }
     oss << (snap.gauges.empty() ? "},\n" : "\n  },\n");
@@ -365,7 +434,7 @@ MetricsRegistry::toJson() const
     for (size_t i = 0; i < snap.histograms.size(); ++i) {
         const auto &[name, hs] = snap.histograms[i];
         oss << (i ? ",\n    " : "\n    ");
-        appendJsonString(oss, name);
+        oss << jsonQuote(name);
         oss << ": {\"count\": " << hs.count << ", \"sum\": " << hs.sum
             << ", \"p50\": " << hs.p50() << ", \"p90\": " << hs.p90()
             << ", \"p99\": " << hs.p99() << ", \"buckets\": {";
@@ -387,7 +456,7 @@ MetricsRegistry::toJson() const
     for (size_t i = 0; i < snap.perLaneCounters.size(); ++i) {
         const auto &[name, lanes] = snap.perLaneCounters[i];
         oss << (i ? ",\n    " : "\n    ");
-        appendJsonString(oss, name);
+        oss << jsonQuote(name);
         oss << ": [";
         for (size_t l = 0; l < lanes.size(); ++l)
             oss << (l ? ", " : "") << lanes[l];

@@ -17,12 +17,19 @@
  * - snapshot() merges shards in deterministic (lane, creation) order.
  *   Counter and histogram cells are integers, so merged totals are
  *   exactly reproducible at any thread count — the same guarantee the
- *   thread pool gives the numeric kernels (PR 1). (Workload counters
- *   such as gemm.macs are therefore thread-count-invariant; scheduling
- *   counters like pool.chunks legitimately vary with the schedule,
- *   e.g. nested regions inline as a single chunk.)
+ *   thread pool gives the numeric kernels. Workload counters such as
+ *   gemm.macs are therefore thread-count-invariant. pool.chunks counts
+ *   outermost-region chunks only (nested regions run inline and record
+ *   nothing), so it follows the region structure, not the thread
+ *   count; only callers that fan out solely on a multi-thread pool
+ *   (evaluator, serve batcher) make it differ at LRD_THREADS=1.
+ *   pool.idleWaits is a scheduling counter and varies.
  * - Recording is gated on one global atomic flag (default off). With
  *   metrics disabled every record call is a relaxed load + branch.
+ * - The shard also holds its lane's trace ring (obs/trace.h). A
+ *   closed span writes its "span.<name>" histogram whether or not
+ *   metrics are on: the trace summary is exact, the ring is only
+ *   the recent timeline.
  *
  * Shards are returned to a per-lane free list on thread exit and
  * reused by the next worker with that lane, so repeated pool resizes
@@ -35,9 +42,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace lrd {
 
@@ -54,6 +64,16 @@ constexpr int kHistBuckets = 48; ///< Bucket b: [2^(b-1), 2^b); b0 = {<=0}.
 
 void addToCounterSlot(int slot, int64_t n);
 void recordToHistogramSlot(int slot, int64_t value);
+
+/** Append e to the calling lane's trace ring (any metrics setting). */
+void appendTraceEvent(const TraceEvent &e);
+
+/** Visit each allocated trace ring in (lane, creation) order, under
+ *  the registry lock and once its writers have quiesced: fn(lane,
+ *  ring, written); the first min(written, ring.size()) are filled. */
+void forEachTraceRing(
+    const std::function<void(int, const std::vector<TraceEvent> &,
+                             uint64_t)> &fn);
 
 } // namespace obsdetail
 
@@ -134,6 +154,8 @@ class Histogram
 
   private:
     friend class MetricsRegistry;
+    friend void obsdetail::closeSpan(obsdetail::SpanSite &, int64_t,
+                                     double, bool);
     Histogram(std::string name, int slot)
         : name_(std::move(name)), slot_(slot)
     {
@@ -148,6 +170,8 @@ struct HistogramSnapshot
 {
     int64_t count = 0;
     int64_t sum = 0;
+    int64_t min = 0; ///< Exact smallest sample (0 when empty).
+    int64_t max = 0; ///< Exact largest sample (0 when empty).
     std::array<int64_t, obsdetail::kHistBuckets> buckets{};
 
     /**
@@ -216,7 +240,8 @@ class MetricsRegistry
      */
     std::string toJson() const;
 
-    /** Zero every shard cell and gauge (tests and benchmarks). */
+    /** Zero every shard (cells, span histograms, trace ring) and
+     *  gauge (tests and benchmarks). */
     void reset();
 
   private:

@@ -35,6 +35,28 @@ obsPaths()
     return *p;
 }
 
+/** Write content to path ("-" = stdout); true only once flushed and
+ *  closed without error (a full disk fails there), else warns. */
+bool
+writeFileOrWarn(const std::string &path, const std::string &content,
+                const char *what)
+{
+    const bool toStdout = path == "-";
+    std::FILE *f = toStdout ? stdout : std::fopen(path.c_str(), "wb");
+    if (!f) {
+        warn(strCat("cannot open ", path, " for ", what));
+        return false;
+    }
+    bool ok = std::fwrite(content.data(), 1, content.size(), f)
+              == content.size();
+    ok = std::fflush(f) == 0 && ok;
+    if (!toStdout)
+        ok = std::fclose(f) == 0 && ok;
+    if (!ok)
+        warn(strCat("failed to write ", what, " to ", path));
+    return ok;
+}
+
 } // namespace
 
 const std::string &
@@ -101,32 +123,27 @@ flushObservability()
     if (gFlushed.exchange(true, std::memory_order_acq_rel))
         return;
     stopTelemetrySampler();
-    if (!obsPaths().trace.empty()) {
-        Tracer &tracer = Tracer::instance();
-        tracer.writeChromeJson(obsPaths().trace);
-        tracer.writeCsv(obsPaths().trace + ".summary.csv");
-        if (tracer.droppedEvents() > 0)
-            warn(strCat("trace ring overflow: ", tracer.droppedEvents(),
-                        " oldest events overwritten"));
-        inform(strCat("wrote trace to ", obsPaths().trace, " (+ ",
-                      obsPaths().trace, ".summary.csv)"));
+    const std::string &trace = obsPaths().trace;
+    if (!trace.empty()) {
+        const Tracer &tracer = Tracer::instance();
+        const std::string csv = trace + ".summary.csv";
+        const bool wroteJson = writeFileOrWarn(
+            trace, tracer.toChromeJson(), "chrome trace JSON");
+        const bool wroteCsv =
+            writeFileOrWarn(csv, tracer.toCsv(), "trace CSV summary");
+        if (const int64_t dropped = tracer.droppedEvents(); dropped > 0)
+            warn(strCat("trace timeline lost its ", dropped,
+                        " oldest events to ring overflow (marked in ",
+                        trace, "; the summary CSV counts every span)"));
+        if (wroteJson && wroteCsv)
+            inform(strCat("wrote trace to ", trace, " (+ ", csv, ")"));
     }
-    if (!obsPaths().stats.empty()) {
-        const std::string json = MetricsRegistry::instance().toJson();
-        if (obsPaths().stats == "-") {
-            std::fputs(json.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(obsPaths().stats.c_str(), "wb");
-            if (!f) {
-                warn(strCat("cannot open ", obsPaths().stats,
-                            " for metrics JSON"));
-                return;
-            }
-            std::fputs(json.c_str(), f);
-            std::fclose(f);
-            inform(strCat("wrote metrics to ", obsPaths().stats));
-        }
-    }
+    const std::string &stats = obsPaths().stats;
+    if (!stats.empty()
+        && writeFileOrWarn(stats, MetricsRegistry::instance().toJson(),
+                           "metrics JSON")
+        && stats != "-")
+        inform(strCat("wrote metrics to ", stats));
 }
 
 } // namespace lrd

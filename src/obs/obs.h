@@ -9,8 +9,8 @@
  *   LRD_LOG=<level>[+ts]  log level (debug|info|warn|error); "+ts"
  *                         adds timestamp + worker-index prefixes.
  *   LRD_TRACE=<file>      enable tracing; flushObservability() writes
- *                         chrome-trace JSON to <file> and a flat
- *                         summary to <file>.summary.csv.
+ *                         the chrome-trace timeline to <file> and an
+ *                         exact per-span summary to <file>.summary.csv.
  *   LRD_STATS=<file>      enable metrics; flushObservability() writes
  *                         the registry JSON to <file> ("-" = stdout).
  *   LRD_TELEMETRY=<ms>[:path]
@@ -44,10 +44,11 @@ void initObservabilityFromEnv();
 void startTelemetryFromEnv();
 
 /**
- * Write any trace/stats artifacts requested via the environment and
- * stop the telemetry sampler (writing its final record). Idempotent:
- * the second and later calls are no-ops, so the normal exit path and
- * the graceful-shutdown path may both call it.
+ * Write any trace/stats artifacts requested via the environment
+ * (warning, not informing, on a failed write) and stop the telemetry
+ * sampler (writing its final record). Idempotent: the second and
+ * later calls are no-ops, so the normal exit path and the
+ * graceful-shutdown path may both call it.
  */
 void flushObservability();
 

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <vector>
 
+#include "metrics.h"
 #include "util/logging.h"
-#include "util/worker_lane.h"
 
 namespace lrd {
 
@@ -20,106 +16,7 @@ namespace obsdetail {
 std::atomic<bool> gTraceEnabled{false};
 } // namespace obsdetail
 
-namespace {
-
-/** Per-thread event ring capacity; oldest events are overwritten. */
-constexpr size_t kRingCapacity = size_t{1} << 15;
-
-struct TraceEvent
-{
-    const char *name;
-    int64_t tsNs;
-    int64_t durNs;
-    double arg;
-    bool hasArg;
-};
-
-/** Single-writer ring buffer; read only after parallel regions have
- *  quiesced (export happens from the posting thread at shutdown). */
-struct TraceBuffer
-{
-    int lane = 0;
-    uint64_t seq = 0;
-    uint64_t written = 0; ///< Total records; ring holds the last N.
-    std::vector<TraceEvent> ring;
-};
-
-struct TraceState
-{
-    std::mutex mu;
-    std::vector<std::unique_ptr<TraceBuffer>> buffers;
-    std::map<int, std::vector<TraceBuffer *>> freeByLane;
-    uint64_t nextSeq = 0;
-};
-
-TraceState &
-state()
-{
-    static TraceState *s = new TraceState; // lrd-lint: allow(hot-path-alloc) lazy singleton
-    return *s;
-}
-
-TraceBuffer *
-acquireBuffer()
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    const int lane = workerLane();
-    auto &pool = s.freeByLane[lane];
-    if (!pool.empty()) {
-        TraceBuffer *b = pool.back();
-        pool.pop_back();
-        return b;
-    }
-    // lrd-lint: allow(hot-path-alloc) one ring per lane: built on first use, pooled and reused after
-    auto b = std::make_unique<TraceBuffer>();
-    b->lane = lane;
-    b->seq = s.nextSeq++;
-    b->ring.resize(kRingCapacity); // lrd-lint: allow(hot-path-alloc) first use per lane
-    TraceBuffer *raw = b.get();
-    s.buffers.push_back(std::move(b)); // lrd-lint: allow(hot-path-alloc) first use per lane
-    return raw;
-}
-
-struct BufferRef
-{
-    TraceBuffer *buffer = nullptr;
-    ~BufferRef()
-    {
-        if (!buffer)
-            return;
-        TraceState &s = state();
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.freeByLane[buffer->lane].push_back(buffer);
-    }
-};
-
-TraceBuffer &
-myBuffer()
-{
-    thread_local BufferRef ref;
-    if (!ref.buffer)
-        ref.buffer = acquireBuffer();
-    return *ref.buffer;
-}
-
-/** Buffers sorted for deterministic export order. */
-std::vector<TraceBuffer *>
-orderedBuffers(TraceState &s)
-{
-    std::vector<TraceBuffer *> ordered;
-    ordered.reserve(s.buffers.size()); // lrd-lint: allow(hot-path-alloc) export path
-    for (const auto &b : s.buffers)
-        ordered.push_back(b.get()); // lrd-lint: allow(hot-path-alloc) export path
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto *a, const auto *b) {
-                  return a->lane != b->lane ? a->lane < b->lane
-                                            : a->seq < b->seq;
-              });
-    return ordered;
-}
-
-} // namespace
+using obsdetail::TraceEvent;
 
 Tracer &
 Tracer::instance()
@@ -147,46 +44,42 @@ void
 Tracer::record(const char *name, int64_t tsNs, int64_t durNs, double arg,
                bool hasArg)
 {
-    TraceBuffer &b = myBuffer();
-    b.ring[static_cast<size_t>(b.written % kRingCapacity)] =
-        TraceEvent{name, tsNs, durNs, arg, hasArg};
-    ++b.written;
+    obsdetail::appendTraceEvent(TraceEvent{name, tsNs, durNs, arg, hasArg});
 }
 
 std::string
 Tracer::toChromeJson() const
 {
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
     std::ostringstream oss;
     oss << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
 
     bool first = true;
     int lastMetaLane = -1;
-    for (TraceBuffer *b : orderedBuffers(s)) {
+    obsdetail::forEachTraceRing([&](int lane,
+                                    const std::vector<TraceEvent> &ring,
+                                    uint64_t written) {
         // One metadata event per lane names the Perfetto track.
-        if (b->lane != lastMetaLane) {
-            lastMetaLane = b->lane;
+        if (lane != lastMetaLane) {
+            lastMetaLane = lane;
             oss << (first ? "" : ",\n");
             first = false;
-            oss << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << b->lane
+            oss << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << lane
                 << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-                << (b->lane == 0 ? std::string("main")
-                                 : strCat("worker-", b->lane))
+                << (lane == 0 ? std::string("main")
+                              : strCat("worker-", lane))
                 << "\"}},\n"
-                << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << b->lane
+                << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << lane
                 << ", \"name\": \"thread_sort_index\", \"args\": "
                    "{\"sort_index\": "
-                << b->lane << "}}";
+                << lane << "}}";
         }
-        const uint64_t n =
-            std::min<uint64_t>(b->written, kRingCapacity);
+        const uint64_t n = std::min<uint64_t>(written, ring.size());
         for (uint64_t i = 0; i < n; ++i) {
-            const TraceEvent &e = b->ring[static_cast<size_t>(i)];
+            const TraceEvent &e = ring[static_cast<size_t>(i)];
             oss << (first ? "" : ",\n");
             first = false;
             char buf[64];
-            oss << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << b->lane
+            oss << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << lane
                 << ", \"name\": \"" << e.name << "\", \"ts\": ";
             std::snprintf(buf, sizeof(buf), "%.3f",
                           static_cast<double>(e.tsNs) / 1000.0);
@@ -200,104 +93,51 @@ Tracer::toChromeJson() const
             }
             oss << "}";
         }
-    }
-    oss << "\n]}\n";
+    });
+    oss << "\n]";
+    // Viewers ignore otherData; it tells a reader the timeline is cut.
+    if (const int64_t dropped = droppedEvents(); dropped > 0)
+        oss << ", \"otherData\": {\"droppedEvents\": " << dropped << "}";
+    oss << "}\n";
     return oss.str();
 }
 
 std::string
 Tracer::toCsv() const
 {
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-
-    struct Agg
-    {
-        int64_t count = 0;
-        int64_t totalNs = 0;
-        int64_t minNs = std::numeric_limits<int64_t>::max();
-        int64_t maxNs = 0;
-    };
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     // std::map keys by name: deterministic row order.
-    std::map<std::string, Agg> byName;
-    for (TraceBuffer *b : orderedBuffers(s)) {
-        const uint64_t n =
-            std::min<uint64_t>(b->written, kRingCapacity);
-        for (uint64_t i = 0; i < n; ++i) {
-            const TraceEvent &e = b->ring[static_cast<size_t>(i)];
-            Agg &a = byName[e.name];
-            ++a.count;
-            a.totalNs += e.durNs;
-            a.minNs = std::min(a.minNs, e.durNs);
-            a.maxNs = std::max(a.maxNs, e.durNs);
-        }
-    }
+    std::map<std::string, const HistogramSnapshot *> rows;
+    for (const auto &[name, hs] : snap.histograms)
+        if (hs.count > 0 && name.rfind("span.", 0) == 0)
+            rows[name.substr(5)] = &hs;
 
     std::ostringstream oss;
     oss << "name,count,total_us,min_us,max_us,mean_us\n";
-    for (const auto &[name, a] : byName) {
+    for (const auto &[name, hs] : rows) {
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "%s,%lld,%.3f,%.3f,%.3f,%.3f\n", name.c_str(),
-                      static_cast<long long>(a.count),
-                      static_cast<double>(a.totalNs) / 1000.0,
-                      static_cast<double>(a.minNs) / 1000.0,
-                      static_cast<double>(a.maxNs) / 1000.0,
-                      static_cast<double>(a.totalNs) / 1000.0
-                          / static_cast<double>(a.count));
+                      static_cast<long long>(hs->count),
+                      static_cast<double>(hs->sum) / 1000.0,
+                      static_cast<double>(hs->min) / 1000.0,
+                      static_cast<double>(hs->max) / 1000.0,
+                      static_cast<double>(hs->sum) / 1000.0
+                          / static_cast<double>(hs->count));
         oss << buf;
     }
     return oss.str();
 }
 
-namespace {
-
-void
-writeFileOrWarn(const std::string &path, const std::string &content,
-                const char *what)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        warn(strCat("Tracer: cannot open ", path, " for ", what));
-        return;
-    }
-    out << content;
-    if (!out.good())
-        warn(strCat("Tracer: short write to ", path));
-}
-
-} // namespace
-
-void
-Tracer::writeChromeJson(const std::string &path) const
-{
-    writeFileOrWarn(path, toChromeJson(), "chrome trace JSON");
-}
-
-void
-Tracer::writeCsv(const std::string &path) const
-{
-    writeFileOrWarn(path, toCsv(), "trace CSV summary");
-}
-
-void
-Tracer::clear()
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto &b : s.buffers)
-        b->written = 0;
-}
-
 int64_t
 Tracer::droppedEvents() const
 {
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
     int64_t dropped = 0;
-    for (const auto &b : s.buffers)
-        if (b->written > kRingCapacity)
-            dropped += static_cast<int64_t>(b->written - kRingCapacity);
+    obsdetail::forEachTraceRing(
+        [&](int, const std::vector<TraceEvent> &ring, uint64_t written) {
+            if (written > ring.size())
+                dropped += static_cast<int64_t>(written - ring.size());
+        });
     return dropped;
 }
 

@@ -201,19 +201,27 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
 
     // Serial cases: a single chunk, a 1-thread pool, or a nested call
     // from inside a running region. Chunk boundaries are identical to
-    // the parallel path, so results are bitwise the same.
+    // the parallel path, so results are bitwise the same. Only an
+    // outermost region counts and traces its chunks, as the pooled
+    // path does: nested chunks run inline and record nothing.
     if (chunks == 1 || numThreads_ == 1 || lrd::inParallelRegion()
         || workerLane() != 0) {
         const bool wasIn = lrd::inParallelRegion();
+        const bool outermost = !wasIn && workerLane() == 0;
         setInParallelRegion(true);
         try {
             for (int64_t c = 0; c < chunks; ++c) {
                 if (cancelRequested())
                     break; // Same drain semantics as the pooled path.
                 const int64_t lo = begin + c * g;
+                const int64_t hi = std::min(end, lo + g);
+                if (!outermost) {
+                    body(c, lo, hi);
+                    continue;
+                }
                 chunksCounter_->inc();
                 LRD_TRACE_SPAN("pool.chunk");
-                body(c, lo, std::min(end, lo + g));
+                body(c, lo, hi);
             }
         } catch (...) {
             setInParallelRegion(wasIn);

@@ -125,7 +125,7 @@ class ThreadPool
 
     // Metric handles, resolved once in the constructor (before any
     // worker spawns) so the hot path never touches the registry lock.
-    Counter *chunksCounter_ = nullptr;    ///< "pool.chunks" (per lane).
+    Counter *chunksCounter_ = nullptr;    ///< "pool.chunks": outermost, per lane.
     Counter *idleWaitsCounter_ = nullptr; ///< "pool.idleWaits".
     Gauge *threadsGauge_ = nullptr;       ///< "pool.threads".
 };

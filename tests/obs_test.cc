@@ -292,6 +292,15 @@ TEST(Metrics, PoolChunkCounterMatchesPartitioning)
         parallelFor(0, 100, 10, [&](int64_t, int64_t) {});
         EXPECT_EQ(counterValue(reg.snapshot(), "pool.chunks"), 10)
             << "threads=" << threads;
+
+        // Regions nested in each outer chunk run inline and record
+        // nothing, so the count stays the outer partition's.
+        reg.reset();
+        parallelFor(0, 100, 10, [&](int64_t, int64_t) {
+            parallelFor(0, 64, 1, [&](int64_t, int64_t) {});
+        });
+        EXPECT_EQ(counterValue(reg.snapshot(), "pool.chunks"), 10)
+            << "nested, threads=" << threads;
     }
 }
 
@@ -345,7 +354,7 @@ TEST(Trace, ChromeJsonIsWellFormedAndHasWorkerLanes)
 {
     ObsStateGuard guard;
     Tracer &tracer = Tracer::instance();
-    tracer.clear();
+    MetricsRegistry::instance().reset();
     tracer.setEnabled(true);
 
     // Respawn workers with tracing on so each emits its lane marker.
@@ -379,12 +388,55 @@ TEST(Trace, ChromeJsonIsWellFormedAndHasWorkerLanes)
     EXPECT_NE(csv.find("test.body,64,"), std::string::npos);
 }
 
+TEST(Trace, SummaryIsExactPastRingCapacity)
+{
+    ObsStateGuard guard;
+    Tracer &tracer = Tracer::instance();
+    MetricsRegistry::instance().reset();
+    tracer.setEnabled(true);
+    ThreadPool::instance().resize(8);
+
+    // More spans of one name on lane 0 than its ring holds, plus spans
+    // fanned out over the workers.
+    constexpr int kSerial = 40000;
+    constexpr int kFanned = 4096;
+    for (int i = 0; i < kSerial; ++i) {
+        LRD_TRACE_SPAN("test.exact");
+    }
+    parallelFor(0, kFanned, 1, [&](int64_t, int64_t) {
+        LRD_TRACE_SPAN("test.exact");
+    });
+    tracer.setEnabled(false);
+
+    EXPECT_GT(tracer.droppedEvents(), 0);
+    const std::string total = std::to_string(kSerial + kFanned);
+    EXPECT_NE(tracer.toCsv().find("\ntest.exact," + total + ","),
+              std::string::npos)
+        << tracer.toCsv();
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+    const HistogramSnapshot *h = histogramValue(snap, "span.test.exact");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, kSerial + kFanned);
+    EXPECT_LE(h->min, h->max);
+
+    // The truncated timeline says so in the file.
+    const std::string json = tracer.toChromeJson();
+    EXPECT_TRUE(JsonValidator::valid(json));
+    EXPECT_NE(json.find("\"otherData\": {\"droppedEvents\": "
+                        + std::to_string(tracer.droppedEvents()) + "}"),
+              std::string::npos);
+
+    MetricsRegistry::instance().reset();
+    EXPECT_EQ(tracer.droppedEvents(), 0);
+    EXPECT_EQ(tracer.toCsv().find("test.exact"), std::string::npos);
+}
+
 TEST(Trace, DisabledSpansRecordNothing)
 {
     ObsStateGuard guard;
     Tracer &tracer = Tracer::instance();
     tracer.setEnabled(false);
-    tracer.clear();
+    MetricsRegistry::instance().reset();
     {
         LRD_TRACE_SPAN("test.shouldNotAppear");
     }
