@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks for the numeric kernels: GEMM
  * variants, SVD, 2D Tucker factorization, dense vs rank-1 factorized
- * linear layers, and a KV-cache decode step.
+ * linear layers, a KV-cache decode step, and a model load from bytes.
  */
 
 #include <benchmark/benchmark.h>
@@ -216,7 +216,7 @@ constexpr int64_t kCrossoverRows = 256;
 Linear
 makeFactorizedLinear(int64_t h, int64_t r, Rng &rng)
 {
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", &rng);
     l.installFactorShape(r);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);
@@ -228,7 +228,7 @@ BM_CrossoverDense(benchmark::State &state)
 {
     const auto h = static_cast<int64_t>(state.range(0));
     Rng rng(15);
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", &rng);
     Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
     for (auto _ : state) {
         Tensor y = l.forward(x);
@@ -336,7 +336,7 @@ void
 BM_DenseLinearForward(benchmark::State &state)
 {
     Rng rng(7);
-    Linear l(176, 64, false, "bench", rng);
+    Linear l(176, 64, false, "bench", &rng);
     Tensor x = Tensor::randn({64, 64}, rng);
     for (auto _ : state) {
         Tensor y = l.forward(x);
@@ -349,7 +349,7 @@ void
 BM_FactorizedLinearForward(benchmark::State &state)
 {
     Rng rng(8);
-    Linear l(176, 64, false, "bench", rng);
+    Linear l(176, 64, false, "bench", &rng);
     const Status st = l.factorize(static_cast<int64_t>(state.range(0)));
     if (!st.ok()) {
         state.SkipWithError(st.toString().c_str());
@@ -395,6 +395,22 @@ BM_FullForward64(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullForward64);
+
+/** Load a tiny-llama from its serialize() bytes: the per-replica cost
+ *  the evaluator, serve batcher, trainer and every DSE candidate pay. */
+void
+BM_ModelDeserialize(benchmark::State &state)
+{
+    const std::vector<uint8_t> bytes =
+        TransformerModel(tinyLlamaConfig(), 12).serialize();
+    for (auto _ : state) {
+        TransformerModel model = TransformerModel::deserialize(bytes);
+        benchmark::DoNotOptimize(&model);
+    }
+    state.SetBytesProcessed(state.iterations()
+                            * static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_ModelDeserialize);
 
 /** One optimizer step (forward + backward + AdamW) on the tiny
  *  stand-in. The robust-layer guards (faultAt at the step boundary,

@@ -49,7 +49,7 @@ main()
     //    weight for three chained factor matmuls in place.
     Rng lrng(9);
     Linear layer(static_cast<int64_t>(h), static_cast<int64_t>(w), false,
-                 "demo", lrng);
+                 "demo", &lrng);
     layer.weight().value = weight; // install the structured weight
     Tensor x = Tensor::randn({4, w}, lrng);
     Tensor before = layer.forward(x);

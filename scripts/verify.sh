@@ -5,7 +5,8 @@
 # suites (signed overflow / misaligned loads in the packed GEMM
 # kernels would surface here), and an ASan build of the fault-
 # tolerance suites (checkpoint I/O and injected alloc failures
-# exercise error paths where leaks and overreads hide). clang-tidy
+# exercise error paths where leaks and overreads hide) and the model
+# suites (shape-only deserialize, dropped forward caches). clang-tidy
 # (curated subset, WarningsAsErrors) blocks when the tool is
 # installed and is skipped loudly when it is not.
 #
@@ -78,13 +79,17 @@ cmake --build build-ubsan -j --target determinism_test obs_test
 ./build-ubsan/tests/determinism_test
 ./build-ubsan/tests/obs_test
 
-echo "== ASan: robust + resume + cancel + serve suites under -fsanitize=address =="
+echo "== ASan: robust + resume + cancel + serve + model suites under -fsanitize=address =="
 cmake -B build-asan -S . -DLRD_SANITIZE=address
 cmake --build build-asan -j --target robust_test resume_test cancel_test \
-    serve_test
+    serve_test model_test session_test serialization_test layers_test
 ./build-asan/tests/robust_test
 ./build-asan/tests/resume_test
 ./build-asan/tests/cancel_test
 ./build-asan/tests/serve_test
+./build-asan/tests/model_test
+./build-asan/tests/session_test
+./build-asan/tests/serialization_test
+./build-asan/tests/layers_test
 
 echo "verify: OK"

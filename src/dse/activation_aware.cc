@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "model/train_mode.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -20,6 +21,9 @@ calibrateActivationScales(TransformerModel &model,
     // Accumulate sum of squares and counts per (layer, kind, column).
     std::map<std::pair<int, int>, std::vector<double>> sumSq;
     std::map<std::pair<int, int>, int64_t> counts;
+    // Linear keeps its forward input (lastInput()) only in training
+    // mode.
+    const TrainingModeScope keepInputs;
     for (const TokenSeq &doc : calibrationDocs) {
         (void)model.forward(doc);
         for (const PrunedRankEntry &e : gamma.prunedRanks()) {

@@ -25,11 +25,13 @@ headsProcessedCounter()
 } // namespace
 
 MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
-                                       int64_t layerIdx, Rng &rng)
+                                       int64_t layerIdx, Rng *rng)
     : dModel_(cfg.dModel), nHeads_(cfg.nHeads), kvHeads_(cfg.kvHeads()),
       kvDim_(cfg.kvDim()), headDim_(cfg.headDim()),
-      causal_(cfg.causal()), useRope_(cfg.arch == Arch::LlamaStyle)
+      causal_(cfg.causal())
 {
+    if (cfg.arch == Arch::LlamaStyle)
+        rope_ = &RopeTable::shared(cfg.maxSeq, headDim_);
     const bool bias = cfg.arch == Arch::BertStyle;
     const std::string base = strCat("layer", layerIdx, ".attn.");
     wq_ = std::make_unique<Linear>(dModel_, dModel_, bias, base + "wq", rng);
@@ -37,6 +39,8 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
     wv_ = std::make_unique<Linear>(kvDim_, dModel_, bias, base + "wv", rng);
     wso_ =
         std::make_unique<Linear>(dModel_, dModel_, bias, base + "wso", rng);
+    if (rng == nullptr)
+        return;
     // Scale the residual-branch output projection down by
     // 1/sqrt(2 * nLayers) (GPT-2-style init) so deep post-LN stacks
     // train stably.
@@ -44,37 +48,6 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
         1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
     for (int64_t i = 0; i < wso_->weight().value.size(); ++i)
         wso_->weight().value[i] *= scale;
-}
-
-void
-MultiHeadAttention::applyRope(Tensor &qk, int64_t startPos, bool inverse,
-                              int64_t heads) const
-{
-    if (!useRope_)
-        return;
-    const int64_t n = qk.dim(0);
-    const int64_t width = heads * headDim_;
-    for (int64_t i = 0; i < n; ++i) {
-        const auto p = static_cast<double>(startPos + i);
-        float *row = qk.data() + i * width;
-        for (int64_t h = 0; h < heads; ++h) {
-            float *head = row + h * headDim_;
-            for (int64_t d = 0; d < headDim_; d += 2) {
-                const double freq = std::pow(
-                    10000.0,
-                    -static_cast<double>(d) / static_cast<double>(headDim_));
-                double angle = p * freq;
-                if (inverse)
-                    angle = -angle;
-                const auto c = static_cast<float>(std::cos(angle));
-                const auto s = static_cast<float>(std::sin(angle));
-                const float x = head[d];
-                const float y = head[d + 1];
-                head[d] = x * c - y * s;
-                head[d + 1] = x * s + y * c;
-            }
-        }
-    }
 }
 
 Tensor
@@ -87,8 +60,10 @@ MultiHeadAttention::forward(const Tensor &x)
     cachedQ_ = wq_->forward(x);
     cachedK_ = wk_->forward(x);
     cachedV_ = wv_->forward(x);
-    applyRope(cachedQ_, 0, false, nHeads_);
-    applyRope(cachedK_, 0, false, kvHeads_);
+    if (rope_ != nullptr) {
+        rope_->apply(cachedQ_, 0, false, nHeads_);
+        rope_->apply(cachedK_, 0, false, kvHeads_);
+    }
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     cachedProbs_ = Tensor({nHeads_, t, t});
@@ -206,8 +181,10 @@ MultiHeadAttention::backward(const Tensor &dy)
     });
 
     // Invert RoPE on the gradients (rotation is orthogonal).
-    applyRope(dq, 0, true, nHeads_);
-    applyRope(dk, 0, true, kvHeads_);
+    if (rope_ != nullptr) {
+        rope_->apply(dq, 0, true, nHeads_);
+        rope_->apply(dk, 0, true, kvHeads_);
+    }
 
     Tensor dx = wq_->backward(dq);
     axpy(dx, 1.0F, wk_->backward(dk));
@@ -230,8 +207,10 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache)
     Tensor q = wq_->forward(x);
     Tensor k = wk_->forward(x);
     Tensor v = wv_->forward(x);
-    applyRope(q, start, false, nHeads_);
-    applyRope(k, start, false, kvHeads_);
+    if (rope_ != nullptr) {
+        rope_->apply(q, start, false, nHeads_);
+        rope_->apply(k, start, false, kvHeads_);
+    }
 
     // Append to the cache (rows are kvDim wide under GQA).
     for (int64_t i = 0; i < n; ++i) {

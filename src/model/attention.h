@@ -17,6 +17,7 @@
 
 #include "model/config.h"
 #include "model/linear.h"
+#include "model/rope.h"
 
 namespace lrd {
 
@@ -38,7 +39,8 @@ struct KvCache
 class MultiHeadAttention
 {
   public:
-    MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** A null rng builds zero weights with no draws (see Linear). */
+    MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     /** Full-sequence forward: x (T, d) -> (T, d). Caches for backward. */
     Tensor forward(const Tensor &x);
@@ -61,20 +63,13 @@ class MultiHeadAttention
     void clearCache();
 
   private:
-    /**
-     * Apply (or invert) RoPE to rows holding `heads` concatenated
-     * head slices, at absolute positions startPos...
-     */
-    void applyRope(Tensor &qk, int64_t startPos, bool inverse,
-                   int64_t heads) const;
-
     int64_t dModel_;
     int64_t nHeads_;
     int64_t kvHeads_;  ///< < nHeads_ under grouped-query attention.
     int64_t kvDim_;    ///< kvHeads_ * headDim_.
     int64_t headDim_;
     bool causal_;
-    bool useRope_;
+    const RopeTable *rope_ = nullptr; ///< Shared; null without RoPE.
 
     std::unique_ptr<Linear> wq_, wk_, wv_, wso_;
 

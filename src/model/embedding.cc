@@ -7,15 +7,16 @@
 namespace lrd {
 
 Embedding::Embedding(int64_t vocab, int64_t dim, int64_t maxSeq,
-                     bool usePositions, const std::string &name, Rng &rng)
+                     bool usePositions, const std::string &name, Rng *rng)
     : vocab_(vocab), dim_(dim), usePositions_(usePositions)
 {
-    const float stddev = 0.02F;
-    tok_ = Parameter(name + ".tok",
-                     Tensor::randn({vocab, dim}, rng, stddev));
+    const auto table = [rng](int64_t rows, int64_t cols) {
+        return rng != nullptr ? Tensor::randn({rows, cols}, *rng, 0.02F)
+                              : Tensor({rows, cols});
+    };
+    tok_ = Parameter(name + ".tok", table(vocab, dim));
     if (usePositions_)
-        pos_ = Parameter(name + ".pos",
-                         Tensor::randn({maxSeq, dim}, rng, stddev));
+        pos_ = Parameter(name + ".pos", table(maxSeq, dim));
 }
 
 Tensor

@@ -27,9 +27,11 @@ class Embedding
      * @param dim      Embedding width.
      * @param maxSeq   Maximum sequence length (for positions).
      * @param usePositions Add a learned positional table (BERT).
+     * @param rng      Initialization stream, or null for zero tables
+     *                 and no draws (see Linear).
      */
     Embedding(int64_t vocab, int64_t dim, int64_t maxSeq, bool usePositions,
-              const std::string &name, Rng &rng);
+              const std::string &name, Rng *rng);
 
     /**
      * Embed tokens[0..n) at absolute positions startPos..startPos+n.

@@ -43,13 +43,15 @@ fusedCounters()
 } // namespace
 
 Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
-               const std::string &name, Rng &rng)
+               const std::string &name, Rng *rng)
     : outDim_(outDim), inDim_(inDim), hasBias_(hasBias), name_(name)
 {
     require(outDim > 0 && inDim > 0, "Linear: dims must be positive");
     const float stddev = 1.0F / std::sqrt(static_cast<float>(inDim));
     w_ = Parameter(name + ".w",
-                   Tensor::randn({outDim, inDim}, rng, stddev));
+                   rng != nullptr
+                       ? Tensor::randn({outDim, inDim}, *rng, stddev)
+                       : Tensor({outDim, inDim}));
     if (hasBias_)
         b_ = Parameter(name + ".b", Tensor({outDim}));
 }
@@ -71,17 +73,22 @@ Linear::forward(const Tensor &x)
                       + n * prunedRank_ * prunedRank_
                       + n * outDim_ * prunedRank_);
     }
-    cachedX_ = x;
+    // Only a training forward can be followed by backward(). An
+    // inference forward copies nothing and drops a training forward's
+    // stale cache, so a stray backward() fails instead of reading it.
+    const bool training = trainingModeActive();
+    if (training)
+        cachedX_ = x;
+    else if (cachedX_.rank() != 0)
+        clearCache();
     // Inference-only fused path: chain the three factor GEMMs through
     // register-blocked row panels against pre-packed weights, never
     // materializing the (n, pr) intermediates. Skinny batches (m <
     // one microkernel tile of rows) stay on the unfused path, whose
     // lane-dot fallback wastes no work on padded tiles.
-    if (factorized_ && !trainingModeActive() && fusedForwardEnabled() &&
+    if (factorized_ && !training && fusedForwardEnabled() &&
         x.dim(0) >= simd::kMr) {
         ensurePackedFactors();
-        cachedT1_ = Tensor();
-        cachedT2_ = Tensor();
         Tensor y({x.dim(0), outDim_});
         simd::fusedFactorizedForward(
             x.data(), x.dim(0), inDim_, prunedRank_, outDim_, packedU2t_,
@@ -132,12 +139,6 @@ Linear::backward(const Tensor &dy)
     // The upcoming optimizer step will mutate the factors, so the
     // packed panels are stale after this call.
     invalidatePackedWeights();
-
-    // A fused forward skipped the intermediates; rebuild them.
-    if (cachedT1_.rank() != 2 || cachedT1_.dim(0) != dy.dim(0)) {
-        cachedT1_ = matmulTransB(cachedX_, u2_.value);
-        cachedT2_ = matmulTransB(cachedT1_, core_.value);
-    }
 
     // y = ((x U2^T) core^T) U1^T.
     Tensor dT2 = matmul(dy, u1_.value); // (n, pr)
@@ -233,6 +234,7 @@ Linear::installFactors(Tucker2d d)
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
     invalidatePackedWeights();
+    clearCache(); // a forward of the dense layout cannot feed backward()
 }
 
 void
@@ -251,6 +253,7 @@ Linear::densify()
     factorized_ = false;
     prunedRank_ = 0;
     invalidatePackedWeights();
+    clearCache();
 }
 
 int64_t

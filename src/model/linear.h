@@ -40,17 +40,23 @@ class Linear
      * @param inDim  Input features.
      * @param hasBias Whether to include a bias vector.
      * @param name   Parameter-name prefix for optimizers/serialization.
-     * @param rng    Initialization stream (scaled normal init).
+     * @param rng    Initialization stream (scaled normal init), or null
+     *               for a shape-only layer: zero weights and no draws,
+     *               for a deserialized payload to overwrite.
      */
     Linear(int64_t outDim, int64_t inDim, bool hasBias,
-           const std::string &name, Rng &rng);
+           const std::string &name, Rng *rng);
 
-    /** Forward pass for x of shape (n, in); caches x for backward. */
+    /**
+     * Forward pass for x of shape (n, in). Caches x for backward()
+     * only while a TrainingModeScope is alive; an inference forward
+     * drops any cache a training forward left.
+     */
     Tensor forward(const Tensor &x);
 
     /**
      * Backward pass. Accumulates weight gradients and returns dL/dx.
-     * Must be preceded by forward() on the same input.
+     * Must be preceded by a training-mode forward() on the same input.
      */
     Tensor backward(const Tensor &dy);
 
@@ -113,7 +119,11 @@ class Linear
     /** Effective dense weight: W, or U1*core*U2 when factorized. */
     Tensor effectiveWeight() const;
 
-    /** Input of the most recent forward() (activation calibration). */
+    /**
+     * Input of the most recent forward() when it ran under a
+     * TrainingModeScope (activation calibration holds one); empty
+     * after an inference forward.
+     */
     const Tensor &lastInput() const { return cachedX_; }
 
     /** Reset the cached forward input (frees activation memory). */
@@ -156,9 +166,7 @@ class Linear
     Parameter u2_;   ///< (pr, in).
     Parameter b_;    ///< (out), optional.
 
-    // Forward caches for backward. The fused inference path leaves
-    // cachedT1_/cachedT2_ empty; backward() recomputes them from
-    // cachedX_ when a training step follows a fused forward.
+    // Forward caches for backward(), kept by training-mode forwards.
     Tensor cachedX_;
     Tensor cachedT1_; ///< x * U2^T.
     Tensor cachedT2_; ///< t1 * core^T.

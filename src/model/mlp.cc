@@ -37,7 +37,7 @@ geluGrad(float x)
 
 } // namespace
 
-Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng)
+Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng)
     : arch_(cfg.arch)
 {
     const std::string base = strCat("layer", layerIdx, ".mlp.");
@@ -54,6 +54,8 @@ Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng)
         wd_ = std::make_unique<Linear>(cfg.dModel, cfg.dFf, true,
                                        base + "wout", rng);
     }
+    if (rng == nullptr)
+        return;
     // Residual-output init scaling (see MultiHeadAttention).
     const float scale =
         1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));

@@ -19,7 +19,8 @@ namespace lrd {
 class Mlp
 {
   public:
-    Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** A null rng builds zero weights with no draws (see Linear). */
+    Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     /** x (n, d) -> (n, d). Caches intermediates for backward. */
     Tensor forward(const Tensor &x);

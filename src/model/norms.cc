@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "model/train_mode.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -16,7 +17,11 @@ RmsNorm::forward(const Tensor &x)
 {
     require(x.rank() == 2 && x.dim(1) == dim_, "RmsNorm::forward: bad input ",
             x.shape());
-    cachedX_ = x;
+    // As in Linear::forward: copy the input only for a backward().
+    if (trainingModeActive())
+        cachedX_ = x;
+    else if (cachedX_.rank() != 0)
+        cachedX_ = Tensor();
     const int64_t n = x.dim(0);
     cachedInvRms_.resize(static_cast<size_t>(n));
     Tensor y(x.shape());

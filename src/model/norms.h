@@ -21,7 +21,8 @@ class RmsNorm
   public:
     RmsNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape. */
+    /** x of shape (n, dim) -> same shape. Caches x for backward()
+     *  only while a TrainingModeScope is alive. */
     Tensor forward(const Tensor &x);
     Tensor backward(const Tensor &dy);
 

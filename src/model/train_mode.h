@@ -2,12 +2,14 @@
  * @file
  * Process-wide training-mode flag.
  *
- * Layers that specialize their forward pass for inference (e.g. the
- * fused factorized path in linear.cc, which skips materializing the
- * intermediates backward() needs) consult trainingModeActive() to
- * decide whether a backward pass may follow. Training entry points
- * (TransformerModel::lossAndGrad) hold a TrainingModeScope for the
- * duration of the forward+backward pair.
+ * Layers consult trainingModeActive() to decide whether a backward
+ * pass may follow a forward. Only then does Linear or RmsNorm keep a
+ * copy of its input; outside a scope Linear may take the fused
+ * factorized path, which skips the intermediates backward() needs.
+ * Training entry points (TransformerModel::lossAndGrad) hold a
+ * TrainingModeScope for the duration of the forward+backward pair,
+ * and so does anything else that reads a forward's cached input
+ * (calibrateActivationScales via Linear::lastInput()).
  */
 
 #ifndef LRD_MODEL_TRAIN_MODE_H

@@ -35,7 +35,7 @@ guardBlockOutput(Tensor &h, int64_t layerIdx)
 } // namespace
 
 TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
-                                   Rng &rng)
+                                   Rng *rng)
     : arch_(cfg.arch)
 {
     const std::string base = strCat("layer", layerIdx, ".");
@@ -153,10 +153,16 @@ TransformerBlock::clearCache()
 }
 
 TransformerModel::TransformerModel(const ModelConfig &cfg, uint64_t seed)
+    : TransformerModel(cfg, std::optional<Rng>(seed))
+{
+}
+
+TransformerModel::TransformerModel(const ModelConfig &cfg,
+                                   std::optional<Rng> init)
     : cfg_(cfg)
 {
     cfg_.validate();
-    Rng rng(seed);
+    Rng *rng = init ? &*init : nullptr;
     embedding_ = std::make_unique<Embedding>(
         cfg_.vocabSize, cfg_.dModel, cfg_.maxSeq,
         cfg_.arch == Arch::BertStyle, "emb", rng);
@@ -233,9 +239,9 @@ double
 TransformerModel::lossAndGrad(const TokenSeq &tokens,
                               const std::vector<int> &targets)
 {
-    // Keep inference-only forward specializations (the fused
-    // factorized path) disabled: backward() needs the cached
-    // intermediates the fused path skips.
+    // In training mode the layers cache the inputs and intermediates
+    // backward() reads, and the fused factorized path, which skips
+    // them, stays off.
     TrainingModeScope trainScope;
     Tensor logits = forward(tokens);
     Tensor dLogits;
@@ -381,8 +387,28 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
         cfg.nKvHeads = static_cast<int64_t>(r.getU64());
     cfg.dFf = static_cast<int64_t>(r.getU64());
     cfg.maxSeq = static_cast<int64_t>(r.getU64());
+    cfg.validate();
 
-    TransformerModel model(cfg);
+    // The never-factorized tensors, all dModel wide, must follow in
+    // full: token embedding and lm_head (vocab rows each), then two
+    // RMSNorm scales per layer plus the final one (Llama) or learned
+    // positions plus two LayerNorm scale/bias pairs per layer (BERT).
+    // A hostile header fails here, before anything is allocated; in
+    // double, a size past 2^53 stays far above any stream's length.
+    const double rows =
+        2.0 * static_cast<double>(cfg.vocabSize)
+        + (cfg.arch == Arch::LlamaStyle
+               ? 2.0 * static_cast<double>(cfg.nLayers) + 1.0
+               : static_cast<double>(cfg.maxSeq)
+                     + 4.0 * static_cast<double>(cfg.nLayers));
+    const double minBytes =
+        rows * static_cast<double>(cfg.dModel) * sizeof(float);
+    require(minBytes <= static_cast<double>(r.remaining()),
+            "TransformerModel::deserialize: header declares ", minBytes,
+            " bytes of embedding, norm and lm_head weights, but only ",
+            r.remaining(), " bytes follow");
+
+    TransformerModel model(cfg, std::nullopt);
     if (magic != "lrd-model-v1") {
         const uint64_t n = r.getU64();
         for (uint64_t i = 0; i < n; ++i) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,8 @@ namespace lrd {
 class TransformerBlock
 {
   public:
-    TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** A null rng builds zero weights with no draws (see Linear). */
+    TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     Tensor forward(const Tensor &x);
     Tensor backward(const Tensor &dy);
@@ -120,6 +122,10 @@ class TransformerModel
 
   private:
     friend class InferenceSession;
+
+    /** Draws the initial weights from `init`; without one, builds
+     *  every tensor zeroed and draws nothing (deserialize()). */
+    TransformerModel(const ModelConfig &cfg, std::optional<Rng> init);
 
     ModelConfig cfg_;
     std::unique_ptr<Embedding> embedding_;

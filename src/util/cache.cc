@@ -143,7 +143,7 @@ ByteReader::ByteReader(std::vector<uint8_t> bytes) : buf_(std::move(bytes)) {}
 void
 ByteReader::need(size_t n) const
 {
-    if (pos_ + n > buf_.size())
+    if (n > remaining())
         fatal("ByteReader: truncated stream");
 }
 
@@ -201,7 +201,8 @@ std::vector<float>
 ByteReader::getFloats()
 {
     const uint64_t n = getU64();
-    need(n * sizeof(float));
+    if (n > remaining() / sizeof(float))
+        fatal("ByteReader: truncated stream");
     std::vector<float> v(n);
     std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);

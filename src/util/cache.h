@@ -67,6 +67,8 @@ class ByteReader
     std::vector<float> getFloats();
     std::vector<uint8_t> getBytes();
     bool atEnd() const { return pos_ == buf_.size(); }
+    /** Bytes not yet read. */
+    size_t remaining() const { return buf_.size() - pos_; }
 
   private:
     void need(size_t n) const;

@@ -205,7 +205,7 @@ TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
     // packed-weight threshold into stage mode.
     for (const auto &[dim, rank] :
          {std::pair<int64_t, int64_t>{96, 24}, {256, 200}}) {
-        Linear l(dim, dim, /*hasBias=*/true, "dettest.fused", rng);
+        Linear l(dim, dim, /*hasBias=*/true, "dettest.fused", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);

@@ -294,7 +294,7 @@ TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
          {std::tuple<int64_t, int64_t, int64_t, int64_t>{64, 48, 12, 33},
           {96, 96, 40, 8},
           {176, 64, 16, 65}}) {
-        Linear l(out, in, /*hasBias=*/true, "fusedtest", rng);
+        Linear l(out, in, /*hasBias=*/true, "fusedtest", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
@@ -318,7 +318,7 @@ TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
 TEST(FusedFactorizedForward, SkinnyBatchTakesUnfusedPath)
 {
     Rng rng(24);
-    Linear l(32, 32, /*hasBias=*/false, "fusedtest.skinny", rng);
+    Linear l(32, 32, /*hasBias=*/false, "fusedtest.skinny", &rng);
     ASSERT_TRUE(l.factorize(4).ok());
     Tensor x = Tensor::randn({1, 32}, rng);
 
@@ -337,7 +337,7 @@ TEST(FusedFactorizedForward, SkinnyBatchTakesUnfusedPath)
 TEST(FusedFactorizedForward, DetectsExternalFactorWrites)
 {
     Rng rng(25);
-    Linear l(40, 40, /*hasBias=*/false, "fusedtest.stale", rng);
+    Linear l(40, 40, /*hasBias=*/false, "fusedtest.stale", &rng);
     l.installFactorShape(8);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);

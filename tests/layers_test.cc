@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "dse/activation_aware.h"
 #include "model/attention.h"
 #include "model/mlp.h"
 #include "model/norms.h"
+#include "model/rope.h"
+#include "model/train_mode.h"
 #include "tensor/ops.h"
 
 namespace lrd {
@@ -31,6 +34,7 @@ checkModuleGradients(Forward fwd, Backward bwd,
                      std::vector<Parameter *> params, const Tensor &x,
                      double tol = 0.08)
 {
+    const TrainingModeScope training; // forwards keep what bwd reads
     Rng rng(321);
     Tensor y = fwd(x);
     Tensor dY = Tensor::randn(y.shape(), rng);
@@ -120,7 +124,7 @@ TEST(LayerGrad, LayerNorm)
 TEST(LayerGrad, LinearDenseWithBias)
 {
     Rng rng(3);
-    Linear lin(7, 9, true, "t", rng);
+    Linear lin(7, 9, true, "t", &rng);
     Tensor x = Tensor::randn({4, 9}, rng);
     checkModuleGradients(
         [&](const Tensor &in) { return lin.forward(in); },
@@ -131,7 +135,7 @@ TEST(LayerGrad, LinearDenseWithBias)
 TEST(LayerGrad, LinearFactorized)
 {
     Rng rng(4);
-    Linear lin(8, 10, false, "t", rng);
+    Linear lin(8, 10, false, "t", &rng);
     ASSERT_TRUE(lin.factorize(3).ok());
     Tensor x = Tensor::randn({5, 10}, rng);
     checkModuleGradients(
@@ -144,7 +148,7 @@ TEST(LayerGrad, SwigluMlp)
 {
     Rng rng(5);
     ModelConfig cfg = testLlamaConfig();
-    Mlp mlp(cfg, 0, rng);
+    Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
     checkModuleGradients(
         [&](const Tensor &in) { return mlp.forward(in); },
@@ -156,7 +160,7 @@ TEST(LayerGrad, GeluMlp)
 {
     Rng rng(6);
     ModelConfig cfg = testBertConfig();
-    Mlp mlp(cfg, 0, rng);
+    Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
     checkModuleGradients(
         [&](const Tensor &in) { return mlp.forward(in); },
@@ -168,7 +172,7 @@ TEST(LayerGrad, CausalAttentionWithRope)
 {
     Rng rng(7);
     ModelConfig cfg = testLlamaConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
     checkModuleGradients(
         [&](const Tensor &in) { return attn.forward(in); },
@@ -180,7 +184,7 @@ TEST(LayerGrad, BidirectionalAttention)
 {
     Rng rng(8);
     ModelConfig cfg = testBertConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
     checkModuleGradients(
         [&](const Tensor &in) { return attn.forward(in); },
@@ -242,7 +246,7 @@ TEST(Rope, RotationPreservesNorms)
     // rotation).
     Rng rngA(12);
     ModelConfig llama = testLlamaConfig();
-    MultiHeadAttention ropeAttn(llama, 0, rngA);
+    MultiHeadAttention ropeAttn(llama, 0, &rngA);
     Rng rngB(12);
     ModelConfig noRope = testLlamaConfig();
     noRope.arch = Arch::BertStyle; // no RoPE, but also not causal
@@ -265,7 +269,7 @@ TEST(Rope, ShiftedPositionsChangeScores)
     // score(q_i, k_j) depends only on i - j.
     Rng rng(13);
     ModelConfig cfg = testLlamaConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({2, cfg.dModel}, rng);
 
     KvCache cacheA(cfg.maxSeq, cfg.dModel);
@@ -289,12 +293,98 @@ TEST(Rope, ShiftedPositionsChangeScores)
     EXPECT_EQ(outA.shape(), outB.shape());
 }
 
+/**
+ * x, whose rows hold `heads` head slices of width hd at positions
+ * first, first + 1, ..., rotated by the pow/cos/sin formula per
+ * element. The volatile products stay rounded to float, as rope.cc's
+ * -ffp-contract=off keeps them, whatever this file's build fuses.
+ */
+Tensor
+closedFormRope(const Tensor &x, int64_t first, bool inverse, int64_t heads,
+               int64_t hd)
+{
+    Tensor want = x;
+    for (int64_t i = 0; i < x.dim(0); ++i) {
+        for (int64_t h = 0; h < heads; ++h) {
+            float *head = want.data() + (i * heads + h) * hd;
+            for (int64_t d = 0; d < hd; d += 2) {
+                const double freq = std::pow(
+                    10000.0,
+                    -static_cast<double>(d) / static_cast<double>(hd));
+                double angle = static_cast<double>(first + i) * freq;
+                if (inverse)
+                    angle = -angle;
+                const auto c = static_cast<float>(std::cos(angle));
+                const auto s = static_cast<float>(std::sin(angle));
+                const float a = head[d];
+                const float b = head[d + 1];
+                const volatile float ac = a * c;
+                const volatile float bs = b * s;
+                const volatile float as = a * s;
+                const volatile float bc = b * c;
+                head[d] = ac - bs;
+                head[d + 1] = as + bc;
+            }
+        }
+    }
+    return want;
+}
+
+TEST(Rope, TableMatchesClosedFormBitwise)
+{
+    // The shared table must rotate exactly as the formula does, at
+    // every position, in both directions, whether rows arrive as one
+    // block or one decode step at a time. tiny-llama and test-llama
+    // are tabled in full; the last two shapes run from inside their
+    // tables past the 4096-position and 2^18-pair caps.
+    struct Shape
+    {
+        int64_t maxSeq, headDim, heads, first;
+    };
+    const ModelConfig tiny = tinyLlamaConfig();
+    const ModelConfig test = testLlamaConfig();
+    for (const Shape &shape :
+         {Shape{tiny.maxSeq, tiny.headDim(), tiny.nHeads, 0},
+          Shape{test.maxSeq, test.headDim(), test.nHeads, 0},
+          Shape{4200, 8, 2, 4090}, Shape{600, 1024, 1, 500}}) {
+        const int64_t hd = shape.headDim;
+        const int64_t width = shape.heads * hd;
+        const int64_t rows = shape.maxSeq - shape.first;
+        const RopeTable &table = RopeTable::shared(shape.maxSeq, hd);
+        Rng rng(21);
+        for (bool inverse : {false, true}) {
+            const Tensor x = Tensor::randn({rows, width}, rng);
+            const Tensor want =
+                closedFormRope(x, shape.first, inverse, shape.heads, hd);
+            Tensor block = x;
+            table.apply(block, shape.first, inverse, shape.heads);
+            EXPECT_EQ(std::memcmp(block.data(), want.data(),
+                                  sizeof(float) * want.storage().size()),
+                      0)
+                << "headDim " << hd << " inverse=" << inverse;
+            for (int64_t i = 0; i < rows; ++i) {
+                Tensor row({1, width});
+                std::memcpy(row.data(), x.data() + i * width,
+                            sizeof(float) * static_cast<size_t>(width));
+                table.apply(row, shape.first + i, inverse, shape.heads);
+                EXPECT_EQ(std::memcmp(row.data(), want.data() + i * width,
+                                      sizeof(float)
+                                          * static_cast<size_t>(width)),
+                          0)
+                    << "headDim " << hd << " position " << shape.first + i
+                    << " inverse=" << inverse;
+            }
+        }
+        EXPECT_EQ(&table, &RopeTable::shared(shape.maxSeq, hd));
+    }
+}
+
 TEST(ActivationAware, UnitScalesMatchPlainFactorization)
 {
     Rng rngA(14);
-    Linear plain(10, 12, false, "t", rngA);
+    Linear plain(10, 12, false, "t", &rngA);
     Rng rngB(14);
-    Linear aware(10, 12, false, "t", rngB);
+    Linear aware(10, 12, false, "t", &rngB);
     ASSERT_TRUE(plain.factorize(2).ok());
     ASSERT_TRUE(aware.factorizeActivationAware(2, std::vector<float>(12, 1.0F)).ok());
     Tensor x = Tensor::randn({4, 12}, rngA);
@@ -325,12 +415,12 @@ TEST(ActivationAware, ReducesWeightedReconstructionError)
     };
 
     Rng rngA(16);
-    Linear plain(16, 16, false, "t", rngA);
+    Linear plain(16, 16, false, "t", &rngA);
     plain.weight().value = w;
     ASSERT_TRUE(plain.factorize(1).ok());
 
     Rng rngB(16);
-    Linear aware(16, 16, false, "t", rngB);
+    Linear aware(16, 16, false, "t", &rngB);
     aware.weight().value = w;
     ASSERT_TRUE(aware.factorizeActivationAware(1, s).ok());
 
@@ -341,7 +431,7 @@ TEST(ActivationAware, ReducesWeightedReconstructionError)
 TEST(ActivationAware, RejectsBadScales)
 {
     Rng rng(17);
-    Linear lin(4, 4, false, "t", rng);
+    Linear lin(4, 4, false, "t", &rng);
     EXPECT_THROW(
         (void)lin.factorizeActivationAware(1, {1.0F, 1.0F}), // wrong size
         std::runtime_error);
@@ -377,10 +467,10 @@ TEST(ActivationAware, CalibrationRequiresDenseModel)
 TEST(InstallFactorShape, MatchesFactorizeLayout)
 {
     Rng rngA(20);
-    Linear a(6, 8, false, "t", rngA);
+    Linear a(6, 8, false, "t", &rngA);
     ASSERT_TRUE(a.factorize(2).ok());
     Rng rngB(20);
-    Linear b(6, 8, false, "t", rngB);
+    Linear b(6, 8, false, "t", &rngB);
     b.installFactorShape(2);
     auto pa = a.parameters();
     auto pb = b.parameters();

@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "model/train_mode.h"
 #include "model/transformer.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -94,7 +95,7 @@ TEST(Config, ModelParamCountMatchesConfigFormula)
 TEST(Linear, FactorizeReducesParamsPerFormula)
 {
     Rng rng(1);
-    Linear l(24, 16, false, "t", rng);
+    Linear l(24, 16, false, "t", &rng);
     const int64_t dense = l.paramCount();
     EXPECT_EQ(dense, 24 * 16);
     ASSERT_TRUE(l.factorize(2).ok());
@@ -106,7 +107,7 @@ TEST(Linear, FactorizeReducesParamsPerFormula)
 TEST(Linear, FullRankFactorizationPreservesOutput)
 {
     Rng rng(2);
-    Linear l(12, 10, false, "t", rng);
+    Linear l(12, 10, false, "t", &rng);
     Tensor x = Tensor::randn({5, 10}, rng);
     Tensor dense = l.forward(x);
     ASSERT_TRUE(l.factorize(10).ok());
@@ -117,7 +118,7 @@ TEST(Linear, FullRankFactorizationPreservesOutput)
 TEST(Linear, DensifyRoundTrip)
 {
     Rng rng(3);
-    Linear l(8, 8, false, "t", rng);
+    Linear l(8, 8, false, "t", &rng);
     Tensor w0 = l.weight().value;
     ASSERT_TRUE(l.factorize(8).ok());
     l.densify();
@@ -131,9 +132,9 @@ TEST(Linear, FactorizedOutputErrorShrinksWithRank)
     double prev = 1e9;
     for (int64_t pr : {1, 4, 10, 16}) {
         Rng r1(4);
-        Linear l(16, 20, false, "t", r1);
+        Linear l(16, 20, false, "t", &r1);
         Rng r2(4);
-        Linear dense(16, 20, false, "t", r2);
+        Linear dense(16, 20, false, "t", &r2);
         Tensor want = dense.forward(x);
         ASSERT_TRUE(l.factorize(pr).ok());
         const double err = relativeError(want, l.forward(x));
@@ -146,10 +147,44 @@ TEST(Linear, FactorizedOutputErrorShrinksWithRank)
 TEST(Linear, WeightAccessorFatalWhenFactorized)
 {
     Rng rng(5);
-    Linear l(4, 4, false, "t", rng);
+    Linear l(4, 4, false, "t", &rng);
     ASSERT_TRUE(l.factorize(1).ok());
     EXPECT_THROW(l.weight(), std::runtime_error);
     EXPECT_THROW(l.factorize(1), std::runtime_error);
+}
+
+TEST(Linear, InferenceForwardKeepsNoInput)
+{
+    // Enough rows for the fused path once factorized.
+    const int64_t rows = simd::kMr;
+    for (bool factorized : {false, true}) {
+        Rng rng(6);
+        Linear l(6, 5, true, "t", &rng);
+        if (factorized) {
+            ASSERT_TRUE(l.factorize(2).ok());
+        }
+        const Tensor x = Tensor::randn({rows, 5}, rng);
+        const Tensor dy = Tensor::randn({rows, 6}, rng);
+
+        // Outside a TrainingModeScope nothing is kept for backward().
+        (void)l.forward(x);
+        EXPECT_EQ(l.lastInput().rank(), 0);
+        EXPECT_THROW(l.backward(dy), std::runtime_error);
+
+        // An inference forward drops what a training forward kept.
+        {
+            const TrainingModeScope training;
+            (void)l.forward(x);
+        }
+        EXPECT_EQ(l.lastInput().rank(), 2);
+        (void)l.forward(x);
+        EXPECT_EQ(l.lastInput().rank(), 0);
+        EXPECT_THROW(l.backward(dy), std::runtime_error);
+
+        const TrainingModeScope training;
+        (void)l.forward(x);
+        EXPECT_EQ(l.backward(dy).shape(), x.shape());
+    }
 }
 
 TEST(Model, ForwardShapeAndFiniteness)

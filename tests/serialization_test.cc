@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "model/transformer.h"
 #include "tensor/ops.h"
 #include "util/cache.h"
@@ -117,6 +120,57 @@ TEST(Serialization, GqaConfigSurvivesRoundTrip)
     Rng rng(1);
     TokenSeq toks = {1, 2, 3, 4};
     EXPECT_LT(relativeError(m.forward(toks), m2.forward(toks)), 1e-7);
+}
+
+TEST(Serialization, HostileLengthFieldsAreRejected)
+{
+    // All four fail as malformed streams, not with std::length_error,
+    // std::bad_alloc or a heap overrun.
+    ByteWriter hugeString; // magic string of 2^64 - 1 bytes
+    hugeString.putU64(~uint64_t{0});
+    EXPECT_THROW(TransformerModel::deserialize(hugeString.bytes()),
+                 std::runtime_error);
+
+    // A valid stream whose first parameter claims 2^62 floats.
+    std::vector<uint8_t> hugeFloats = bytesFor(9);
+    const std::string firstName = "emb.tok";
+    const auto name = std::search(hugeFloats.begin(), hugeFloats.end(),
+                                  firstName.begin(), firstName.end());
+    ASSERT_NE(name, hugeFloats.end());
+    const auto count = static_cast<size_t>(name - hugeFloats.begin())
+                       + firstName.size();
+    for (size_t i = 0; i < 8; ++i)
+        hugeFloats[count + i] = i == 7 ? 0x40 : 0; // 2^62, little-endian
+    EXPECT_THROW(TransformerModel::deserialize(hugeFloats),
+                 std::runtime_error);
+
+    // Llama headers: vocab dModel nLayers nHeads nKvHeads dFf maxSeq.
+    const auto llamaHeader = [](std::initializer_list<uint64_t> fields) {
+        ByteWriter w;
+        w.putString("lrd-model-v3");
+        w.putString("hostile");
+        w.putU32(0); // LlamaStyle
+        for (uint64_t field : fields)
+            w.putU64(field);
+        return w;
+    };
+
+    // A header alone, declaring dModel = 2^40.
+    const ByteWriter hugeModel =
+        llamaHeader({32, uint64_t{1} << 40, 2, 2, 0, 24, 24});
+    EXPECT_THROW(TransformerModel::deserialize(hugeModel.bytes()),
+                 std::runtime_error);
+
+    // maxSeq = 2^62 + 1 at head dim 8, with the 320 zero bytes the
+    // embedding, norms and lm_head size check asks for. The RoPE table
+    // does not grow with maxSeq, so the model builds and the padding
+    // fails as a parameter list.
+    ByteWriter hugeSeq =
+        llamaHeader({1, 16, 1, 2, 0, 24, (uint64_t{1} << 62) + 1});
+    for (int i = 0; i < 40; ++i)
+        hugeSeq.putU64(0);
+    EXPECT_THROW(TransformerModel::deserialize(hugeSeq.bytes()),
+                 std::runtime_error);
 }
 
 } // namespace
