@@ -84,8 +84,8 @@ bad_env() {
     grep -q -- "${var%%=*}" <<<"${err}" \
         || fail "${var} lrdtool dse: stderr does not name ${var%%=*}"
 }
-for var in LRD_WATCHDOG=5 LRD_FUSED=0 LRD_THREAD=4 LRD_ROBUST=retry \
-           LRD_ROBUST=bogus; do
+for var in LRD_WATCHDOG=5 LRD_FUSED=0 LRD_DEADLINE=steps:3 LRD_THREAD=4 \
+           LRD_ROBUST=retry LRD_ROBUST=bogus; do
     bad_env "${var}"
 done
 # A full disk shows up only when the stats file is flushed and closed.

@@ -87,12 +87,12 @@ bad_flag loadgen --backoff=2.5
 bad_flag loadgen --request=8
 bad_flag serve --gap=1
 
-# A real SIGINT mid-load: stop admitting, finish the in-flight batch,
-# drain, exit 3. --foreground makes timeout signal lrdtool alone; without
-# it timeout also signals its own process group, lrdtool can see a
-# second SIGINT, and a second signal force-exits 130. --preserve-status
-# forwards lrdtool's own exit code; 124/137 would mean the drain wedged
-# until timeout gave up.
+# A real SIGINT mid-load: stop admitting, drain (a batch the signal
+# interrupted settles as cancelled), exit 3. --foreground makes
+# timeout signal lrdtool alone; without it timeout also signals its
+# own process group, lrdtool can see a second SIGINT, and a second
+# signal force-exits 130. --preserve-status forwards lrdtool's own exit
+# code; 124/137 would mean the drain wedged until timeout gave up.
 got=0
 timeout --foreground --preserve-status -s INT -k 30 2 \
     "${lrdtool}" loadgen --requests=100000 --queue=32 >/dev/null 2>&1 \

@@ -59,15 +59,29 @@ putDecompConfig(ByteWriter &w, const DecompConfig &c)
     }
 }
 
+/**
+ * A record count of 4-byte entries, checked against the bytes left
+ * before anything is sized by it: a resumed checkpoint is outside
+ * input, and a CRC-valid file can declare any count.
+ */
+uint64_t
+getU32Count(ByteReader &r)
+{
+    const uint64_t n = r.getU64();
+    if (n > r.remaining() / 4)
+        fatal("dse record: truncated stream");
+    return n;
+}
+
 DecompConfig
 getDecompConfig(ByteReader &r)
 {
     DecompConfig c;
-    const uint64_t nLayers = r.getU64();
+    const uint64_t nLayers = getU32Count(r);
     c.layers.resize(nLayers);
     for (uint64_t i = 0; i < nLayers; ++i)
         c.layers[i] = static_cast<int>(r.getU32());
-    const uint64_t nTensors = r.getU64();
+    const uint64_t nTensors = getU32Count(r);
     c.tensors.resize(nTensors);
     for (uint64_t i = 0; i < nTensors; ++i)
         c.tensors[i] = static_cast<WeightKind>(r.getU32());
@@ -353,21 +367,15 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
     for (int64_t batchStart = 0; batchStart < total;
          batchStart += stride) {
         // Batch boundaries are the sweep's cancellation points: a
-        // signal, an injected "dse.batch" cancel, or an expired
-        // deadline stops here, after a final checkpoint has captured
-        // every fully evaluated candidate.
+        // signal or an injected "dse.batch" cancel stops here, after a
+        // final checkpoint has captured every fully evaluated
+        // candidate.
         pollCancelFault("dse.batch");
-        const int64_t batchEnd = std::min(total, batchStart + stride);
-        Status cancel = checkCancellation("dse.batch");
+        Status cancel = cancelStatus("dse.batch");
         if (cancel.ok()) {
-            const int64_t admitted =
-                consumeWorkBudget("steps", batchEnd - batchStart);
-            if (admitted > 0)
-                runCandidates(batchStart, batchStart + admitted);
-            if (admitted < batchEnd - batchStart)
-                expireDeadline("dse.batch");
+            runCandidates(batchStart, std::min(total, batchStart + stride));
             // Re-check: a signal may have landed mid-batch.
-            cancel = checkCancellation("dse.batch");
+            cancel = cancelStatus("dse.batch");
         }
         if (checkpointing && !baselineTainted)
             writeDseCheckpoint(opts, result, grid, done, records);

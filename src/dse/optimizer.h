@@ -73,10 +73,10 @@ struct OptimizerResult
     double baselineEdp = 0;
     std::vector<CandidateRecord> explored;
     int numFailed = 0;     ///< Degraded candidates (within budget).
-    /** True when a signal, injected cancel, or deadline stopped the
-     *  sweep; the checkpoint then carries the completed prefix. */
+    /** True when a signal or injected cancel stopped the sweep; the
+     *  checkpoint then carries the completed prefix. */
     bool cancelled = false;
-    /** Cancelled/DeadlineExceeded when the sweep stopped early. */
+    /** Cancelled when the sweep stopped early. */
     Status status;
     /** Full candidate-grid size, for coverage checks. */
     int64_t gridSize = 0;

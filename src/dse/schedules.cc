@@ -113,18 +113,4 @@ scheduleForReduction(const ModelConfig &cfg, double targetReduction)
         cfg, spreadSchedule(static_cast<int>(cfg.nLayers), count), 1);
 }
 
-std::vector<double>
-caseStudyReductionTargets(const ModelConfig &cfg)
-{
-    // The achievable all-tensor rank-1 ladder for this model depth:
-    // one entry per decomposed-layer count (the analogue of Table 4's
-    // 6%..96% ladder for the 32-layer model).
-    std::vector<double> targets;
-    const DecompConfig oneLayer = DecompConfig::allTensors(cfg, {0}, 1);
-    const double perLayer = oneLayer.parameterReduction(cfg);
-    for (int64_t k = 1; k <= cfg.nLayers; ++k)
-        targets.push_back(perLayer * static_cast<double>(k));
-    return targets;
-}
-
 } // namespace lrd

@@ -44,10 +44,6 @@ std::vector<int> spreadSchedule(int nLayers, int count);
 DecompConfig scheduleForReduction(const ModelConfig &cfg,
                                   double targetReduction);
 
-/** The ladder of reduction targets used by the case-study figures,
- *  scaled from the paper's Table 4 percentages. */
-std::vector<double> caseStudyReductionTargets(const ModelConfig &cfg);
-
 } // namespace lrd
 
 #endif // LRD_DSE_SCHEDULES_H

@@ -39,6 +39,11 @@ scoreWithPolicy(const Body &body)
         return Status(StatusCode::ResourceExhausted, "eval.item",
                       "injected allocation failure");
     body();
+    // The pool drops work it has not started once cancellation is
+    // requested, so an item the cancel reached mid-forward was never
+    // fully scored.
+    if (cancelRequested())
+        return cancelStatus("eval.item");
     return takeNumericFault();
 }
 
@@ -134,15 +139,7 @@ solveGen(TransformerModel &model, const World &world, const GenTask &task,
     return task.expected.size() == 1 && argmax == task.expected[0];
 }
 
-/** Statuses that mean "never scored", not "scored and failed". */
-bool
-skippedStatus(const Status &s)
-{
-    return s.code() == StatusCode::Cancelled
-           || s.code() == StatusCode::DeadlineExceeded;
-}
-
-/** Sentinel for items a cancel or deadline prevented from running. */
+/** Sentinel for items a cancel prevented from running. */
 Status
 notScoredStatus()
 {
@@ -152,10 +149,11 @@ notScoredStatus()
 }
 
 /**
- * Fold per-item outcomes into an EvalResult. Skipped items (cancel /
- * deadline) are excluded from both the accuracy denominator and the
- * failure budget; a run where anything was skipped carries a non-ok
- * status so callers can mark the result partial.
+ * Fold per-item outcomes into an EvalResult. Cancelled items were
+ * never scored: they are skipped, excluded from both the accuracy
+ * denominator and the failure budget, and a run where anything was
+ * skipped carries a non-ok status so callers can mark the result
+ * partial.
  */
 template <class CorrectAt>
 EvalResult
@@ -165,7 +163,7 @@ foldItems(const std::vector<Status> &itemStatus, const CorrectAt &correctAt)
     Status firstFailure;
     for (size_t i = 0; i < itemStatus.size(); ++i) {
         ++res.numTasks;
-        if (skippedStatus(itemStatus[i])) {
+        if (itemStatus[i].code() == StatusCode::Cancelled) {
             ++res.numSkipped;
             continue;
         }
@@ -270,11 +268,10 @@ Evaluator::runMc(BenchmarkKind kind)
     const TelemetryPhase phase("eval");
     const auto n = static_cast<int64_t>(tasks.size());
     std::vector<int> picks(tasks.size(), 0);
-    // Items past the admitted budget (or dropped by a mid-run cancel)
-    // keep this sentinel and fold as skipped, not failed.
+    // Items dropped by a mid-run cancel keep this sentinel and fold as
+    // skipped, not failed.
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
-    const int64_t admitted = consumeWorkBudget("items", n);
-    forEachItemParallel(admitted, [&](int64_t i, TransformerModel &m) {
+    forEachItemParallel(n, [&](int64_t i, TransformerModel &m) {
         const McTask &task = tasks[static_cast<size_t>(i)];
         itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
             picks[static_cast<size_t>(i)] =
@@ -282,8 +279,6 @@ Evaluator::runMc(BenchmarkKind kind)
                        : pickBert(m, world_, task, opts_);
         });
     });
-    if (admitted < n)
-        expireDeadline("eval.item");
     model_.clearCache();
     return foldItems(itemStatus, [&](size_t i) {
         return picks[i] == tasks[i].gold;
@@ -299,8 +294,7 @@ Evaluator::runGen()
     const auto n = static_cast<int64_t>(tasks.size());
     std::vector<uint8_t> correct(tasks.size(), 0);
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
-    const int64_t admitted = consumeWorkBudget("items", n);
-    forEachItemParallel(admitted, [&](int64_t i, TransformerModel &m) {
+    forEachItemParallel(n, [&](int64_t i, TransformerModel &m) {
         itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
             correct[static_cast<size_t>(i)] =
                 solveGen(m, world_, tasks[static_cast<size_t>(i)], causal)
@@ -308,8 +302,6 @@ Evaluator::runGen()
                     : 0;
         });
     });
-    if (admitted < n)
-        expireDeadline("eval.item");
     model_.clearCache();
     return foldItems(itemStatus,
                      [&](size_t i) { return correct[i] != 0; });

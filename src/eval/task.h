@@ -40,9 +40,9 @@ struct EvalResult
     int numCorrect = 0;
     /** Items that faulted and were degraded (scored as incorrect). */
     int numFailed = 0;
-    /** Items never scored: a cancel request or deadline intervened. */
+    /** Items never scored: a cancel request intervened. */
     int numSkipped = 0;
-    /** Cancelled/DeadlineExceeded when the run stopped early. */
+    /** Cancelled when the run stopped early. */
     Status status;
 
     /** Whether this result covers only part of the benchmark. */

@@ -13,6 +13,9 @@ namespace lrd {
 
 namespace {
 
+/** True while this thread runs (or posts) a parallel-region chunk. */
+thread_local bool tlInParallel = false;
+
 int
 defaultThreadCount()
 {
@@ -85,7 +88,7 @@ ThreadPool::joinWorkers()
 void
 ThreadPool::resize(int n)
 {
-    require(!lrd::inParallelRegion() && workerLane() == 0,
+    require(!tlInParallel && workerLane() == 0,
             "ThreadPool::resize: cannot resize from inside a parallel "
             "region");
     require(n >= 1, "ThreadPool::resize: thread count must be >= 1");
@@ -111,7 +114,7 @@ ThreadPool::workerIndex()
 bool
 ThreadPool::inParallelRegion()
 {
-    return lrd::inParallelRegion();
+    return tlInParallel;
 }
 
 int64_t
@@ -145,8 +148,8 @@ ThreadPool::runAvailableChunks(std::unique_lock<std::mutex> &lock)
         const int64_t lo = jobBegin_ + chunk * jobGrain_;
         const int64_t hi = std::min(jobEnd_, lo + jobGrain_);
         lock.unlock();
-        const bool wasIn = lrd::inParallelRegion();
-        setInParallelRegion(true);
+        const bool wasIn = tlInParallel;
+        tlInParallel = true;
         chunksCounter_->inc();
         std::exception_ptr error;
         try {
@@ -155,7 +158,7 @@ ThreadPool::runAvailableChunks(std::unique_lock<std::mutex> &lock)
         } catch (...) {
             error = std::current_exception();
         }
-        setInParallelRegion(wasIn);
+        tlInParallel = wasIn;
         lock.lock();
         if (error && !jobError_)
             jobError_ = error;
@@ -204,11 +207,11 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
     // the parallel path, so results are bitwise the same. Only an
     // outermost region counts and traces its chunks, as the pooled
     // path does: nested chunks run inline and record nothing.
-    if (chunks == 1 || numThreads_ == 1 || lrd::inParallelRegion()
+    if (chunks == 1 || numThreads_ == 1 || tlInParallel
         || workerLane() != 0) {
-        const bool wasIn = lrd::inParallelRegion();
+        const bool wasIn = tlInParallel;
         const bool outermost = !wasIn && workerLane() == 0;
-        setInParallelRegion(true);
+        tlInParallel = true;
         try {
             for (int64_t c = 0; c < chunks; ++c) {
                 if (cancelRequested())
@@ -224,10 +227,10 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
                 body(c, lo, hi);
             }
         } catch (...) {
-            setInParallelRegion(wasIn);
+            tlInParallel = wasIn;
             throw; // lrd-lint: allow(naked-throw) -- rethrow, not a report
         }
-        setInParallelRegion(wasIn);
+        tlInParallel = wasIn;
         return;
     }
 

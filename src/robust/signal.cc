@@ -44,8 +44,6 @@ exitCodeForStatus(const Status &status)
         return kExitDegraded;
     case StatusCode::Cancelled:
         return kExitCancelled;
-    case StatusCode::DeadlineExceeded:
-        return kExitDeadline;
     case StatusCode::DataLoss:
         return kExitCorruptCheckpoint;
     case StatusCode::NonConvergence:

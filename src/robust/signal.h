@@ -29,7 +29,6 @@ inline constexpr int kExitOk = 0;
 inline constexpr int kExitError = 1;             ///< Generic failure.
 inline constexpr int kExitDegraded = 2;          ///< Failure budget exceeded.
 inline constexpr int kExitCancelled = 3;         ///< Signal / cancel request.
-inline constexpr int kExitDeadline = 4;          ///< LRD_DEADLINE expired.
 inline constexpr int kExitCorruptCheckpoint = 5; ///< Checkpoint data loss.
 inline constexpr int kExitNonConvergence = 6;    ///< Kernel sweep cap hit.
 inline constexpr int kExitUnavailable = 7;       ///< Response delivery failed.

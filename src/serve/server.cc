@@ -145,9 +145,7 @@ Server::run(std::vector<ServeRequest> workload)
 
     size_t nextArrival = 0;
     std::vector<RetryEntry> backlog; // Sorted by (dueTick, id).
-    std::vector<ServeRequest> truncated; // Cut by an items budget.
     int64_t tick = 0;
-    bool budgetExpired = false;
 
     const auto offerOne = [&](ServeRequest req) {
         if (req.deadlineTick < tick) {
@@ -207,7 +205,7 @@ Server::run(std::vector<ServeRequest> workload)
         if (!workRemains)
             break;
         pollCancelFault("serve.admit");
-        if (cancelRequested() || budgetExpired)
+        if (cancelRequested())
             break;
 
         // Offer phase (serial point): due backoff re-offers first
@@ -249,24 +247,7 @@ Server::run(std::vector<ServeRequest> workload)
             batch.push_back(std::move(item));
         }
 
-        // LRD_DEADLINE=items:<n>: the batch that exhausts the budget
-        // is truncated here, at a serial point, so the cut lands on
-        // the same request at any LRD_THREADS.
-        const auto formed = static_cast<int64_t>(batch.size());
-        const int64_t admittedUnits = consumeWorkBudget("items", formed);
-        if (admittedUnits < formed) {
-            truncated.assign(
-                std::make_move_iterator(batch.begin() + admittedUnits),
-                std::make_move_iterator(batch.end()));
-            batch.resize(static_cast<size_t>(admittedUnits));
-            budgetExpired = true;
-        }
-
         if (!batch.empty()) {
-            // A formed batch is in-flight: even if this poll (or an
-            // earlier signal) requested cancellation, it executes and
-            // its responses are delivered before the drain below —
-            // an accepted request never loses its response.
             pollCancelFault("serve.batch");
             std::vector<ServeResponse *> slots;
             slots.reserve(batch.size());
@@ -276,9 +257,22 @@ Server::run(std::vector<ServeRequest> workload)
             // The RankFallback rung only degrades responses when a
             // fallback variant actually exists; otherwise the rung
             // still shrinks batches but scoring stays full-rank.
-            batcher.execute(batch,
-                            ladder.useFallbackModel() && fallback_ != nullptr,
-                            tick, slots);
+            if (!cancelRequested())
+                batcher.execute(
+                    batch, ladder.useFallbackModel() && fallback_ != nullptr,
+                    tick, slots);
+            if (cancelRequested()) {
+                // Once cancellation is requested the pool drops work
+                // it has not started, so a batch the cancel reached
+                // before it finished has unscored or half-computed
+                // slots: it goes back to the queue for the drain
+                // instead of being delivered.
+                for (size_t i = batch.size(); i-- > 0;) {
+                    *slots[i] = ServeResponse{};
+                    queue.push_front(std::move(batch[i]));
+                }
+                break;
+            }
             ++stats.batches;
             batchesCtr->inc();
 
@@ -338,10 +332,7 @@ Server::run(std::vector<ServeRequest> workload)
 
     // Drain (serial point): the loop has stopped admitting; give every
     // still-pending request its terminal outcome. Reached on
-    // cancellation, budget expiry, or natural completion (where it
-    // settles nothing).
-    if (budgetExpired)
-        expireDeadline("serve.batch");
+    // cancellation or natural completion (where it settles nothing).
     const Status drainStatus = cancelStatus("serve.drain");
     const auto settleDrained = [&](const ServeRequest &req,
                                    const char *what) {
@@ -355,8 +346,6 @@ Server::run(std::vector<ServeRequest> workload)
     };
     for (const ServeRequest &req : queue)
         settleDrained(req, "drained from the queue");
-    for (const ServeRequest &req : truncated)
-        settleDrained(req, "cut by the items budget");
     for (const RetryEntry &entry : backlog)
         settleDrained(entry.req, "drained during client backoff");
     for (; nextArrival < workload.size(); ++nextArrival)

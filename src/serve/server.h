@@ -7,8 +7,8 @@
  *
  * Control-loop contract: every scheduling decision — admit/shed,
  * ladder transitions, batch membership, deadline excision, drain —
- * happens on the control thread at tick boundaries (serial points in
- * the robust/cancel sense). The thread pool is entered only inside
+ * happens on the control thread at tick boundaries, outside any
+ * parallel region. The thread pool is entered only inside
  * Batcher::execute, where items are independent and write fixed
  * slots. Together this makes the full response vector, including
  * which requests were shed or missed their deadline, bitwise
@@ -17,13 +17,11 @@
  * Robustness integration:
  *  - SIGINT/SIGTERM or an injected cancel at serve.admit /
  *    serve.batch / serve.respond flips the process cancel token; the
- *    loop finishes the in-flight batch, then drains — unscored
- *    requests settle as Cancelled, telemetry flushes through the
- *    normal lrdtool exit path, and the report carries the Cancelled
- *    status (exit code 3).
- *  - LRD_DEADLINE=items:<n> budgets serve work exactly like eval
- *    work: the batch that exhausts the budget is truncated at a
- *    serial point and the run winds down as DeadlineExceeded.
+ *    loop stops admitting and drains — a batch scored before the
+ *    cancel is delivered, a batch the cancel reached first and every
+ *    unscored request settle as Cancelled, telemetry flushes through
+ *    the normal lrdtool exit path, and the report carries the
+ *    Cancelled status (exit code 3).
  *  - The loop runs under the "serve" telemetry phase, so flight-
  *    recorder samples taken while it serves are labeled "serve".
  */
@@ -89,7 +87,7 @@ struct ServeReport
     ServeStats stats;
     /** One slot per request id; every outcome is terminal. */
     std::vector<ServeResponse> responses;
-    /** Ok for a natural drain; Cancelled/DeadlineExceeded otherwise. */
+    /** Ok for a natural drain; Cancelled otherwise. */
     Status status;
 };
 

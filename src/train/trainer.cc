@@ -217,11 +217,7 @@ Trainer::run()
         // checkpoint written on the way out resumes bitwise
         // identically to an uninterrupted run.
         pollCancelFault("train.step");
-        Status cancel = checkCancellation("train.step");
-        if (cancel.ok() && consumeWorkBudget("steps", 1) < 1) {
-            expireDeadline("train.step");
-            cancel = cancelStatus("train.step");
-        }
+        const Status cancel = cancelStatus("train.step");
         if (!cancel.ok()) {
             status_ = cancel;
             if (!opts_.checkpointPath.empty())

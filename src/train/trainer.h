@@ -54,9 +54,8 @@ class Trainer
 
     /**
      * Status of the last run(): ok on full completion; Cancelled when
-     * a signal or injected "train.step" cancel stopped the loop early;
-     * DeadlineExceeded when an LRD_DEADLINE expired. In every early
-     * stop a final checkpoint (when checkpointing is enabled) carries
+     * a signal or injected "train.step" cancel stopped the loop early.
+     * Then a final checkpoint (when checkpointing is enabled) carries
      * the completed prefix, so the run is resumable.
      */
     const Status &runStatus() const { return status_; }

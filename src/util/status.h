@@ -36,7 +36,7 @@ enum class StatusCode : int
     NonConvergence,    ///< Iterative kernel hit its sweep cap.
     NonFinite,         ///< NaN/Inf appeared in a numeric pipeline.
     Cancelled,         ///< Work stopped before completion.
-    DeadlineExceeded,  ///< A work-unit or wall-clock deadline expired.
+    DeadlineExceeded,  ///< A request's deadline passed before service.
     Unavailable,       ///< Transient delivery failure; retry later.
     Internal,          ///< Invariant violation / unexpected error.
 };

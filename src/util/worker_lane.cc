@@ -4,7 +4,6 @@ namespace lrd {
 
 namespace {
 thread_local int tlLane = 0;
-thread_local bool tlInParallel = false;
 } // namespace
 
 int
@@ -17,18 +16,6 @@ void
 setWorkerLane(int lane)
 {
     tlLane = lane >= 0 ? lane : 0;
-}
-
-bool
-inParallelRegion()
-{
-    return tlInParallel;
-}
-
-void
-setInParallelRegion(bool in)
-{
-    tlInParallel = in;
 }
 
 } // namespace lrd

@@ -21,17 +21,6 @@ int workerLane();
 /** Assign this thread's lane; called once per pool worker at spawn. */
 void setWorkerLane(int lane);
 
-/**
- * True while the calling thread is executing a parallel-region chunk
- * body (or posting one). Maintained by the thread pool; readable
- * below it — the cancellation layer uses it to restrict deterministic
- * deadline accounting to serial program points.
- */
-bool inParallelRegion();
-
-/** Pool-internal: mark parallel-region entry/exit for this thread. */
-void setInParallelRegion(bool in);
-
 } // namespace lrd
 
 #endif // LRD_UTIL_WORKER_LANE_H

@@ -320,16 +320,6 @@ TEST(Schedules, ScheduleForReductionHitsTarget)
     EXPECT_TRUE(scheduleForReduction(cfg, 0.0).empty());
 }
 
-TEST(Schedules, CaseStudyTargetsAreMonotoneLadder)
-{
-    const ModelConfig cfg = tinyLlamaConfig();
-    const auto targets = caseStudyReductionTargets(cfg);
-    EXPECT_EQ(targets.size(), static_cast<size_t>(cfg.nLayers));
-    for (size_t i = 1; i < targets.size(); ++i)
-        EXPECT_GT(targets[i], targets[i - 1]);
-    EXPECT_LT(targets.back(), 1.0);
-}
-
 TEST(DseGrid, IsRanksTimesLayersAndRejectsDuplicateRanks)
 {
     const std::vector<uint8_t> bytes =

@@ -27,6 +27,7 @@
 #include "robust/signal.h"
 #include "sweep_fixture.h"
 #include "train/trainer.h"
+#include "util/cache.h"
 
 namespace lrd {
 namespace {
@@ -45,10 +46,9 @@ struct RobustGuard
         clearFaults();
         setRobustPolicy(RobustPolicy{});
         (void)takeNumericFault();
-        // The cancel token is process-wide: a leftover request or
-        // armed deadline would abort every later test immediately.
+        // The cancel token is process-wide: a leftover request would
+        // abort every later test immediately.
         clearCancelRequest();
-        clearDeadline();
         resetSignalsForTest();
     }
 };
@@ -488,6 +488,47 @@ TEST(Resume, DseCancelDuringFactorBankCommitsNoCandidateAndResumes)
     expectSameRecords(resumed.explored, ref.explored);
     EXPECT_EQ(resumed.best.config.describe(), ref.best.config.describe());
     ThreadPool::instance().resize(1);
+}
+
+/** A resumed checkpoint is outside input: a CRC-valid file whose
+ *  record declares more layers or tensors than it holds fails as a
+ *  truncated stream before anything is sized by the count. */
+TEST(Resume, DseCheckpointRecordCountsAreBoundedByThePayload)
+{
+    RobustGuard guard;
+    const std::vector<uint8_t> bytes =
+        TransformerModel(smallConfig(), 17).serialize();
+    OptimizerOptions opts;
+    opts.evalTasks = 2;
+    opts.checkpointPath = ckptPath("lrd_resume_dse_hostile.bin");
+    opts.resume = true;
+
+    constexpr uint64_t kHuge = uint64_t{1} << 62;
+    for (const bool hostileLayers : {true, false}) {
+        SCOPED_TRACE(hostileLayers ? "layers" : "tensors");
+        // A v2 payload whose grid matches the search (rank 1 x every
+        // layer count) and whose first record is done but declares
+        // 2^62 entries.
+        ByteWriter w;
+        w.putF64(0.5); // Baseline accuracy.
+        w.putF64(1.0); // Baseline EDP.
+        w.putU64(static_cast<uint64_t>(smallConfig().nLayers));
+        for (int count = 1; count <= smallConfig().nLayers; ++count) {
+            w.putU64(1);
+            w.putU32(static_cast<uint32_t>(count));
+        }
+        w.putU32(1);
+        if (hostileLayers) {
+            w.putU64(kHuge);
+        } else {
+            w.putU64(1);
+            w.putU32(1);
+            w.putU64(kHuge);
+        }
+        ASSERT_TRUE(writeCheckpoint(opts.checkpointPath, 2, w.bytes()).ok());
+        EXPECT_THROW(optimizeDecomposition(bytes, smallWorld(), opts),
+                     std::runtime_error);
+    }
 }
 
 /** Bank slots the pool's cancel drain skipped read Cancelled, never as

@@ -50,10 +50,9 @@ struct RobustGuard
         clearFaults();
         setRobustPolicy(RobustPolicy{});
         (void)takeNumericFault();
-        // The cancel token is process-wide: a leftover request or
-        // armed deadline would abort every later test immediately.
+        // The cancel token is process-wide: a leftover request would
+        // abort every later test immediately.
         clearCancelRequest();
-        clearDeadline();
         resetSignalsForTest();
     }
 };
@@ -500,6 +499,9 @@ TEST(FaultSites, EveryRegisteredSiteSupportsCancelKill)
             const EvalResult r = ev.run(BenchmarkKind::ArcEasy);
             EXPECT_TRUE(r.partial());
             EXPECT_EQ(r.status.code(), StatusCode::Cancelled);
+            // The kill lands inside item 0's forward, which the pool
+            // then cuts short: that item is skipped, not scored.
+            EXPECT_EQ(r.numSkipped, 12);
         } else if (site == "eval.item") {
             TransformerModel model(smallConfig(), 42);
             Evaluator ev(model, smallWorld(), EvalOptions{12, 5, false});
@@ -508,6 +510,12 @@ TEST(FaultSites, EveryRegisteredSiteSupportsCancelKill)
             EXPECT_TRUE(r.partial());
             EXPECT_EQ(r.status.code(), StatusCode::Cancelled);
             EXPECT_EQ(r.numTasks, 12);
+            // Items 0 and 1 were scored; the kill lands on item 2, and
+            // the ten never-scored items leave the accuracy denominator
+            // without counting as failures.
+            EXPECT_EQ(r.numSkipped, 10);
+            EXPECT_EQ(r.numFailed, 0);
+            EXPECT_EQ(r.accuracy, r.numCorrect / 2.0);
         } else if (site == "train.step") {
             TransformerModel model(smallConfig(), 7);
             TrainOptions t;

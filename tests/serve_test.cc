@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,7 +43,6 @@ struct ServeGuard
     {
         clearFaults();
         clearCancelRequest();
-        clearDeadline();
         resetSignalsForTest();
     }
 };
@@ -434,28 +434,57 @@ TEST(Server, ResponsesBitwiseIdenticalAcrossThreadCounts)
     ThreadPool::instance().resize(1);
 }
 
-TEST(Server, ItemsBudgetTruncatesAndWindsDown)
+TEST(Server, BatchCancelDeliversEarlierBatchesAndDrainsTheRest)
 {
     ServeGuard guard;
-    ThreadPool::instance().resize(1);
     TransformerModel model(serveConfig(), 42);
     ServeOptions opts;
     opts.queueCapacity = 32;
     opts.maxBatch = 4;
-    Server server(model, opts);
-    Deadline d;
-    d.kind = DeadlineKind::Items;
-    d.budget = 6;
-    setDeadline(d);
-    const ServeReport r = server.run(
-        makeSyntheticWorkload(serveConfig(), smallWorkload(16)));
-    clearDeadline();
-    EXPECT_EQ(r.status.code(), StatusCode::DeadlineExceeded)
-        << r.status.toString();
-    expectExactlyOnce(r, 16);
-    EXPECT_EQ(r.stats.responded, 6) << "budget admits exactly 6 items";
-    EXPECT_EQ(r.stats.cancelled, 10)
-        << "the truncated tail drains as Cancelled";
+    const std::vector<ServeRequest> workload =
+        makeSyntheticWorkload(serveConfig(), smallWorkload(16));
+
+    // The uninterrupted run, and the requests it answered in its first
+    // two batches (one batch per tick, so the two earliest ticks).
+    ThreadPool::instance().resize(1);
+    const ServeReport clean = Server(model, opts).run(workload);
+    ASSERT_TRUE(clean.status.ok()) << clean.status.toString();
+    std::set<int64_t> batchTicks;
+    for (const ServeResponse &resp : clean.responses)
+        if (resp.outcome == ServeOutcome::Responded)
+            batchTicks.insert(resp.settledTick);
+    ASSERT_GE(batchTicks.size(), 3u);
+    const int64_t secondBatchTick = *std::next(batchTicks.begin());
+    int64_t firstTwo = 0;
+    for (const ServeResponse &resp : clean.responses)
+        firstTwo += resp.outcome == ServeOutcome::Responded
+                    && resp.settledTick <= secondBatchTick;
+
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ServeGuard::reset();
+        ThreadPool::instance().resize(threads);
+        // The kill lands as the third batch is formed: the two before
+        // it respond exactly as in the clean run, and the third drains
+        // with everything after it.
+        setFault(FaultSpec{"serve.batch", FaultKind::Cancel, 3});
+        const ServeReport r = Server(model, opts).run(workload);
+        EXPECT_EQ(r.status.code(), StatusCode::Cancelled)
+            << r.status.toString();
+        expectExactlyOnce(r, 16);
+        EXPECT_EQ(r.stats.responded, firstTwo);
+        EXPECT_EQ(r.stats.cancelled, 16 - firstTwo);
+        for (size_t i = 0; i < r.responses.size(); ++i) {
+            if (r.responses[i].outcome != ServeOutcome::Responded)
+                continue;
+            EXPECT_EQ(r.responses[i].score, clean.responses[i].score)
+                << "request " << i;
+            EXPECT_EQ(r.responses[i].settledTick,
+                      clean.responses[i].settledTick)
+                << "request " << i;
+        }
+    }
+    ThreadPool::instance().resize(1);
 }
 
 // ---------------------------------------------------------------------

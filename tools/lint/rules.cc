@@ -144,9 +144,8 @@ checkBannedIdentifiers(const SourceFile &file, const std::vector<Token> &toks,
         if (!sleepHome && kBlockingSleep.count(t.text)) {
             sink.emit(t.line, kRuleBlockingSleep,
                       "'" + t.text +
-                          "' blocks a pool lane and stretches wall-clock "
-                          "deadlines nondeterministically; sleeps belong "
-                          "in tools/ only");
+                          "' blocks a pool lane; sleeps belong in tools/ "
+                          "only");
         }
         if (!threadHome) {
             const bool stdThread =

@@ -31,18 +31,18 @@
  * tiny-bert.
  *
  * Environment: LRD_THREADS, LRD_SIMD, LRD_LOG, LRD_TRACE, LRD_STATS,
- * LRD_TELEMETRY, LRD_CACHE_DIR, LRD_ROBUST, LRD_FAULT, LRD_DEADLINE
- * (see usage()). Any other LRD_* variable exits 1 with the usage text,
+ * LRD_TELEMETRY, LRD_CACHE_DIR, LRD_ROBUST, LRD_FAULT (see usage()). Any other LRD_* variable exits 1 with the usage text,
  * so a typo or a retired name cannot be silently ignored.
  * serve/loadgen take their settings from flags only. Arguments are
  * parsed strictly: an unknown flag or a malformed number exits 1 with
  * the usage text.
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
- * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
- * 5 corrupt checkpoint, 6 non-convergence, 7 response delivery
- * unavailable. A second signal force-exits with the POSIX 128+signo
- * code.
+ * failure budget, 3 cancelled (SIGINT/SIGTERM), 5 corrupt checkpoint,
+ * 6 non-convergence, 7 response delivery unavailable. A second signal
+ * force-exits with the POSIX 128+signo code. To bound a run's time,
+ * send it one SIGINT (`timeout --foreground -s INT <secs>`): it
+ * drains, checkpoints and exits 3, and `--resume` continues it.
  */
 
 #include <algorithm>
@@ -71,7 +71,6 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "robust/cancel.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/recovery.h"
@@ -98,7 +97,7 @@ void usage();
 constexpr std::string_view kEnvNames[] = {
     "LRD_THREADS",   "LRD_SIMD",      "LRD_LOG",    "LRD_TRACE",
     "LRD_STATS",     "LRD_TELEMETRY", "LRD_CACHE_DIR", "LRD_ROBUST",
-    "LRD_FAULT",     "LRD_DEADLINE",
+    "LRD_FAULT",
 };
 
 /** The first LRD_* variable set that lrdtool does not read, or "". */
@@ -1245,15 +1244,14 @@ usage()
         "  LRD_FAULT=<spec>    inject faults: <site>:<kind>[:<nth>],...\n"
         "                      kinds: nan nonconv truncate bitflip\n"
         "                      alloc cancel\n"
-        "  LRD_DEADLINE=<spec> stop early: steps:<n> | items:<n>\n"
-        "                      (deterministic work budgets) or\n"
-        "                      wall:<secs> (wall clock)\n"
         "exit codes:\n"
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
-        "  4 deadline exceeded  5 corrupt checkpoint  6 non-convergence\n"
+        "  5 corrupt checkpoint  6 non-convergence\n"
         "  7 response delivery unavailable\n"
         "  (an unknown flag or malformed argument exits 1 with this text;\n"
-        "   a second SIGINT/SIGTERM force-exits with 128+signo)\n");
+        "   one SIGINT drains and exits 3, so bound a run with\n"
+        "   timeout --foreground -s INT <secs>; a second SIGINT/SIGTERM\n"
+        "   force-exits with 128+signo)\n");
 }
 
 } // namespace
@@ -1276,7 +1274,6 @@ main(int argc, char **argv)
     try {
         initObservabilityFromEnv();
         initFaultsFromEnv();
-        initCancelFromEnv();
         robustPolicy(); // Parses LRD_ROBUST: a bad value fails here.
         installSignalHandlers();
         // With tracing on, spawn the pool up front so every worker
