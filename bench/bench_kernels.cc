@@ -396,8 +396,8 @@ BM_FullForward64(benchmark::State &state)
 }
 BENCHMARK(BM_FullForward64);
 
-/** Load a tiny-llama from its serialize() bytes: the per-replica cost
- *  the evaluator, serve batcher, trainer and every DSE candidate pay. */
+/** Load a tiny-llama from its serialize() bytes: the cost the trainer
+ *  pays per worker replica and the DSE sweep per candidate. */
 void
 BM_ModelDeserialize(benchmark::State &state)
 {

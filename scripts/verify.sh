@@ -63,10 +63,11 @@ else
 fi
 
 echo "== TSan: determinism + obs + serve suites under -fsanitize=thread =="
-# serve_test is the only suite here that runs Batcher::executeOn's
-# per-worker replica fan-out (the bitwise-identity test at 4 and 8
-# threads, the chaos sweep at 2); determinism_test and obs_test never
-# touch serve. It runs under ASan below too.
+# Every pool worker forwards the one shared model: determinism_test
+# covers the evaluator on a dense, a factorized (concurrent first-use
+# packing) and an encoder model; serve_test covers Batcher::execute
+# (the bitwise-identity test at 4 and 8 threads, the chaos sweep at
+# 2). serve_test runs under ASan below too.
 cmake -B build-tsan -S . -DLRD_SANITIZE=thread
 cmake --build build-tsan -j --target determinism_test obs_test serve_test
 ./build-tsan/tests/determinism_test

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -54,7 +53,7 @@ scoreWithPolicy(const Body &body)
  * to it after each choice.
  */
 int
-pickCausal(TransformerModel &model, const McTask &task,
+pickCausal(const TransformerModel &model, const McTask &task,
            const EvalOptions &opts)
 {
     InferenceSession session(model);
@@ -86,8 +85,8 @@ pickCausal(TransformerModel &model, const McTask &task,
 
 /** Score one item on an encoder model by pseudo-log-likelihood. */
 int
-pickBert(TransformerModel &model, const World &world, const McTask &task,
-         const EvalOptions &opts)
+pickBert(const TransformerModel &model, const World &world,
+         const McTask &task, const EvalOptions &opts)
 {
     double bestScore = -std::numeric_limits<double>::infinity();
     int best = 0;
@@ -116,8 +115,8 @@ pickBert(TransformerModel &model, const World &world, const McTask &task,
 
 /** Exact-match correctness of one generative item. */
 bool
-solveGen(TransformerModel &model, const World &world, const GenTask &task,
-         bool causal)
+solveGen(const TransformerModel &model, const World &world,
+         const GenTask &task, bool causal)
 {
     if (causal) {
         const TokenSeq out = greedyGenerate(
@@ -137,6 +136,33 @@ solveGen(TransformerModel &model, const World &world, const GenTask &task,
             > logits(static_cast<int64_t>(slot), argmax))
             argmax = static_cast<int>(j);
     return task.expected.size() == 1 && argmax == task.expected[0];
+}
+
+/**
+ * Run fn(i) for i in [0, n) across the global thread pool. Items are
+ * independent, so any fixed item partition yields identical results.
+ * One item stays outside a parallel region, where its own GEMMs and
+ * attention heads fan out.
+ */
+template <class Fn>
+void
+forEachItemParallel(int64_t n, const Fn &fn)
+{
+    static Counter *items =
+        MetricsRegistry::instance().counter("eval.items");
+    const auto score = [&](int64_t i) {
+        LRD_TRACE_SPAN("eval.item");
+        items->inc();
+        fn(i);
+    };
+    if (n == 1) {
+        score(0);
+        return;
+    }
+    parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            score(i);
+    });
 }
 
 /** Sentinel for items a cancel prevented from running. */
@@ -191,7 +217,7 @@ foldItems(const std::vector<Status> &itemStatus, const CorrectAt &correctAt)
 
 } // namespace
 
-Evaluator::Evaluator(TransformerModel &model, const World &world,
+Evaluator::Evaluator(const TransformerModel &model, const World &world,
                      EvalOptions opts)
     : model_(model), world_(world), opts_(opts)
 {
@@ -210,55 +236,6 @@ Evaluator::pickChoiceBert(const McTask &task)
     return pickBert(model_, world_, task, opts_);
 }
 
-/**
- * Run fn(i, model) for i in [0, n). Model forward passes cache
- * activations, so the shared model cannot be used from two threads;
- * instead each pool worker scores its items on a private replica
- * (deserialized from one snapshot, hence bitwise-identical weights),
- * while the posting thread uses the original model. Items are
- * independent, so any fixed item partition yields identical results —
- * this is what keeps eval output invariant under LRD_THREADS.
- */
-template <class Fn>
-void
-Evaluator::forEachItemParallel(int64_t n, const Fn &fn)
-{
-    static Counter *items =
-        MetricsRegistry::instance().counter("eval.items");
-    ThreadPool &pool = ThreadPool::instance();
-    if (pool.numThreads() <= 1 || n <= 1 || ThreadPool::inParallelRegion()
-        || ThreadPool::workerIndex() != 0) {
-        for (int64_t i = 0; i < n; ++i) {
-            LRD_TRACE_SPAN("eval.item");
-            items->inc();
-            fn(i, model_);
-        }
-        return;
-    }
-
-    const std::vector<uint8_t> snapshot = model_.serialize();
-    std::vector<std::unique_ptr<TransformerModel>> replicas(
-        static_cast<size_t>(pool.numThreads()));
-    pool.parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-        const auto w = static_cast<size_t>(ThreadPool::workerIndex());
-        TransformerModel *m = &model_;
-        if (w != 0) {
-            // Each worker index is owned by exactly one live thread,
-            // so lazy slot initialization is race-free.
-            if (!replicas[w])
-                // lrd-lint: allow(hot-path-alloc) per-worker model replica: one allocation per worker per run
-                replicas[w] = std::make_unique<TransformerModel>(
-                    TransformerModel::deserialize(snapshot));
-            m = replicas[w].get();
-        }
-        for (int64_t i = lo; i < hi; ++i) {
-            LRD_TRACE_SPAN("eval.item");
-            items->inc();
-            fn(i, *m);
-        }
-    });
-}
-
 EvalResult
 Evaluator::runMc(BenchmarkKind kind)
 {
@@ -271,15 +248,14 @@ Evaluator::runMc(BenchmarkKind kind)
     // Items dropped by a mid-run cancel keep this sentinel and fold as
     // skipped, not failed.
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
-    forEachItemParallel(n, [&](int64_t i, TransformerModel &m) {
+    forEachItemParallel(n, [&](int64_t i) {
         const McTask &task = tasks[static_cast<size_t>(i)];
         itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
             picks[static_cast<size_t>(i)] =
-                causal ? pickCausal(m, task, opts_)
-                       : pickBert(m, world_, task, opts_);
+                causal ? pickCausal(model_, task, opts_)
+                       : pickBert(model_, world_, task, opts_);
         });
     });
-    model_.clearCache();
     return foldItems(itemStatus, [&](size_t i) {
         return picks[i] == tasks[i].gold;
     });
@@ -294,15 +270,15 @@ Evaluator::runGen()
     const auto n = static_cast<int64_t>(tasks.size());
     std::vector<uint8_t> correct(tasks.size(), 0);
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
-    forEachItemParallel(n, [&](int64_t i, TransformerModel &m) {
+    forEachItemParallel(n, [&](int64_t i) {
         itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
             correct[static_cast<size_t>(i)] =
-                solveGen(m, world_, tasks[static_cast<size_t>(i)], causal)
+                solveGen(model_, world_, tasks[static_cast<size_t>(i)],
+                         causal)
                     ? 1
                     : 0;
         });
     });
-    model_.clearCache();
     return foldItems(itemStatus,
                      [&](size_t i) { return correct[i] != 0; });
 }

@@ -10,6 +10,12 @@
  * Encoder (BertStyle) models are scored by pseudo-log-likelihood: each
  * choice position is masked in turn and the original token's
  * probability read out.
+ *
+ * Items fan out over the thread pool and every worker scores on the
+ * one model: an inference forward writes no layer state (a factorized
+ * layer packs its fused-path panels once, under a lock). Each item
+ * writes only its own result slot, so results are bitwise independent
+ * of LRD_THREADS.
  */
 
 #ifndef LRD_EVAL_EVALUATOR_H
@@ -34,7 +40,8 @@ struct EvalOptions
 class Evaluator
 {
   public:
-    Evaluator(TransformerModel &model, const World &world,
+    /** `model` is borrowed and never written. */
+    Evaluator(const TransformerModel &model, const World &world,
               EvalOptions opts = {});
 
     /** Accuracy on one benchmark. */
@@ -56,15 +63,7 @@ class Evaluator
     EvalResult runMc(BenchmarkKind kind);
     EvalResult runGen();
 
-    /**
-     * Score items [0, n) via fn(i, model), fanning out across the
-     * global thread pool with one model replica per worker so the
-     * result is bitwise independent of the thread count.
-     */
-    template <class Fn>
-    void forEachItemParallel(int64_t n, const Fn &fn);
-
-    TransformerModel &model_;
+    const TransformerModel &model_;
     const World &world_;
     EvalOptions opts_;
 };

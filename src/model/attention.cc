@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "model/train_mode.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -51,22 +52,22 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
 }
 
 Tensor
-MultiHeadAttention::forward(const Tensor &x)
+MultiHeadAttention::forward(const Tensor &x) const
 {
     LRD_TRACE_SPAN("attn.forward");
     require(x.rank() == 2 && x.dim(1) == dModel_,
             "MultiHeadAttention::forward: bad input ", x.shape());
     const int64_t t = x.dim(0);
-    cachedQ_ = wq_->forward(x);
-    cachedK_ = wk_->forward(x);
-    cachedV_ = wv_->forward(x);
+    Tensor q = wq_->forward(x);
+    Tensor k = wk_->forward(x);
+    Tensor v = wv_->forward(x);
     if (rope_ != nullptr) {
-        rope_->apply(cachedQ_, 0, false, nHeads_);
-        rope_->apply(cachedK_, 0, false, kvHeads_);
+        rope_->apply(q, 0, false, nHeads_);
+        rope_->apply(k, 0, false, kvHeads_);
     }
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
-    cachedProbs_ = Tensor({nHeads_, t, t});
+    Tensor probsAll({nHeads_, t, t});
     Tensor ctx({t, dModel_});
 
     // Heads write disjoint probs planes and disjoint ctx column
@@ -76,15 +77,14 @@ MultiHeadAttention::forward(const Tensor &x)
     headsProcessedCounter()->add(h1 - h0);
     for (int64_t h = h0; h < h1; ++h) {
         const int64_t kvh = h / group;
-        float *probs = cachedProbs_.data() + h * t * t;
+        float *probs = probsAll.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
-            const float *qrow = cachedQ_.data() + i * dModel_ + h * headDim_;
+            const float *qrow = q.data() + i * dModel_ + h * headDim_;
             float *prow = probs + i * t;
             const int64_t limit = causal_ ? i + 1 : t;
             float mx = -std::numeric_limits<float>::infinity();
             for (int64_t j = 0; j < limit; ++j) {
-                const float *krow =
-                    cachedK_.data() + j * kvDim_ + kvh * headDim_;
+                const float *krow = k.data() + j * kvDim_ + kvh * headDim_;
                 float s = 0.0F;
                 for (int64_t d = 0; d < headDim_; ++d)
                     s += qrow[d] * krow[d];
@@ -105,8 +105,7 @@ MultiHeadAttention::forward(const Tensor &x)
             // ctx row = P V for this head.
             float *crow = ctx.data() + i * dModel_ + h * headDim_;
             for (int64_t j = 0; j < limit; ++j) {
-                const float *vrow =
-                    cachedV_.data() + j * kvDim_ + kvh * headDim_;
+                const float *vrow = v.data() + j * kvDim_ + kvh * headDim_;
                 const float p = prow[j];
                 for (int64_t d = 0; d < headDim_; ++d)
                     crow[d] += p * vrow[d];
@@ -114,6 +113,12 @@ MultiHeadAttention::forward(const Tensor &x)
         }
     }
     });
+    if (trainingModeActive()) {
+        cachedQ_ = std::move(q);
+        cachedK_ = std::move(k);
+        cachedV_ = std::move(v);
+        cachedProbs_ = std::move(probsAll);
+    }
     return wso_->forward(ctx);
 }
 
@@ -193,7 +198,7 @@ MultiHeadAttention::backward(const Tensor &dy)
 }
 
 Tensor
-MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache)
+MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
 {
     LRD_TRACE_SPAN("attn.cached");
     require(x.rank() == 2 && x.dim(1) == dModel_,

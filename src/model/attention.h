@@ -42,8 +42,9 @@ class MultiHeadAttention
     /** A null rng builds zero weights with no draws (see Linear). */
     MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    /** Full-sequence forward: x (T, d) -> (T, d). Caches for backward. */
-    Tensor forward(const Tensor &x);
+    /** Full-sequence forward: x (T, d) -> (T, d). Caches for
+     *  backward() only while a TrainingModeScope is alive. */
+    Tensor forward(const Tensor &x) const;
 
     /** Backward through the last forward(); returns dL/dx. */
     Tensor backward(const Tensor &dy);
@@ -53,7 +54,7 @@ class MultiHeadAttention
      * cache.len..cache.len+n and attend over everything cached so far.
      * Does not populate training caches.
      */
-    Tensor forwardCached(const Tensor &x, KvCache &cache);
+    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access one of the four projection Linears by kind. */
     Linear &linear(WeightKind kind);
@@ -74,8 +75,8 @@ class MultiHeadAttention
     std::unique_ptr<Linear> wq_, wk_, wv_, wso_;
 
     // Training caches.
-    Tensor cachedQ_, cachedK_, cachedV_; ///< Post-RoPE (T, d).
-    Tensor cachedProbs_;                 ///< (nHeads, T, T) softmax rows.
+    mutable Tensor cachedQ_, cachedK_, cachedV_; ///< Post-RoPE (T, d).
+    mutable Tensor cachedProbs_; ///< (nHeads, T, T) softmax rows.
 };
 
 } // namespace lrd

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "model/train_mode.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -20,7 +21,7 @@ Embedding::Embedding(int64_t vocab, int64_t dim, int64_t maxSeq,
 }
 
 Tensor
-Embedding::forward(const TokenSeq &tokens, int64_t startPos)
+Embedding::forward(const TokenSeq &tokens, int64_t startPos) const
 {
     const auto n = static_cast<int64_t>(tokens.size());
     require(n > 0, "Embedding::forward: empty token sequence");
@@ -28,8 +29,10 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos)
         require(startPos + n <= pos_.value.dim(0),
                 "Embedding::forward: positions ", startPos + n,
                 " exceed maxSeq ", pos_.value.dim(0));
-    cachedTokens_ = tokens;
-    cachedStart_ = startPos;
+    if (trainingModeActive()) {
+        cachedTokens_ = tokens;
+        cachedStart_ = startPos;
+    }
     Tensor y({n, dim_});
     for (int64_t i = 0; i < n; ++i) {
         const int t = tokens[static_cast<size_t>(i)];

@@ -34,12 +34,13 @@ class Embedding
               const std::string &name, Rng *rng);
 
     /**
-     * Embed tokens[0..n) at absolute positions startPos..startPos+n.
+     * Embed tokens[0..n) at absolute positions startPos..startPos+n;
+     * keeps them for backward() only under a TrainingModeScope.
      * @return (n, dim) activations.
      */
-    Tensor forward(const TokenSeq &tokens, int64_t startPos = 0);
+    Tensor forward(const TokenSeq &tokens, int64_t startPos = 0) const;
 
-    /** Scatter-add gradients for the last forward call. */
+    /** Scatter-add gradients for the last training-mode forward. */
     void backward(const Tensor &dy);
 
     std::vector<Parameter *> parameters();
@@ -52,8 +53,9 @@ class Embedding
     bool usePositions_;
     Parameter tok_;
     Parameter pos_;
-    TokenSeq cachedTokens_;
-    int64_t cachedStart_ = 0;
+    // Training caches.
+    mutable TokenSeq cachedTokens_;
+    mutable int64_t cachedStart_ = 0;
 };
 
 } // namespace lrd

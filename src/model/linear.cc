@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 
 #include "decomp/tucker.h"
 #include "model/train_mode.h"
@@ -57,16 +56,20 @@ Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
 }
 
 Tensor
-Linear::forward(const Tensor &x)
+Linear::forward(const Tensor &x) const
 {
     require(x.rank() == 2 && x.dim(1) == inDim_, "Linear::forward: input ",
             x.shape(), " incompatible with in dim ", inDim_);
     if (MetricsRegistry::enabled()) {
-        if (!macsCounter_)
-            macsCounter_ = MetricsRegistry::instance().counter(
+        // Racing first lookups store the same handle.
+        Counter *macs = lazy_->macsCounter.load();
+        if (macs == nullptr) {
+            macs = MetricsRegistry::instance().counter(
                 strCat("model.", name_, ".macs"));
+            lazy_->macsCounter.store(macs);
+        }
         const int64_t n = x.dim(0);
-        macsCounter_->add(
+        macs->add(
             !factorized_
                 ? n * outDim_ * inDim_
                 : n * prunedRank_ * inDim_
@@ -91,8 +94,8 @@ Linear::forward(const Tensor &x)
         ensurePackedFactors();
         Tensor y({x.dim(0), outDim_});
         simd::fusedFactorizedForward(
-            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, packedU2t_,
-            packedCoret_, packedU1t_,
+            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, lazy_->u2t,
+            lazy_->coret, lazy_->u1t,
             hasBias_ ? b_.value.data() : nullptr, y.data());
         fusedCounters().fusedForwards->inc();
         return y;
@@ -101,9 +104,13 @@ Linear::forward(const Tensor &x)
     if (!factorized_) {
         y = matmulTransB(x, w_.value);
     } else {
-        cachedT1_ = matmulTransB(x, u2_.value);          // (n, pr)
-        cachedT2_ = matmulTransB(cachedT1_, core_.value); // (n, pr)
-        y = matmulTransB(cachedT2_, u1_.value);          // (n, out)
+        Tensor t1 = matmulTransB(x, u2_.value);    // (n, pr)
+        Tensor t2 = matmulTransB(t1, core_.value); // (n, pr)
+        y = matmulTransB(t2, u1_.value);           // (n, out)
+        if (training) {
+            cachedT1_ = std::move(t1);
+            cachedT2_ = std::move(t2);
+        }
     }
     if (hasBias_) {
         const int64_t n = y.dim(0);
@@ -306,7 +313,7 @@ Linear::effectiveWeight() const
 }
 
 void
-Linear::clearCache()
+Linear::clearCache() const
 {
     cachedX_ = Tensor();
     cachedT1_ = Tensor();
@@ -316,68 +323,30 @@ Linear::clearCache()
 void
 Linear::invalidatePackedWeights()
 {
-    packedU2t_ = simd::PackedMat();
-    packedCoret_ = simd::PackedMat();
-    packedU1t_ = simd::PackedMat();
-    packedDirty_ = true;
-}
-
-uint64_t
-Linear::factorFingerprint() const
-{
-    // FNV-1a over the float bit patterns of all three factors,
-    // interleaved across 8 independent lanes so the hash is not one
-    // serially-dependent multiply chain (that costs ~4 cycles per
-    // element and showed up as ~25% of a fused h=512 forward). Every
-    // element still feeds exactly one lane and the lanes are folded
-    // with the same mix at the end, so a single flipped bit anywhere
-    // still changes the result. One streaming pass over 2*h*r + r^2
-    // words — cheaper than repacking and, with the lane ILP,
-    // negligible next to the m * (2*h*r + r^2) MACs it guards.
-    constexpr uint64_t kPrime = 1099511628211ULL;
-    uint64_t lanes[8];
-    for (uint64_t i = 0; i < 8; ++i)
-        lanes[i] = 1469598103934665603ULL ^ ((i + 1) * kPrime);
-    size_t next = 0;
-    const auto mix = [&lanes, &next](const Tensor &t) {
-        const float *d = t.data();
-        const int64_t n = t.size();
-        for (int64_t i = 0; i < n; ++i) {
-            uint32_t bits;
-            std::memcpy(&bits, &d[i], sizeof(bits));
-            uint64_t &lane = lanes[next++ & 7];
-            lane = (lane ^ bits) * kPrime;
-        }
-    };
-    mix(u2_.value);
-    mix(core_.value);
-    mix(u1_.value);
-    uint64_t h = 1469598103934665603ULL;
-    for (uint64_t lane : lanes)
-        h = (h ^ lane) * kPrime;
-    return h;
+    const std::lock_guard<std::mutex> lock(lazy_->packMutex);
+    lazy_->packed.store(false);
+    lazy_->u2t = simd::PackedMat();
+    lazy_->coret = simd::PackedMat();
+    lazy_->u1t = simd::PackedMat();
 }
 
 void
-Linear::ensurePackedFactors()
+Linear::ensurePackedFactors() const
 {
-    // Catch external factor writes (via parameters()) that bypass
-    // invalidatePackedWeights(): a fingerprint mismatch forces a
-    // repack, so fused results can never be computed against stale
-    // panels.
-    const uint64_t fingerprint = factorFingerprint();
-    if (!packedDirty_ && fingerprint == packedFingerprint_)
+    if (lazy_->packed.load())
         return;
+    const std::lock_guard<std::mutex> lock(lazy_->packMutex);
+    if (lazy_->packed.load())
+        return; // Another worker packed them while this one waited.
     // packMatrixB(M, k, n, trans=true) packs M^T without
     // materializing it; the fused chain is y = ((x U2^T) core^T) U1^T.
-    packedU2t_ = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
+    lazy_->u2t = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
                                    /*trans=*/true);
-    packedCoret_ = simd::packMatrixB(core_.value.data(), prunedRank_,
+    lazy_->coret = simd::packMatrixB(core_.value.data(), prunedRank_,
                                      prunedRank_, /*trans=*/true);
-    packedU1t_ = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
+    lazy_->u1t = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
                                    /*trans=*/true);
-    packedDirty_ = false;
-    packedFingerprint_ = fingerprint;
+    lazy_->packed.store(true);
     fusedCounters().weightPacks->inc();
 }
 

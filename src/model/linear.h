@@ -16,6 +16,9 @@
 #ifndef LRD_MODEL_LINEAR_H
 #define LRD_MODEL_LINEAR_H
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,10 +52,12 @@ class Linear
 
     /**
      * Forward pass for x of shape (n, in). Caches x for backward()
-     * only while a TrainingModeScope is alive; an inference forward
-     * drops any cache a training forward left.
+     * only while a TrainingModeScope is alive. An inference forward
+     * keeps nothing and drops a cache a training forward left; on a
+     * layer with no such cache, inference forwards may run
+     * concurrently.
      */
-    Tensor forward(const Tensor &x);
+    Tensor forward(const Tensor &x) const;
 
     /**
      * Backward pass. Accumulates weight gradients and returns dL/dx.
@@ -127,15 +132,14 @@ class Linear
     const Tensor &lastInput() const { return cachedX_; }
 
     /** Reset the cached forward input (frees activation memory). */
-    void clearCache();
+    void clearCache() const;
 
     /**
-     * Drop the pack-once factor panels used by the fused inference
-     * path; they are rebuilt lazily on the next fused forward. Called
-     * automatically by backward() and every factor-mutating method.
-     * Direct factor writes (via parameters()) are also caught without
-     * this call: each fused forward fingerprints the factor values
-     * and repacks on mismatch, so stale panels can never be used.
+     * Drop the factor panels the fused inference path packs once; the
+     * next fused forward packs them again. backward() and every
+     * factor-mutating method call it. Whoever writes factor values
+     * directly (through parameters()) after a fused forward must call
+     * it too, or later fused forwards read the old factors.
      */
     void invalidatePackedWeights();
 
@@ -157,8 +161,6 @@ class Linear
     bool factorized_ = false;
     int64_t prunedRank_ = 0;
     std::string name_; ///< Layer name; keys the per-layer MAC counter.
-    /** "model.<name>.macs"; created on first forward with metrics on. */
-    Counter *macsCounter_ = nullptr;
 
     Parameter w_;    ///< Dense (out, in); empty when factorized.
     Parameter u1_;   ///< (out, pr).
@@ -167,26 +169,30 @@ class Linear
     Parameter b_;    ///< (out), optional.
 
     // Forward caches for backward(), kept by training-mode forwards.
-    Tensor cachedX_;
-    Tensor cachedT1_; ///< x * U2^T.
-    Tensor cachedT2_; ///< t1 * core^T.
+    mutable Tensor cachedX_;
+    mutable Tensor cachedT1_; ///< x * U2^T.
+    mutable Tensor cachedT2_; ///< t1 * core^T.
+
+    /**
+     * Filled in once by the first forward that needs it, behind a
+     * pointer so the const forwards of every worker sharing this layer
+     * fill one copy: the "model.<name>.macs" counter, and U2^T, core^T
+     * and U1^T in microkernel layout for the fused path, packed under
+     * packMutex after the factors last changed.
+     */
+    struct LazyState
+    {
+        std::atomic<Counter *> macsCounter{nullptr};
+        std::mutex packMutex;
+        std::atomic<bool> packed{false};
+        simd::PackedMat u2t, coret, u1t;
+    };
+    std::unique_ptr<LazyState> lazy_ = std::make_unique<LazyState>();
 
     /** Switch to the factorized layout holding d's factors. */
     void installFactors(Tucker2d d);
-    /** Rebuild packedU*_ if dirty or the factors changed under us. */
-    void ensurePackedFactors();
-    /** FNV-1a over the factor values' bit patterns. */
-    uint64_t factorFingerprint() const;
-
-    // Pack-once weight panels for the fused serving path: U2^T,
-    // core^T and U1^T in microkernel layout, rebuilt lazily after any
-    // factor mutation (tracked by the dirty flag plus a value
-    // fingerprint for writes that bypass this class).
-    simd::PackedMat packedU2t_;
-    simd::PackedMat packedCoret_;
-    simd::PackedMat packedU1t_;
-    uint64_t packedFingerprint_ = 0;
-    bool packedDirty_ = true;
+    /** Pack the factor panels unless they are current. */
+    void ensurePackedFactors() const;
 };
 
 } // namespace lrd

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "model/train_mode.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -64,16 +65,17 @@ Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng)
 }
 
 Tensor
-Mlp::forward(const Tensor &x)
+Mlp::forward(const Tensor &x) const
 {
-    if (arch_ == Arch::LlamaStyle) {
-        cachedGatePre_ = wg_->forward(x);
-        cachedUp_ = wu_->forward(x);
-        Tensor h = hadamard(silu(cachedGatePre_), cachedUp_);
-        return wd_->forward(h);
+    const bool llama = arch_ == Arch::LlamaStyle;
+    Tensor gatePre = wg_->forward(x);
+    Tensor up = llama ? wu_->forward(x) : Tensor();
+    const Tensor h = llama ? hadamard(silu(gatePre), up) : gelu(gatePre);
+    if (trainingModeActive()) {
+        cachedGatePre_ = std::move(gatePre);
+        cachedUp_ = std::move(up);
     }
-    cachedGatePre_ = wg_->forward(x);
-    return wd_->forward(gelu(cachedGatePre_));
+    return wd_->forward(h);
 }
 
 Tensor

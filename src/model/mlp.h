@@ -22,8 +22,9 @@ class Mlp
     /** A null rng builds zero weights with no draws (see Linear). */
     Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    /** x (n, d) -> (n, d). Caches intermediates for backward. */
-    Tensor forward(const Tensor &x);
+    /** x (n, d) -> (n, d). Caches intermediates for backward() only
+     *  while a TrainingModeScope is alive. */
+    Tensor forward(const Tensor &x) const;
     Tensor backward(const Tensor &dy);
 
     /** Access a decomposable tensor (Gate/Up/Down or Int/Out). */
@@ -38,8 +39,9 @@ class Mlp
     // Llama: gate/up/down. BERT: intermediate (wg_) / output (wd_)
     // with wu_ unused.
     std::unique_ptr<Linear> wg_, wu_, wd_;
-    Tensor cachedGatePre_; ///< Pre-activation of the gate/intermediate.
-    Tensor cachedUp_;      ///< Llama only: up-projection output.
+    // Training caches.
+    mutable Tensor cachedGatePre_; ///< Pre-activation of the gate/intermediate.
+    mutable Tensor cachedUp_;      ///< Llama only: up-projection output.
 };
 
 } // namespace lrd

@@ -13,17 +13,17 @@ RmsNorm::RmsNorm(int64_t dim, const std::string &name) : dim_(dim)
 }
 
 Tensor
-RmsNorm::forward(const Tensor &x)
+RmsNorm::forward(const Tensor &x) const
 {
     require(x.rank() == 2 && x.dim(1) == dim_, "RmsNorm::forward: bad input ",
             x.shape());
-    // As in Linear::forward: copy the input only for a backward().
-    if (trainingModeActive())
-        cachedX_ = x;
-    else if (cachedX_.rank() != 0)
-        cachedX_ = Tensor();
     const int64_t n = x.dim(0);
-    cachedInvRms_.resize(static_cast<size_t>(n));
+    // As in Linear::forward: keep the input only for a backward().
+    const bool training = trainingModeActive();
+    if (training) {
+        cachedX_ = x;
+        cachedInvRms_.resize(static_cast<size_t>(n));
+    }
     Tensor y(x.shape());
     for (int64_t i = 0; i < n; ++i) {
         const float *row = x.data() + i * dim_;
@@ -34,7 +34,8 @@ RmsNorm::forward(const Tensor &x)
             1.0F /
             std::sqrt(static_cast<float>(ms / static_cast<double>(dim_)) +
                       kEps);
-        cachedInvRms_[static_cast<size_t>(i)] = inv;
+        if (training)
+            cachedInvRms_[static_cast<size_t>(i)] = inv;
         float *out = y.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j)
             out[j] = row[j] * inv * w_.value[j];
@@ -81,13 +82,16 @@ LayerNorm::LayerNorm(int64_t dim, const std::string &name) : dim_(dim)
 }
 
 Tensor
-LayerNorm::forward(const Tensor &x)
+LayerNorm::forward(const Tensor &x) const
 {
     require(x.rank() == 2 && x.dim(1) == dim_,
             "LayerNorm::forward: bad input ", x.shape());
     const int64_t n = x.dim(0);
-    cachedXhat_ = Tensor(x.shape());
-    cachedInvStd_.resize(static_cast<size_t>(n));
+    const bool training = trainingModeActive();
+    if (training) {
+        cachedXhat_ = Tensor(x.shape());
+        cachedInvStd_.resize(static_cast<size_t>(n));
+    }
     Tensor y(x.shape());
     for (int64_t i = 0; i < n; ++i) {
         const float *row = x.data() + i * dim_;
@@ -102,12 +106,15 @@ LayerNorm::forward(const Tensor &x)
         }
         var /= static_cast<double>(dim_);
         const float inv = 1.0F / std::sqrt(static_cast<float>(var) + kEps);
-        cachedInvStd_[static_cast<size_t>(i)] = inv;
-        float *xhat = cachedXhat_.data() + i * dim_;
+        if (training)
+            cachedInvStd_[static_cast<size_t>(i)] = inv;
+        float *xhatRow = training ? cachedXhat_.data() + i * dim_ : nullptr;
         float *out = y.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j) {
-            xhat[j] = (row[j] - static_cast<float>(mean)) * inv;
-            out[j] = xhat[j] * w_.value[j] + b_.value[j];
+            const float xhat = (row[j] - static_cast<float>(mean)) * inv;
+            if (xhatRow != nullptr)
+                xhatRow[j] = xhat;
+            out[j] = xhat * w_.value[j] + b_.value[j];
         }
     }
     return y;

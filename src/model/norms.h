@@ -23,7 +23,7 @@ class RmsNorm
 
     /** x of shape (n, dim) -> same shape. Caches x for backward()
      *  only while a TrainingModeScope is alive. */
-    Tensor forward(const Tensor &x);
+    Tensor forward(const Tensor &x) const;
     Tensor backward(const Tensor &dy);
 
     std::vector<Parameter *> parameters() { return {&w_}; }
@@ -32,8 +32,9 @@ class RmsNorm
   private:
     int64_t dim_;
     Parameter w_;
-    Tensor cachedX_;
-    std::vector<float> cachedInvRms_;
+    // Training caches.
+    mutable Tensor cachedX_;
+    mutable std::vector<float> cachedInvRms_;
     static constexpr float kEps = 1e-5F;
 };
 
@@ -43,8 +44,8 @@ class LayerNorm
   public:
     LayerNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape. */
-    Tensor forward(const Tensor &x);
+    /** x of shape (n, dim) -> same shape; caches as RmsNorm does. */
+    Tensor forward(const Tensor &x) const;
     Tensor backward(const Tensor &dy);
 
     std::vector<Parameter *> parameters() { return {&w_, &b_}; }
@@ -54,8 +55,9 @@ class LayerNorm
     int64_t dim_;
     Parameter w_;
     Parameter b_;
-    Tensor cachedXhat_;
-    std::vector<float> cachedInvStd_;
+    // Training caches.
+    mutable Tensor cachedXhat_;
+    mutable std::vector<float> cachedInvStd_;
     static constexpr float kEps = 1e-5F;
 };
 

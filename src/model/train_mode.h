@@ -3,10 +3,10 @@
  * Process-wide training-mode flag.
  *
  * Layers consult trainingModeActive() to decide whether a backward
- * pass may follow a forward. Only then does Linear or RmsNorm keep a
- * copy of its input; outside a scope Linear may take the fused
- * factorized path, which skips the intermediates backward() needs.
- * Training entry points (TransformerModel::lossAndGrad) hold a
+ * pass may follow a forward. Only then does a layer cache what its
+ * backward() reads; outside a scope forwards write no layer state (so
+ * workers share one model) and Linear may take the fused factorized
+ * path. Training entry points (TransformerModel::lossAndGrad) hold a
  * TrainingModeScope for the duration of the forward+backward pair,
  * and so does anything else that reads a forward's cached input
  * (calibrateActivationScales via Linear::lastInput()).

@@ -1,5 +1,6 @@
 #include "transformer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -51,7 +52,7 @@ TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
 }
 
 Tensor
-TransformerBlock::forward(const Tensor &x)
+TransformerBlock::forward(const Tensor &x) const
 {
     if (arch_ == Arch::LlamaStyle) {
         // Pre-norm: x + attn(rms1(x)), then + mlp(rms2(.)).
@@ -83,7 +84,7 @@ TransformerBlock::backward(const Tensor &dy)
 }
 
 Tensor
-TransformerBlock::forwardCached(const Tensor &x, KvCache &cache)
+TransformerBlock::forwardCached(const Tensor &x, KvCache &cache) const
 {
     require(arch_ == Arch::LlamaStyle,
             "TransformerBlock::forwardCached: KV cache is decoder-only");
@@ -176,7 +177,7 @@ TransformerModel::TransformerModel(const ModelConfig &cfg,
 }
 
 Tensor
-TransformerModel::forward(const TokenSeq &tokens)
+TransformerModel::forward(const TokenSeq &tokens) const
 {
     require(static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
             "TransformerModel::forward: sequence length ", tokens.size(),
@@ -258,7 +259,7 @@ TransformerModel::lossAndGrad(const TokenSeq &tokens,
 
 double
 TransformerModel::loss(const TokenSeq &tokens,
-                       const std::vector<int> &targets)
+                       const std::vector<int> &targets) const
 {
     Tensor logits = forward(tokens);
     return crossEntropy(logits, targets, nullptr);
@@ -305,20 +306,22 @@ TransformerModel::applyTucker(int64_t layer, WeightKind kind,
 int64_t
 TransformerModel::paramCount() const
 {
-    int64_t n = 0;
-    for (Parameter *p :
-         const_cast<TransformerModel *>(this)->parameters())
+    int64_t n = lmHead_->paramCount();
+    for (const auto &b : blocks_)
+        n += b->paramCount();
+    for (Parameter *p : embedding_->parameters())
         n += p->size();
+    if (finalNorm_)
+        n += finalNorm_->parameters()[0]->size();
     return n;
 }
 
 bool
 TransformerModel::anyFactorized() const
 {
-    auto *self = const_cast<TransformerModel *>(this);
-    for (int64_t l = 0; l < numLayers(); ++l)
+    for (const auto &b : blocks_)
         for (WeightKind k : decomposableKinds(cfg_.arch))
-            if (self->linear(l, k).isFactorized())
+            if (b->linear(k).isFactorized())
                 return true;
     return false;
 }
@@ -326,7 +329,6 @@ TransformerModel::anyFactorized() const
 std::vector<uint8_t>
 TransformerModel::serialize() const
 {
-    auto *self = const_cast<TransformerModel *>(this);
     ByteWriter w;
     w.putString("lrd-model-v3");
     w.putString(cfg_.name);
@@ -344,7 +346,7 @@ TransformerModel::serialize() const
     std::vector<std::tuple<uint64_t, uint32_t, uint64_t>> manifest;
     for (int64_t l = 0; l < numLayers(); ++l) {
         for (WeightKind kind : decomposableKinds(cfg_.arch)) {
-            const Linear &lin = self->linear(l, kind);
+            const Linear &lin = blocks_[static_cast<size_t>(l)]->linear(kind);
             if (lin.isFactorized())
                 manifest.emplace_back(static_cast<uint64_t>(l),
                                       static_cast<uint32_t>(kind),
@@ -359,7 +361,15 @@ TransformerModel::serialize() const
         w.putU64(rank);
     }
 
-    auto params = self->parameters();
+    // parameters(), read through the layers' pointers.
+    std::vector<Parameter *> params = embedding_->parameters();
+    for (const auto &b : blocks_)
+        for (Parameter *p : b->parameters())
+            params.push_back(p);
+    if (finalNorm_)
+        params.push_back(finalNorm_->parameters()[0]);
+    for (Parameter *p : lmHead_->parameters())
+        params.push_back(p);
     w.putU64(params.size());
     for (Parameter *p : params) {
         w.putString(p->name);
@@ -410,11 +420,15 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
 
     TransformerModel model(cfg, std::nullopt);
     if (magic != "lrd-model-v1") {
+        const std::vector<WeightKind> kinds = decomposableKinds(cfg.arch);
         const uint64_t n = r.getU64();
         for (uint64_t i = 0; i < n; ++i) {
             const auto layer = static_cast<int64_t>(r.getU64());
             const auto kind = static_cast<WeightKind>(r.getU32());
             const auto rank = static_cast<int64_t>(r.getU64());
+            require(std::count(kinds.begin(), kinds.end(), kind) == 1,
+                    "TransformerModel::deserialize: manifest entry ", i,
+                    " names no tensor this architecture factorizes");
             model.linear(layer, kind).installFactorShape(rank);
         }
     }
@@ -445,7 +459,16 @@ TransformerModel::clearCache()
     lmHead_->clearCache();
 }
 
-InferenceSession::InferenceSession(TransformerModel &model) : model_(&model)
+void
+TransformerModel::invalidatePackedWeights()
+{
+    for (int64_t l = 0; l < numLayers(); ++l)
+        for (WeightKind k : decomposableKinds(cfg_.arch))
+            linear(l, k).invalidatePackedWeights();
+}
+
+InferenceSession::InferenceSession(const TransformerModel &model)
+    : model_(&model)
 {
     require(model.config().arch == Arch::LlamaStyle,
             "InferenceSession: KV-cache decoding is decoder-only");
@@ -495,7 +518,7 @@ InferenceSession::append(const TokenSeq &tokens)
 }
 
 double
-scoreContinuation(TransformerModel &model, const TokenSeq &context,
+scoreContinuation(const TransformerModel &model, const TokenSeq &context,
                   const TokenSeq &continuation)
 {
     require(!context.empty() && !continuation.empty(),
@@ -514,8 +537,8 @@ scoreContinuation(TransformerModel &model, const TokenSeq &context,
 }
 
 TokenSeq
-greedyGenerate(TransformerModel &model, const TokenSeq &prompt, int maxNew,
-               int stopToken)
+greedyGenerate(const TransformerModel &model, const TokenSeq &prompt,
+               int maxNew, int stopToken)
 {
     require(!prompt.empty(), "greedyGenerate: empty prompt");
     InferenceSession session(model);

@@ -33,10 +33,10 @@ class TransformerBlock
     /** A null rng builds zero weights with no draws (see Linear). */
     TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    Tensor forward(const Tensor &x);
+    Tensor forward(const Tensor &x) const;
     Tensor backward(const Tensor &dy);
     /** Incremental decode step (LlamaStyle only). */
-    Tensor forwardCached(const Tensor &x, KvCache &cache);
+    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access any decomposable tensor of this layer by kind. */
     Linear &linear(WeightKind kind);
@@ -62,8 +62,9 @@ class TransformerModel
 
     const ModelConfig &config() const { return cfg_; }
 
-    /** Full-sequence forward; returns logits (T, vocab). */
-    Tensor forward(const TokenSeq &tokens);
+    /** Full-sequence forward; returns logits (T, vocab). Workers may
+     *  share one model (see Linear::forward). */
+    Tensor forward(const TokenSeq &tokens) const;
 
     /**
      * Forward + mean cross-entropy over positions with target >= 0 +
@@ -77,7 +78,8 @@ class TransformerModel
                        const std::vector<int> &targets);
 
     /** Forward-only mean cross-entropy (no gradients). */
-    double loss(const TokenSeq &tokens, const std::vector<int> &targets);
+    double loss(const TokenSeq &tokens,
+                const std::vector<int> &targets) const;
 
     /** All trainable parameters (changes after factorization). */
     std::vector<Parameter *> parameters();
@@ -117,6 +119,9 @@ class TransformerModel
     /** Drop all cached activations. */
     void clearCache();
 
+    /** Linear::invalidatePackedWeights on every decomposable tensor. */
+    void invalidatePackedWeights();
+
     /** Whether any linear layer is factorized. */
     bool anyFactorized() const;
 
@@ -143,7 +148,8 @@ class TransformerModel
 class InferenceSession
 {
   public:
-    explicit InferenceSession(TransformerModel &model);
+    /** `model` is borrowed; sessions on other threads may share it. */
+    explicit InferenceSession(const TransformerModel &model);
 
     /** Clear the caches; the session restarts at position 0. */
     void reset();
@@ -166,12 +172,13 @@ class InferenceSession
     void truncate(int64_t n);
 
   private:
-    TransformerModel *model_;
+    const TransformerModel *model_;
     std::vector<KvCache> caches_;
 };
 
 /** Sum of log-probabilities of `continuation` given `context`. */
-double scoreContinuation(TransformerModel &model, const TokenSeq &context,
+double scoreContinuation(const TransformerModel &model,
+                         const TokenSeq &context,
                          const TokenSeq &continuation);
 
 /**
@@ -179,8 +186,8 @@ double scoreContinuation(TransformerModel &model, const TokenSeq &context,
  * token until `maxNew` tokens are emitted or `stopToken` appears
  * (the stop token is not included in the result).
  */
-TokenSeq greedyGenerate(TransformerModel &model, const TokenSeq &prompt,
-                        int maxNew, int stopToken);
+TokenSeq greedyGenerate(const TransformerModel &model,
+                        const TokenSeq &prompt, int maxNew, int stopToken);
 
 } // namespace lrd
 

@@ -21,9 +21,7 @@
  *   gemm.macs are therefore thread-count-invariant. pool.chunks counts
  *   outermost-region chunks only (nested regions run inline and record
  *   nothing), so it follows the region structure, not the thread
- *   count; only callers that fan out solely on a multi-thread pool
- *   (evaluator, serve batcher) make it differ at LRD_THREADS=1.
- *   pool.idleWaits is a scheduling counter and varies.
+ *   count. pool.idleWaits is a scheduling counter and varies.
  * - Recording is gated on one global atomic flag (default off). With
  *   metrics disabled every record call is a relaxed load + branch.
  * - The shard also holds its lane's trace ring (obs/trace.h). A

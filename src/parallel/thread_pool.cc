@@ -111,12 +111,6 @@ ThreadPool::workerIndex()
     return workerLane();
 }
 
-bool
-ThreadPool::inParallelRegion()
-{
-    return tlInParallel;
-}
-
 int64_t
 ThreadPool::numChunks(int64_t begin, int64_t end, int64_t grain)
 {

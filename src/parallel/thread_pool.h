@@ -69,9 +69,6 @@ class ThreadPool
      */
     static int workerIndex();
 
-    /** True while the calling thread is executing a chunk body. */
-    static bool inParallelRegion();
-
     /**
      * Run body(lo, hi) over fixed chunks of [begin, end). Blocks until
      * every chunk has completed. Safe to call from inside another

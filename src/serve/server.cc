@@ -42,7 +42,7 @@ struct RetryEntry
 
 } // namespace
 
-Server::Server(TransformerModel &model, ServeOptions opts)
+Server::Server(const TransformerModel &model, ServeOptions opts)
     : model_(model), opts_(opts)
 {
     require(opts_.queueCapacity > 0 && opts_.maxBatch > 0,
@@ -351,7 +351,6 @@ Server::run(std::vector<ServeRequest> workload)
     for (; nextArrival < workload.size(); ++nextArrival)
         settleDrained(workload[nextArrival], "never offered");
     report.status = drainStatus;
-    batcher.clearCaches();
 
     // Report: deterministic nearest-rank quantiles over tick
     // latencies of responded requests.

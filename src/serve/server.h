@@ -9,10 +9,10 @@
  * ladder transitions, batch membership, deadline excision, drain —
  * happens on the control thread at tick boundaries, outside any
  * parallel region. The thread pool is entered only inside
- * Batcher::execute, where items are independent and write fixed
- * slots. Together this makes the full response vector, including
- * which requests were shed or missed their deadline, bitwise
- * identical at any LRD_THREADS.
+ * Batcher::execute, where items are independent, write fixed slots
+ * and share the one model (or its fallback variant). Together this
+ * makes the full response vector, including which requests were shed
+ * or missed their deadline, bitwise identical at any LRD_THREADS.
  *
  * Robustness integration:
  *  - SIGINT/SIGTERM or an injected cancel at serve.admit /
@@ -96,11 +96,11 @@ class Server
   public:
     /**
      * @param model The serving model (borrowed; must outlive the
-     *        server). Never mutated; the fallback variant is built
+     *        server). Never written; the fallback variant is built
      *        from a deserialized copy.
      * @param opts queueCapacity and maxBatch must be positive.
      */
-    Server(TransformerModel &model, ServeOptions opts);
+    Server(const TransformerModel &model, ServeOptions opts);
 
     /**
      * Serve `workload` to completion or drain. Requests must carry
@@ -112,7 +112,7 @@ class Server
     bool hasFallbackModel() const { return fallback_ != nullptr; }
 
   private:
-    TransformerModel &model_;
+    const TransformerModel &model_;
     ServeOptions opts_;
     std::unique_ptr<TransformerModel> fallback_;
 };

@@ -104,19 +104,70 @@ TEST(Determinism, TruncatedSvdAcrossThreadCounts)
         EXPECT_EQ(s1.s[i], sN.s[i]) << "singular value " << i;
 }
 
+/** Decomposable Linears of `model` that hold factors. */
+int64_t
+factorizedLinears(TransformerModel &model)
+{
+    int64_t n = 0;
+    for (int64_t l = 0; l < model.numLayers(); ++l)
+        for (WeightKind kind : decomposableKinds(model.config().arch))
+            n += model.linear(l, kind).isFactorized() ? 1 : 0;
+    return n;
+}
+
+/** Every pool worker scores on the one model. Under TSan this is the
+ *  shared-model check: concurrent forwards on a dense decoder, a
+ *  factorized one (whose first fused forwards pack its panels
+ *  concurrently) and an encoder, on both the multiple-choice and the
+ *  generation path. */
 TEST(Determinism, EvaluatorAcrossThreadCounts)
 {
     const World &world = defaultWorld();
-    const auto evalOnce = [&] {
-        TransformerModel model(tinyLlamaConfig(), 1234);
-        Evaluator ev(model, world, EvalOptions{16, 999, false});
-        return ev.run(allBenchmarks().front());
-    };
-    const EvalResult r1 = withThreads(1, evalOnce);
-    const EvalResult rN = withThreads(kManyThreads, evalOnce);
-    EXPECT_EQ(r1.numCorrect, rN.numCorrect);
-    EXPECT_EQ(r1.numTasks, rN.numTasks);
-    EXPECT_EQ(r1.accuracy, rN.accuracy);
+    const ModelConfig llama = tinyLlamaConfig();
+    TransformerModel factorized(llama, 1234);
+    ASSERT_TRUE(scheduleForReduction(llama, 0.5).applyTo(factorized).ok());
+    const std::vector<std::pair<std::string, std::vector<uint8_t>>> models =
+        {{"dense", TransformerModel(llama, 1234).serialize()},
+         {"factorized", factorized.serialize()},
+         {"bert", TransformerModel(tinyBertConfig(), 1234).serialize()}};
+    Counter *packs =
+        MetricsRegistry::instance().counter("model.linear.weightPacks");
+
+    for (const auto &[name, bytes] : models) {
+        for (BenchmarkKind kind :
+             {allBenchmarks().front(), BenchmarkKind::Gsm8k}) {
+            SCOPED_TRACE(name + " " + benchmarkName(kind));
+            int64_t maxPacks = 0;
+            int64_t packed = 0;
+            // A fresh model per run, so each run packs on first use.
+            const auto evalOnce = [&] {
+                TransformerModel model = TransformerModel::deserialize(bytes);
+                maxPacks = factorizedLinears(model);
+                const int64_t before = packs->total();
+                const EvalResult r =
+                    Evaluator(model, world, EvalOptions{16, 999, false})
+                        .run(kind);
+                packed = packs->total() - before;
+                return r;
+            };
+            const EvalResult r1 = withThreads(1, evalOnce);
+            for (const int threads : {4, kManyThreads}) {
+                const EvalResult r = withThreads(threads, evalOnce);
+                EXPECT_EQ(r.numCorrect, r1.numCorrect) << threads;
+                EXPECT_EQ(r.numTasks, r1.numTasks) << threads;
+                EXPECT_EQ(r.numFailed, r1.numFailed) << threads;
+                EXPECT_EQ(r.accuracy, r1.accuracy) << threads;
+            }
+            // One kManyThreads run packs each factorized Linear once
+            // at most, however many workers share it. GSM8K prompts are
+            // long enough for the fused path; the multiple-choice
+            // contexts are not.
+            EXPECT_LE(packed, maxPacks);
+            if (kind == BenchmarkKind::Gsm8k && maxPacks > 0) {
+                EXPECT_GT(packed, 0);
+            }
+        }
+    }
 }
 
 TEST(Determinism, TrainerAcrossThreadCounts)

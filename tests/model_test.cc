@@ -517,11 +517,17 @@ TEST(GradCheckFactorized, AnalyticMatchesNumeric)
                 rng.uniformInt(static_cast<uint64_t>(p->value.size())));
             const float orig = p->value[idx];
             const float eps = 1e-2F;
-            p->value[idx] = orig + eps;
+            // loss() runs 8 rows, so the factorized layers take the
+            // fused path: each write must drop the panels it packed.
+            const auto set = [&](float v) {
+                p->value[idx] = v;
+                m.invalidatePackedWeights();
+            };
+            set(orig + eps);
             const double up = m.loss(toks, targets);
-            p->value[idx] = orig - eps;
+            set(orig - eps);
             const double down = m.loss(toks, targets);
-            p->value[idx] = orig;
+            set(orig);
             const double numeric = (up - down) / (2.0 * eps);
             const double analytic = p->grad[idx];
             const double scale =

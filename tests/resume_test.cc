@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "robust/recovery.h"
 #include "robust/signal.h"
 #include "sweep_fixture.h"
+#include "tensor/simd/pack.h"
 #include "train/trainer.h"
 #include "util/cache.h"
 
@@ -182,6 +184,43 @@ TEST(Resume, TrainerResumeWithoutCheckpointStartsFresh)
     trainer.run();
     EXPECT_TRUE(trainer.runStatus().ok());
     EXPECT_TRUE(fs::exists(opts.checkpointPath));
+}
+
+/** A resume with no steps left writes the checkpoint's factors
+ *  through parameters() into a model whose fused path already packed
+ *  its own: the next fused forward must read the restored factors. */
+TEST(Resume, TrainerResumeWithNoStepsLeftRepacksFactors)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(1);
+    const ModelConfig cfg = smallConfig();
+    const DecompConfig gamma = DecompConfig::allTensors(cfg, {0, 2}, 4);
+    TrainOptions opts = resumableTrainOptions();
+    opts.steps = 2;
+    opts.checkpointPath = ckptPath("lrd_resume_train_repack.bin");
+    opts.checkpointEvery = 2;
+    TokenSeq tokens(static_cast<size_t>(2 * simd::kMr));
+    for (size_t i = 0; i < tokens.size(); ++i)
+        tokens[i] = static_cast<int>((7 * i + 3) % cfg.vocabSize);
+
+    TransformerModel trained(cfg, 777);
+    ASSERT_TRUE(gamma.applyTo(trained).ok());
+    Trainer(trained, smallWorld(), opts).run();
+
+    TransformerModel resumed(cfg, 777);
+    ASSERT_TRUE(gamma.applyTo(resumed).ok());
+    (void)resumed.forward(tokens); // packs the untrained factors
+    opts.resume = true;
+    Trainer trainer(resumed, smallWorld(), opts);
+    trainer.run();
+    EXPECT_TRUE(trainer.runStatus().ok());
+
+    const Tensor want = trained.forward(tokens);
+    const Tensor got = resumed.forward(tokens);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(got.size()) * sizeof(float)),
+              0);
 }
 
 TEST(Resume, DseKillAndResumeMatchesUninterruptedSweep)

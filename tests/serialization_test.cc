@@ -124,8 +124,8 @@ TEST(Serialization, GqaConfigSurvivesRoundTrip)
 
 TEST(Serialization, HostileLengthFieldsAreRejected)
 {
-    // All four fail as malformed streams, not with std::length_error,
-    // std::bad_alloc or a heap overrun.
+    // All five fail as malformed streams, not with std::length_error,
+    // std::bad_alloc, a heap overrun or a library panic.
     ByteWriter hugeString; // magic string of 2^64 - 1 bytes
     hugeString.putU64(~uint64_t{0});
     EXPECT_THROW(TransformerModel::deserialize(hugeString.bytes()),
@@ -170,6 +170,18 @@ TEST(Serialization, HostileLengthFieldsAreRejected)
     for (int i = 0; i < 40; ++i)
         hugeSeq.putU64(0);
     EXPECT_THROW(TransformerModel::deserialize(hugeSeq.bytes()),
+                 std::runtime_error);
+
+    // A manifest entry (layer 0, kind 99, rank 1) naming no tensor a
+    // Llama block has, then the same 320 zero bytes.
+    ByteWriter badKind = llamaHeader({1, 16, 1, 2, 0, 24, 24});
+    badKind.putU64(1);
+    badKind.putU64(0);
+    badKind.putU32(99);
+    badKind.putU64(1);
+    for (int i = 0; i < 40; ++i)
+        badKind.putU64(0);
+    EXPECT_THROW(TransformerModel::deserialize(badKind.bytes()),
                  std::runtime_error);
 }
 

@@ -423,8 +423,8 @@ TEST(Server, ResponsesBitwiseIdenticalAcrossThreadCounts)
             SCOPED_TRACE("request " + std::to_string(i) + " at " +
                          std::to_string(threads) + " threads");
             EXPECT_EQ(r.responses[i].outcome, baseline[i].outcome);
-            // Bitwise, not approximate: the replica-per-worker
-            // batcher guarantees the same floating-point result.
+            // Bitwise, not approximate: every worker scores its own
+            // items on the one shared model, in a fixed order.
             EXPECT_EQ(r.responses[i].score, baseline[i].score);
             EXPECT_EQ(r.responses[i].degraded, baseline[i].degraded);
             EXPECT_EQ(r.responses[i].settledTick,
