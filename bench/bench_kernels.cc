@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <thread>
+#include <tuple>
 
 #include "decomp/tucker.h"
 #include "linalg/linalg.h"
@@ -362,6 +363,47 @@ BM_FactorizedLinearForward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FactorizedLinearForward)->Arg(1)->Arg(8)->Arg(16);
+
+/** Linear forwards under one microkernel tile of rows, as each
+ *  multiple-choice context drives them: args (out, in, rank, rows),
+ *  rank 0 for a dense layer. Every row runs the skinny gemmTransB
+ *  path; a factorized layer chains three of them. */
+void
+BM_SkinnyLinearForward(benchmark::State &state)
+{
+    const int64_t out = state.range(0), in = state.range(1);
+    const int64_t rank = state.range(2), rows = state.range(3);
+    Rng rng(11);
+    Linear l(out, in, false, "bench", &rng);
+    if (rank > 0) {
+        const Status st = l.factorize(rank);
+        if (!st.ok()) {
+            state.SkipWithError(st.toString().c_str());
+            return;
+        }
+    }
+    Tensor x = Tensor::randn({rows, in}, rng);
+    for (auto _ : state) {
+        Tensor y = l.forward(x);
+        benchmark::DoNotOptimize(y.data());
+    }
+}
+void
+skinnyLinearArgs(benchmark::internal::Benchmark *b)
+{
+    // tiny-llama's projection shapes (d = 64, ffn = 176, vocab = 320)
+    // dense, and its 176 x 64 MLP projection at ranks 1 and 8.
+    for (const auto &[out, in, rank] :
+         {std::tuple<int64_t, int64_t, int64_t>{64, 64, 0},
+          {176, 64, 0},
+          {64, 176, 0},
+          {320, 64, 0},
+          {176, 64, 1},
+          {176, 64, 8}})
+        for (const int64_t rows : {1, 4, 7})
+            b->Args({out, in, rank, rows});
+}
+BENCHMARK(BM_SkinnyLinearForward)->Apply(skinnyLinearArgs)->UseRealTime();
 
 void
 BM_DecodeStep(benchmark::State &state)

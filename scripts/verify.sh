@@ -2,13 +2,14 @@
 # Tier-1 verification: clean Release build + full ctest, the lrd-lint
 # static-analysis gate, a ThreadSanitizer build that re-runs the
 # determinism + observability suites, a UBSan build of the same two
-# suites (signed overflow / misaligned loads in the packed GEMM
-# kernels would surface here), and an ASan build of the fault-
-# tolerance suites (checkpoint I/O and injected alloc failures
-# exercise error paths where leaks and overreads hide) and the model
-# suites (shape-only deserialize, dropped forward caches). clang-tidy
-# (curated subset, WarningsAsErrors) blocks when the tool is
-# installed and is skipped loudly when it is not.
+# suites plus the GEMM suites (signed overflow / misaligned loads in
+# the packed and skinny GEMM kernels would surface here), and an ASan
+# build of the fault-tolerance suites (checkpoint I/O and injected
+# alloc failures exercise error paths where leaks and overreads hide),
+# the model suites (shape-only deserialize, dropped forward caches)
+# and the GEMM suites (the skinny kernel's reads up to B's last row).
+# clang-tidy (curated subset, WarningsAsErrors) blocks when the tool
+# is installed and is skipped loudly when it is not.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -74,16 +75,23 @@ cmake --build build-tsan -j --target determinism_test obs_test serve_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/serve_test
 
-echo "== UBSan: determinism + obs suites under -fsanitize=undefined =="
+echo "== UBSan: determinism + obs + GEMM suites under -fsanitize=undefined =="
+# gemm_reference_test and tensor_test run the skinny gemmTransB
+# kernel's whole-vector loads over k blocks, k tails and partial
+# output groups; they run under ASan below too.
 cmake -B build-ubsan -S . -DLRD_SANITIZE=undefined
-cmake --build build-ubsan -j --target determinism_test obs_test
+cmake --build build-ubsan -j --target determinism_test obs_test \
+    gemm_reference_test tensor_test
 ./build-ubsan/tests/determinism_test
 ./build-ubsan/tests/obs_test
+./build-ubsan/tests/gemm_reference_test
+./build-ubsan/tests/tensor_test
 
-echo "== ASan: robust + resume + cancel + serve + model suites under -fsanitize=address =="
+echo "== ASan: robust + resume + cancel + serve + model + GEMM suites under -fsanitize=address =="
 cmake -B build-asan -S . -DLRD_SANITIZE=address
 cmake --build build-asan -j --target robust_test resume_test cancel_test \
-    serve_test model_test session_test serialization_test layers_test
+    serve_test model_test session_test serialization_test layers_test \
+    gemm_reference_test tensor_test
 ./build-asan/tests/robust_test
 ./build-asan/tests/resume_test
 ./build-asan/tests/cancel_test
@@ -92,5 +100,7 @@ cmake --build build-asan -j --target robust_test resume_test cancel_test \
 ./build-asan/tests/session_test
 ./build-asan/tests/serialization_test
 ./build-asan/tests/layers_test
+./build-asan/tests/gemm_reference_test
+./build-asan/tests/tensor_test
 
 echo "verify: OK"

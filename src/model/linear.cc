@@ -86,34 +86,46 @@ Linear::forward(const Tensor &x) const
         clearCache();
     // Inference-only fused path: chain the three factor GEMMs through
     // register-blocked row panels against pre-packed weights, never
-    // materializing the (n, pr) intermediates. Skinny batches (m <
-    // one microkernel tile of rows) stay on the unfused path, whose
-    // lane-dot fallback wastes no work on padded tiles.
+    // materializing the (n, pr) intermediates. Batches under one
+    // microkernel tile of rows take the skinny chain below instead,
+    // which wastes no work on padded tiles.
+    const int64_t n = x.dim(0);
+    Tensor y({n, outDim_});
     if (factorized_ && !training && fusedForwardEnabled() &&
-        x.dim(0) >= simd::kMr) {
+        n >= simd::kMr) {
         ensurePackedFactors();
-        Tensor y({x.dim(0), outDim_});
         simd::fusedFactorizedForward(
-            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, lazy_->u2t,
+            x.data(), n, inDim_, prunedRank_, outDim_, lazy_->u2t,
             lazy_->coret, lazy_->u1t,
             hasBias_ ? b_.value.data() : nullptr, y.data());
         fusedCounters().fusedForwards->inc();
         return y;
     }
-    Tensor y;
     if (!factorized_) {
-        y = matmulTransB(x, w_.value);
+        gemmTransB(x.data(), w_.value.data(), y.data(), n, inDim_, outDim_);
     } else {
-        Tensor t1 = matmulTransB(x, u2_.value);    // (n, pr)
-        Tensor t2 = matmulTransB(t1, core_.value); // (n, pr)
-        y = matmulTransB(t2, u1_.value);           // (n, out)
+        // y = ((x U2^T) core^T) U1^T. The two (n, pr) intermediates are
+        // the backward caches under a TrainingModeScope and per-thread
+        // scratch otherwise, so an inference forward allocates only y.
+        float *t1 = nullptr;
+        float *t2 = nullptr;
         if (training) {
-            cachedT1_ = std::move(t1);
-            cachedT2_ = std::move(t2);
+            cachedT1_ = Tensor({n, prunedRank_});
+            cachedT2_ = Tensor({n, prunedRank_});
+            t1 = cachedT1_.data();
+            t2 = cachedT2_.data();
+        } else {
+            thread_local std::vector<float> scratch;
+            // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest (n, pr) pair a thread sees, reused after
+            scratch.resize(static_cast<size_t>(2 * n * prunedRank_));
+            t1 = scratch.data();
+            t2 = t1 + n * prunedRank_;
         }
+        gemmTransB(x.data(), u2_.value.data(), t1, n, inDim_, prunedRank_);
+        gemmTransB(t1, core_.value.data(), t2, n, prunedRank_, prunedRank_);
+        gemmTransB(t2, u1_.value.data(), y.data(), n, prunedRank_, outDim_);
     }
     if (hasBias_) {
-        const int64_t n = y.dim(0);
         for (int64_t i = 0; i < n; ++i)
             for (int64_t j = 0; j < outDim_; ++j)
                 y(i, j) += b_.value[j];

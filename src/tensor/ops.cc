@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -17,21 +18,28 @@ namespace lrd {
 namespace {
 
 /** Cached handles for the GEMM counters (one registry lookup ever).
- *  callsPerLevel attributes calls to the dispatched ISA so `lrdtool
- *  stats` can break kernel time down by level. */
+ *  A call that runs the dispatched micro kernel counts in
+ *  callsPerLevel[level], one that takes a skinny fallback in
+ *  skinnyCalls, so `lrdtool stats` can break kernel time down by the
+ *  code that ran; `gemm.calls` is their sum. */
 struct GemmCounters
 {
     Counter *calls;
     Counter *macs;
     Counter *packedBytesA;
     Counter *packedBytesB;
+    Counter *skinnyCalls;
     Counter *callsPerLevel[4];
 
-    void noteCall(int64_t macCount)
+    void noteCall(int64_t macCount, bool blocked)
     {
         calls->inc();
         macs->add(macCount);
-        callsPerLevel[static_cast<int>(simd::activeLevel())]->inc();
+        // Resolved on every call, so a bad LRD_SIMD fails at the first
+        // GEMM whichever path it takes.
+        const simd::Level level = simd::activeLevel();
+        (blocked ? callsPerLevel[static_cast<int>(level)] : skinnyCalls)
+            ->inc();
     }
 };
 
@@ -44,6 +52,7 @@ gemmCounters()
                        reg.counter("gemm.macs"),
                        reg.counter("gemm.packedBytesA"),
                        reg.counter("gemm.packedBytesB"),
+                       reg.counter("gemm.calls.skinny"),
                        {}};
         for (simd::Level l :
              {simd::Level::Scalar, simd::Level::Neon, simd::Level::Avx2,
@@ -160,25 +169,220 @@ useBlockedGemm(int64_t m, int64_t k, int64_t n)
     return m >= 2 * kMr && n >= kNr / 2 && k >= 8;
 }
 
-/**
- * Dot product with 16 striped lane accumulators reduced in a fixed
- * tree: vectorizes without -ffast-math and sums in a k-only order.
+/*
+ * Skinny transposed-B kernel: C(i, j) = dot(A row i, B row j) for the
+ * shapes the blocked path declines, 16 outputs (columns of C) per step.
+ *
+ * Every output sums in one order that depends on k alone: lane p mod
+ * 16 accumulates a(i, p) * b(j, p) in ascending p, then the lanes fold
+ * as lane[l] + lane[l + 8], lane[l] + lane[l + 4] and
+ * (lane[0] + lane[2]) + (lane[1] + lane[3]). GCC and Clang contract
+ * each multiply-add to FMA exactly when this file's -march has FMA, so
+ * the result follows the build's flags and not LRD_SIMD. m, n, an
+ * output's place in its group and the chunking never change a bit.
+ *
+ * The vectors are GCC/Clang vector extensions that never cross a
+ * function boundary: passing a 64-byte vector by value changes ABI
+ * between -march levels (-Wpsabi).
  */
-float
-laneDot(const float *x, const float *y, int64_t k)
+using Vec16 = float __attribute__((vector_size(64)));
+using Bits16 = int32_t __attribute__((vector_size(64)));
+
+// GCC keeps an array of accumulators in registers only when the loops
+// indexing it are fully unrolled, which its size heuristics decline
+// here. Clang gets no hint: it warns (an error under -Werror) when it
+// cannot honour one.
+#if defined(__clang__)
+#define LRD_SKINNY_UNROLL
+#else
+#define LRD_SKINNY_UNROLL _Pragma("GCC unroll 16")
+#endif
+
+constexpr int kSkinnyGroup = 16;
+
+/**
+ * k >= 16: out[jj] = dot(x, B row jj) for W consecutive rows of B at b.
+ * One accumulator per output holds its 16 lanes; the fold then runs
+ * across outputs by shuffling pairs of accumulators. W < 16 serves
+ * partial groups without touching rows past the W-th.
+ */
+template <int W>
+void
+foldedDots(const float *x, const float *b, int64_t k, float *out)
 {
-    float lane[16] = {};
+    static_assert(W >= 1 && W <= kSkinnyGroup && (W & (W - 1)) == 0);
+    Vec16 acc[W] = {};
     int64_t p = 0;
-    for (; p + 16 <= k; p += 16)
-        for (int64_t l = 0; l < 16; ++l)
-            lane[l] += x[p + l] * y[p + l];
-    for (int64_t l = 0; p + l < k; ++l)
-        lane[l] += x[p + l] * y[p + l];
-    for (int64_t l = 0; l < 8; ++l)
-        lane[l] += lane[l + 8];
-    for (int64_t l = 0; l < 4; ++l)
-        lane[l] += lane[l + 4];
-    return ((lane[0] + lane[2]) + (lane[1] + lane[3]));
+    for (; p + 16 <= k; p += 16) {
+        Vec16 xv;
+        std::memcpy(&xv, x + p, sizeof xv);
+LRD_SKINNY_UNROLL
+        for (int jj = 0; jj < W; ++jj) {
+            Vec16 y;
+            std::memcpy(&y, b + jj * k + p, sizeof y);
+            acc[jj] += xv * y;
+        }
+    }
+    if (p < k) {
+        // Tail lanes l < k - p take one more multiply-add; the others
+        // keep their bits (adding +0 would turn a -0 lane into +0).
+        alignas(64) float xt[16] = {};
+        Bits16 tail = {};
+        for (int64_t l = 0; p + l < k; ++l) {
+            xt[l] = x[p + l];
+            tail[l] = -1;
+        }
+        Vec16 xv;
+        std::memcpy(&xv, xt, sizeof xv);
+LRD_SKINNY_UNROLL
+        for (int jj = 0; jj < W; ++jj) {
+            alignas(64) float yt[16] = {};
+            for (int64_t l = 0; p + l < k; ++l)
+                yt[l] = b[jj * k + p + l];
+            Vec16 y;
+            std::memcpy(&y, yt, sizeof y);
+            const Vec16 next = acc[jj] + xv * y;
+            acc[jj] = (Vec16)(((Bits16)next & tail)
+                              | ((Bits16)acc[jj] & ~tail));
+        }
+    }
+    // f8[q] holds outputs 2q and 2q+1 (8 lanes each), f4[t] outputs
+    // 4t..4t+3 (4 lanes each), f2[u] outputs 8u..8u+7 as (lane0 +
+    // lane2, lane1 + lane3) pairs. Below W outputs a slot repeats the
+    // last real one; its lanes are never stored.
+    constexpr int n8 = (W + 1) / 2, n4 = (W + 3) / 4, n2 = (W + 7) / 8;
+    Vec16 f8[n8];
+LRD_SKINNY_UNROLL
+    for (int q = 0; q < n8; ++q) {
+        const int hi = 2 * q + 1 < W ? 2 * q + 1 : W - 1;
+        f8[q] = __builtin_shufflevector(acc[2 * q], acc[hi], 0, 1, 2, 3, 4,
+                                        5, 6, 7, 16, 17, 18, 19, 20, 21, 22,
+                                        23)
+                + __builtin_shufflevector(acc[2 * q], acc[hi], 8, 9, 10, 11,
+                                          12, 13, 14, 15, 24, 25, 26, 27,
+                                          28, 29, 30, 31);
+    }
+    Vec16 f4[n4];
+LRD_SKINNY_UNROLL
+    for (int t = 0; t < n4; ++t) {
+        const int hi = 2 * t + 1 < n8 ? 2 * t + 1 : n8 - 1;
+        f4[t] = __builtin_shufflevector(f8[2 * t], f8[hi], 0, 1, 2, 3, 8, 9,
+                                        10, 11, 16, 17, 18, 19, 24, 25, 26,
+                                        27)
+                + __builtin_shufflevector(f8[2 * t], f8[hi], 4, 5, 6, 7, 12,
+                                          13, 14, 15, 20, 21, 22, 23, 28,
+                                          29, 30, 31);
+    }
+    Vec16 f2[n2];
+LRD_SKINNY_UNROLL
+    for (int u = 0; u < n2; ++u) {
+        const int hi = 2 * u + 1 < n4 ? 2 * u + 1 : n4 - 1;
+        f2[u] = __builtin_shufflevector(f4[2 * u], f4[hi], 0, 1, 4, 5, 8, 9,
+                                        12, 13, 16, 17, 20, 21, 24, 25, 28,
+                                        29)
+                + __builtin_shufflevector(f4[2 * u], f4[hi], 2, 3, 6, 7, 10,
+                                          11, 14, 15, 18, 19, 22, 23, 26,
+                                          27, 30, 31);
+    }
+    const Vec16 sum =
+        __builtin_shufflevector(f2[0], f2[n2 - 1], 0, 2, 4, 6, 8, 10, 12,
+                                14, 16, 18, 20, 22, 24, 26, 28, 30)
+        + __builtin_shufflevector(f2[0], f2[n2 - 1], 1, 3, 5, 7, 9, 11, 13,
+                                  15, 17, 19, 21, 23, 25, 27, 29, 31);
+    std::memcpy(out, &sum, W * sizeof(float));
+}
+
+/**
+ * k < 16: out[i][jj] = dot(A row i, B row jj) for nj <= 16 rows of B
+ * at b and all m rows of A. One accumulator per lane holds all 16
+ * outputs, so the fold is plain vector adds, and the transposed B block
+ * is read once for every row of A.
+ */
+void
+laneMajorDots(const float *a, int64_t m, const float *b, int64_t k,
+              int nj, float *out)
+{
+    alignas(64) float bt[kSkinnyGroup][kSkinnyGroup];
+    for (int64_t l = 0; l < k; ++l)
+        for (int jj = 0; jj < kSkinnyGroup; ++jj)
+            bt[l][jj] = jj < nj ? b[jj * k + l] : 0.0F;
+    for (int64_t i = 0; i < m; ++i) {
+        const float *x = a + i * k;
+        Vec16 lane[16] = {};
+        for (int l = 0; l < 16; ++l) {
+            if (l < k) {
+                Vec16 y;
+                std::memcpy(&y, bt[l], sizeof y);
+                lane[l] += x[l] * y;
+            }
+        }
+        for (int l = 0; l < 8; ++l)
+            lane[l] = lane[l] + lane[l + 8];
+        for (int l = 0; l < 4; ++l)
+            lane[l] = lane[l] + lane[l + 4];
+        const Vec16 sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+        std::memcpy(out + i * kSkinnyGroup, &sum, sizeof sum);
+    }
+}
+
+struct SkinnyArgs
+{
+    const float *a;
+    const float *b;
+    float *c;
+    int64_t m, k, n;
+    bool accumulate;
+};
+
+/** Columns [jlo, jhi) of C; jlo is a multiple of the group size. */
+void
+skinnyTransB(const SkinnyArgs &g, int64_t jlo, int64_t jhi)
+{
+    const int64_t k = g.k;
+    // The group's dot products, row-major: dots[i][jj] (k < 16 fills
+    // every row of A at once, k >= 16 one row at a time).
+    thread_local std::vector<float> dots;
+    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest m a thread sees, reused after
+    dots.resize(static_cast<size_t>(g.m * kSkinnyGroup));
+    for (int64_t j0 = jlo; j0 < jhi; j0 += kSkinnyGroup) {
+        const int nj =
+            static_cast<int>(std::min<int64_t>(kSkinnyGroup, jhi - j0));
+        const float *bg = g.b + j0 * k;
+        if (k < kSkinnyGroup) {
+            laneMajorDots(g.a, g.m, bg, k, nj, dots.data());
+        } else {
+            for (int64_t i = 0; i < g.m; ++i) {
+                const float *x = g.a + i * k;
+                float *out = dots.data() + i * kSkinnyGroup;
+                if (nj == kSkinnyGroup) {
+                    foldedDots<16>(x, bg, k, out);
+                    continue;
+                }
+                // A partial group in power-of-two pieces.
+                int done = 0;
+                if ((nj & 8) != 0) {
+                    foldedDots<8>(x, bg + done * k, k, out + done);
+                    done += 8;
+                }
+                if ((nj & 4) != 0) {
+                    foldedDots<4>(x, bg + done * k, k, out + done);
+                    done += 4;
+                }
+                if ((nj & 2) != 0) {
+                    foldedDots<2>(x, bg + done * k, k, out + done);
+                    done += 2;
+                }
+                if ((nj & 1) != 0)
+                    foldedDots<1>(x, bg + done * k, k, out + done);
+            }
+        }
+        for (int64_t i = 0; i < g.m; ++i) {
+            float *crow = g.c + i * g.n + j0;
+            const float *d = dots.data() + i * kSkinnyGroup;
+            for (int jj = 0; jj < nj; ++jj)
+                crow[jj] = g.accumulate ? crow[jj] + d[jj] : d[jj];
+        }
+    }
 }
 
 } // namespace
@@ -243,8 +447,9 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
      int64_t n, bool accumulate)
 {
     LRD_TRACE_SPAN("gemm");
-    gemmCounters().noteCall(m * k * n);
-    if (useBlockedGemm(m, k, n)) {
+    const bool blocked = useBlockedGemm(m, k, n);
+    gemmCounters().noteCall(m * k * n, blocked);
+    if (blocked) {
         blockedGemm(a, k, false, b, n, false, c, m, k, n, accumulate);
         return;
     }
@@ -273,22 +478,18 @@ gemmTransB(const float *a, const float *b, float *c, int64_t m, int64_t k,
            int64_t n, bool accumulate)
 {
     LRD_TRACE_SPAN("gemmTransB");
-    gemmCounters().noteCall(m * k * n);
-    if (useBlockedGemm(m, k, n)) {
+    const bool blocked = useBlockedGemm(m, k, n);
+    gemmCounters().noteCall(m * k * n, blocked);
+    if (blocked) {
         blockedGemm(a, k, false, b, k, true, c, m, k, n, accumulate);
         return;
     }
-    // Skinny fallback: lane-accumulator dot products over the
-    // contiguous rows of a and b, parallel over output columns.
-    parallelFor(0, n, 128, [&](int64_t jlo, int64_t jhi) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t j = jlo; j < jhi; ++j) {
-                const float acc = laneDot(arow, b + j * k, k);
-                crow[j] = accumulate ? crow[j] + acc : acc;
-            }
-        }
+    // Skinny fallback, parallel over output columns. The chunks hold
+    // whole 16-output groups; one captured reference keeps the
+    // std::function in its small buffer.
+    const SkinnyArgs args{a, b, c, m, k, n, accumulate};
+    parallelFor(0, n, 128, [&args](int64_t jlo, int64_t jhi) {
+        skinnyTransB(args, jlo, jhi);
     });
 }
 
@@ -297,10 +498,11 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
            int64_t n, bool accumulate)
 {
     LRD_TRACE_SPAN("gemmTransA");
-    gemmCounters().noteCall(m * k * n);
     // c (k x n) = sum_i a[i][:]^T outer b[i][:]: logical A is the
     // k x m transposed view of the stored (m x k) a.
-    if (useBlockedGemm(k, m, n)) {
+    const bool blocked = useBlockedGemm(k, m, n);
+    gemmCounters().noteCall(m * k * n, blocked);
+    if (blocked) {
         blockedGemm(a, k, true, b, n, false, c, k, m, n, accumulate);
         return;
     }
@@ -371,24 +573,6 @@ transpose2d(const Tensor &a)
         for (int64_t j = 0; j < n; ++j)
             t(j, i) = a(i, j);
     return t;
-}
-
-Tensor
-matvec(const Tensor &a, const Tensor &x)
-{
-    checkMatrix(a, "matvec");
-    require(x.rank() == 1 && x.dim(0) == a.dim(1), "matvec: vector shape ",
-            x.shape(), " incompatible with matrix ", a.shape());
-    Tensor y({a.dim(0)});
-    const int64_t m = a.dim(0), n = a.dim(1);
-    const float *ad = a.data();
-    const float *xd = x.data();
-    float *yd = y.data();
-    parallelFor(0, m, 64, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            yd[i] = laneDot(ad + i * n, xd, n);
-    });
-    return y;
 }
 
 Tensor

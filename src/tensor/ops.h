@@ -36,15 +36,15 @@ Tensor matmulTransB(const Tensor &a, const Tensor &b);
 Tensor matmulTransA(const Tensor &a, const Tensor &b);
 /** Explicit 2D transpose. */
 Tensor transpose2d(const Tensor &a);
-/** y = A (m x n) * x (n). */
-Tensor matvec(const Tensor &a, const Tensor &x);
 /** @} */
 
 /** @name Raw-pointer GEMM kernels used by hot paths
  *  C (m x n) = A (m x k) * B (k x n), with accumulate option.
  *
  *  Cache-blocked, packed, and parallelized over fixed row chunks of
- *  the global thread pool; results are bitwise identical at any
+ *  the global thread pool; shapes under 16 rows, 24 columns or a depth
+ *  of 8 take unpacked loops instead, which follow the build's -march
+ *  rather than LRD_SIMD. Results are bitwise identical at any
  *  LRD_THREADS setting. IEEE special values propagate (no zero-skip).
  *  @{
  */

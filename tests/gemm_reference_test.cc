@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 
 #include "model/linear.h"
+#include "model/train_mode.h"
+#include "parallel/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
+#include "util/memprobe.h"
 #include "util/rng.h"
 
 namespace lrd {
@@ -39,6 +43,143 @@ referenceGemm(const Tensor &a, const Tensor &b, Tensor &c, bool transA,
             }
             c(i, j) += static_cast<float>(acc);
         }
+}
+
+/**
+ * The skinny gemmTransB arithmetic, one output per call: 16 striped
+ * lane accumulators in ascending p, then a fixed 8 -> 4 -> 2 -> 1
+ * fold. This is the loop the 16-output kernel replaced, kept as its
+ * oracle; built with the library's flags, the compiler contracts its
+ * multiply-adds exactly as it does the kernel's.
+ */
+float
+laneDotReference(const float *x, const float *y, int64_t k)
+{
+    float lane[16] = {};
+    int64_t p = 0;
+    for (; p + 16 <= k; p += 16)
+        for (int64_t l = 0; l < 16; ++l)
+            lane[l] += x[p + l] * y[p + l];
+    for (int64_t l = 0; p + l < k; ++l)
+        lane[l] += x[p + l] * y[p + l];
+    for (int64_t l = 0; l < 8; ++l)
+        lane[l] += lane[l + 8];
+    for (int64_t l = 0; l < 4; ++l)
+        lane[l] += lane[l + 4];
+    return ((lane[0] + lane[2]) + (lane[1] + lane[3]));
+}
+
+/**
+ * Oracle inputs. Regime 0 is normals with signed zeros and subnormals
+ * mixed in; regime 1 adds sparse infinities and NaNs; regime 2 is all
+ * +-1e-40 subnormals, so every product underflows to a signed zero and
+ * only the order of the adds decides each output's sign; regime 3
+ * makes every such product -0 (A positive, B negative), so an output
+ * is -0 only if no add ever touched a lane with +0.
+ */
+Tensor
+skinnyOracleInput(int64_t rows, int64_t cols, Rng &rng, int regime,
+                  bool isB)
+{
+    Tensor t = Tensor::randn({rows, cols}, rng);
+    for (int64_t i = 0; i < t.size(); ++i) {
+        const double u = rng.uniform();
+        if (regime == 3)
+            t[i] = isB ? -1e-40F : 1e-40F;
+        else if (regime == 2)
+            t[i] = u < 0.5 ? 1e-40F : -1e-40F;
+        else if (u < 0.05)
+            t[i] = 0.0F;
+        else if (u < 0.10)
+            t[i] = -0.0F;
+        else if (u < 0.15)
+            t[i] = u < 0.125 ? 1e-40F : -1e-40F;
+        else if (regime == 1 && u < 0.16)
+            t[i] = u < 0.155 ? std::numeric_limits<float>::infinity()
+                             : -std::numeric_limits<float>::infinity();
+        else if (regime == 1 && u < 0.17)
+            t[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    return t;
+}
+
+/**
+ * Every skinny gemmTransB output equals laneDotReference bit for bit,
+ * whatever the SIMD level or thread count: the skinny path follows
+ * neither. A NaN output need only be a NaN: when two NaNs meet, x86
+ * keeps the payload of the operand the compiler put first, and GCC
+ * commutes + and * freely, so not even laneDotReference built in two
+ * places agrees with itself on which NaN survives.
+ */
+TEST(SkinnyGemmTransB, MatchesLaneDotBitwise)
+{
+    struct Restore
+    {
+        simd::Level level = simd::activeLevel();
+        int threads = ThreadPool::instance().numThreads();
+        ~Restore()
+        {
+            simd::setActiveLevel(level);
+            ThreadPool::instance().resize(threads);
+        }
+    } restore;
+    int64_t checked = 0;
+    for (const simd::Level level :
+         {simd::Level::Scalar, simd::Level::Neon, simd::Level::Avx2,
+          simd::Level::Avx512}) {
+        if (!simd::levelSupported(level))
+            continue;
+        simd::setActiveLevel(level);
+        for (const int threads : {1, 4}) {
+            ThreadPool::instance().resize(threads);
+            std::vector<int64_t> ks;
+            for (int64_t k = 1; k <= 17; ++k)
+                ks.push_back(k);
+            for (const int64_t k : {31, 32, 33, 64, 176, 200})
+                ks.push_back(k);
+            for (const int64_t m : {1, 2, 7, 15})
+                for (const int64_t k : ks)
+                    for (const int64_t n :
+                         {1, 2, 15, 16, 17, 48, 64, 130, 176, 320}) {
+                        Rng rng(static_cast<uint64_t>(m * 100003 + k * 1009
+                                                      + n));
+                        const int regime = static_cast<int>((m + k + n) % 4);
+                        Tensor a = skinnyOracleInput(m, k, rng, regime, false);
+                        Tensor b = skinnyOracleInput(n, k, rng, regime, true);
+                        Tensor before =
+                            skinnyOracleInput(m, n, rng, 0, false);
+                        for (const bool accumulate : {false, true}) {
+                            Tensor want = before;
+                            for (int64_t i = 0; i < m; ++i)
+                                for (int64_t j = 0; j < n; ++j) {
+                                    const float d = laneDotReference(
+                                        a.data() + i * k, b.data() + j * k,
+                                        k);
+                                    want(i, j) =
+                                        accumulate ? want(i, j) + d : d;
+                                }
+                            Tensor got = before;
+                            gemmTransB(a.data(), b.data(), got.data(), m, k,
+                                       n, accumulate);
+                            for (int64_t e = 0; e < got.size(); ++e) {
+                                uint32_t wb = 0, gb = 0;
+                                std::memcpy(&wb, &want[e], sizeof wb);
+                                std::memcpy(&gb, &got[e], sizeof gb);
+                                if (std::isnan(want[e]) && std::isnan(got[e]))
+                                    continue;
+                                ASSERT_EQ(wb, gb)
+                                    << simd::levelName(level) << " threads "
+                                    << threads << " " << m << "x" << k
+                                    << "x" << n << " acc=" << accumulate
+                                    << " element " << e << ": want "
+                                    << want[e] << " got " << got[e];
+                            }
+                            ++checked;
+                        }
+                    }
+        }
+    }
+    EXPECT_GT(checked, 0);
 }
 
 class GemmFuzz : public ::testing::TestWithParam<int> {};
@@ -323,22 +464,54 @@ TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
     }
 }
 
-/** Below one tile of rows the fused gate must fall back to the
- *  unfused path (identical results, no packed-weight build). */
-TEST(FusedFactorizedForward, SkinnyBatchTakesUnfusedPath)
+/** Below one tile of rows an inference forward runs the training
+ *  forward's chain of three gemmTransB calls, with its two (rows, pr)
+ *  intermediates in per-thread scratch instead of the backward caches:
+ *  the same bits, and the output is the one tensor it allocates. */
+TEST(FusedFactorizedForward, SkinnyInferenceMatchesTrainingChainBitwise)
 {
     Rng rng(24);
-    Linear l(32, 32, /*hasBias=*/false, "fusedtest.skinny", &rng);
-    ASSERT_TRUE(l.factorize(4).ok());
-    Tensor x = Tensor::randn({1, 32}, rng);
+    for (const int64_t rank : {1, 2, 4, 8}) {
+        // in = 40 gives the U2 product a k tail; out = 48 gives the U1
+        // product three 16-output groups.
+        Linear l(48, 40, /*hasBias=*/true, "fusedtest.skinny", &rng);
+        l.installFactorShape(rank);
+        for (Parameter *p : l.parameters())
+            p->value = Tensor::randn(p->value.shape(), rng);
+        for (int64_t rows = 1; rows < simd::kMr; ++rows) {
+            const Tensor x = Tensor::randn({rows, 40}, rng);
+            const int64_t before = tensorArenaStats().allocCount;
+            const Tensor inference = l.forward(x);
+            EXPECT_EQ(tensorArenaStats().allocCount - before, 1)
+                << "rank " << rank << " rows " << rows;
+            Tensor training;
+            {
+                TrainingModeScope scope;
+                training = l.forward(x);
+            }
+            l.clearCache();
+            ASSERT_EQ(inference.shape(), training.shape());
+            EXPECT_EQ(std::memcmp(inference.data(), training.data(),
+                                  static_cast<size_t>(inference.size())
+                                      * sizeof(float)),
+                      0)
+                << "rank " << rank << " rows " << rows;
+        }
+    }
+}
 
-    Linear::setFusedForwardEnabled(true);
-    Tensor a = l.forward(x);
-    Linear::setFusedForwardEnabled(false);
-    Tensor b2 = l.forward(x);
-    Linear::setFusedForwardEnabled(true);
-    for (int64_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b2[i]) << i;
+/** A dense inference forward allocates one tensor, its output. */
+TEST(FusedFactorizedForward, DenseInferenceAllocatesOnlyItsOutput)
+{
+    Rng rng(26);
+    Linear l(48, 40, /*hasBias=*/true, "fusedtest.dense1", &rng);
+    for (const int64_t rows : {1, 7, 33}) {
+        const Tensor x = Tensor::randn({rows, 40}, rng);
+        const int64_t before = tensorArenaStats().allocCount;
+        const Tensor y = l.forward(x);
+        EXPECT_EQ(tensorArenaStats().allocCount - before, 1) << rows;
+        EXPECT_EQ(y.dim(0), rows);
+    }
 }
 
 /** Factor values written through parameters() after a fused forward

@@ -13,10 +13,13 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -302,6 +305,29 @@ TEST(Metrics, PoolChunkCounterMatchesPartitioning)
         EXPECT_EQ(counterValue(reg.snapshot(), "pool.chunks"), 10)
             << "nested, threads=" << threads;
     }
+}
+
+TEST(Metrics, SkinnyGemmCallsCountApartFromTheKernelLevel)
+{
+    // gemm.calls.<level> counts calls that ran that level's micro
+    // kernel; a skinny call runs neither and counts in
+    // gemm.calls.skinny. gemm.calls is their sum.
+    ObsStateGuard guard;
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    reg.setEnabled(true);
+    const simd::Level restore = simd::activeLevel();
+    simd::setActiveLevel(simd::Level::Scalar);
+    reg.reset();
+    const std::vector<float> a(32 * 64, 1.0F), b(64 * 64, 1.0F);
+    std::vector<float> c(32 * 64);
+    gemmTransB(a.data(), b.data(), c.data(), 1, 64, 64);
+    EXPECT_EQ(reg.counter("gemm.calls.skinny")->total(), 1);
+    EXPECT_EQ(reg.counter("gemm.calls.scalar")->total(), 0);
+    gemmTransB(a.data(), b.data(), c.data(), 32, 64, 64);
+    EXPECT_EQ(reg.counter("gemm.calls.skinny")->total(), 1);
+    EXPECT_EQ(reg.counter("gemm.calls.scalar")->total(), 1);
+    EXPECT_EQ(reg.counter("gemm.calls")->total(), 2);
+    simd::setActiveLevel(restore);
 }
 
 TEST(Metrics, DisabledRecordingIsANoOp)

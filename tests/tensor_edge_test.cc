@@ -57,7 +57,7 @@ TEST(TensorEdge, Rank1MatvecAndOps)
 {
     Tensor v({4}, {1, 2, 3, 4});
     Tensor m = Tensor::eye(4);
-    Tensor y = matvec(m, v);
+    Tensor y = matmulTransB(v.reshaped({1, 4}), m).reshaped({4});
     EXPECT_LT(relativeError(v, y), 1e-7);
     Tensor sm = softmaxLastDim(v);
     double sum = 0.0;

@@ -180,13 +180,14 @@ TEST(Ops, TransposedVariantsAgreeWithExplicitTranspose)
 
 TEST(Ops, MatvecMatchesMatmul)
 {
+    // A x as the one-row product x^T A^T, the skinny transposed-B path.
     Rng rng(10);
     Tensor a = Tensor::randn({3, 4}, rng);
     Tensor x = Tensor::randn({4}, rng);
-    Tensor y = matvec(a, x);
+    Tensor y = matmulTransB(x.reshaped({1, 4}), a);
     Tensor viaMm = matmul(a, x.reshaped({4, 1}));
     for (int64_t i = 0; i < 3; ++i)
-        EXPECT_NEAR(y[i], viaMm(i, 0), 1e-5);
+        EXPECT_NEAR(y(0, i), viaMm(i, 0), 1e-5);
 }
 
 TEST(Ops, TransposeIsInvolution)
