@@ -12,8 +12,7 @@
  * probability read out.
  *
  * Items fan out over the thread pool and every worker scores on the
- * one model: an inference forward writes no layer state (a factorized
- * layer packs its fused-path panels once, under a lock). Each item
+ * one model: an inference forward writes no layer state. Each item
  * writes only its own result slot, so results are bitwise independent
  * of LRD_THREADS.
  */

@@ -1,45 +1,14 @@
 #include "linear.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "decomp/tucker.h"
 #include "model/train_mode.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
-#include "tensor/simd/fused.h"
 #include "util/logging.h"
 
 namespace lrd {
-
-namespace {
-
-/** Fused-path switch: on by default, flipped in process by tests and
- *  benches. */
-std::atomic<bool> &
-fusedToggle()
-{
-    static std::atomic<bool> enabled{true};
-    return enabled;
-}
-
-struct FusedCounters {
-    Counter *fusedForwards;
-    Counter *weightPacks;
-};
-
-FusedCounters &
-fusedCounters()
-{
-    static FusedCounters c = [] {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        return FusedCounters{reg.counter("model.linear.fusedForwards"),
-                             reg.counter("model.linear.weightPacks")};
-    }();
-    return c;
-}
-
-} // namespace
 
 Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
                const std::string &name, Rng *rng)
@@ -62,11 +31,11 @@ Linear::forward(const Tensor &x) const
             x.shape(), " incompatible with in dim ", inDim_);
     if (MetricsRegistry::enabled()) {
         // Racing first lookups store the same handle.
-        Counter *macs = lazy_->macsCounter.load();
+        Counter *macs = macsCounter_->load();
         if (macs == nullptr) {
             macs = MetricsRegistry::instance().counter(
                 strCat("model.", name_, ".macs"));
-            lazy_->macsCounter.store(macs);
+            macsCounter_->store(macs);
         }
         const int64_t n = x.dim(0);
         macs->add(
@@ -84,29 +53,16 @@ Linear::forward(const Tensor &x) const
         cachedX_ = x;
     else if (cachedX_.rank() != 0)
         clearCache();
-    // Inference-only fused path: chain the three factor GEMMs through
-    // register-blocked row panels against pre-packed weights, never
-    // materializing the (n, pr) intermediates. Batches under one
-    // microkernel tile of rows take the skinny chain below instead,
-    // which wastes no work on padded tiles.
     const int64_t n = x.dim(0);
     Tensor y({n, outDim_});
-    if (factorized_ && !training && fusedForwardEnabled() &&
-        n >= simd::kMr) {
-        ensurePackedFactors();
-        simd::fusedFactorizedForward(
-            x.data(), n, inDim_, prunedRank_, outDim_, lazy_->u2t,
-            lazy_->coret, lazy_->u1t,
-            hasBias_ ? b_.value.data() : nullptr, y.data());
-        fusedCounters().fusedForwards->inc();
-        return y;
-    }
     if (!factorized_) {
         gemmTransB(x.data(), w_.value.data(), y.data(), n, inDim_, outDim_);
     } else {
-        // y = ((x U2^T) core^T) U1^T. The two (n, pr) intermediates are
-        // the backward caches under a TrainingModeScope and per-thread
-        // scratch otherwise, so an inference forward allocates only y.
+        // y = ((x U2^T) core^T) U1^T, the same three products in
+        // training and inference at every n. The two (n, pr)
+        // intermediates are the backward caches under a
+        // TrainingModeScope and per-thread scratch otherwise, so an
+        // inference forward allocates only y.
         float *t1 = nullptr;
         float *t2 = nullptr;
         if (training) {
@@ -154,10 +110,6 @@ Linear::backward(const Tensor &dy)
                    outDim_, inDim_, /*accumulate=*/true);
         return matmul(dy, w_.value);
     }
-
-    // The upcoming optimizer step will mutate the factors, so the
-    // packed panels are stale after this call.
-    invalidatePackedWeights();
 
     // y = ((x U2^T) core^T) U1^T.
     Tensor dT2 = matmul(dy, u1_.value); // (n, pr)
@@ -252,7 +204,6 @@ Linear::installFactors(Tucker2d d)
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    invalidatePackedWeights();
     clearCache(); // a forward of the dense layout cannot feed backward()
 }
 
@@ -271,7 +222,6 @@ Linear::densify()
     u2_ = Parameter();
     factorized_ = false;
     prunedRank_ = 0;
-    invalidatePackedWeights();
     clearCache();
 }
 
@@ -330,48 +280,6 @@ Linear::clearCache() const
     cachedX_ = Tensor();
     cachedT1_ = Tensor();
     cachedT2_ = Tensor();
-}
-
-void
-Linear::invalidatePackedWeights()
-{
-    const std::lock_guard<std::mutex> lock(lazy_->packMutex);
-    lazy_->packed.store(false);
-    lazy_->u2t = simd::PackedMat();
-    lazy_->coret = simd::PackedMat();
-    lazy_->u1t = simd::PackedMat();
-}
-
-void
-Linear::ensurePackedFactors() const
-{
-    if (lazy_->packed.load())
-        return;
-    const std::lock_guard<std::mutex> lock(lazy_->packMutex);
-    if (lazy_->packed.load())
-        return; // Another worker packed them while this one waited.
-    // packMatrixB(M, k, n, trans=true) packs M^T without
-    // materializing it; the fused chain is y = ((x U2^T) core^T) U1^T.
-    lazy_->u2t = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
-                                   /*trans=*/true);
-    lazy_->coret = simd::packMatrixB(core_.value.data(), prunedRank_,
-                                     prunedRank_, /*trans=*/true);
-    lazy_->u1t = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
-                                   /*trans=*/true);
-    lazy_->packed.store(true);
-    fusedCounters().weightPacks->inc();
-}
-
-bool
-Linear::fusedForwardEnabled()
-{
-    return fusedToggle().load(std::memory_order_relaxed);
-}
-
-void
-Linear::setFusedForwardEnabled(bool enabled)
-{
-    fusedToggle().store(enabled, std::memory_order_relaxed);
 }
 
 } // namespace lrd

@@ -8,6 +8,8 @@
  *             core (pr, pr), U2 (pr, in); the forward pass chains
  *             three small matmuls, which is exactly how the paper's
  *             decomposed fully-connected layers execute (Section 2.3).
+ *             Training and inference forwards run that one chain at
+ *             every row count, so they agree bit for bit.
  *
  * Both paths implement backward() so the accuracy-recovery fine-tuning
  * extension (paper Section 6) can train through factorized layers.
@@ -18,12 +20,10 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "model/parameter.h"
-#include "tensor/simd/pack.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -55,7 +55,9 @@ class Linear
      * only while a TrainingModeScope is alive. An inference forward
      * keeps nothing and drops a cache a training forward left; on a
      * layer with no such cache, inference forwards may run
-     * concurrently.
+     * concurrently. Nothing is derived from the weights between
+     * forwards, so a value written through parameters() reaches the
+     * next forward as is.
      */
     Tensor forward(const Tensor &x) const;
 
@@ -134,26 +136,6 @@ class Linear
     /** Reset the cached forward input (frees activation memory). */
     void clearCache() const;
 
-    /**
-     * Drop the factor panels the fused inference path packs once; the
-     * next fused forward packs them again. backward() and every
-     * factor-mutating method call it. Whoever writes factor values
-     * directly (through parameters()) after a fused forward must call
-     * it too, or later fused forwards read the old factors.
-     */
-    void invalidatePackedWeights();
-
-    /**
-     * Process-wide switch for the fused factorized forward (chains
-     * U2/core/U1 through register-blocked row panels against
-     * pre-packed weights instead of materializing intermediates).
-     * On by default; tests and benches flip it in process to compare
-     * the two paths. Training-mode forwards and skinny batches (rows
-     * < microkernel tile height) always take the unfused path.
-     */
-    static bool fusedForwardEnabled();
-    static void setFusedForwardEnabled(bool enabled);
-
   private:
     int64_t outDim_;
     int64_t inDim_;
@@ -174,25 +156,15 @@ class Linear
     mutable Tensor cachedT2_; ///< t1 * core^T.
 
     /**
-     * Filled in once by the first forward that needs it, behind a
-     * pointer so the const forwards of every worker sharing this layer
-     * fill one copy: the "model.<name>.macs" counter, and U2^T, core^T
-     * and U1^T in microkernel layout for the fused path, packed under
-     * packMutex after the factors last changed.
+     * The "model.<name>.macs" counter, looked up by the first forward
+     * that counts. Behind a pointer because an atomic member would make
+     * the layer unmovable.
      */
-    struct LazyState
-    {
-        std::atomic<Counter *> macsCounter{nullptr};
-        std::mutex packMutex;
-        std::atomic<bool> packed{false};
-        simd::PackedMat u2t, coret, u1t;
-    };
-    std::unique_ptr<LazyState> lazy_ = std::make_unique<LazyState>();
+    std::unique_ptr<std::atomic<Counter *>> macsCounter_ =
+        std::make_unique<std::atomic<Counter *>>(nullptr);
 
     /** Switch to the factorized layout holding d's factors. */
     void installFactors(Tucker2d d);
-    /** Pack the factor panels unless they are current. */
-    void ensurePackedFactors() const;
 };
 
 } // namespace lrd

@@ -5,8 +5,8 @@
  * Layers consult trainingModeActive() to decide whether a backward
  * pass may follow a forward. Only then does a layer cache what its
  * backward() reads; outside a scope forwards write no layer state (so
- * workers share one model) and Linear may take the fused factorized
- * path. Training entry points (TransformerModel::lossAndGrad) hold a
+ * workers share one model) and compute the same bits as inside one.
+ * Training entry points (TransformerModel::lossAndGrad) hold a
  * TrainingModeScope for the duration of the forward+backward pair,
  * and so does anything else that reads a forward's cached input
  * (calibrateActivationScales via Linear::lastInput()).

@@ -241,8 +241,7 @@ TransformerModel::lossAndGrad(const TokenSeq &tokens,
                               const std::vector<int> &targets)
 {
     // In training mode the layers cache the inputs and intermediates
-    // backward() reads, and the fused factorized path, which skips
-    // them, stays off.
+    // backward() reads.
     TrainingModeScope trainScope;
     Tensor logits = forward(tokens);
     Tensor dLogits;
@@ -457,14 +456,6 @@ TransformerModel::clearCache()
     if (finalNorm_)
         finalNorm_->clearCache();
     lmHead_->clearCache();
-}
-
-void
-TransformerModel::invalidatePackedWeights()
-{
-    for (int64_t l = 0; l < numLayers(); ++l)
-        for (WeightKind k : decomposableKinds(cfg_.arch))
-            linear(l, k).invalidatePackedWeights();
 }
 
 InferenceSession::InferenceSession(const TransformerModel &model)

@@ -119,9 +119,6 @@ class TransformerModel
     /** Drop all cached activations. */
     void clearCache();
 
-    /** Linear::invalidatePackedWeights on every decomposable tensor. */
-    void invalidatePackedWeights();
-
     /** Whether any linear layer is factorized. */
     bool anyFactorized() const;
 

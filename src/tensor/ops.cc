@@ -105,6 +105,25 @@ using simd::kNr;
 using simd::kRowChunk;
 
 /**
+ * One k-slab of a blockedGemm call: its row chunks share it through one
+ * captured reference, which keeps parallelFor's std::function in its
+ * small buffer (a [&] capture of these would not fit and allocate on
+ * every slab).
+ */
+struct SlabArgs
+{
+    simd::MicroKernelFn kernel;
+    const float *a;
+    int64_t lda;
+    bool transA;
+    const float *bpack; ///< The slab's packed B panels, read-only.
+    float *c;
+    int64_t m, n;
+    int64_t jc, nc, pc, kc;
+    bool addInto;
+};
+
+/**
  * Blocked driver over raw storage: logical A is m x k with A(i, p) =
  * a[p * lda + i] when transA (else a[i * lda + p]), logical B is
  * k x n with B(p, j) = b[j * ldb + p] when transB (else b[p*ldb+j]).
@@ -117,7 +136,13 @@ blockedGemm(const float *a, int64_t lda, bool transA, const float *b,
     const simd::MicroKernelFn kernel = simd::activeKernels().microKernel;
     const int64_t ncPadMax =
         std::min((n + kNr - 1) / kNr * kNr, kNc);
-    std::vector<float> bpack(static_cast<size_t>(kKc * ncPadMax));
+    // One slab's B pack, sized to the deepest slab this call packs and
+    // never cleared: packBPanels writes every lane, padding included.
+    // It is the posting thread's; the row chunks, which may run on
+    // other threads, reach it through SlabArgs::bpack.
+    thread_local std::vector<float> bpack;
+    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest slab a thread packs, reused after
+    bpack.resize(static_cast<size_t>(std::min(kKc, k) * ncPadMax));
     const int64_t rowChunks = (m + kRowChunk - 1) / kRowChunk;
 
     for (int64_t jc = 0; jc < n; jc += kNc) {
@@ -129,31 +154,30 @@ blockedGemm(const float *a, int64_t lda, bool transA, const float *b,
             gemmCounters().packedBytesB->add(
                 (nc + kNr - 1) / kNr * kNr * kc
                 * static_cast<int64_t>(sizeof(float)));
-            const bool addInto = accumulate || pc > 0;
+            const SlabArgs s{kernel, a, lda, transA, bpack.data(), c, m, n,
+                             jc, nc, pc, kc, accumulate || pc > 0};
 
-            parallelFor(0, rowChunks, 1, [&](int64_t c0, int64_t c1) {
+            parallelFor(0, rowChunks, 1, [&s](int64_t c0, int64_t c1) {
                 thread_local std::vector<float> apack;
                 // lrd-lint: allow(hot-path-alloc) thread_local scratch: sized on each thread's first chunk, reused after
-                apack.resize(static_cast<size_t>(kRowChunk * kc));
+                apack.resize(static_cast<size_t>(kRowChunk * s.kc));
                 for (int64_t rc = c0; rc < c1; ++rc) {
                     const int64_t ic = rc * kRowChunk;
-                    const int64_t mc = std::min(kRowChunk, m - ic);
-                    simd::packAPanels(a, lda, transA, ic, pc, mc, kc,
-                                      apack.data());
+                    const int64_t mc = std::min(kRowChunk, s.m - ic);
+                    simd::packAPanels(s.a, s.lda, s.transA, ic, s.pc, mc,
+                                      s.kc, apack.data());
                     gemmCounters().packedBytesA->add(
-                        (mc + kMr - 1) / kMr * kMr * kc
+                        (mc + kMr - 1) / kMr * kMr * s.kc
                         * static_cast<int64_t>(sizeof(float)));
-                    for (int64_t jr = 0; jr < nc; jr += kNr) {
-                        const float *bp =
-                            bpack.data() + (jr / kNr) * kNr * kc;
-                        const int64_t nr = std::min(kNr, nc - jr);
+                    for (int64_t jr = 0; jr < s.nc; jr += kNr) {
+                        const float *bp = s.bpack + (jr / kNr) * kNr * s.kc;
+                        const int64_t nr = std::min(kNr, s.nc - jr);
                         for (int64_t ir = 0; ir < mc; ir += kMr) {
                             const float *ap =
-                                apack.data() + (ir / kMr) * kMr * kc;
-                            kernel(ap, bp, kc,
-                                   c + (ic + ir) * n + jc + jr, n,
-                                   std::min(kMr, mc - ir), nr,
-                                   addInto);
+                                apack.data() + (ir / kMr) * kMr * s.kc;
+                            s.kernel(ap, bp, s.kc,
+                                     s.c + (ic + ir) * s.n + s.jc + jr, s.n,
+                                     std::min(kMr, mc - ir), nr, s.addInto);
                         }
                     }
                 }
@@ -325,7 +349,11 @@ laneMajorDots(const float *a, int64_t m, const float *b, int64_t k,
     }
 }
 
-struct SkinnyArgs
+/** The operands of one gemm call, which the chunks of its skinny
+ *  fallback share through one captured reference: that keeps
+ *  parallelFor's std::function in its small buffer, where a [&]
+ *  capture of them would be allocated on the heap on every call. */
+struct GemmArgs
 {
     const float *a;
     const float *b;
@@ -336,7 +364,7 @@ struct SkinnyArgs
 
 /** Columns [jlo, jhi) of C; jlo is a multiple of the group size. */
 void
-skinnyTransB(const SkinnyArgs &g, int64_t jlo, int64_t jhi)
+skinnyTransB(const GemmArgs &g, int64_t jlo, int64_t jhi)
 {
     const int64_t k = g.k;
     // The group's dot products, row-major: dots[i][jj] (k < 16 fills
@@ -455,17 +483,18 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
     }
     // Skinny fallback: i-k-j loop order (unit-stride b and c rows),
     // column chunks so even single-row products parallelize.
-    parallelFor(0, n, 512, [&](int64_t jlo, int64_t jhi) {
-        for (int64_t i = 0; i < m; ++i) {
-            float *crow = c + i * n;
-            if (!accumulate) {
+    const GemmArgs g{a, b, c, m, k, n, accumulate};
+    parallelFor(0, n, 512, [&g](int64_t jlo, int64_t jhi) {
+        for (int64_t i = 0; i < g.m; ++i) {
+            float *crow = g.c + i * g.n;
+            if (!g.accumulate) {
                 for (int64_t j = jlo; j < jhi; ++j)
                     crow[j] = 0.0F;
             }
-            const float *arow = a + i * k;
-            for (int64_t p = 0; p < k; ++p) {
+            const float *arow = g.a + i * g.k;
+            for (int64_t p = 0; p < g.k; ++p) {
                 const float av = arow[p];
-                const float *brow = b + p * n;
+                const float *brow = g.b + p * g.n;
                 for (int64_t j = jlo; j < jhi; ++j)
                     crow[j] += av * brow[j];
             }
@@ -485,9 +514,8 @@ gemmTransB(const float *a, const float *b, float *c, int64_t m, int64_t k,
         return;
     }
     // Skinny fallback, parallel over output columns. The chunks hold
-    // whole 16-output groups; one captured reference keeps the
-    // std::function in its small buffer.
-    const SkinnyArgs args{a, b, c, m, k, n, accumulate};
+    // whole 16-output groups.
+    const GemmArgs args{a, b, c, m, k, n, accumulate};
     parallelFor(0, n, 128, [&args](int64_t jlo, int64_t jhi) {
         skinnyTransB(args, jlo, jhi);
     });
@@ -508,19 +536,20 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
     }
     // Skinny fallback: parallel over the rows of c, so every output
     // element is owned by exactly one chunk.
-    parallelFor(0, k, 64, [&](int64_t plo, int64_t phi) {
-        if (!accumulate) {
+    const GemmArgs g{a, b, c, m, k, n, accumulate};
+    parallelFor(0, k, 64, [&g](int64_t plo, int64_t phi) {
+        if (!g.accumulate) {
             for (int64_t p = plo; p < phi; ++p)
-                for (int64_t j = 0; j < n; ++j)
-                    c[p * n + j] = 0.0F;
+                for (int64_t j = 0; j < g.n; ++j)
+                    g.c[p * g.n + j] = 0.0F;
         }
-        for (int64_t i = 0; i < m; ++i) {
-            const float *arow = a + i * k;
-            const float *brow = b + i * n;
+        for (int64_t i = 0; i < g.m; ++i) {
+            const float *arow = g.a + i * g.k;
+            const float *brow = g.b + i * g.n;
             for (int64_t p = plo; p < phi; ++p) {
                 const float av = arow[p];
-                float *crow = c + p * n;
-                for (int64_t j = 0; j < n; ++j)
+                float *crow = g.c + p * g.n;
+                for (int64_t j = 0; j < g.n; ++j)
                     crow[j] += av * brow[j];
             }
         }

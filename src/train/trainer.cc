@@ -145,8 +145,6 @@ Trainer::restoreFromCheckpoint(AdamW &optimizer, int &startStep)
                               + " shape mismatch against checkpoint");
     for (size_t i = 0; i < params.size(); ++i)
         params[i]->value.storage() = restoredParams[i]->value.storage();
-    // Those writes bypass Linear: drop factor panels packed before them.
-    model_.invalidatePackedWeights();
     Status os = optimizer.restoreState(r);
     if (!os.ok())
         return os;
@@ -330,9 +328,6 @@ Trainer::run()
         lastLoss = lossSum / numGood;
         optimizer.step(
             cosineSchedule(step, opts_.warmupSteps, opts_.steps));
-        // The step wrote model_'s factors. Its backward() dropped their
-        // packed panels only if this thread scored a batch item on it.
-        model_.invalidatePackedWeights();
         const int next = step + 1;
         if (!opts_.checkpointPath.empty() && opts_.checkpointEvery > 0
             && (next % opts_.checkpointEvery == 0 || next == opts_.steps))

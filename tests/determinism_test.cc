@@ -104,21 +104,9 @@ TEST(Determinism, TruncatedSvdAcrossThreadCounts)
         EXPECT_EQ(s1.s[i], sN.s[i]) << "singular value " << i;
 }
 
-/** Decomposable Linears of `model` that hold factors. */
-int64_t
-factorizedLinears(TransformerModel &model)
-{
-    int64_t n = 0;
-    for (int64_t l = 0; l < model.numLayers(); ++l)
-        for (WeightKind kind : decomposableKinds(model.config().arch))
-            n += model.linear(l, kind).isFactorized() ? 1 : 0;
-    return n;
-}
-
 /** Every pool worker scores on the one model. Under TSan this is the
  *  shared-model check: concurrent forwards on a dense decoder, a
- *  factorized one (whose first fused forwards pack its panels
- *  concurrently) and an encoder, on both the multiple-choice and the
+ *  factorized one and an encoder, on both the multiple-choice and the
  *  generation path. */
 TEST(Determinism, EvaluatorAcrossThreadCounts)
 {
@@ -130,25 +118,15 @@ TEST(Determinism, EvaluatorAcrossThreadCounts)
         {{"dense", TransformerModel(llama, 1234).serialize()},
          {"factorized", factorized.serialize()},
          {"bert", TransformerModel(tinyBertConfig(), 1234).serialize()}};
-    Counter *packs =
-        MetricsRegistry::instance().counter("model.linear.weightPacks");
 
     for (const auto &[name, bytes] : models) {
         for (BenchmarkKind kind :
              {allBenchmarks().front(), BenchmarkKind::Gsm8k}) {
             SCOPED_TRACE(name + " " + benchmarkName(kind));
-            int64_t maxPacks = 0;
-            int64_t packed = 0;
-            // A fresh model per run, so each run packs on first use.
             const auto evalOnce = [&] {
                 TransformerModel model = TransformerModel::deserialize(bytes);
-                maxPacks = factorizedLinears(model);
-                const int64_t before = packs->total();
-                const EvalResult r =
-                    Evaluator(model, world, EvalOptions{16, 999, false})
-                        .run(kind);
-                packed = packs->total() - before;
-                return r;
+                return Evaluator(model, world, EvalOptions{16, 999, false})
+                    .run(kind);
             };
             const EvalResult r1 = withThreads(1, evalOnce);
             for (const int threads : {4, kManyThreads}) {
@@ -157,14 +135,6 @@ TEST(Determinism, EvaluatorAcrossThreadCounts)
                 EXPECT_EQ(r.numTasks, r1.numTasks) << threads;
                 EXPECT_EQ(r.numFailed, r1.numFailed) << threads;
                 EXPECT_EQ(r.accuracy, r1.accuracy) << threads;
-            }
-            // One kManyThreads run packs each factorized Linear once
-            // at most, however many workers share it. GSM8K prompts are
-            // long enough for the fused path; the multiple-choice
-            // contexts are not.
-            EXPECT_LE(packed, maxPacks);
-            if (kind == BenchmarkKind::Gsm8k && maxPacks > 0) {
-                EXPECT_GT(packed, 0);
             }
         }
     }
@@ -246,23 +216,20 @@ TEST(Determinism, MatmulAcrossThreadCountsAtEverySimdLevel)
     simd::setActiveLevel(restore);
 }
 
-/** The fused factorized forward shares the contract: both its panel
- *  mode (small factors) and stage mode (large factors) chunk rows
- *  identically regardless of thread count. */
-TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
+/** The factorized forward shares the contract: its chain of three
+ *  products, each blocked at these shapes, chunks rows identically
+ *  regardless of thread count. */
+TEST(Determinism, FactorizedForwardAcrossThreadCounts)
 {
     Rng rng(32);
-    // rank 24 of 96 stays in panel mode; rank 200 of 256 crosses the
-    // packed-weight threshold into stage mode.
     for (const auto &[dim, rank] :
          {std::pair<int64_t, int64_t>{96, 24}, {256, 200}}) {
-        Linear l(dim, dim, /*hasBias=*/true, "dettest.fused", &rng);
+        Linear l(dim, dim, /*hasBias=*/true, "dettest.factorized", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
         const Tensor x = Tensor::randn({96, dim}, rng);
 
-        Linear::setFusedForwardEnabled(true);
         const Tensor y1 = withThreads(1, [&] { return l.forward(x); });
         const Tensor y4 = withThreads(4, [&] { return l.forward(x); });
         const Tensor yN =

@@ -425,10 +425,9 @@ TEST(SimdDispatch, PerLevelLookupMatchesDispatchTable)
               simd::activeKernels().microKernel);
 }
 
-/** The fused inference path must agree with the unfused three-matmul
- *  chain and with a dense layer holding the contracted weight: same
- *  factors, same bias, same input, tolerance for the different
- *  blocking and contraction order. */
+/** A factorized forward agrees with a dense layer holding the
+ *  contracted weight: same factors, same bias, same input, tolerance
+ *  for the different contraction order. */
 TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
 {
     Rng rng(23);
@@ -445,40 +444,39 @@ TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
         dense.parameters()[0]->value = l.effectiveWeight();
         dense.parameters()[1]->value = l.parameters().back()->value;
 
-        Linear::setFusedForwardEnabled(true);
-        Tensor fused = l.forward(x);
-        Linear::setFusedForwardEnabled(false);
-        Tensor unfused = l.forward(x);
-        Linear::setFusedForwardEnabled(true);
+        Tensor factorized = l.forward(x);
         Tensor viaDense = dense.forward(x);
 
-        ASSERT_EQ(fused.dim(0), rows);
-        ASSERT_EQ(fused.dim(1), out);
-        EXPECT_LT(relativeError(unfused, fused), 1e-5)
-            << out << "x" << in << " rank " << rank << " rows " << rows;
+        ASSERT_EQ(factorized.dim(0), rows);
+        ASSERT_EQ(factorized.dim(1), out);
         // The dense leg contracts U1 * core * U2 first, so its rounding
-        // differs from the chain's: 2.3e-7 to 3.1e-7 on these shapes at
+        // differs from the chain's: 2.0e-7 to 2.2e-7 on these shapes at
         // the scalar, AVX2 and AVX-512 levels.
-        EXPECT_LT(relativeError(viaDense, fused), 1e-6)
+        EXPECT_LT(relativeError(viaDense, factorized), 1e-6)
             << out << "x" << in << " rank " << rank << " rows " << rows;
     }
 }
 
-/** Below one tile of rows an inference forward runs the training
- *  forward's chain of three gemmTransB calls, with its two (rows, pr)
+/** An inference forward runs the training forward's chain of three
+ *  gemmTransB calls at every row count, with its two (rows, pr)
  *  intermediates in per-thread scratch instead of the backward caches:
- *  the same bits, and the output is the one tensor it allocates. */
+ *  the same bits, and the output is the one tensor it allocates. The
+ *  rows straddle the blocked GEMM's 16-row cutoff and its 32-row
+ *  chunk; the ranks put the U2 and core products (width = rank) and
+ *  the U1 product (depth = rank) on either side of its 24-wide and
+ *  8-deep cutoffs. */
 TEST(FusedFactorizedForward, SkinnyInferenceMatchesTrainingChainBitwise)
 {
     Rng rng(24);
-    for (const int64_t rank : {1, 2, 4, 8}) {
+    for (const int64_t rank : {1, 2, 4, 8, 24}) {
         // in = 40 gives the U2 product a k tail; out = 48 gives the U1
         // product three 16-output groups.
         Linear l(48, 40, /*hasBias=*/true, "fusedtest.skinny", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
-        for (int64_t rows = 1; rows < simd::kMr; ++rows) {
+        for (const int64_t rows :
+             {1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 33, 65}) {
             const Tensor x = Tensor::randn({rows, 40}, rng);
             const int64_t before = tensorArenaStats().allocCount;
             const Tensor inference = l.forward(x);
@@ -514,28 +512,33 @@ TEST(FusedFactorizedForward, DenseInferenceAllocatesOnlyItsOutput)
     }
 }
 
-/** Factor values written through parameters() after a fused forward
- *  reach the fused path once invalidatePackedWeights() drops the
- *  panels packed before the write. */
-TEST(FusedFactorizedForward, InvalidateAfterFactorWriteRepacks)
+/** Factor values written through parameters() reach the next 16-row
+ *  forward with no further call: it computes what a layer built with
+ *  those values computes, bit for bit. */
+TEST(FactorizedForward, ParameterWriteReachesNextForward)
 {
     Rng rng(25);
-    Linear l(40, 40, /*hasBias=*/false, "fusedtest.stale", &rng);
+    Linear l(40, 40, /*hasBias=*/false, "factorizedtest.write", &rng);
     l.installFactorShape(8);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);
-    Tensor x = Tensor::randn({16, 40}, rng);
-    Tensor before = l.forward(x); // packs the factors
+    const Tensor x = Tensor::randn({16, 40}, rng);
+    const Tensor before = l.forward(x);
 
     for (Parameter *p : l.parameters())
         p->value[0] += 1.0F;
-    l.invalidatePackedWeights();
-    Tensor after = l.forward(x); // packs them again
+    const Tensor after = l.forward(x);
 
-    Linear::setFusedForwardEnabled(false);
-    Tensor want = l.forward(x);
-    Linear::setFusedForwardEnabled(true);
-    EXPECT_LT(relativeError(want, after), 1e-5);
+    Linear fresh(40, 40, /*hasBias=*/false, "factorizedtest.fresh",
+                 nullptr);
+    fresh.installFactorShape(8);
+    for (size_t i = 0; i < fresh.parameters().size(); ++i)
+        fresh.parameters()[i]->value = l.parameters()[i]->value;
+    const Tensor want = fresh.forward(x);
+    ASSERT_EQ(after.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(after.data(), want.data(),
+                          static_cast<size_t>(want.size()) * sizeof(float)),
+              0);
     EXPECT_GT(relativeError(before, after), 1e-6);
 }
 

@@ -19,7 +19,6 @@
 #include "dse/optimizer.h"
 #include "eval/evaluator.h"
 #include "model/transformer.h"
-#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
 #include "robust/checkpoint.h"
@@ -27,7 +26,6 @@
 #include "robust/recovery.h"
 #include "robust/signal.h"
 #include "sweep_fixture.h"
-#include "tensor/simd/pack.h"
 #include "train/trainer.h"
 #include "util/cache.h"
 
@@ -187,9 +185,9 @@ TEST(Resume, TrainerResumeWithoutCheckpointStartsFresh)
 }
 
 /** A resume with no steps left writes the checkpoint's factors
- *  through parameters() into a model whose fused path already packed
- *  its own: the next fused forward must read the restored factors. */
-TEST(Resume, TrainerResumeWithNoStepsLeftRepacksFactors)
+ *  through parameters() into a model that already ran a 16-row forward
+ *  on its own: the next forward must read the restored factors. */
+TEST(Resume, TrainerResumeWithNoStepsLeftRestoresFactors)
 {
     RobustGuard guard;
     ThreadPool::instance().resize(1);
@@ -199,7 +197,7 @@ TEST(Resume, TrainerResumeWithNoStepsLeftRepacksFactors)
     opts.steps = 2;
     opts.checkpointPath = ckptPath("lrd_resume_train_repack.bin");
     opts.checkpointEvery = 2;
-    TokenSeq tokens(static_cast<size_t>(2 * simd::kMr));
+    TokenSeq tokens(16);
     for (size_t i = 0; i < tokens.size(); ++i)
         tokens[i] = static_cast<int>((7 * i + 3) % cfg.vocabSize);
 
@@ -209,7 +207,7 @@ TEST(Resume, TrainerResumeWithNoStepsLeftRepacksFactors)
 
     TransformerModel resumed(cfg, 777);
     ASSERT_TRUE(gamma.applyTo(resumed).ok());
-    (void)resumed.forward(tokens); // packs the untrained factors
+    (void)resumed.forward(tokens); // runs on the untrained factors
     opts.resume = true;
     Trainer trainer(resumed, smallWorld(), opts);
     trainer.run();
@@ -396,48 +394,6 @@ TEST(Resume, StrictPolicyFailsFastOnNonConvergence)
     EXPECT_THROW(model.applyTucker(0, WeightKind::Query, 2),
                  std::runtime_error);
     clearFaults();
-}
-
-/** A kill-and-resume DSE sweep with the fused factorized forward
- *  enabled (the default): the sweep's factorized eval forwards must
- *  actually take the fused path, and the resumed sweep must still
- *  reproduce the uninterrupted one bitwise. */
-TEST(Resume, DseKillAndResumeIsBitwiseWithFusedPathEngaged)
-{
-    RobustGuard guard;
-    ThreadPool::instance().resize(2);
-    MetricsRegistry::instance().setEnabled(true);
-    Counter *fused = MetricsRegistry::instance().counter(
-        "model.linear.fusedForwards");
-    const int64_t fusedBefore = fused->total();
-    ASSERT_TRUE(Linear::fusedForwardEnabled());
-
-    OptimizerOptions opts;
-    opts.evalTasks = 6;
-    opts.accuracyDropTolerance = 1.1;
-    const OptimizerResult ref =
-        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
-    ASSERT_FALSE(ref.cancelled);
-    EXPECT_GT(fused->total(), fusedBefore)
-        << "factorized eval forwards bypassed the fused path";
-
-    opts.checkpointPath = ckptPath("lrd_resume_dse_fused.bin");
-    opts.checkpointEvery = 2;
-    setFault(FaultSpec{"dse.batch", FaultKind::Cancel, 2});
-    const OptimizerResult cut =
-        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
-    clearFaults();
-    clearCancelRequest();
-    ASSERT_TRUE(cut.cancelled);
-
-    opts.resume = true;
-    const OptimizerResult resumed =
-        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
-    ASSERT_FALSE(resumed.cancelled);
-    expectSameRecords(resumed.explored, ref.explored);
-    EXPECT_EQ(resumed.best.edp, ref.best.edp);
-    MetricsRegistry::instance().setEnabled(false);
-    ThreadPool::instance().resize(1);
 }
 
 /** The decompose-once sweep over ranks {1,2,4,8} (its records and SVD

@@ -190,11 +190,6 @@ RepoGraph::seedHotRoots()
                              HotMark{{}, "SIMD microkernel module"});
                 continue;
             }
-            if (fi.name == "fusedFactorizedForward") {
-                hot_.emplace(ref,
-                             HotMark{{}, "fused factorized forward"});
-                continue;
-            }
             if (fi.isLambda) {
                 const std::string target = bareName(fi.passedTo);
                 if (target == "parallelFor"

@@ -4,7 +4,7 @@
  *
  * RepoGraph links every parsed translation unit into one index:
  * name-based call resolution, the hot-path reachability set (seeded
- * from SIMD microkernels, fusedFactorizedForward and thread-pool
+ * from the functions of the SIMD kernel module and from thread-pool
  * chunk bodies, then propagated through calls and through callback
  * conduits), mutex identity and lock-ordering edges, and the
  * repo-wide identifier liveness set.

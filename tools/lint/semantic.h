@@ -5,8 +5,8 @@
  * Five rules run on the whole-repo call graph:
  *
  *  - hot-path-alloc: no allocation primitive in any function
- *    transitively reachable from a thread-pool chunk body, a SIMD
- *    microkernel, or fusedFactorizedForward. Findings print the full
+ *    transitively reachable from a thread-pool chunk body or a
+ *    function of the SIMD kernel module. Findings print the full
  *    reachability proof; `// lrd-lint: allow(hot-path-alloc)` on the
  *    allocation line escapes (e.g. per-worker replica setup).
  *  - lock-discipline: `// lrd-lint: mutex(<name>)` annotations must
