@@ -411,8 +411,8 @@ BM_FullForward64(benchmark::State &state)
 }
 BENCHMARK(BM_FullForward64);
 
-/** Load a tiny-llama from its serialize() bytes: the cost the trainer
- *  pays per worker replica and the DSE sweep per candidate. */
+/** Load a tiny-llama from its serialize() bytes: the cost the DSE
+ *  sweep pays per candidate. */
 void
 BM_ModelDeserialize(benchmark::State &state)
 {

@@ -6,8 +6,8 @@
 # the packed and skinny GEMM kernels would surface here), and an ASan
 # build of the fault-tolerance suites (checkpoint I/O and injected
 # alloc failures exercise error paths where leaks and overreads hide),
-# the model suites (shape-only deserialize, dropped forward caches)
-# and the GEMM suites (the skinny kernel's reads up to B's last row).
+# the model and train suites (shape-only deserialize, caller-owned
+# tapes and gradient buffers) and the GEMM suites (the skinny kernel's reads up to B's last row).
 # clang-tidy (curated subset, WarningsAsErrors) blocks when the tool
 # is installed and is skipped loudly when it is not.
 #
@@ -65,8 +65,9 @@ fi
 
 echo "== TSan: determinism + obs + serve suites under -fsanitize=thread =="
 # Every pool worker forwards the one shared model: determinism_test
-# covers the evaluator on a dense, a factorized (concurrent first-use
-# packing) and an encoder model; serve_test covers Batcher::execute
+# covers the evaluator on a dense, a factorized and an encoder model,
+# and a trainer thread running lossAndGrad beside the pool's scoring on
+# one model; serve_test covers Batcher::execute
 # (the bitwise-identity test at 4 and 8 threads, the chaos sweep at
 # 2). serve_test runs under ASan below too.
 cmake -B build-tsan -S . -DLRD_SANITIZE=thread
@@ -87,11 +88,11 @@ cmake --build build-ubsan -j --target determinism_test obs_test \
 ./build-ubsan/tests/gemm_reference_test
 ./build-ubsan/tests/tensor_test
 
-echo "== ASan: robust + resume + cancel + serve + model + GEMM suites under -fsanitize=address =="
+echo "== ASan: robust + resume + cancel + serve + model + train + GEMM suites under -fsanitize=address =="
 cmake -B build-asan -S . -DLRD_SANITIZE=address
 cmake --build build-asan -j --target robust_test resume_test cancel_test \
     serve_test model_test session_test serialization_test layers_test \
-    gemm_reference_test tensor_test
+    train_test gemm_reference_test tensor_test
 ./build-asan/tests/robust_test
 ./build-asan/tests/resume_test
 ./build-asan/tests/cancel_test
@@ -100,6 +101,7 @@ cmake --build build-asan -j --target robust_test resume_test cancel_test \
 ./build-asan/tests/session_test
 ./build-asan/tests/serialization_test
 ./build-asan/tests/layers_test
+./build-asan/tests/train_test
 ./build-asan/tests/gemm_reference_test
 ./build-asan/tests/tensor_test
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -21,19 +21,16 @@ calibrateActivationScales(TransformerModel &model,
     // Accumulate sum of squares and counts per (layer, kind, column).
     std::map<std::pair<int, int>, std::vector<double>> sumSq;
     std::map<std::pair<int, int>, int64_t> counts;
-    // Linear keeps its forward input (lastInput()) only in training
-    // mode.
-    const TrainingModeScope keepInputs;
     for (const TokenSeq &doc : calibrationDocs) {
-        (void)model.forward(doc);
+        // A taped forward records each Linear's input first.
+        Tape tape;
+        (void)model.forward(doc, &tape);
         for (const PrunedRankEntry &e : gamma.prunedRanks()) {
             Linear &lin = model.linear(e.layer, e.kind);
             require(!lin.isFactorized(),
                     "calibrateActivationScales: model already "
                     "factorized");
-            const Tensor &x = lin.lastInput();
-            require(x.rank() == 2, "calibrateActivationScales: no "
-                                   "cached input after forward");
+            const Tensor &x = tape.at(&lin).front();
             const auto key =
                 std::make_pair(e.layer, static_cast<int>(e.kind));
             auto &acc = sumSq[key];
@@ -48,7 +45,6 @@ calibrateActivationScales(TransformerModel &model,
             counts[key] += x.dim(0);
         }
     }
-    model.clearCache();
 
     ActivationScales scales;
     for (const auto &[key, acc] : sumSq) {

@@ -4,7 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -52,15 +52,15 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
 }
 
 Tensor
-MultiHeadAttention::forward(const Tensor &x) const
+MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
 {
     LRD_TRACE_SPAN("attn.forward");
     require(x.rank() == 2 && x.dim(1) == dModel_,
             "MultiHeadAttention::forward: bad input ", x.shape());
     const int64_t t = x.dim(0);
-    Tensor q = wq_->forward(x);
-    Tensor k = wk_->forward(x);
-    Tensor v = wv_->forward(x);
+    Tensor q = wq_->forward(x, tape);
+    Tensor k = wk_->forward(x, tape);
+    Tensor v = wv_->forward(x, tape);
     if (rope_ != nullptr) {
         rope_->apply(q, 0, false, nHeads_);
         rope_->apply(k, 0, false, kvHeads_);
@@ -113,23 +113,26 @@ MultiHeadAttention::forward(const Tensor &x) const
         }
     }
     });
-    if (trainingModeActive()) {
-        cachedQ_ = std::move(q);
-        cachedK_ = std::move(k);
-        cachedV_ = std::move(v);
-        cachedProbs_ = std::move(probsAll);
-    }
-    return wso_->forward(ctx);
+    if (tape != nullptr)
+        tape->record(this, std::move(q), std::move(k), std::move(v),
+                     std::move(probsAll));
+    return wso_->forward(ctx, tape);
 }
 
 Tensor
-MultiHeadAttention::backward(const Tensor &dy)
+MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
+                             Gradients &grads) const
 {
     LRD_TRACE_SPAN("attn.backward");
     const int64_t t = dy.dim(0);
-    require(cachedProbs_.rank() == 3 && cachedProbs_.dim(1) == t,
-            "MultiHeadAttention::backward: no matching forward cached");
-    Tensor dCtx = wso_->backward(dy);
+    const std::vector<Tensor> &saved = tape.at(this);
+    const Tensor &q = saved[0];
+    const Tensor &k = saved[1];
+    const Tensor &v = saved[2];
+    const Tensor &probsAll = saved[3];
+    require(probsAll.dim(1) == t,
+            "MultiHeadAttention::backward: no matching forward");
+    Tensor dCtx = wso_->backward(dy, tape, grads);
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor dq({t, dModel_});
@@ -145,15 +148,14 @@ MultiHeadAttention::backward(const Tensor &dy)
     std::vector<float> dprow(static_cast<size_t>(t));
     for (int64_t h = kv0 * group; h < kv1 * group; ++h) {
         const int64_t kvh = h / group;
-        const float *probs = cachedProbs_.data() + h * t * t;
+        const float *probs = probsAll.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
             const float *prow = probs + i * t;
             const float *dcrow = dCtx.data() + i * dModel_ + h * headDim_;
             const int64_t limit = causal_ ? i + 1 : t;
             // dP = dCtx V^T ; dV += P^T dCtx.
             for (int64_t j = 0; j < limit; ++j) {
-                const float *vrow =
-                    cachedV_.data() + j * kvDim_ + kvh * headDim_;
+                const float *vrow = v.data() + j * kvDim_ + kvh * headDim_;
                 float *dvrow = dv.data() + j * kvDim_ + kvh * headDim_;
                 float acc = 0.0F;
                 const float p = prow[j];
@@ -167,14 +169,13 @@ MultiHeadAttention::backward(const Tensor &dy)
             float inner = 0.0F;
             for (int64_t j = 0; j < limit; ++j)
                 inner += prow[j] * dprow[static_cast<size_t>(j)];
-            const float *qrow = cachedQ_.data() + i * dModel_ + h * headDim_;
+            const float *qrow = q.data() + i * dModel_ + h * headDim_;
             float *dqrow = dq.data() + i * dModel_ + h * headDim_;
             for (int64_t j = 0; j < limit; ++j) {
                 const float ds =
                     prow[j] * (dprow[static_cast<size_t>(j)] - inner)
                     * invSqrt;
-                const float *krow =
-                    cachedK_.data() + j * kvDim_ + kvh * headDim_;
+                const float *krow = k.data() + j * kvDim_ + kvh * headDim_;
                 float *dkrow = dk.data() + j * kvDim_ + kvh * headDim_;
                 for (int64_t d = 0; d < headDim_; ++d) {
                     dqrow[d] += ds * krow[d];
@@ -191,9 +192,9 @@ MultiHeadAttention::backward(const Tensor &dy)
         rope_->apply(dk, 0, true, kvHeads_);
     }
 
-    Tensor dx = wq_->backward(dq);
-    axpy(dx, 1.0F, wk_->backward(dk));
-    axpy(dx, 1.0F, wv_->backward(dv));
+    Tensor dx = wq_->backward(dq, tape, grads);
+    axpy(dx, 1.0F, wk_->backward(dk, tape, grads));
+    axpy(dx, 1.0F, wv_->backward(dv, tape, grads));
     return dx;
 }
 
@@ -302,17 +303,6 @@ MultiHeadAttention::paramCount() const
 {
     return wq_->paramCount() + wk_->paramCount() + wv_->paramCount()
            + wso_->paramCount();
-}
-
-void
-MultiHeadAttention::clearCache()
-{
-    cachedQ_ = Tensor();
-    cachedK_ = Tensor();
-    cachedV_ = Tensor();
-    cachedProbs_ = Tensor();
-    for (Linear *l : {wq_.get(), wk_.get(), wv_.get(), wso_.get()})
-        l->clearCache();
 }
 
 } // namespace lrd

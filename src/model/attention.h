@@ -42,17 +42,18 @@ class MultiHeadAttention
     /** A null rng builds zero weights with no draws (see Linear). */
     MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    /** Full-sequence forward: x (T, d) -> (T, d). Caches for
-     *  backward() only while a TrainingModeScope is alive. */
-    Tensor forward(const Tensor &x) const;
+    /** Full-sequence forward: x (T, d) -> (T, d). With a tape it
+     *  records the post-RoPE q, k, v and the softmax rows for
+     *  backward(). */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
 
-    /** Backward through the last forward(); returns dL/dx. */
-    Tensor backward(const Tensor &dy);
+    /** Backward through the forward `tape` recorded; returns dL/dx. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
 
     /**
      * Incremental forward: append x's rows (usually one) at positions
      * cache.len..cache.len+n and attend over everything cached so far.
-     * Does not populate training caches.
      */
     Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
@@ -61,7 +62,6 @@ class MultiHeadAttention
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     int64_t dModel_;
@@ -73,10 +73,6 @@ class MultiHeadAttention
     const RopeTable *rope_ = nullptr; ///< Shared; null without RoPE.
 
     std::unique_ptr<Linear> wq_, wk_, wv_, wso_;
-
-    // Training caches.
-    mutable Tensor cachedQ_, cachedK_, cachedV_; ///< Post-RoPE (T, d).
-    mutable Tensor cachedProbs_; ///< (nHeads, T, T) softmax rows.
 };
 
 } // namespace lrd

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "util/logging.h"
 
 namespace lrd {
@@ -29,10 +29,6 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos) const
         require(startPos + n <= pos_.value.dim(0),
                 "Embedding::forward: positions ", startPos + n,
                 " exceed maxSeq ", pos_.value.dim(0));
-    if (trainingModeActive()) {
-        cachedTokens_ = tokens;
-        cachedStart_ = startPos;
-    }
     Tensor y({n, dim_});
     for (int64_t i = 0; i < n; ++i) {
         const int t = tokens[static_cast<size_t>(i)];
@@ -53,19 +49,22 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos) const
 }
 
 void
-Embedding::backward(const Tensor &dy)
+Embedding::backward(const TokenSeq &tokens, const Tensor &dy,
+                    Gradients &grads) const
 {
-    const auto n = static_cast<int64_t>(cachedTokens_.size());
+    const auto n = static_cast<int64_t>(tokens.size());
     require(dy.rank() == 2 && dy.dim(0) == n && dy.dim(1) == dim_,
             "Embedding::backward: grad shape mismatch");
+    Tensor &dTok = grads.of(tok_);
+    Tensor *dPos = usePositions_ ? &grads.of(pos_) : nullptr;
     for (int64_t i = 0; i < n; ++i) {
-        const int t = cachedTokens_[static_cast<size_t>(i)];
-        float *grow = tok_.grad.data() + static_cast<int64_t>(t) * dim_;
+        const int t = tokens[static_cast<size_t>(i)];
+        float *grow = dTok.data() + static_cast<int64_t>(t) * dim_;
         const float *drow = dy.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j)
             grow[j] += drow[j];
-        if (usePositions_) {
-            float *prow = pos_.grad.data() + (cachedStart_ + i) * dim_;
+        if (dPos != nullptr) {
+            float *prow = dPos->data() + i * dim_;
             for (int64_t j = 0; j < dim_; ++j)
                 prow[j] += drow[j];
         }

@@ -15,6 +15,8 @@
 
 namespace lrd {
 
+class Gradients;
+
 /** Token ids are plain ints; sequences are vectors of them. */
 using TokenSeq = std::vector<int>;
 
@@ -34,14 +36,15 @@ class Embedding
               const std::string &name, Rng *rng);
 
     /**
-     * Embed tokens[0..n) at absolute positions startPos..startPos+n;
-     * keeps them for backward() only under a TrainingModeScope.
+     * Embed tokens[0..n) at absolute positions startPos..startPos+n.
      * @return (n, dim) activations.
      */
     Tensor forward(const TokenSeq &tokens, int64_t startPos = 0) const;
 
-    /** Scatter-add gradients for the last training-mode forward. */
-    void backward(const Tensor &dy);
+    /** Scatter-add dy, the gradient of forward(tokens) at positions
+     *  0..n, into `grads`. */
+    void backward(const TokenSeq &tokens, const Tensor &dy,
+                  Gradients &grads) const;
 
     std::vector<Parameter *> parameters();
 
@@ -53,9 +56,6 @@ class Embedding
     bool usePositions_;
     Parameter tok_;
     Parameter pos_;
-    // Training caches.
-    mutable TokenSeq cachedTokens_;
-    mutable int64_t cachedStart_ = 0;
 };
 
 } // namespace lrd

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "decomp/tucker.h"
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -25,7 +25,7 @@ Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
 }
 
 Tensor
-Linear::forward(const Tensor &x) const
+Linear::forward(const Tensor &x, Tape *tape) const
 {
     require(x.rank() == 2 && x.dim(1) == inDim_, "Linear::forward: input ",
             x.shape(), " incompatible with in dim ", inDim_);
@@ -45,41 +45,36 @@ Linear::forward(const Tensor &x) const
                       + n * prunedRank_ * prunedRank_
                       + n * outDim_ * prunedRank_);
     }
-    // Only a training forward can be followed by backward(). An
-    // inference forward copies nothing and drops a training forward's
-    // stale cache, so a stray backward() fails instead of reading it.
-    const bool training = trainingModeActive();
-    if (training)
-        cachedX_ = x;
-    else if (cachedX_.rank() != 0)
-        clearCache();
     const int64_t n = x.dim(0);
     Tensor y({n, outDim_});
     if (!factorized_) {
         gemmTransB(x.data(), w_.value.data(), y.data(), n, inDim_, outDim_);
+        if (tape != nullptr)
+            tape->record(this, x);
     } else {
-        // y = ((x U2^T) core^T) U1^T, the same three products in
-        // training and inference at every n. The two (n, pr)
-        // intermediates are the backward caches under a
-        // TrainingModeScope and per-thread scratch otherwise, so an
-        // inference forward allocates only y.
-        float *t1 = nullptr;
-        float *t2 = nullptr;
-        if (training) {
-            cachedT1_ = Tensor({n, prunedRank_});
-            cachedT2_ = Tensor({n, prunedRank_});
-            t1 = cachedT1_.data();
-            t2 = cachedT2_.data();
+        // y = ((x U2^T) core^T) U1^T, the same three products taped
+        // and untaped at every n. A taped forward keeps the two (n, pr)
+        // intermediates for backward(); an untaped one writes them to
+        // per-thread scratch, so it allocates only y.
+        const auto chain = [&](float *t1, float *t2) {
+            gemmTransB(x.data(), u2_.value.data(), t1, n, inDim_,
+                       prunedRank_);
+            gemmTransB(t1, core_.value.data(), t2, n, prunedRank_,
+                       prunedRank_);
+            gemmTransB(t2, u1_.value.data(), y.data(), n, prunedRank_,
+                       outDim_);
+        };
+        if (tape != nullptr) {
+            Tensor t1({n, prunedRank_});
+            Tensor t2({n, prunedRank_});
+            chain(t1.data(), t2.data());
+            tape->record(this, x, std::move(t1), std::move(t2));
         } else {
             thread_local std::vector<float> scratch;
             // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest (n, pr) pair a thread sees, reused after
             scratch.resize(static_cast<size_t>(2 * n * prunedRank_));
-            t1 = scratch.data();
-            t2 = t1 + n * prunedRank_;
+            chain(scratch.data(), scratch.data() + n * prunedRank_);
         }
-        gemmTransB(x.data(), u2_.value.data(), t1, n, inDim_, prunedRank_);
-        gemmTransB(t1, core_.value.data(), t2, n, prunedRank_, prunedRank_);
-        gemmTransB(t2, u1_.value.data(), y.data(), n, prunedRank_, outDim_);
     }
     if (hasBias_) {
         for (int64_t i = 0; i < n; ++i)
@@ -90,35 +85,42 @@ Linear::forward(const Tensor &x) const
 }
 
 Tensor
-Linear::backward(const Tensor &dy)
+Linear::backward(const Tensor &dy, const Tape &tape, Gradients &grads) const
 {
     require(dy.rank() == 2 && dy.dim(1) == outDim_, "Linear::backward: grad ",
             dy.shape(), " incompatible with out dim ", outDim_);
-    require(cachedX_.rank() == 2 && dy.dim(0) == cachedX_.dim(0),
-            "Linear::backward: no matching forward cached");
+    // A forward taped before the layout changed does not match.
+    const std::vector<Tensor> &saved = tape.at(this);
+    require(saved.size() == (factorized_ ? 3U : 1U)
+                && dy.dim(0) == saved[0].dim(0),
+            "Linear::backward: no matching forward");
+    const Tensor &x = saved[0];
 
     if (hasBias_) {
+        Tensor &db = grads.of(b_);
         const int64_t n = dy.dim(0);
         for (int64_t i = 0; i < n; ++i)
             for (int64_t j = 0; j < outDim_; ++j)
-                b_.grad[j] += dy(i, j);
+                db[j] += dy(i, j);
     }
 
     if (!factorized_) {
         // dW += dy^T x ; dx = dy W.
-        gemmTransA(dy.data(), cachedX_.data(), w_.grad.data(), dy.dim(0),
+        gemmTransA(dy.data(), x.data(), grads.of(w_).data(), dy.dim(0),
                    outDim_, inDim_, /*accumulate=*/true);
         return matmul(dy, w_.value);
     }
 
     // y = ((x U2^T) core^T) U1^T.
+    const Tensor &t1 = saved[1];
+    const Tensor &t2 = saved[2];
     Tensor dT2 = matmul(dy, u1_.value); // (n, pr)
-    gemmTransA(dy.data(), cachedT2_.data(), u1_.grad.data(), dy.dim(0),
+    gemmTransA(dy.data(), t2.data(), grads.of(u1_).data(), dy.dim(0),
                outDim_, prunedRank_, true);
     Tensor dT1 = matmul(dT2, core_.value); // (n, pr)
-    gemmTransA(dT2.data(), cachedT1_.data(), core_.grad.data(), dT2.dim(0),
+    gemmTransA(dT2.data(), t1.data(), grads.of(core_).data(), dT2.dim(0),
                prunedRank_, prunedRank_, true);
-    gemmTransA(dT1.data(), cachedX_.data(), u2_.grad.data(), dT1.dim(0),
+    gemmTransA(dT1.data(), x.data(), grads.of(u2_).data(), dT1.dim(0),
                prunedRank_, inDim_, true);
     return matmul(dT1, u2_.value);
 }
@@ -204,7 +206,6 @@ Linear::installFactors(Tucker2d d)
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    clearCache(); // a forward of the dense layout cannot feed backward()
 }
 
 void
@@ -222,7 +223,6 @@ Linear::densify()
     u2_ = Parameter();
     factorized_ = false;
     prunedRank_ = 0;
-    clearCache();
 }
 
 int64_t
@@ -272,14 +272,6 @@ Linear::effectiveWeight() const
     if (!factorized_)
         return w_.value;
     return matmul(matmul(u1_.value, core_.value), u2_.value);
-}
-
-void
-Linear::clearCache() const
-{
-    cachedX_ = Tensor();
-    cachedT1_ = Tensor();
-    cachedT2_ = Tensor();
 }
 
 } // namespace lrd

@@ -12,7 +12,9 @@
  *             every row count, so they agree bit for bit.
  *
  * Both paths implement backward() so the accuracy-recovery fine-tuning
- * extension (paper Section 6) can train through factorized layers.
+ * extension (paper Section 6) can train through factorized layers; the
+ * layer holds only weights, training state is the caller's Tape and
+ * Gradients (model/tape.h).
  */
 
 #ifndef LRD_MODEL_LINEAR_H
@@ -31,7 +33,9 @@
 namespace lrd {
 
 class Counter;
+class Gradients;
 struct SvdResult;
+class Tape;
 struct Tucker2d;
 
 /** Dense-or-factorized linear layer with manual backprop. */
@@ -51,21 +55,21 @@ class Linear
            const std::string &name, Rng *rng);
 
     /**
-     * Forward pass for x of shape (n, in). Caches x for backward()
-     * only while a TrainingModeScope is alive. An inference forward
-     * keeps nothing and drops a cache a training forward left; on a
-     * layer with no such cache, inference forwards may run
-     * concurrently. Nothing is derived from the weights between
-     * forwards, so a value written through parameters() reaches the
-     * next forward as is.
+     * Forward pass for x of shape (n, in). With a tape it records x
+     * (first) and, when factorized, the two (n, pr) intermediates for
+     * backward(). Without one it allocates only its output, so any
+     * number of forwards may share the layer. Nothing is derived from
+     * the weights between forwards, so a value written through
+     * parameters() reaches the next forward as is.
      */
-    Tensor forward(const Tensor &x) const;
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
 
     /**
-     * Backward pass. Accumulates weight gradients and returns dL/dx.
-     * Must be preceded by a training-mode forward() on the same input.
+     * Backward pass through the forward `tape` recorded: accumulates
+     * weight gradients into `grads` and returns dL/dx.
      */
-    Tensor backward(const Tensor &dy);
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
 
     /**
      * Replace the dense weight by its rank-pruned Tucker factors.
@@ -126,16 +130,6 @@ class Linear
     /** Effective dense weight: W, or U1*core*U2 when factorized. */
     Tensor effectiveWeight() const;
 
-    /**
-     * Input of the most recent forward() when it ran under a
-     * TrainingModeScope (activation calibration holds one); empty
-     * after an inference forward.
-     */
-    const Tensor &lastInput() const { return cachedX_; }
-
-    /** Reset the cached forward input (frees activation memory). */
-    void clearCache() const;
-
   private:
     int64_t outDim_;
     int64_t inDim_;
@@ -149,11 +143,6 @@ class Linear
     Parameter core_; ///< (pr, pr).
     Parameter u2_;   ///< (pr, in).
     Parameter b_;    ///< (out), optional.
-
-    // Forward caches for backward(), kept by training-mode forwards.
-    mutable Tensor cachedX_;
-    mutable Tensor cachedT1_; ///< x * U2^T.
-    mutable Tensor cachedT2_; ///< t1 * core^T.
 
     /**
      * The "model.<name>.macs" counter, looked up by the first forward

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -65,29 +65,30 @@ Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng)
 }
 
 Tensor
-Mlp::forward(const Tensor &x) const
+Mlp::forward(const Tensor &x, Tape *tape) const
 {
     const bool llama = arch_ == Arch::LlamaStyle;
-    Tensor gatePre = wg_->forward(x);
-    Tensor up = llama ? wu_->forward(x) : Tensor();
+    Tensor gatePre = wg_->forward(x, tape);
+    Tensor up = llama ? wu_->forward(x, tape) : Tensor();
     const Tensor h = llama ? hadamard(silu(gatePre), up) : gelu(gatePre);
-    if (trainingModeActive()) {
-        cachedGatePre_ = std::move(gatePre);
-        cachedUp_ = std::move(up);
-    }
-    return wd_->forward(h);
+    if (tape != nullptr)
+        tape->record(this, std::move(gatePre), std::move(up));
+    return wd_->forward(h, tape);
 }
 
 Tensor
-Mlp::backward(const Tensor &dy)
+Mlp::backward(const Tensor &dy, const Tape &tape, Gradients &grads) const
 {
-    Tensor dh = wd_->backward(dy);
+    const std::vector<Tensor> &saved = tape.at(this);
+    const Tensor &gatePre = saved[0];
+    Tensor dh = wd_->backward(dy, tape, grads);
     if (arch_ == Arch::LlamaStyle) {
         // h = silu(g) * u.
-        Tensor dg(cachedGatePre_.shape());
-        Tensor du(cachedUp_.shape());
-        const float *g = cachedGatePre_.data();
-        const float *u = cachedUp_.data();
+        const Tensor &up = saved[1];
+        Tensor dg(gatePre.shape());
+        Tensor du(up.shape());
+        const float *g = gatePre.data();
+        const float *u = up.data();
         const float *dhp = dh.data();
         float *dgp = dg.data();
         float *dup = du.data();
@@ -96,18 +97,18 @@ Mlp::backward(const Tensor &dy)
             dup[i] = dhp[i] * sg;
             dgp[i] = dhp[i] * u[i] * siluGrad(g[i]);
         }
-        Tensor dx = wg_->backward(dg);
-        axpy(dx, 1.0F, wu_->backward(du));
+        Tensor dx = wg_->backward(dg, tape, grads);
+        axpy(dx, 1.0F, wu_->backward(du, tape, grads));
         return dx;
     }
     // h = gelu(g).
-    Tensor dg(cachedGatePre_.shape());
-    const float *g = cachedGatePre_.data();
+    Tensor dg(gatePre.shape());
+    const float *g = gatePre.data();
     const float *dhp = dh.data();
     float *dgp = dg.data();
     for (int64_t i = 0; i < dh.size(); ++i)
         dgp[i] = dhp[i] * geluGrad(g[i]);
-    return wg_->backward(dg);
+    return wg_->backward(dg, tape, grads);
 }
 
 Linear &
@@ -155,16 +156,6 @@ Mlp::paramCount() const
     if (wu_)
         n += wu_->paramCount();
     return n;
-}
-
-void
-Mlp::clearCache()
-{
-    cachedGatePre_ = Tensor();
-    cachedUp_ = Tensor();
-    for (Linear *l : {wg_.get(), wu_.get(), wd_.get()})
-        if (l != nullptr)
-            l->clearCache();
 }
 
 } // namespace lrd

@@ -22,26 +22,23 @@ class Mlp
     /** A null rng builds zero weights with no draws (see Linear). */
     Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    /** x (n, d) -> (n, d). Caches intermediates for backward() only
-     *  while a TrainingModeScope is alive. */
-    Tensor forward(const Tensor &x) const;
-    Tensor backward(const Tensor &dy);
+    /** x (n, d) -> (n, d). With a tape it records the gate (or
+     *  intermediate) pre-activation and the up projection. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
 
     /** Access a decomposable tensor (Gate/Up/Down or Int/Out). */
     Linear &linear(WeightKind kind);
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     Arch arch_;
     // Llama: gate/up/down. BERT: intermediate (wg_) / output (wd_)
     // with wu_ unused.
     std::unique_ptr<Linear> wg_, wu_, wd_;
-    // Training caches.
-    mutable Tensor cachedGatePre_; ///< Pre-activation of the gate/intermediate.
-    mutable Tensor cachedUp_;      ///< Llama only: up-projection output.
 };
 
 } // namespace lrd

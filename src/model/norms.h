@@ -1,7 +1,8 @@
 /**
  * @file
  * Normalization layers: RMSNorm (Llama-style) and LayerNorm
- * (BERT-style), each with forward and manual backward passes.
+ * (BERT-style), each with forward and manual backward passes. A taped
+ * forward records what backward() reads into the caller's Tape.
  */
 
 #ifndef LRD_MODEL_NORMS_H
@@ -15,26 +16,26 @@
 
 namespace lrd {
 
+class Gradients;
+class Tape;
+
 /** Root-mean-square normalization with learned scale (no bias). */
 class RmsNorm
 {
   public:
     RmsNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape. Caches x for backward()
-     *  only while a TrainingModeScope is alive. */
-    Tensor forward(const Tensor &x) const;
-    Tensor backward(const Tensor &dy);
+    /** x of shape (n, dim) -> same shape. With a tape it records x
+     *  and each row's 1/rms for backward(). */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
 
     std::vector<Parameter *> parameters() { return {&w_}; }
-    void clearCache();
 
   private:
     int64_t dim_;
     Parameter w_;
-    // Training caches.
-    mutable Tensor cachedX_;
-    mutable std::vector<float> cachedInvRms_;
     static constexpr float kEps = 1e-5F;
 };
 
@@ -44,20 +45,18 @@ class LayerNorm
   public:
     LayerNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape; caches as RmsNorm does. */
-    Tensor forward(const Tensor &x) const;
-    Tensor backward(const Tensor &dy);
+    /** x of shape (n, dim) -> same shape. With a tape it records the
+     *  normalized x and each row's 1/std for backward(). */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
 
     std::vector<Parameter *> parameters() { return {&w_, &b_}; }
-    void clearCache();
 
   private:
     int64_t dim_;
     Parameter w_;
     Parameter b_;
-    // Training caches.
-    mutable Tensor cachedXhat_;
-    mutable std::vector<float> cachedInvStd_;
     static constexpr float kEps = 1e-5F;
 };
 

@@ -1,6 +1,8 @@
 /**
  * @file
- * A trainable parameter: value plus accumulated gradient.
+ * A trainable parameter: a named weight tensor. Its gradient lives in
+ * a caller-owned Gradients buffer (model/tape.h), so a model that only
+ * infers allocates its weights and nothing more.
  */
 
 #ifndef LRD_MODEL_PARAMETER_H
@@ -12,20 +14,18 @@
 
 namespace lrd {
 
-/** A named trainable tensor with its gradient accumulator. */
+/** A named trainable tensor. */
 struct Parameter
 {
     Parameter() = default;
     Parameter(std::string n, Tensor v)
-        : name(std::move(n)), value(std::move(v)), grad(value.shape())
+        : name(std::move(n)), value(std::move(v))
     {
     }
 
     std::string name;
     Tensor value;
-    Tensor grad;
 
-    void zeroGrad() { grad.fill(0.0F); }
     int64_t size() const { return value.size(); }
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <tuple>
 
-#include "model/train_mode.h"
 #include "robust/fault.h"
 #include "robust/recovery.h"
 #include "robust/signal.h"
@@ -52,34 +51,37 @@ TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
 }
 
 Tensor
-TransformerBlock::forward(const Tensor &x) const
+TransformerBlock::forward(const Tensor &x, Tape *tape) const
 {
     if (arch_ == Arch::LlamaStyle) {
         // Pre-norm: x + attn(rms1(x)), then + mlp(rms2(.)).
-        Tensor a = add(x, attn_->forward(rms1_->forward(x)));
-        return add(a, mlp_->forward(rms2_->forward(a)));
+        Tensor a = add(x, attn_->forward(rms1_->forward(x, tape), tape));
+        return add(a, mlp_->forward(rms2_->forward(a, tape), tape));
     }
     // Post-norm: ln1(x + attn(x)), then ln2(a + mlp(a)).
-    Tensor a = ln1_->forward(add(x, attn_->forward(x)));
-    return ln2_->forward(add(a, mlp_->forward(a)));
+    Tensor a = ln1_->forward(add(x, attn_->forward(x, tape)), tape);
+    return ln2_->forward(add(a, mlp_->forward(a, tape)), tape);
 }
 
 Tensor
-TransformerBlock::backward(const Tensor &dy)
+TransformerBlock::backward(const Tensor &dy, const Tape &tape,
+                           Gradients &grads) const
 {
     if (arch_ == Arch::LlamaStyle) {
         Tensor da = dy;
-        axpy(da, 1.0F, rms2_->backward(mlp_->backward(dy)));
+        axpy(da, 1.0F,
+             rms2_->backward(mlp_->backward(dy, tape, grads), tape, grads));
         Tensor dx = da;
-        axpy(dx, 1.0F, rms1_->backward(attn_->backward(da)));
+        axpy(dx, 1.0F,
+             rms1_->backward(attn_->backward(da, tape, grads), tape, grads));
         return dx;
     }
-    Tensor dIn2 = ln2_->backward(dy);
+    Tensor dIn2 = ln2_->backward(dy, tape, grads);
     Tensor da = dIn2;
-    axpy(da, 1.0F, mlp_->backward(dIn2));
-    Tensor dIn1 = ln1_->backward(da);
+    axpy(da, 1.0F, mlp_->backward(dIn2, tape, grads));
+    Tensor dIn1 = ln1_->backward(da, tape, grads);
     Tensor dx = dIn1;
-    axpy(dx, 1.0F, attn_->backward(dIn1));
+    axpy(dx, 1.0F, attn_->backward(dIn1, tape, grads));
     return dx;
 }
 
@@ -138,21 +140,6 @@ TransformerBlock::paramCount() const
     return n;
 }
 
-void
-TransformerBlock::clearCache()
-{
-    if (rms1_)
-        rms1_->clearCache();
-    if (rms2_)
-        rms2_->clearCache();
-    if (ln1_)
-        ln1_->clearCache();
-    if (ln2_)
-        ln2_->clearCache();
-    attn_->clearCache();
-    mlp_->clearCache();
-}
-
 TransformerModel::TransformerModel(const ModelConfig &cfg, uint64_t seed)
     : TransformerModel(cfg, std::optional<Rng>(seed))
 {
@@ -177,19 +164,19 @@ TransformerModel::TransformerModel(const ModelConfig &cfg,
 }
 
 Tensor
-TransformerModel::forward(const TokenSeq &tokens) const
+TransformerModel::forward(const TokenSeq &tokens, Tape *tape) const
 {
     require(static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
             "TransformerModel::forward: sequence length ", tokens.size(),
             " exceeds maxSeq ", cfg_.maxSeq);
     Tensor h = embedding_->forward(tokens);
     for (size_t l = 0; l < blocks_.size(); ++l) {
-        h = blocks_[l]->forward(h);
+        h = blocks_[l]->forward(h, tape);
         guardBlockOutput(h, static_cast<int64_t>(l));
     }
     if (finalNorm_)
-        h = finalNorm_->forward(h);
-    return lmHead_->forward(h);
+        h = finalNorm_->forward(h, tape);
+    return lmHead_->forward(h, tape);
 }
 
 namespace {
@@ -238,21 +225,20 @@ crossEntropy(const Tensor &logits, const std::vector<int> &targets,
 
 double
 TransformerModel::lossAndGrad(const TokenSeq &tokens,
-                              const std::vector<int> &targets)
+                              const std::vector<int> &targets,
+                              Gradients &grads) const
 {
-    // In training mode the layers cache the inputs and intermediates
-    // backward() reads.
-    TrainingModeScope trainScope;
-    Tensor logits = forward(tokens);
+    Tape tape;
+    Tensor logits = forward(tokens, &tape);
     Tensor dLogits;
     const double loss = crossEntropy(logits, targets, &dLogits);
 
-    Tensor dh = lmHead_->backward(dLogits);
+    Tensor dh = lmHead_->backward(dLogits, tape, grads);
     if (finalNorm_)
-        dh = finalNorm_->backward(dh);
+        dh = finalNorm_->backward(dh, tape, grads);
     for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-        dh = (*it)->backward(dh);
-    embedding_->backward(dh);
+        dh = (*it)->backward(dh, tape, grads);
+    embedding_->backward(tokens, dh, grads);
     return loss;
 }
 
@@ -278,13 +264,6 @@ TransformerModel::parameters()
         append(finalNorm_->parameters());
     append(lmHead_->parameters());
     return ps;
-}
-
-void
-TransformerModel::zeroGrad()
-{
-    for (Parameter *p : parameters())
-        p->zeroGrad();
 }
 
 Linear &
@@ -369,18 +348,25 @@ TransformerModel::serialize() const
         params.push_back(finalNorm_->parameters()[0]);
     for (Parameter *p : lmHead_->parameters())
         params.push_back(p);
+    // Reserve the rest of the payload: the weights dominate it, and
+    // growing the buffer by doubling would copy them several times.
+    size_t payload = w.bytes().size() + sizeof(uint64_t);
+    for (const Parameter *p : params)
+        payload += 2 * sizeof(uint64_t) + p->name.size()
+                   + sizeof(float) * static_cast<size_t>(p->size());
+    w.reserve(payload);
     w.putU64(params.size());
     for (Parameter *p : params) {
         w.putString(p->name);
         w.putFloats(p->value.storage());
     }
-    return w.bytes();
+    return std::move(w).bytes();
 }
 
 TransformerModel
-TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
+TransformerModel::deserialize(std::vector<uint8_t> bytes)
 {
-    ByteReader r(bytes);
+    ByteReader r(std::move(bytes));
     const std::string magic = r.getString();
     require(magic == "lrd-model-v1" || magic == "lrd-model-v2"
                 || magic == "lrd-model-v3",
@@ -446,16 +432,6 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
         p->value.storage() = std::move(data);
     }
     return model;
-}
-
-void
-TransformerModel::clearCache()
-{
-    for (auto &b : blocks_)
-        b->clearCache();
-    if (finalNorm_)
-        finalNorm_->clearCache();
-    lmHead_->clearCache();
 }
 
 InferenceSession::InferenceSession(const TransformerModel &model)

@@ -3,7 +3,9 @@
  * The full transformer: embedding, a stack of blocks, final norm and
  * LM head. Provides training (forward + cross-entropy + backward),
  * full-sequence inference, KV-cache incremental inference, Tucker
- * decomposition of any (layer, tensor) pair, and serialization.
+ * decomposition of any (layer, tensor) pair, and serialization. The
+ * model holds its weights only: training keeps activations and
+ * gradients in a caller-owned Tape and Gradients (model/tape.h).
  */
 
 #ifndef LRD_MODEL_TRANSFORMER_H
@@ -20,6 +22,7 @@
 #include "model/embedding.h"
 #include "model/mlp.h"
 #include "model/norms.h"
+#include "model/tape.h"
 
 namespace lrd {
 
@@ -33,8 +36,9 @@ class TransformerBlock
     /** A null rng builds zero weights with no draws (see Linear). */
     TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    Tensor forward(const Tensor &x) const;
-    Tensor backward(const Tensor &dy);
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    Gradients &grads) const;
     /** Incremental decode step (LlamaStyle only). */
     Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
@@ -43,7 +47,6 @@ class TransformerBlock
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     Arch arch_;
@@ -62,20 +65,22 @@ class TransformerModel
 
     const ModelConfig &config() const { return cfg_; }
 
-    /** Full-sequence forward; returns logits (T, vocab). Workers may
-     *  share one model (see Linear::forward). */
-    Tensor forward(const TokenSeq &tokens) const;
+    /** Full-sequence forward; returns logits (T, vocab). With a tape
+     *  every layer records what its backward reads. */
+    Tensor forward(const TokenSeq &tokens, Tape *tape = nullptr) const;
 
     /**
-     * Forward + mean cross-entropy over positions with target >= 0 +
-     * full backward (gradients accumulate into parameters).
+     * Taped forward + mean cross-entropy over positions with target
+     * >= 0 + full backward; the gradients accumulate into `grads`
+     * (built from this model's parameters()).
      *
      * For causal LM training pass targets[i] = tokens[i + 1]; for MLM
      * pass the original token at masked positions and -1 elsewhere.
      * @return Mean loss over supervised positions.
      */
     double lossAndGrad(const TokenSeq &tokens,
-                       const std::vector<int> &targets);
+                       const std::vector<int> &targets,
+                       Gradients &grads) const;
 
     /** Forward-only mean cross-entropy (no gradients). */
     double loss(const TokenSeq &tokens,
@@ -83,9 +88,6 @@ class TransformerModel
 
     /** All trainable parameters (changes after factorization). */
     std::vector<Parameter *> parameters();
-
-    /** Zero every parameter gradient. */
-    void zeroGrad();
 
     /** Access a decomposable weight tensor. */
     Linear &linear(int64_t layer, WeightKind kind);
@@ -108,16 +110,14 @@ class TransformerModel
     TransformerBlock &block(int64_t i) { return *blocks_[static_cast<size_t>(i)]; }
 
     /**
-     * Serialize weights (v2 format). Factorized layers are stored as
+     * Serialize weights (v3 format). Factorized layers are stored as
      * their Tucker factors plus a manifest, so compressed checkpoints
      * round-trip at their compressed size.
      */
     std::vector<uint8_t> serialize() const;
-    /** Restore a model saved by serialize() (reads v1 and v2). */
-    static TransformerModel deserialize(const std::vector<uint8_t> &bytes);
-
-    /** Drop all cached activations. */
-    void clearCache();
+    /** Restore a model saved by serialize() (reads v1 to v3). Takes
+     *  the bytes by value: pass an rvalue and nothing is copied. */
+    static TransformerModel deserialize(std::vector<uint8_t> bytes);
 
     /** Whether any linear layer is factorized. */
     bool anyFactorized() const;

@@ -138,7 +138,7 @@ ThreadPool::runAvailableChunks(std::unique_lock<std::mutex> &lock)
             break;
         }
         const int64_t chunk = nextChunk_++;
-        const ChunkFn *body = body_;
+        const std::function<void(int64_t, int64_t)> *body = body_;
         const int64_t lo = jobBegin_ + chunk * jobGrain_;
         const int64_t hi = std::min(jobEnd_, lo + jobGrain_);
         lock.unlock();
@@ -148,7 +148,7 @@ ThreadPool::runAvailableChunks(std::unique_lock<std::mutex> &lock)
         std::exception_ptr error;
         try {
             LRD_TRACE_SPAN("pool.chunk");
-            (*body)(chunk, lo, hi);
+            (*body)(lo, hi);
         } catch (...) {
             error = std::current_exception();
         }
@@ -188,8 +188,8 @@ ThreadPool::workerMain(int index)
 }
 
 void
-ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
-                              const ChunkFn &body)
+ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
+                        const std::function<void(int64_t, int64_t)> &body)
 {
     const int64_t chunks = numChunks(begin, end, grain);
     if (chunks == 0)
@@ -213,12 +213,12 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
                 const int64_t lo = begin + c * g;
                 const int64_t hi = std::min(end, lo + g);
                 if (!outermost) {
-                    body(c, lo, hi);
+                    body(lo, hi);
                     continue;
                 }
                 chunksCounter_->inc();
                 LRD_TRACE_SPAN("pool.chunk");
-                body(c, lo, hi);
+                body(lo, hi);
             }
         } catch (...) {
             tlInParallel = wasIn;
@@ -252,27 +252,10 @@ ThreadPool::parallelForChunks(int64_t begin, int64_t end, int64_t grain,
 }
 
 void
-ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
-                        const std::function<void(int64_t, int64_t)> &body)
-{
-    parallelForChunks(begin, end, grain,
-                      [&body](int64_t, int64_t lo, int64_t hi) {
-                          body(lo, hi);
-                      });
-}
-
-void
 parallelFor(int64_t begin, int64_t end, int64_t grain,
             const std::function<void(int64_t, int64_t)> &body)
 {
     ThreadPool::instance().parallelFor(begin, end, grain, body);
-}
-
-void
-parallelForChunks(int64_t begin, int64_t end, int64_t grain,
-                  const ChunkFn &body)
-{
-    ThreadPool::instance().parallelForChunks(begin, end, grain, body);
 }
 
 int

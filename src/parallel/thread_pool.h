@@ -35,9 +35,6 @@ namespace lrd {
 class Counter;
 class Gauge;
 
-/** Body of a parallel region: fn(chunkIndex, lo, hi) over [lo, hi). */
-using ChunkFn = std::function<void(int64_t, int64_t, int64_t)>;
-
 class ThreadPool
 {
   public:
@@ -77,15 +74,7 @@ class ThreadPool
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)> &body);
 
-    /**
-     * As parallelFor(), but the body also receives the chunk index —
-     * use it to store per-chunk partials that a serial, fixed-order
-     * fold then reduces deterministically.
-     */
-    void parallelForChunks(int64_t begin, int64_t end, int64_t grain,
-                           const ChunkFn &body);
-
-    /** Number of chunks parallelFor{,Chunks} will create. */
+    /** Number of chunks parallelFor will create. */
     static int64_t numChunks(int64_t begin, int64_t end, int64_t grain);
 
   private:
@@ -103,7 +92,7 @@ class ThreadPool
 
     // Current job; guarded by mu_. One job at a time: concurrent
     // external posters queue on doneCv_, nested posters run inline.
-    const ChunkFn *body_ = nullptr;
+    const std::function<void(int64_t, int64_t)> *body_ = nullptr;
     int64_t jobBegin_ = 0;
     int64_t jobEnd_ = 0;
     int64_t jobGrain_ = 1;
@@ -130,10 +119,6 @@ class ThreadPool
 /** parallelFor on the global pool. */
 void parallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)> &body);
-
-/** parallelForChunks on the global pool. */
-void parallelForChunks(int64_t begin, int64_t end, int64_t grain,
-                       const ChunkFn &body);
 
 /** Thread count of the global pool. */
 int parallelWorkers();

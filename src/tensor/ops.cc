@@ -413,6 +413,18 @@ skinnyTransB(const GemmArgs &g, int64_t jlo, int64_t jhi)
     }
 }
 
+/** Iterations per skinny-fallback chunk when one costs `macsPerIter`,
+ *  rounded up to a multiple of `multiple`: 2^20 multiply-adds, 50-100
+ *  us at the 10-20 G MAC/s these loops run, so a chunk pays for waking
+ *  a pool worker (docs/ARCHITECTURE.md, "Threading model"). */
+int64_t
+skinnyGrain(int64_t macsPerIter, int64_t multiple = 1)
+{
+    const int64_t iters = std::max<int64_t>(
+        1, (int64_t{1} << 20) / std::max<int64_t>(1, macsPerIter));
+    return (iters + multiple - 1) / multiple * multiple;
+}
+
 } // namespace
 
 Tensor
@@ -482,9 +494,9 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
         return;
     }
     // Skinny fallback: i-k-j loop order (unit-stride b and c rows),
-    // column chunks so even single-row products parallelize.
+    // chunks of columns (m * k each), so even one row can parallelize.
     const GemmArgs g{a, b, c, m, k, n, accumulate};
-    parallelFor(0, n, 512, [&g](int64_t jlo, int64_t jhi) {
+    parallelFor(0, n, skinnyGrain(m * k), [&g](int64_t jlo, int64_t jhi) {
         for (int64_t i = 0; i < g.m; ++i) {
             float *crow = g.c + i * g.n;
             if (!g.accumulate) {
@@ -513,12 +525,13 @@ gemmTransB(const float *a, const float *b, float *c, int64_t m, int64_t k,
         blockedGemm(a, k, false, b, k, true, c, m, k, n, accumulate);
         return;
     }
-    // Skinny fallback, parallel over output columns. The chunks hold
-    // whole 16-output groups.
+    // Skinny fallback, parallel over output columns (m * k each). The
+    // chunks hold whole 16-output groups.
     const GemmArgs args{a, b, c, m, k, n, accumulate};
-    parallelFor(0, n, 128, [&args](int64_t jlo, int64_t jhi) {
-        skinnyTransB(args, jlo, jhi);
-    });
+    parallelFor(0, n, skinnyGrain(m * k, kSkinnyGroup),
+                [&args](int64_t jlo, int64_t jhi) {
+                    skinnyTransB(args, jlo, jhi);
+                });
 }
 
 void
@@ -534,10 +547,10 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
         blockedGemm(a, k, true, b, n, false, c, k, m, n, accumulate);
         return;
     }
-    // Skinny fallback: parallel over the rows of c, so every output
-    // element is owned by exactly one chunk.
+    // Skinny fallback: parallel over the rows of c (m * n each), so
+    // every output element is owned by exactly one chunk.
     const GemmArgs g{a, b, c, m, k, n, accumulate};
-    parallelFor(0, k, 64, [&g](int64_t plo, int64_t phi) {
+    parallelFor(0, k, skinnyGrain(m * n), [&g](int64_t plo, int64_t phi) {
         if (!g.accumulate) {
             for (int64_t p = plo; p < phi; ++p)
                 for (int64_t j = 0; j < g.n; ++j)

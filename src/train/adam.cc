@@ -19,14 +19,16 @@ AdamW::AdamW(std::vector<Parameter *> params, AdamOptions opts)
 }
 
 void
-AdamW::step(double lrScale)
+AdamW::step(const Gradients &grads, double lrScale)
 {
+    require(grads.size() == params_.size(), "AdamW::step: ", grads.size(),
+            " gradients for ", params_.size(), " parameters");
     ++t_;
 
     double norm2 = 0.0;
-    for (Parameter *p : params_)
-        for (int64_t i = 0; i < p->grad.size(); ++i)
-            norm2 += static_cast<double>(p->grad[i]) * p->grad[i];
+    for (size_t k = 0; k < grads.size(); ++k)
+        for (int64_t i = 0; i < grads[k].size(); ++i)
+            norm2 += static_cast<double>(grads[k][i]) * grads[k][i];
     lastGradNorm_ = std::sqrt(norm2);
 
     double clipScale = 1.0;
@@ -39,10 +41,11 @@ AdamW::step(double lrScale)
 
     for (size_t k = 0; k < params_.size(); ++k) {
         Parameter *p = params_[k];
+        const Tensor &grad = grads[k];
         Tensor &m = m_[k];
         Tensor &v = v_[k];
         for (int64_t i = 0; i < p->value.size(); ++i) {
-            const double g = p->grad[i] * clipScale;
+            const double g = grad[i] * clipScale;
             m[i] = static_cast<float>(opts_.beta1 * m[i]
                                       + (1.0 - opts_.beta1) * g);
             v[i] = static_cast<float>(opts_.beta2 * v[i]

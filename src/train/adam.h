@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "model/parameter.h"
+#include "model/tape.h"
 #include "util/cache.h"
 #include "util/status.h"
 
@@ -33,10 +34,11 @@ class AdamW
     AdamW(std::vector<Parameter *> params, AdamOptions opts = {});
 
     /**
-     * Apply one update from the accumulated gradients.
+     * Apply one update from `grads`, built over the same parameter
+     * list in the same order.
      * @param lrScale Multiplier on the base learning rate (schedule).
      */
-    void step(double lrScale = 1.0);
+    void step(const Gradients &grads, double lrScale = 1.0);
 
     /** Pre-clip global gradient norm of the last step() call. */
     double lastGradNorm() const { return lastGradNorm_; }

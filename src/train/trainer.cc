@@ -1,7 +1,6 @@
 #include "trainer.h"
 
 #include <cmath>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -11,6 +10,7 @@
 #include "robust/checkpoint.h"
 #include "robust/recovery.h"
 #include "robust/signal.h"
+#include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -87,21 +87,6 @@ Trainer::makeExample(TokenSeq &tokens, std::vector<int> &targets)
     }
 }
 
-namespace {
-
-/** Copy a model's accumulated gradients into one flat buffer. */
-void
-extractGrads(const std::vector<Parameter *> &params,
-             std::vector<float> &out)
-{
-    out.clear();
-    for (Parameter *p : params)
-        out.insert(out.end(), p->grad.storage().begin(),
-                   p->grad.storage().end());
-}
-
-} // namespace
-
 void
 Trainer::writeTrainCheckpoint(const AdamW &optimizer, int nextStep)
 {
@@ -176,34 +161,23 @@ Trainer::run()
 
     /*
      * Batch items are independent given the example stream, so each
-     * item's gradient is computed into its own buffer (on a private
-     * model replica when the pool has more than one thread) and the
-     * buffers are reduced in fixed item order. The summation tree is
-     * therefore identical at every LRD_THREADS setting: bitwise
-     * deterministic training. Examples are always drawn serially so
-     * the corpus/mask RNG streams match the sequential trainer.
+     * item's gradient is computed on the one shared model into the
+     * item's own buffer, and the buffers are reduced in fixed item
+     * order. The summation tree is therefore identical at every
+     * LRD_THREADS setting: bitwise deterministic training. Examples are
+     * always drawn serially so the corpus/mask RNG streams match the
+     * sequential trainer.
      */
     ThreadPool &pool = ThreadPool::instance();
-    const int numWorkers = std::min(pool.numThreads(), opts_.batchSeqs);
-    std::vector<std::unique_ptr<TransformerModel>> replicas;
-    if (numWorkers > 1) {
-        const std::vector<uint8_t> snapshot = model_.serialize();
-        // lrd-lint: allow(hot-path-alloc) per-worker replicas: sized once per run, before the epoch loop
-        replicas.resize(static_cast<size_t>(pool.numThreads()));
-        for (int w = 1; w < pool.numThreads(); ++w)
-            replicas[static_cast<size_t>(w)] =
-                // lrd-lint: allow(hot-path-alloc) per-worker replica, once per run
-                std::make_unique<TransformerModel>(
-                    TransformerModel::deserialize(snapshot));
-    }
-    const std::vector<Parameter *> masterParams = model_.parameters();
+    const std::vector<Parameter *> params = model_.parameters();
+    Gradients grads(params);
+    std::vector<Gradients> itemGrads(static_cast<size_t>(opts_.batchSeqs),
+                                     grads);
 
     Timer timer;
     double lastLoss = 0.0;
     std::vector<TokenSeq> tokens(static_cast<size_t>(opts_.batchSeqs));
     std::vector<std::vector<int>> targets(
-        static_cast<size_t>(opts_.batchSeqs));
-    std::vector<std::vector<float>> itemGrads(
         static_cast<size_t>(opts_.batchSeqs));
     std::vector<double> itemLoss(static_cast<size_t>(opts_.batchSeqs));
     std::vector<Status> itemStatus(static_cast<size_t>(opts_.batchSeqs));
@@ -235,25 +209,8 @@ Trainer::run()
             makeExample(tokens[static_cast<size_t>(b)],
                         targets[static_cast<size_t>(b)]);
 
-        // Push the optimizer's latest weights into every replica.
-        for (auto &replica : replicas) {
-            if (!replica)
-                continue;
-            const auto rp = replica->parameters();
-            for (size_t j = 0; j < masterParams.size(); ++j)
-                rp[j]->value.storage() =
-                    masterParams[j]->value.storage();
-        }
-
         pool.parallelFor(0, opts_.batchSeqs, 1,
                          [&](int64_t lo, int64_t hi) {
-            const auto w =
-                static_cast<size_t>(ThreadPool::workerIndex());
-            TransformerModel &m = (w == 0 || replicas.empty()
-                                   || !replicas[w])
-                                      ? model_
-                                      : *replicas[w];
-            const auto params = m.parameters();
             for (int64_t b = lo; b < hi; ++b) {
                 LRD_TRACE_SPAN("train.item");
                 // Each item resolves on the worker that owns it: the
@@ -261,17 +218,16 @@ Trainer::run()
                 // item's fixed slot, and the fold below applies the
                 // recovery policy.
                 (void)takeNumericFault();
-                m.zeroGrad();
-                itemLoss[static_cast<size_t>(b)] = m.lossAndGrad(
+                Gradients &g = itemGrads[static_cast<size_t>(b)];
+                g.zero();
+                itemLoss[static_cast<size_t>(b)] = model_.lossAndGrad(
                     tokens[static_cast<size_t>(b)],
-                    targets[static_cast<size_t>(b)]);
+                    targets[static_cast<size_t>(b)], g);
                 Status st = takeNumericFault();
                 if (st.ok()
                     && !std::isfinite(itemLoss[static_cast<size_t>(b)]))
                     st = Status(StatusCode::NonFinite, "train.item",
                                 strCat("non-finite loss at batch item ", b));
-                if (st.ok())
-                    extractGrads(params, itemGrads[static_cast<size_t>(b)]);
                 itemStatus[static_cast<size_t>(b)] = std::move(st);
             }
         });
@@ -290,7 +246,7 @@ Trainer::run()
         // Fixed-order reduction: grads and loss fold in item order.
         // Failed items are skipped entirely, so the summation tree for
         // the surviving items is still identical at every thread count.
-        model_.zeroGrad();
+        grads.zero();
         double lossSum = 0.0;
         int numGood = 0;
         Status firstBad;
@@ -301,14 +257,9 @@ Trainer::run()
                 continue;
             }
             ++numGood;
-            const std::vector<float> &g =
-                itemGrads[static_cast<size_t>(b)];
-            size_t off = 0;
-            for (Parameter *p : masterParams) {
-                float *pg = p->grad.data();
-                for (int64_t i = 0; i < p->grad.size(); ++i)
-                    pg[i] += g[off++];
-            }
+            const Gradients &g = itemGrads[static_cast<size_t>(b)];
+            for (size_t k = 0; k < grads.size(); ++k)
+                axpy(grads[k], 1.0F, g[k]);
             lossSum += itemLoss[static_cast<size_t>(b)];
         }
         if (!firstBad.ok()) {
@@ -322,12 +273,12 @@ Trainer::run()
                                  opts_.batchSeqs, firstBad);
         }
         // Average the accumulated gradients over the surviving items.
-        for (Parameter *p : masterParams)
-            for (int64_t i = 0; i < p->grad.size(); ++i)
-                p->grad[i] /= static_cast<float>(numGood);
+        for (size_t k = 0; k < grads.size(); ++k)
+            for (float &g : grads[k].storage())
+                g /= static_cast<float>(numGood);
         lastLoss = lossSum / numGood;
-        optimizer.step(
-            cosineSchedule(step, opts_.warmupSteps, opts_.steps));
+        optimizer.step(grads,
+                       cosineSchedule(step, opts_.warmupSteps, opts_.steps));
         const int next = step + 1;
         if (!opts_.checkpointPath.empty() && opts_.checkpointEvery > 0
             && (next % opts_.checkpointEvery == 0 || next == opts_.steps))
@@ -340,7 +291,6 @@ Trainer::run()
                           "s elapsed)"));
         }
     }
-    model_.clearCache();
     return lastLoss;
 }
 

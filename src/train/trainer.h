@@ -34,12 +34,13 @@ struct TrainOptions
 };
 
 /**
- * Drives AdamW over the synthetic corpus.
- *
- * With checkpointing enabled, the full training state — weights,
- * optimizer moments, and both RNG streams — is snapshotted, so an
- * interrupted run resumed from its last checkpoint produces bitwise
- * the same model as the uninterrupted run at any LRD_THREADS.
+ * Drives AdamW over the synthetic corpus. Every batch item trains on
+ * the one model into its own Gradients buffer, built once per run and
+ * folded in item order. With checkpointing enabled, the full training
+ * state — weights, optimizer moments, and both RNG streams — is
+ * snapshotted, so an interrupted run resumed from its last checkpoint
+ * produces bitwise the same model as the uninterrupted run at any
+ * LRD_THREADS.
  */
 class Trainer
 {

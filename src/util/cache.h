@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -48,7 +49,11 @@ class ByteWriter
     void putString(const std::string &s);
     void putFloats(const std::vector<float> &v);
     void putBytes(const std::vector<uint8_t> &v);
-    const std::vector<uint8_t> &bytes() const { return buf_; }
+    /** Size the buffer for `n` bytes up front. */
+    void reserve(size_t n) { buf_.reserve(n); }
+    const std::vector<uint8_t> &bytes() const & { return buf_; }
+    /** Hand the buffer over: `std::move(w).bytes()` copies nothing. */
+    std::vector<uint8_t> bytes() && { return std::move(buf_); }
 
   private:
     std::vector<uint8_t> buf_;

@@ -9,17 +9,20 @@
  * This suite is the one the verify script re-runs under
  * -DLRD_SANITIZE=thread: it exercises the pool from a single posting
  * thread across resize cycles, which is exactly the usage TSan must
- * see clean.
+ * see clean, and it trains and scores on one shared model at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "dse/optimizer.h"
 #include "dse/schedules.h"
+#include "eval/benchmarks.h"
 #include "eval/evaluator.h"
 #include "hw/roofline.h"
 #include "linalg/linalg.h"
@@ -140,6 +143,10 @@ TEST(Determinism, EvaluatorAcrossThreadCounts)
     }
 }
 
+/** Every batch item trains on the one model into its own gradient
+ *  buffer, folded in item order: the trained bytes are equal at 1, 4
+ *  and 8 threads, dense and factorized (the paper's Section 6
+ *  fine-tuning path). */
 TEST(Determinism, TrainerAcrossThreadCounts)
 {
     const World &world = defaultWorld();
@@ -149,16 +156,111 @@ TEST(Determinism, TrainerAcrossThreadCounts)
     topts.seqLen = 24;
     topts.warmupSteps = 2;
     topts.logEvery = 0;
-    const auto trainOnce = [&] {
-        TransformerModel model(tinyLlamaConfig(), 777);
-        Trainer trainer(model, world, topts);
-        const double loss = trainer.run();
-        return std::make_pair(loss, model.serialize());
-    };
-    const auto [loss1, bytes1] = withThreads(1, trainOnce);
-    const auto [lossN, bytesN] = withThreads(kManyThreads, trainOnce);
-    EXPECT_EQ(loss1, lossN);
-    EXPECT_EQ(bytes1, bytesN);
+    for (const bool factorized : {false, true}) {
+        SCOPED_TRACE(factorized ? "factorized" : "dense");
+        const auto trainOnce = [&] {
+            TransformerModel model(tinyLlamaConfig(), 777);
+            if (factorized) {
+                EXPECT_TRUE(scheduleForReduction(model.config(), 0.5)
+                                .applyTo(model)
+                                .ok());
+            }
+            Trainer trainer(model, world, topts);
+            const double loss = trainer.run();
+            return std::make_pair(loss, model.serialize());
+        };
+        const auto [loss1, bytes1] = withThreads(1, trainOnce);
+        for (const int threads : {4, kManyThreads}) {
+            const auto [loss, bytes] = withThreads(threads, trainOnce);
+            EXPECT_EQ(loss, loss1) << threads;
+            EXPECT_EQ(bytes, bytes1) << threads;
+        }
+    }
+}
+
+/** Every choice's log-likelihood, scored on the pool's workers. */
+std::vector<std::vector<double>>
+scoreOnPool(const TransformerModel &model, const std::vector<McTask> &tasks)
+{
+    std::vector<std::vector<double>> scores(tasks.size());
+    parallelFor(0, static_cast<int64_t>(tasks.size()), 1,
+                [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) {
+            const McTask &task = tasks[static_cast<size_t>(t)];
+            for (const TokenSeq &choice : task.choices)
+                scores[static_cast<size_t>(t)].push_back(
+                    scoreContinuation(model, task.context, choice));
+        }
+    });
+    return scores;
+}
+
+bool
+sameGradients(const Gradients &a, const Gradients &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t k = 0; k < a.size(); ++k)
+        if (!bitwiseEqual(a[k], b[k]))
+            return false;
+    return true;
+}
+
+/**
+ * Training and scoring share one model: one thread runs lossAndGrad in
+ * a loop while pool workers score evaluator items on the same model.
+ * The scores equal a run without training and every round's gradients
+ * equal a lone lossAndGrad's, bit for bit. Under TSan this is the check
+ * that no forward or backward writes the model.
+ */
+TEST(Determinism, TrainingAndScoringShareOneModel)
+{
+    const World &world = defaultWorld();
+    TransformerModel model(tinyLlamaConfig(), 4321);
+    // Some projections factorized, the rest dense.
+    ASSERT_TRUE(
+        scheduleForReduction(model.config(), 0.5).applyTo(model).ok());
+    const std::vector<McTask> tasks =
+        makeMcTasks(allBenchmarks().front(), world, 16, 999);
+    const TokenSeq tokens = CorpusGenerator(world, 5).document(32);
+    std::vector<int> targets(tokens.size(), -1);
+    for (size_t i = 0; i + 1 < tokens.size(); ++i)
+        targets[i] = tokens[i + 1];
+
+    ThreadPool::instance().resize(4);
+    const std::vector<std::vector<double>> alone = scoreOnPool(model, tasks);
+    const std::vector<Parameter *> params = model.parameters();
+    Gradients lone(params);
+    const double loneLoss = model.lossAndGrad(tokens, targets, lone);
+
+    std::atomic<bool> started{false};
+    std::atomic<bool> scored{false};
+    int rounds = 0;
+    int mismatches = 0;
+    std::thread trainer([&] { // lrd-lint: allow(thread-outside-parallel) a second poster, training beside the pool's scoring
+        // A one-chunk region runs inline and marks this thread as
+        // inside a region, so lossAndGrad's own regions run inline here
+        // instead of queueing behind the scoring region.
+        parallelFor(0, 1, 1, [&](int64_t, int64_t) {
+            Gradients grads(params);
+            do {
+                grads.zero();
+                started = true;
+                const double loss = model.lossAndGrad(tokens, targets, grads);
+                ++rounds;
+                if (loss != loneLoss || !sameGradients(grads, lone))
+                    ++mismatches;
+            } while (!scored);
+        });
+    });
+    while (!started)
+        std::this_thread::yield();
+    const std::vector<std::vector<double>> shared = scoreOnPool(model, tasks);
+    scored = true;
+    trainer.join();
+    EXPECT_EQ(shared, alone);
+    EXPECT_GT(rounds, 0);
+    EXPECT_EQ(mismatches, 0) << "of " << rounds << " rounds";
 }
 
 TEST(Determinism, GemmSkinnyFallbackAcrossThreadCounts)

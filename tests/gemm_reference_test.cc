@@ -13,7 +13,7 @@
 #include <tuple>
 
 #include "model/linear.h"
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "parallel/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
@@ -457,10 +457,10 @@ TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
     }
 }
 
-/** An inference forward runs the training forward's chain of three
+/** An untaped forward runs the taped forward's chain of three
  *  gemmTransB calls at every row count, with its two (rows, pr)
- *  intermediates in per-thread scratch instead of the backward caches:
- *  the same bits, and the output is the one tensor it allocates. The
+ *  intermediates in per-thread scratch instead of on the tape: the
+ *  same bits, and the output is the one tensor it allocates. The
  *  rows straddle the blocked GEMM's 16-row cutoff and its 32-row
  *  chunk; the ranks put the U2 and core products (width = rank) and
  *  the U1 product (depth = rank) on either side of its 24-wide and
@@ -482,12 +482,8 @@ TEST(FusedFactorizedForward, SkinnyInferenceMatchesTrainingChainBitwise)
             const Tensor inference = l.forward(x);
             EXPECT_EQ(tensorArenaStats().allocCount - before, 1)
                 << "rank " << rank << " rows " << rows;
-            Tensor training;
-            {
-                TrainingModeScope scope;
-                training = l.forward(x);
-            }
-            l.clearCache();
+            Tape tape;
+            const Tensor training = l.forward(x, &tape);
             ASSERT_EQ(inference.shape(), training.shape());
             EXPECT_EQ(std::memcmp(inference.data(), training.data(),
                                   static_cast<size_t>(inference.size())

@@ -10,14 +10,13 @@
 
 #include <cmath>
 #include <cstring>
-#include <functional>
 
 #include "dse/activation_aware.h"
 #include "model/attention.h"
 #include "model/mlp.h"
 #include "model/norms.h"
 #include "model/rope.h"
-#include "model/train_mode.h"
+#include "model/tape.h"
 #include "tensor/ops.h"
 
 namespace lrd {
@@ -26,25 +25,24 @@ namespace {
 /**
  * Generic FD gradient check for a module mapping (n, d) -> (n, e).
  * Loss = sum of (output .* weights) for a fixed random weighting, so
- * dLoss/dOutput is that weighting.
+ * dLoss/dOutput is that weighting. One taped forward and one backward
+ * give every analytic gradient; the perturbed forwards run untaped.
  */
-template <typename Forward, typename Backward>
+template <typename Module>
 void
-checkModuleGradients(Forward fwd, Backward bwd,
-                     std::vector<Parameter *> params, const Tensor &x,
-                     double tol = 0.08)
+checkModuleGradients(Module &module, const Tensor &x, double tol = 0.08)
 {
-    const TrainingModeScope training; // forwards keep what bwd reads
     Rng rng(321);
-    Tensor y = fwd(x);
+    Tape tape;
+    Tensor y = module.forward(x, &tape);
     Tensor dY = Tensor::randn(y.shape(), rng);
 
-    for (Parameter *p : params)
-        p->zeroGrad();
-    Tensor dX = bwd(dY);
+    const std::vector<Parameter *> params = module.parameters();
+    Gradients grads(params);
+    Tensor dX = module.backward(dY, tape, grads);
 
     auto lossAt = [&](const Tensor &input) {
-        Tensor out = fwd(input);
+        Tensor out = module.forward(input);
         return dot(out, dY);
     };
 
@@ -69,12 +67,7 @@ checkModuleGradients(Forward fwd, Backward bwd,
         if (std::abs(numeric - analytic) / scale > tol)
             ++failed;
     }
-    // Re-run forward/backward to restore caches, then check parameter
-    // gradients.
-    (void)fwd(x);
-    for (Parameter *p : params)
-        p->zeroGrad();
-    (void)bwd(dY);
+    // Check parameter gradients.
     for (Parameter *p : params) {
         for (int s = 0; s < 4; ++s) {
             const auto i = static_cast<int64_t>(
@@ -87,7 +80,7 @@ checkModuleGradients(Forward fwd, Backward bwd,
             const double down = lossAt(x);
             p->value[i] = orig;
             const double numeric = (up - down) / (2.0 * eps);
-            const double analytic = p->grad[i];
+            const double analytic = grads.of(*p)[i];
             const double scale =
                 std::max({std::abs(numeric), std::abs(analytic), 1e-3});
             ++checked;
@@ -104,10 +97,7 @@ TEST(LayerGrad, RmsNorm)
     Rng rng(1);
     RmsNorm norm(12, "t");
     Tensor x = Tensor::randn({5, 12}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return norm.forward(in); },
-        [&](const Tensor &dy) { return norm.backward(dy); },
-        norm.parameters(), x);
+    checkModuleGradients(norm, x);
 }
 
 TEST(LayerGrad, LayerNorm)
@@ -115,10 +105,7 @@ TEST(LayerGrad, LayerNorm)
     Rng rng(2);
     LayerNorm norm(10, "t");
     Tensor x = Tensor::randn({4, 10}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return norm.forward(in); },
-        [&](const Tensor &dy) { return norm.backward(dy); },
-        norm.parameters(), x);
+    checkModuleGradients(norm, x);
 }
 
 TEST(LayerGrad, LinearDenseWithBias)
@@ -126,10 +113,7 @@ TEST(LayerGrad, LinearDenseWithBias)
     Rng rng(3);
     Linear lin(7, 9, true, "t", &rng);
     Tensor x = Tensor::randn({4, 9}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return lin.forward(in); },
-        [&](const Tensor &dy) { return lin.backward(dy); },
-        lin.parameters(), x);
+    checkModuleGradients(lin, x);
 }
 
 TEST(LayerGrad, LinearFactorized)
@@ -138,10 +122,7 @@ TEST(LayerGrad, LinearFactorized)
     Linear lin(8, 10, false, "t", &rng);
     ASSERT_TRUE(lin.factorize(3).ok());
     Tensor x = Tensor::randn({5, 10}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return lin.forward(in); },
-        [&](const Tensor &dy) { return lin.backward(dy); },
-        lin.parameters(), x);
+    checkModuleGradients(lin, x);
 }
 
 TEST(LayerGrad, SwigluMlp)
@@ -150,10 +131,7 @@ TEST(LayerGrad, SwigluMlp)
     ModelConfig cfg = testLlamaConfig();
     Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return mlp.forward(in); },
-        [&](const Tensor &dy) { return mlp.backward(dy); },
-        mlp.parameters(), x);
+    checkModuleGradients(mlp, x);
 }
 
 TEST(LayerGrad, GeluMlp)
@@ -162,10 +140,7 @@ TEST(LayerGrad, GeluMlp)
     ModelConfig cfg = testBertConfig();
     Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return mlp.forward(in); },
-        [&](const Tensor &dy) { return mlp.backward(dy); },
-        mlp.parameters(), x);
+    checkModuleGradients(mlp, x);
 }
 
 TEST(LayerGrad, CausalAttentionWithRope)
@@ -174,10 +149,7 @@ TEST(LayerGrad, CausalAttentionWithRope)
     ModelConfig cfg = testLlamaConfig();
     MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return attn.forward(in); },
-        [&](const Tensor &dy) { return attn.backward(dy); },
-        attn.parameters(), x);
+    checkModuleGradients(attn, x);
 }
 
 TEST(LayerGrad, BidirectionalAttention)
@@ -186,10 +158,7 @@ TEST(LayerGrad, BidirectionalAttention)
     ModelConfig cfg = testBertConfig();
     MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return attn.forward(in); },
-        [&](const Tensor &dy) { return attn.backward(dy); },
-        attn.parameters(), x);
+    checkModuleGradients(attn, x);
 }
 
 TEST(Norms, RmsNormOutputHasUnitRms)

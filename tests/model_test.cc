@@ -10,7 +10,6 @@
 
 #include <cmath>
 
-#include "model/train_mode.h"
 #include "model/transformer.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -151,39 +150,6 @@ TEST(Linear, WeightAccessorFatalWhenFactorized)
     ASSERT_TRUE(l.factorize(1).ok());
     EXPECT_THROW(l.weight(), std::runtime_error);
     EXPECT_THROW(l.factorize(1), std::runtime_error);
-}
-
-TEST(Linear, InferenceForwardKeepsNoInput)
-{
-    const int64_t rows = 8;
-    for (bool factorized : {false, true}) {
-        Rng rng(6);
-        Linear l(6, 5, true, "t", &rng);
-        if (factorized) {
-            ASSERT_TRUE(l.factorize(2).ok());
-        }
-        const Tensor x = Tensor::randn({rows, 5}, rng);
-        const Tensor dy = Tensor::randn({rows, 6}, rng);
-
-        // Outside a TrainingModeScope nothing is kept for backward().
-        (void)l.forward(x);
-        EXPECT_EQ(l.lastInput().rank(), 0);
-        EXPECT_THROW(l.backward(dy), std::runtime_error);
-
-        // An inference forward drops what a training forward kept.
-        {
-            const TrainingModeScope training;
-            (void)l.forward(x);
-        }
-        EXPECT_EQ(l.lastInput().rank(), 2);
-        (void)l.forward(x);
-        EXPECT_EQ(l.lastInput().rank(), 0);
-        EXPECT_THROW(l.backward(dy), std::runtime_error);
-
-        const TrainingModeScope training;
-        (void)l.forward(x);
-        EXPECT_EQ(l.backward(dy).shape(), x.shape());
-    }
 }
 
 TEST(Model, ForwardShapeAndFiniteness)
@@ -386,11 +352,12 @@ TEST(Gqa, GradientsFlowThroughGroupedHeads)
     std::vector<int> targets = shiftTargets(toks);
     const double initial = m.loss(toks, targets);
     double last = initial;
+    Gradients grads(m.parameters());
     for (int step = 0; step < 10; ++step) {
-        m.zeroGrad();
-        last = m.lossAndGrad(toks, targets);
+        grads.zero();
+        last = m.lossAndGrad(toks, targets, grads);
         for (Parameter *p : m.parameters())
-            axpy(p->value, -0.05F, p->grad);
+            axpy(p->value, -0.05F, grads.of(*p));
     }
     EXPECT_LT(last, initial - 0.05);
 }
@@ -422,11 +389,12 @@ TEST(Model, LossDecreasesUnderSgd)
         std::vector<int> targets = shiftTargets(toks);
         const double initial = m.loss(toks, targets);
         double last = initial;
+        Gradients grads(m.parameters());
         for (int step = 0; step < 10; ++step) {
-            m.zeroGrad();
-            last = m.lossAndGrad(toks, targets);
+            grads.zero();
+            last = m.lossAndGrad(toks, targets, grads);
             for (Parameter *p : m.parameters())
-                axpy(p->value, -0.05F, p->grad);
+                axpy(p->value, -0.05F, grads.of(*p));
         }
         EXPECT_LT(last, initial - 0.05) << cfg.name;
     }
@@ -459,8 +427,8 @@ TEST_P(GradCheck, AnalyticMatchesNumeric)
     TokenSeq toks = randomTokens(cfg, 8, rng);
     std::vector<int> targets = shiftTargets(toks);
 
-    m.zeroGrad();
-    m.lossAndGrad(toks, targets);
+    Gradients grads(m.parameters());
+    m.lossAndGrad(toks, targets, grads);
 
     int checked = 0, failed = 0;
     for (Parameter *p : m.parameters()) {
@@ -476,7 +444,7 @@ TEST_P(GradCheck, AnalyticMatchesNumeric)
             const double down = m.loss(toks, targets);
             p->value[idx] = orig;
             const double numeric = (up - down) / (2.0 * eps);
-            const double analytic = p->grad[idx];
+            const double analytic = grads.of(*p)[idx];
             const double scale =
                 std::max({std::abs(numeric), std::abs(analytic), 1e-4});
             ++checked;
@@ -502,8 +470,8 @@ TEST(GradCheckFactorized, AnalyticMatchesNumeric)
     TokenSeq toks = randomTokens(cfg, 8, rng);
     std::vector<int> targets = shiftTargets(toks);
 
-    m.zeroGrad();
-    m.lossAndGrad(toks, targets);
+    Gradients grads(m.parameters());
+    m.lossAndGrad(toks, targets, grads);
 
     int checked = 0, failed = 0;
     for (Parameter *p : m.parameters()) {
@@ -522,7 +490,7 @@ TEST(GradCheckFactorized, AnalyticMatchesNumeric)
             const double down = m.loss(toks, targets);
             p->value[idx] = orig;
             const double numeric = (up - down) / (2.0 * eps);
-            const double analytic = p->grad[idx];
+            const double analytic = grads.of(*p)[idx];
             const double scale =
                 std::max({std::abs(numeric), std::abs(analytic), 1e-4});
             ++checked;

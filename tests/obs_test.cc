@@ -283,6 +283,22 @@ TEST(Metrics, PerLaneBreakdownSumsToTotal)
     EXPECT_TRUE(found);
 }
 
+/** ThreadPool::workerIndex() names the lane a chunk runs on: 0 for
+ *  the posting thread, 1..numThreads()-1 for the pool's workers. */
+TEST(Metrics, WorkerIndexNamesAPoolLane)
+{
+    ThreadPool::instance().resize(4);
+    EXPECT_EQ(ThreadPool::workerIndex(), 0);
+    std::vector<int> lanes(64, -1);
+    parallelFor(0, 64, 1, [&](int64_t lo, int64_t) {
+        lanes[static_cast<size_t>(lo)] = ThreadPool::workerIndex();
+    });
+    for (const int lane : lanes) {
+        EXPECT_GE(lane, 0);
+        EXPECT_LT(lane, 4);
+    }
+}
+
 TEST(Metrics, PoolChunkCounterMatchesPartitioning)
 {
     ObsStateGuard guard;

@@ -13,6 +13,7 @@
 #include "model/transformer.h"
 #include "tensor/ops.h"
 #include "util/cache.h"
+#include "util/memprobe.h"
 
 namespace lrd {
 namespace {
@@ -120,6 +121,22 @@ TEST(Serialization, GqaConfigSurvivesRoundTrip)
     Rng rng(1);
     TokenSeq toks = {1, 2, 3, 4};
     EXPECT_LT(relativeError(m.forward(toks), m2.forward(toks)), 1e-7);
+}
+
+/** A model holds its weights and nothing else: the tensor bytes a
+ *  deserialize of tiny-llama allocates are its parameter bytes, to
+ *  within 1% (a model that also kept a gradient per weight took 2x). */
+TEST(Serialization, DeserializeAllocatesOnlyTheWeights)
+{
+    const std::vector<uint8_t> bytes =
+        TransformerModel(tinyLlamaConfig(), 3).serialize();
+    const int64_t before = tensorArenaStats().allocBytes;
+    const TransformerModel m = TransformerModel::deserialize(bytes);
+    const int64_t allocated = tensorArenaStats().allocBytes - before;
+    const auto weights =
+        static_cast<double>(m.paramCount() * sizeof(float));
+    EXPECT_GE(static_cast<double>(allocated), weights);
+    EXPECT_LE(static_cast<double>(allocated), 1.01 * weights);
 }
 
 TEST(Serialization, HostileLengthFieldsAreRejected)

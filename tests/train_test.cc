@@ -257,12 +257,13 @@ TEST(Adam, ConvergesOnQuadratic)
     opts.lr = 0.05;
     opts.weightDecay = 0.0;
     AdamW adam({&p}, opts);
+    Gradients grads({&p});
     EXPECT_EQ(adam.stepCount(), 0);
     for (int step = 0; step < 400; ++step) {
-        p.zeroGrad();
         for (int64_t i = 0; i < 4; ++i)
-            p.grad[i] = 2.0F * (p.value[i] - target[static_cast<size_t>(i)]);
-        adam.step();
+            grads.of(p)[i] =
+                2.0F * (p.value[i] - target[static_cast<size_t>(i)]);
+        adam.step(grads);
     }
     for (int64_t i = 0; i < 4; ++i)
         EXPECT_NEAR(p.value[i], target[static_cast<size_t>(i)], 0.05);
@@ -280,8 +281,9 @@ TEST(Adam, ClippingBoundsUpdateMagnitude)
     AdamOptions opts;
     opts.clipNorm = 1.0;
     AdamW adam({&p}, opts);
-    p.grad[0] = 1e6F;
-    adam.step();
+    Gradients grads({&p});
+    grads.of(p)[0] = 1e6F;
+    adam.step(grads);
     EXPECT_GT(adam.lastGradNorm(), 1e5);
     EXPECT_LT(std::abs(p.value[0]), 0.1F); // one lr-scale step at most
 }

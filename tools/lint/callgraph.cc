@@ -190,14 +190,9 @@ RepoGraph::seedHotRoots()
                              HotMark{{}, "SIMD microkernel module"});
                 continue;
             }
-            if (fi.isLambda) {
-                const std::string target = bareName(fi.passedTo);
-                if (target == "parallelFor"
-                    || target == "parallelForChunks")
-                    hot_.emplace(
-                        ref, HotMark{{}, "chunk body passed to "
-                                             + target});
-            }
+            if (fi.isLambda && bareName(fi.passedTo) == "parallelFor")
+                hot_.emplace(ref,
+                             HotMark{{}, "chunk body passed to parallelFor"});
         }
     }
 }

@@ -208,8 +208,7 @@ checkFpOrder(const RepoGraph &graph, std::vector<Diagnostic> &out)
         for (const FunctionInfo &fi : sum.functions) {
             if (!fi.isLambda)
                 continue;
-            const std::string target = bareName(fi.passedTo);
-            if (target != "parallelFor" && target != "parallelForChunks")
+            if (bareName(fi.passedTo) != "parallelFor")
                 continue;
             for (const FpWrite &w : fi.fpWrites) {
                 // Chunk-local accumulators are serial within their
