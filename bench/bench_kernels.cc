@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <thread>
 #include <tuple>
 
 #include "decomp/tucker.h"
@@ -18,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "serve/server.h"
 #include "serve/workload.h"
 #include "tensor/ops.h"
@@ -138,36 +136,6 @@ BM_GemmTraceOn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmTraceOn)->Arg(256);
-
-/** Thread-scaling sweep: same 256x256x256 GEMM at a fixed pool size.
- *  The pool is resized outside the timed region; results must be
- *  bitwise identical at every point (see determinism_test). */
-void
-BM_GemmThreads(benchmark::State &state)
-{
-    const int threads = static_cast<int>(state.range(0));
-    static const int restoreThreads = ThreadPool::instance().numThreads();
-    ThreadPool::instance().resize(threads);
-    const int64_t n = 256;
-    Rng rng(13);
-    Tensor a = Tensor::randn({n, n}, rng);
-    Tensor b = Tensor::randn({n, n}, rng);
-    for (auto _ : state) {
-        Tensor c = matmul(a, b);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-    ThreadPool::instance().resize(restoreThreads);
-}
-void
-threadSweepArgs(benchmark::internal::Benchmark *b)
-{
-    b->Arg(1)->Arg(2)->Arg(4);
-    const int hw = hardwareConcurrency();
-    if (hw > 4)
-        b->Arg(hw);
-}
-BENCHMARK(BM_GemmThreads)->Apply(threadSweepArgs);
 
 /** Same 256^3 GEMM pinned to each microkernel level this host can
  *  run (arg = simd::Level). items/s / 1e9 = G MACs/s; the ratio
@@ -448,7 +416,7 @@ BM_TrainerStep(benchmark::State &state)
         benchmark::DoNotOptimize(loss);
     }
 }
-BENCHMARK(BM_TrainerStep);
+BENCHMARK(BM_TrainerStep)->UseRealTime();
 
 void
 BM_ServeThroughput(benchmark::State &state)
@@ -475,7 +443,7 @@ BM_ServeThroughput(benchmark::State &state)
     }
     state.SetItemsProcessed(responded);
 }
-BENCHMARK(BM_ServeThroughput);
+BENCHMARK(BM_ServeThroughput)->UseRealTime();
 
 void
 BM_ServeP99(benchmark::State &state)
@@ -506,7 +474,7 @@ BM_ServeP99(benchmark::State &state)
     state.SetItemsProcessed(responded);
     state.counters["p99_latency_ticks"] = p99;
 }
-BENCHMARK(BM_ServeP99);
+BENCHMARK(BM_ServeP99)->UseRealTime();
 
 } // namespace
 } // namespace lrd

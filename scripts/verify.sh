@@ -2,12 +2,14 @@
 # Tier-1 verification: clean Release build + full ctest, the lrd-lint
 # static-analysis gate, a ThreadSanitizer build that re-runs the
 # determinism + observability suites, a UBSan build of the same two
-# suites plus the GEMM suites (signed overflow / misaligned loads in
-# the packed and skinny GEMM kernels would surface here), and an ASan
-# build of the fault-tolerance suites (checkpoint I/O and injected
-# alloc failures exercise error paths where leaks and overreads hide),
-# the model and train suites (shape-only deserialize, caller-owned
-# tapes and gradient buffers) and the GEMM suites (the skinny kernel's reads up to B's last row).
+# suites plus the GEMM and linalg suites (signed overflow / misaligned
+# loads in the packed and skinny GEMM kernels and the Jacobi rotations
+# would surface here), and an ASan build of the fault-tolerance suites
+# (checkpoint I/O and injected alloc failures exercise error paths
+# where leaks and overreads hide), the model and train suites
+# (shape-only deserialize, caller-owned tapes and gradient buffers),
+# the GEMM suites (the skinny kernel's reads up to B's last row) and
+# the linalg suite (the Jacobi rotation helpers' raw-pointer walks).
 # clang-tidy (curated subset, WarningsAsErrors) blocks when the tool
 # is installed and is skipped loudly when it is not.
 #
@@ -76,23 +78,25 @@ cmake --build build-tsan -j --target determinism_test obs_test serve_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/serve_test
 
-echo "== UBSan: determinism + obs + GEMM suites under -fsanitize=undefined =="
+echo "== UBSan: determinism + obs + GEMM + linalg suites under -fsanitize=undefined =="
 # gemm_reference_test and tensor_test run the skinny gemmTransB
 # kernel's whole-vector loads over k blocks, k tails and partial
-# output groups; they run under ASan below too.
+# output groups, linalg_test the Jacobi rotation helpers' raw-pointer
+# walks; they run under ASan below too.
 cmake -B build-ubsan -S . -DLRD_SANITIZE=undefined
 cmake --build build-ubsan -j --target determinism_test obs_test \
-    gemm_reference_test tensor_test
+    gemm_reference_test tensor_test linalg_test
 ./build-ubsan/tests/determinism_test
 ./build-ubsan/tests/obs_test
 ./build-ubsan/tests/gemm_reference_test
 ./build-ubsan/tests/tensor_test
+./build-ubsan/tests/linalg_test
 
-echo "== ASan: robust + resume + cancel + serve + model + train + GEMM suites under -fsanitize=address =="
+echo "== ASan: robust + resume + cancel + serve + model + train + GEMM + linalg suites under -fsanitize=address =="
 cmake -B build-asan -S . -DLRD_SANITIZE=address
 cmake --build build-asan -j --target robust_test resume_test cancel_test \
     serve_test model_test session_test serialization_test layers_test \
-    train_test gemm_reference_test tensor_test
+    train_test gemm_reference_test tensor_test linalg_test
 ./build-asan/tests/robust_test
 ./build-asan/tests/resume_test
 ./build-asan/tests/cancel_test
@@ -104,5 +108,6 @@ cmake --build build-asan -j --target robust_test resume_test cancel_test \
 ./build-asan/tests/train_test
 ./build-asan/tests/gemm_reference_test
 ./build-asan/tests/tensor_test
+./build-asan/tests/linalg_test
 
 echo "verify: OK"

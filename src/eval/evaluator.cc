@@ -139,10 +139,10 @@ solveGen(const TransformerModel &model, const World &world,
 }
 
 /**
- * Run fn(i) for i in [0, n) across the global thread pool. Items are
- * independent, so any fixed item partition yields identical results.
- * One item stays outside a parallel region, where its own GEMMs and
- * attention heads fan out.
+ * Run fn(i) for i in [0, n) across the global thread pool, one item a
+ * chunk; each item's forwards run serially on the worker that takes
+ * it. Items are independent, so any fixed item partition yields
+ * identical results.
  */
 template <class Fn>
 void
@@ -150,18 +150,12 @@ forEachItemParallel(int64_t n, const Fn &fn)
 {
     static Counter *items =
         MetricsRegistry::instance().counter("eval.items");
-    const auto score = [&](int64_t i) {
-        LRD_TRACE_SPAN("eval.item");
-        items->inc();
-        fn(i);
-    };
-    if (n == 1) {
-        score(0);
-        return;
-    }
     parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            score(i);
+        for (int64_t i = lo; i < hi; ++i) {
+            LRD_TRACE_SPAN("eval.item");
+            items->inc();
+            fn(i);
+        }
     });
 }
 

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "robust/cancel.h"
 #include "robust/fault.h"
 #include "robust/signal.h"
@@ -106,6 +105,39 @@ qrDecompose(const Tensor &a)
     return out;
 }
 
+namespace {
+
+/** Rotate columns p and q of the n x n row-major matrix m by the Jacobi
+ *  rotation (c, s). Kept out of line: inlined into the sweep loop,
+ *  GCC compiles the rotations slower. */
+[[gnu::noinline]] void
+rotateColumns(double *m, int64_t n, int64_t p, int64_t q, double c,
+              double s)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const double mip = m[i * n + p];
+        const double miq = m[i * n + q];
+        m[i * n + p] = c * mip - s * miq;
+        m[i * n + q] = s * mip + c * miq;
+    }
+}
+
+/** Rotate rows p and q of the n x n row-major matrix m by (c, s). */
+[[gnu::noinline]] void
+rotateRows(double *m, int64_t n, int64_t p, int64_t q, double c, double s)
+{
+    double *mp = m + p * n;
+    double *mq = m + q * n;
+    for (int64_t j = 0; j < n; ++j) {
+        const double mpj = mp[j];
+        const double mqj = mq[j];
+        mp[j] = c * mpj - s * mqj;
+        mq[j] = s * mpj + c * mqj;
+    }
+}
+
+} // namespace
+
 EigenResult
 symmetricEigen(const Tensor &s, int maxSweeps)
 {
@@ -187,47 +219,11 @@ symmetricEigen(const Tensor &s, int maxSweeps)
                                     + std::sqrt(theta * theta + 1.0));
                 const double c = 1.0 / std::sqrt(t * t + 1.0);
                 const double sn = t * c;
-                // Rotate rows/cols p and q of A. Each index touches
-                // disjoint elements, so the loops parallelize for
-                // large matrices (the 2048 grain keeps small Jacobi
-                // problems dispatch-free and inline).
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) {
-                        const double aip =
-                            a[static_cast<size_t>(i * n + p)];
-                        const double aiq =
-                            a[static_cast<size_t>(i * n + q)];
-                        a[static_cast<size_t>(i * n + p)] =
-                            c * aip - sn * aiq;
-                        a[static_cast<size_t>(i * n + q)] =
-                            sn * aip + c * aiq;
-                    }
-                });
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t j = lo; j < hi; ++j) {
-                        const double apj =
-                            a[static_cast<size_t>(p * n + j)];
-                        const double aqj =
-                            a[static_cast<size_t>(q * n + j)];
-                        a[static_cast<size_t>(p * n + j)] =
-                            c * apj - sn * aqj;
-                        a[static_cast<size_t>(q * n + j)] =
-                            sn * apj + c * aqj;
-                    }
-                });
-                // Accumulate eigenvectors.
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) {
-                        const double vip =
-                            v[static_cast<size_t>(i * n + p)];
-                        const double viq =
-                            v[static_cast<size_t>(i * n + q)];
-                        v[static_cast<size_t>(i * n + p)] =
-                            c * vip - sn * viq;
-                        v[static_cast<size_t>(i * n + q)] =
-                            sn * vip + c * viq;
-                    }
-                });
+                // Columns p and q of A, then its rows p and q, then
+                // the eigenvector columns.
+                rotateColumns(a.data(), n, p, q, c, sn);
+                rotateRows(a.data(), n, p, q, c, sn);
+                rotateColumns(v.data(), n, p, q, c, sn);
             }
         }
         ++sweepsDone;

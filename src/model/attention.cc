@@ -5,25 +5,11 @@
 #include <vector>
 
 #include "model/tape.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace lrd {
-
-namespace {
-
-Counter *
-headsProcessedCounter()
-{
-    static Counter *c =
-        MetricsRegistry::instance().counter("attn.headsProcessed");
-    return c;
-}
-
-} // namespace
 
 MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
                                        int64_t layerIdx, Rng *rng)
@@ -70,12 +56,8 @@ MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
     Tensor probsAll({nHeads_, t, t});
     Tensor ctx({t, dModel_});
 
-    // Heads write disjoint probs planes and disjoint ctx column
-    // slices, so the per-head loop parallelizes deterministically.
     const int64_t group = nHeads_ / kvHeads_;
-    parallelFor(0, nHeads_, 1, [&](int64_t h0, int64_t h1) {
-    headsProcessedCounter()->add(h1 - h0);
-    for (int64_t h = h0; h < h1; ++h) {
+    for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
         float *probs = probsAll.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
@@ -112,7 +94,6 @@ MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
             }
         }
     }
-    });
     if (tape != nullptr)
         tape->record(this, std::move(q), std::move(k), std::move(v),
                      std::move(probsAll));
@@ -139,14 +120,11 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
     Tensor dk({t, kvDim_});
     Tensor dv({t, kvDim_});
 
-    // Heads within a KV group accumulate into the same dk/dv columns,
-    // so the group (not the head) is the parallel unit; heads inside a
-    // group run in ascending order, matching the serial accumulation.
+    // Heads within a KV group accumulate into the same dk/dv columns
+    // in ascending head order.
     const int64_t group = nHeads_ / kvHeads_;
-    parallelFor(0, kvHeads_, 1, [&](int64_t kv0, int64_t kv1) {
-    headsProcessedCounter()->add((kv1 - kv0) * group);
     std::vector<float> dprow(static_cast<size_t>(t));
-    for (int64_t h = kv0 * group; h < kv1 * group; ++h) {
+    for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
         const float *probs = probsAll.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
@@ -184,7 +162,6 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
             }
         }
     }
-    });
 
     // Invert RoPE on the gradients (rotation is orthogonal).
     if (rope_ != nullptr) {
@@ -234,10 +211,8 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor ctx({n, dModel_});
     const int64_t group = nHeads_ / kvHeads_;
-    parallelFor(0, nHeads_, 1, [&](int64_t h0, int64_t h1) {
-    headsProcessedCounter()->add(h1 - h0);
     std::vector<float> scores(static_cast<size_t>(cache.len));
-    for (int64_t h = h0; h < h1; ++h) {
+    for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
         for (int64_t i = 0; i < n; ++i) {
             const int64_t absPos = start + i;
@@ -271,7 +246,6 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
             }
         }
     }
-    });
     return wso_->forward(ctx);
 }
 

@@ -14,6 +14,9 @@
  *   count.
  * - Nested parallelFor() calls run inline and serially on the calling
  *   thread; only the outermost region fans out.
+ * - Only item loops open a region (evaluator items, the serve batch,
+ *   DSE candidates, FactorBank slots, trainer batch items); kernels
+ *   and layers run serially inside the item that calls them.
  * - There is no work stealing and no dynamic splitting: chunks are
  *   handed out from a shared cursor, so which *thread* runs a chunk
  *   is nondeterministic, but what the chunk *computes* is not.

@@ -56,13 +56,9 @@ Batcher::execute(const std::vector<ServeRequest> &batch, bool useFallback,
                                  "non-finite continuation score");
     };
 
-    // A batch of one stays outside a parallel region, where its own
-    // GEMMs and attention heads fan out.
+    // The batch's items are the parallel region; each item's forward
+    // runs serially on the worker that takes it.
     const auto n = static_cast<int64_t>(batch.size());
-    if (n == 1) {
-        scoreItem(0);
-        return;
-    }
     parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             scoreItem(i);

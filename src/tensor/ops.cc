@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "tensor/simd/pack.h"
 #include "tensor/simd/simd.h"
 #include "util/logging.h"
@@ -81,47 +80,27 @@ checkMatrix(const Tensor &a, const char *what)
  * Blocked GEMM with packing, shared by all three transpose variants.
  *
  * The driver follows the classic GotoBLAS/BLIS loop structure: the k
- * dimension is split into KC-deep slabs whose B panel is packed once
- * (by the posting thread), then row panels of A are packed and
- * multiplied by an MR x NR register-tile micro-kernel. Packing and
- * tile geometry live in tensor/simd/pack.h; the inner kernel is the
- * runtime-dispatched entry from tensor/simd/simd.h (scalar always
- * available, AVX2/AVX-512/NEON when the CPU supports them, pinnable
- * with LRD_SIMD).
+ * dimension is split into KC-deep slabs whose B panel is packed once,
+ * then MC-row blocks of A are packed and multiplied by an MR x NR
+ * register-tile micro-kernel. Packing and tile geometry live in
+ * tensor/simd/pack.h; the inner kernel is the runtime-dispatched entry
+ * from tensor/simd/simd.h (scalar always available, AVX2/AVX-512/NEON
+ * when the CPU supports them, pinnable with LRD_SIMD).
  *
- * Determinism: every C element is produced by exactly one fixed row
- * chunk, k slabs are visited in a fixed serial order, and the chunk
- * partitioning depends only on the shape — so for a fixed LRD_SIMD
- * level results are bitwise identical at any thread count. There is
- * deliberately NO zero-skip (the old kernels dropped `0 * NaN`
- * contributions); padded pack lanes only ever feed accumulator
- * entries that are discarded.
+ * A call runs on its caller's thread: the item loops that call it are
+ * the parallel regions (docs/ARCHITECTURE.md, "Threading model").
+ * Every C element is the k-ordered sum of its tile, slabs are visited
+ * in a fixed order, so for a fixed LRD_SIMD level the result depends
+ * on the shape alone. There is deliberately NO zero-skip (the old
+ * kernels dropped `0 * NaN` contributions); padded pack lanes only
+ * ever feed accumulator entries that are discarded.
  */
 
 using simd::kKc;
+using simd::kMc;
 using simd::kMr;
 using simd::kNc;
 using simd::kNr;
-using simd::kRowChunk;
-
-/**
- * One k-slab of a blockedGemm call: its row chunks share it through one
- * captured reference, which keeps parallelFor's std::function in its
- * small buffer (a [&] capture of these would not fit and allocate on
- * every slab).
- */
-struct SlabArgs
-{
-    simd::MicroKernelFn kernel;
-    const float *a;
-    int64_t lda;
-    bool transA;
-    const float *bpack; ///< The slab's packed B panels, read-only.
-    float *c;
-    int64_t m, n;
-    int64_t jc, nc, pc, kc;
-    bool addInto;
-};
 
 /**
  * Blocked driver over raw storage: logical A is m x k with A(i, p) =
@@ -134,54 +113,45 @@ blockedGemm(const float *a, int64_t lda, bool transA, const float *b,
             int64_t n, bool accumulate)
 {
     const simd::MicroKernelFn kernel = simd::activeKernels().microKernel;
-    const int64_t ncPadMax =
-        std::min((n + kNr - 1) / kNr * kNr, kNc);
-    // One slab's B pack, sized to the deepest slab this call packs and
-    // never cleared: packBPanels writes every lane, padding included.
-    // It is the posting thread's; the row chunks, which may run on
-    // other threads, reach it through SlabArgs::bpack.
+    const int64_t kcMax = std::min(kKc, k);
+    const int64_t ncPadMax = std::min((n + kNr - 1) / kNr * kNr, kNc);
+    // One slab's B pack and one A block, sized to the deepest slab this
+    // call packs and never cleared: the pack routines write every lane,
+    // padding included.
     thread_local std::vector<float> bpack;
+    thread_local std::vector<float> apack;
     // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest slab a thread packs, reused after
-    bpack.resize(static_cast<size_t>(std::min(kKc, k) * ncPadMax));
-    const int64_t rowChunks = (m + kRowChunk - 1) / kRowChunk;
+    bpack.resize(static_cast<size_t>(kcMax * ncPadMax));
+    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the deepest A block a thread packs, reused after
+    apack.resize(static_cast<size_t>(kMc * kcMax));
 
     for (int64_t jc = 0; jc < n; jc += kNc) {
         const int64_t nc = std::min(kNc, n - jc);
         for (int64_t pc = 0; pc < k; pc += kKc) {
             const int64_t kc = std::min(kKc, k - pc);
-            // B pack is shared read-only by all row chunks.
+            const bool addInto = accumulate || pc > 0;
             simd::packBPanels(b, ldb, transB, pc, jc, kc, nc, bpack.data());
             gemmCounters().packedBytesB->add(
                 (nc + kNr - 1) / kNr * kNr * kc
                 * static_cast<int64_t>(sizeof(float)));
-            const SlabArgs s{kernel, a, lda, transA, bpack.data(), c, m, n,
-                             jc, nc, pc, kc, accumulate || pc > 0};
-
-            parallelFor(0, rowChunks, 1, [&s](int64_t c0, int64_t c1) {
-                thread_local std::vector<float> apack;
-                // lrd-lint: allow(hot-path-alloc) thread_local scratch: sized on each thread's first chunk, reused after
-                apack.resize(static_cast<size_t>(kRowChunk * s.kc));
-                for (int64_t rc = c0; rc < c1; ++rc) {
-                    const int64_t ic = rc * kRowChunk;
-                    const int64_t mc = std::min(kRowChunk, s.m - ic);
-                    simd::packAPanels(s.a, s.lda, s.transA, ic, s.pc, mc,
-                                      s.kc, apack.data());
-                    gemmCounters().packedBytesA->add(
-                        (mc + kMr - 1) / kMr * kMr * s.kc
-                        * static_cast<int64_t>(sizeof(float)));
-                    for (int64_t jr = 0; jr < s.nc; jr += kNr) {
-                        const float *bp = s.bpack + (jr / kNr) * kNr * s.kc;
-                        const int64_t nr = std::min(kNr, s.nc - jr);
-                        for (int64_t ir = 0; ir < mc; ir += kMr) {
-                            const float *ap =
-                                apack.data() + (ir / kMr) * kMr * s.kc;
-                            s.kernel(ap, bp, s.kc,
-                                     s.c + (ic + ir) * s.n + s.jc + jr, s.n,
-                                     std::min(kMr, mc - ir), nr, s.addInto);
-                        }
+            for (int64_t ic = 0; ic < m; ic += kMc) {
+                const int64_t mc = std::min(kMc, m - ic);
+                simd::packAPanels(a, lda, transA, ic, pc, mc, kc,
+                                  apack.data());
+                gemmCounters().packedBytesA->add(
+                    (mc + kMr - 1) / kMr * kMr * kc
+                    * static_cast<int64_t>(sizeof(float)));
+                for (int64_t jr = 0; jr < nc; jr += kNr) {
+                    const float *bp = bpack.data() + (jr / kNr) * kNr * kc;
+                    const int64_t nr = std::min(kNr, nc - jr);
+                    for (int64_t ir = 0; ir < mc; ir += kMr) {
+                        const float *ap =
+                            apack.data() + (ir / kMr) * kMr * kc;
+                        kernel(ap, bp, kc, c + (ic + ir) * n + jc + jr, n,
+                               std::min(kMr, mc - ir), nr, addInto);
                     }
                 }
-            });
+            }
         }
     }
 }
@@ -202,8 +172,8 @@ useBlockedGemm(int64_t m, int64_t k, int64_t n)
  * as lane[l] + lane[l + 8], lane[l] + lane[l + 4] and
  * (lane[0] + lane[2]) + (lane[1] + lane[3]). GCC and Clang contract
  * each multiply-add to FMA exactly when this file's -march has FMA, so
- * the result follows the build's flags and not LRD_SIMD. m, n, an
- * output's place in its group and the chunking never change a bit.
+ * the result follows the build's flags and not LRD_SIMD. m, n and an
+ * output's place in its group never change a bit.
  *
  * The vectors are GCC/Clang vector extensions that never cross a
  * function boundary: passing a 64-byte vector by value changes ABI
@@ -349,38 +319,26 @@ laneMajorDots(const float *a, int64_t m, const float *b, int64_t k,
     }
 }
 
-/** The operands of one gemm call, which the chunks of its skinny
- *  fallback share through one captured reference: that keeps
- *  parallelFor's std::function in its small buffer, where a [&]
- *  capture of them would be allocated on the heap on every call. */
-struct GemmArgs
-{
-    const float *a;
-    const float *b;
-    float *c;
-    int64_t m, k, n;
-    bool accumulate;
-};
-
-/** Columns [jlo, jhi) of C; jlo is a multiple of the group size. */
+/** C (m x n) = A (m x k) * B^T, B stored (n x k), one 16-column group
+ *  of C at a time. */
 void
-skinnyTransB(const GemmArgs &g, int64_t jlo, int64_t jhi)
+skinnyTransB(const float *a, const float *b, float *c, int64_t m,
+             int64_t k, int64_t n, bool accumulate)
 {
-    const int64_t k = g.k;
     // The group's dot products, row-major: dots[i][jj] (k < 16 fills
     // every row of A at once, k >= 16 one row at a time).
     thread_local std::vector<float> dots;
     // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the largest m a thread sees, reused after
-    dots.resize(static_cast<size_t>(g.m * kSkinnyGroup));
-    for (int64_t j0 = jlo; j0 < jhi; j0 += kSkinnyGroup) {
+    dots.resize(static_cast<size_t>(m * kSkinnyGroup));
+    for (int64_t j0 = 0; j0 < n; j0 += kSkinnyGroup) {
         const int nj =
-            static_cast<int>(std::min<int64_t>(kSkinnyGroup, jhi - j0));
-        const float *bg = g.b + j0 * k;
+            static_cast<int>(std::min<int64_t>(kSkinnyGroup, n - j0));
+        const float *bg = b + j0 * k;
         if (k < kSkinnyGroup) {
-            laneMajorDots(g.a, g.m, bg, k, nj, dots.data());
+            laneMajorDots(a, m, bg, k, nj, dots.data());
         } else {
-            for (int64_t i = 0; i < g.m; ++i) {
-                const float *x = g.a + i * k;
+            for (int64_t i = 0; i < m; ++i) {
+                const float *x = a + i * k;
                 float *out = dots.data() + i * kSkinnyGroup;
                 if (nj == kSkinnyGroup) {
                     foldedDots<16>(x, bg, k, out);
@@ -404,25 +362,13 @@ skinnyTransB(const GemmArgs &g, int64_t jlo, int64_t jhi)
                     foldedDots<1>(x, bg + done * k, k, out + done);
             }
         }
-        for (int64_t i = 0; i < g.m; ++i) {
-            float *crow = g.c + i * g.n + j0;
+        for (int64_t i = 0; i < m; ++i) {
+            float *crow = c + i * n + j0;
             const float *d = dots.data() + i * kSkinnyGroup;
             for (int jj = 0; jj < nj; ++jj)
-                crow[jj] = g.accumulate ? crow[jj] + d[jj] : d[jj];
+                crow[jj] = accumulate ? crow[jj] + d[jj] : d[jj];
         }
     }
-}
-
-/** Iterations per skinny-fallback chunk when one costs `macsPerIter`,
- *  rounded up to a multiple of `multiple`: 2^20 multiply-adds, 50-100
- *  us at the 10-20 G MAC/s these loops run, so a chunk pays for waking
- *  a pool worker (docs/ARCHITECTURE.md, "Threading model"). */
-int64_t
-skinnyGrain(int64_t macsPerIter, int64_t multiple = 1)
-{
-    const int64_t iters = std::max<int64_t>(
-        1, (int64_t{1} << 20) / std::max<int64_t>(1, macsPerIter));
-    return (iters + multiple - 1) / multiple * multiple;
 }
 
 } // namespace
@@ -493,25 +439,21 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
         blockedGemm(a, k, false, b, n, false, c, m, k, n, accumulate);
         return;
     }
-    // Skinny fallback: i-k-j loop order (unit-stride b and c rows),
-    // chunks of columns (m * k each), so even one row can parallelize.
-    const GemmArgs g{a, b, c, m, k, n, accumulate};
-    parallelFor(0, n, skinnyGrain(m * k), [&g](int64_t jlo, int64_t jhi) {
-        for (int64_t i = 0; i < g.m; ++i) {
-            float *crow = g.c + i * g.n;
-            if (!g.accumulate) {
-                for (int64_t j = jlo; j < jhi; ++j)
-                    crow[j] = 0.0F;
-            }
-            const float *arow = g.a + i * g.k;
-            for (int64_t p = 0; p < g.k; ++p) {
-                const float av = arow[p];
-                const float *brow = g.b + p * g.n;
-                for (int64_t j = jlo; j < jhi; ++j)
-                    crow[j] += av * brow[j];
-            }
+    // Skinny fallback: i-k-j loop order (unit-stride b and c rows).
+    for (int64_t i = 0; i < m; ++i) {
+        float *crow = c + i * n;
+        if (!accumulate) {
+            for (int64_t j = 0; j < n; ++j)
+                crow[j] = 0.0F;
         }
-    });
+        const float *arow = a + i * k;
+        for (int64_t p = 0; p < k; ++p) {
+            const float av = arow[p];
+            const float *brow = b + p * n;
+            for (int64_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
 }
 
 void
@@ -525,13 +467,7 @@ gemmTransB(const float *a, const float *b, float *c, int64_t m, int64_t k,
         blockedGemm(a, k, false, b, k, true, c, m, k, n, accumulate);
         return;
     }
-    // Skinny fallback, parallel over output columns (m * k each). The
-    // chunks hold whole 16-output groups.
-    const GemmArgs args{a, b, c, m, k, n, accumulate};
-    parallelFor(0, n, skinnyGrain(m * k, kSkinnyGroup),
-                [&args](int64_t jlo, int64_t jhi) {
-                    skinnyTransB(args, jlo, jhi);
-                });
+    skinnyTransB(a, b, c, m, k, n, accumulate);
 }
 
 void
@@ -547,26 +483,22 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
         blockedGemm(a, k, true, b, n, false, c, k, m, n, accumulate);
         return;
     }
-    // Skinny fallback: parallel over the rows of c (m * n each), so
-    // every output element is owned by exactly one chunk.
-    const GemmArgs g{a, b, c, m, k, n, accumulate};
-    parallelFor(0, k, skinnyGrain(m * n), [&g](int64_t plo, int64_t phi) {
-        if (!g.accumulate) {
-            for (int64_t p = plo; p < phi; ++p)
-                for (int64_t j = 0; j < g.n; ++j)
-                    g.c[p * g.n + j] = 0.0F;
+    // Skinny fallback: rows of c accumulate in ascending i.
+    if (!accumulate) {
+        for (int64_t p = 0; p < k; ++p)
+            for (int64_t j = 0; j < n; ++j)
+                c[p * n + j] = 0.0F;
+    }
+    for (int64_t i = 0; i < m; ++i) {
+        const float *arow = a + i * k;
+        const float *brow = b + i * n;
+        for (int64_t p = 0; p < k; ++p) {
+            const float av = arow[p];
+            float *crow = c + p * n;
+            for (int64_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
         }
-        for (int64_t i = 0; i < g.m; ++i) {
-            const float *arow = g.a + i * g.k;
-            const float *brow = g.b + i * g.n;
-            for (int64_t p = plo; p < phi; ++p) {
-                const float av = arow[p];
-                float *crow = g.c + p * g.n;
-                for (int64_t j = 0; j < g.n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
+    }
 }
 
 Tensor

@@ -41,11 +41,12 @@ Tensor transpose2d(const Tensor &a);
 /** @name Raw-pointer GEMM kernels used by hot paths
  *  C (m x n) = A (m x k) * B (k x n), with accumulate option.
  *
- *  Cache-blocked, packed, and parallelized over fixed row chunks of
- *  the global thread pool; shapes under 16 rows, 24 columns or a depth
- *  of 8 take unpacked loops instead, which follow the build's -march
- *  rather than LRD_SIMD. Results are bitwise identical at any
- *  LRD_THREADS setting. IEEE special values propagate (no zero-skip).
+ *  Cache-blocked and packed; shapes under 16 rows, 24 columns or a
+ *  depth of 8 take unpacked loops instead, which follow the build's
+ *  -march rather than LRD_SIMD. Each call runs on its caller's thread
+ *  and never opens a pool region, so results depend on the shape alone
+ *  and are bitwise identical at any LRD_THREADS setting. IEEE special
+ *  values propagate (no zero-skip).
  *  @{
  */
 void gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,

@@ -5,6 +5,7 @@
  * Tile geometry (floats) shared by every microkernel level:
  *
  *   kMr x kNr  register tile   (8 x 48: 24 AVX-512 / 6x 8-wide rows)
+ *   kMc        A-block height  (rows of A packed at once)
  *   kKc        k-slab depth    (A panel stays resident in L2)
  *   kNc        n-slab width    (B pack stays resident in LLC)
  *
@@ -13,8 +14,9 @@
  * kNr-wide panels. Both zero-pad partial panels, which keeps the
  * microkernel branch-free; padded lanes only ever feed accumulator
  * entries that are discarded on store. The blocked driver
- * (tensor/ops.cc) packs B once per slab and A once per row chunk on
- * every call; no operand stays packed between calls.
+ * (tensor/ops.cc) packs B once per slab and A once per kMc-row block
+ * on every call, on the caller's thread; no operand stays packed
+ * between calls.
  */
 
 #ifndef LRD_TENSOR_SIMD_PACK_H
@@ -28,8 +30,8 @@ constexpr int64_t kMr = 8;
 constexpr int64_t kNr = 48;
 constexpr int64_t kKc = 384;  ///< k-slab depth (A panel stays in L2).
 constexpr int64_t kNc = 1920; ///< n-slab width (B pack stays in LLC).
-/** Rows per parallel chunk: 4 MR panels keeps ~8 chunks at m = 256. */
-constexpr int64_t kRowChunk = 4 * kMr;
+/** Rows of A packed per block: 4 MR panels. */
+constexpr int64_t kMc = 4 * kMr;
 
 /**
  * Pack an mc x kc block of logical A (element (i, p) of an m x k

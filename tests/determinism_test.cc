@@ -1,10 +1,12 @@
 /**
  * @file
- * Bitwise determinism of every parallelized path across thread
- * counts: the pool's fixed chunk partitioning must make matmul (all
- * transpose variants), truncatedSvd, the evaluator, the trainer and
- * the decompose-once DSE sweep produce identical bits at LRD_THREADS=1
- * and LRD_THREADS=8.
+ * Bitwise determinism across thread counts. The item loops are the
+ * only parallel regions: the pool's fixed chunk partitioning must make
+ * the evaluator, the trainer and the decompose-once DSE sweep produce
+ * identical bits at LRD_THREADS=1 and LRD_THREADS=8. The kernels those
+ * items run (matmul in all transpose variants, truncatedSvd, the
+ * factorized forward) open no region of their own and must give the
+ * same bits whatever pool surrounds them.
  *
  * This suite is the one the verify script re-runs under
  * -DLRD_SANITIZE=thread: it exercises the pool from a single posting
@@ -18,6 +20,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dse/optimizer.h"
@@ -70,7 +73,7 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
 TEST(Determinism, MatmulAllVariantsAcrossThreadCounts)
 {
     Rng rng(42);
-    // Odd shapes that straddle the register-tile and row-chunk
+    // Odd shapes that straddle the register-tile and A-block
     // boundaries of the blocked kernel.
     const Tensor a = Tensor::randn({150, 97}, rng);
     const Tensor b = Tensor::randn({97, 201}, rng);
@@ -237,21 +240,18 @@ TEST(Determinism, TrainingAndScoringShareOneModel)
     std::atomic<bool> scored{false};
     int rounds = 0;
     int mismatches = 0;
-    std::thread trainer([&] { // lrd-lint: allow(thread-outside-parallel) a second poster, training beside the pool's scoring
-        // A one-chunk region runs inline and marks this thread as
-        // inside a region, so lossAndGrad's own regions run inline here
-        // instead of queueing behind the scoring region.
-        parallelFor(0, 1, 1, [&](int64_t, int64_t) {
-            Gradients grads(params);
-            do {
-                grads.zero();
-                started = true;
-                const double loss = model.lossAndGrad(tokens, targets, grads);
-                ++rounds;
-                if (loss != loneLoss || !sameGradients(grads, lone))
-                    ++mismatches;
-            } while (!scored);
-        });
+    // lossAndGrad opens no pool region, so this thread trains beside
+    // the scoring region without queueing behind it.
+    std::thread trainer([&] { // lrd-lint: allow(thread-outside-parallel) a training thread beside the pool's scoring
+        Gradients grads(params);
+        do {
+            grads.zero();
+            started = true;
+            const double loss = model.lossAndGrad(tokens, targets, grads);
+            ++rounds;
+            if (loss != loneLoss || !sameGradients(grads, lone))
+                ++mismatches;
+        } while (!scored);
     });
     while (!started)
         std::this_thread::yield();
@@ -267,7 +267,7 @@ TEST(Determinism, GemmSkinnyFallbackAcrossThreadCounts)
 {
     Rng rng(44);
     // Shapes below the blocked-path threshold take the fallback
-    // kernels, which parallelize over columns / output rows.
+    // kernels, serial on the calling thread at any pool size.
     const Tensor a = Tensor::randn({1, 3000}, rng);
     const Tensor b = Tensor::randn({3000, 700}, rng);
     const Tensor bt = Tensor::randn({700, 3000}, rng);
@@ -283,8 +283,8 @@ TEST(Determinism, GemmSkinnyFallbackAcrossThreadCounts)
 
 /** The bitwise thread-count contract must hold at every microkernel
  *  level this host can run, not just the startup choice: each level
- *  assigns every C element to exactly one fixed row chunk and visits
- *  k-slabs in a fixed serial order. */
+ *  computes every C element in one register tile and visits k-slabs
+ *  in a fixed serial order, whatever the pool size. */
 TEST(Determinism, MatmulAcrossThreadCountsAtEverySimdLevel)
 {
     Rng rng(31);
@@ -318,9 +318,58 @@ TEST(Determinism, MatmulAcrossThreadCountsAtEverySimdLevel)
     simd::setActiveLevel(restore);
 }
 
+/**
+ * The item loops are the only parallel regions: a GEMM, an SVD, a
+ * forward, a decode step and a training step run serially on the
+ * calling thread, so none of them counts a pool chunk even as the
+ * outermost call on a 4-thread pool.
+ */
+TEST(Determinism, KernelsAndForwardsOpenNoPoolRegion)
+{
+    ThreadPool::instance().resize(4);
+    Counter *chunks = MetricsRegistry::instance().counter("pool.chunks");
+    const auto chunksDuring = [&](const auto &fn) {
+        const int64_t before = chunks->total();
+        fn();
+        return chunks->total() - before;
+    };
+
+    Rng rng(45);
+    for (const auto &[m, k, n] :
+         {std::tuple<int64_t, int64_t, int64_t>{256, 256, 256},
+          {1, 3000, 700}}) {
+        SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+        const Tensor a = Tensor::randn({m, k}, rng);
+        const Tensor b = Tensor::randn({k, n}, rng);
+        const Tensor bt = Tensor::randn({n, k}, rng);
+        const Tensor at = Tensor::randn({m, n}, rng);
+        EXPECT_EQ(chunksDuring([&] { (void)matmul(a, b); }), 0);
+        EXPECT_EQ(chunksDuring([&] { (void)matmulTransB(a, bt); }), 0);
+        EXPECT_EQ(chunksDuring([&] { (void)matmulTransA(a, at); }), 0);
+    }
+    const Tensor w = Tensor::randn({64, 176}, rng);
+    EXPECT_EQ(chunksDuring([&] { (void)svd(w); }), 0);
+
+    TransformerModel model(tinyLlamaConfig(), 46);
+    TokenSeq tokens;
+    for (int i = 0; i < 64; ++i)
+        tokens.push_back(i % 100);
+    std::vector<int> targets(tokens.size(), -1);
+    for (size_t i = 0; i + 1 < tokens.size(); ++i)
+        targets[i] = tokens[i + 1];
+    EXPECT_EQ(chunksDuring([&] { (void)model.forward(tokens); }), 0);
+    InferenceSession session(model);
+    EXPECT_EQ(chunksDuring([&] { (void)session.append(tokens); }), 0);
+    EXPECT_EQ(chunksDuring([&] { (void)session.append({5}); }), 0);
+    Gradients grads(model.parameters());
+    EXPECT_EQ(
+        chunksDuring([&] { (void)model.lossAndGrad(tokens, targets, grads); }),
+        0);
+}
+
 /** The factorized forward shares the contract: its chain of three
- *  products, each blocked at these shapes, chunks rows identically
- *  regardless of thread count. */
+ *  products, each blocked at these shapes, gives the same bits at any
+ *  pool size. */
 TEST(Determinism, FactorizedForwardAcrossThreadCounts)
 {
     Rng rng(32);

@@ -251,7 +251,7 @@ TEST(GemmEdge, SparseInputsMatchReference)
 }
 
 /** Shapes chosen to straddle the blocked kernel's tile sizes
- *  (MR=8, NR=48, KC=384, 32-row chunks), including 1 x k x 1. */
+ *  (MR=8, NR=48, KC=384, 32-row A blocks), including 1 x k x 1. */
 class GemmOddShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
