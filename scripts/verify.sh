@@ -29,11 +29,9 @@ ctest --test-dir build --output-on-failure --timeout 300 -j "$(nproc)"
 echo "== lint: lrd-lint over src/ tools/ tests/ bench/ =="
 cmake --build build -j --target lrd-lint
 # The checked-in baseline grandfathers reviewed findings; anything
-# new fails. The cache dir makes repeat verify runs parse-free, and
-# the SARIF report is what CI uploads for code scanning.
+# new fails. The SARIF report is what CI uploads for code scanning.
 ./build/tools/lint/lrd-lint --root "${repo_root}" \
-    --baseline tools/lint/baseline.txt \
-    --cache-dir build/lint-cache --sarif build/lint.sarif
+    --baseline tools/lint/baseline.txt --sarif build/lint.sarif
 
 echo "== bench gate: check_bench.py self-test + advisory quick pass =="
 # The self-test is load-bearing (the gate must pass the baseline

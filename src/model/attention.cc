@@ -123,7 +123,9 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
     // Heads within a KV group accumulate into the same dk/dv columns
     // in ascending head order.
     const int64_t group = nHeads_ / kvHeads_;
-    std::vector<float> dprow(static_cast<size_t>(t));
+    thread_local std::vector<float> dprow;
+    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the longest sequence a thread sees, reused after
+    dprow.resize(static_cast<size_t>(t));
     for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
         const float *probs = probsAll.data() + h * t * t;
@@ -211,7 +213,9 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor ctx({n, dModel_});
     const int64_t group = nHeads_ / kvHeads_;
-    std::vector<float> scores(static_cast<size_t>(cache.len));
+    thread_local std::vector<float> scores;
+    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the longest cache a thread sees, reused after
+    scores.resize(static_cast<size_t>(cache.len));
     for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
         for (int64_t i = 0; i < n; ++i) {

@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "baseline.h"
-#include "cache.h"
 #include "lint.h"
 #include "output.h"
 #include "parser.h"
+#include "semantic.h"
 
 namespace lrd::lint {
 namespace {
@@ -28,6 +28,16 @@ std::vector<Diagnostic>
 lintSnippet(const std::string &path, const std::string &content)
 {
     return lintFile(SourceFile{path, content});
+}
+
+/** The include-graph rules alone over a fixture tree. */
+std::vector<Diagnostic>
+includeGraph(const std::vector<SourceFile> &tree)
+{
+    std::vector<FileSummary> sums;
+    for (const SourceFile &f : tree)
+        sums.push_back(parseFile(f));
+    return checkIncludeGraph(sums);
 }
 
 bool
@@ -190,6 +200,16 @@ TEST(LintGlobals, FlagsMutableNamespaceScopeVariable)
     const Diagnostic *d = findRule(diags, kRuleNonconstGlobal);
     ASSERT_NE(nullptr, d);
     EXPECT_NE(std::string::npos, d->message.find("g_path"));
+
+    // A mutex-guarded global escapes only through a reviewed allow().
+    const auto allowed = lintSnippet("src/obs/obs.cc", R"(
+        namespace lrd {
+        std::mutex g_mu;
+        // lrd-lint: allow(nonconst-global) every writer holds g_mu
+        std::string g_guarded;
+        } // namespace lrd
+    )");
+    EXPECT_TRUE(allowed.empty());
 }
 
 TEST(LintGlobals, ConstAtomicMutexAndThreadLocalAreFine)
@@ -201,8 +221,6 @@ TEST(LintGlobals, ConstAtomicMutexAndThreadLocalAreFine)
         std::atomic<int> g_count{0};
         std::mutex g_mu;
         thread_local int t_lane = 0;
-        // lrd-lint: mutex(g_mu)
-        std::string g_guarded;
         } // namespace lrd
     )");
     EXPECT_TRUE(diags.empty());
@@ -352,7 +370,7 @@ TEST(LintLayering, BackEdgeFromLowerToHigherLayerFlagged)
          "#include \"obs/metrics.h\"\n"},
         {"src/obs/metrics.h", "#pragma once\n"},
     };
-    const auto diags = checkIncludeGraph(tree);
+    const auto diags = includeGraph(tree);
     const Diagnostic *d = findRule(diags, kRuleLayering);
     ASSERT_NE(nullptr, d);
     EXPECT_EQ("src/util/logging.cc", d->file);
@@ -368,7 +386,7 @@ TEST(LintLayering, ForwardEdgesAreClean)
         {"src/tensor/tensor.h", "#pragma once\n"},
         {"src/util/logging.h", "#pragma once\n"},
     };
-    EXPECT_TRUE(checkIncludeGraph(tree).empty());
+    EXPECT_TRUE(includeGraph(tree).empty());
 }
 
 TEST(LintLayering, IntraLayerModuleCycleFlagged)
@@ -381,7 +399,7 @@ TEST(LintLayering, IntraLayerModuleCycleFlagged)
         {"src/decomp/hosvd.cc", "#include \"model/config.h\"\n"},
         {"src/model/config.h", "#pragma once\n"},
     };
-    const auto diags = checkIncludeGraph(tree);
+    const auto diags = includeGraph(tree);
     const Diagnostic *d = findRule(diags, kRuleCycle);
     ASSERT_NE(nullptr, d);
     EXPECT_NE(std::string::npos, d->message.find("module dependency cycle"));
@@ -396,7 +414,7 @@ TEST(LintLayering, FileIncludeCyclePrintsThePath)
         {"src/tensor/b.h", "#pragma once\n#include \"c.h\"\n"},
         {"src/tensor/c.h", "#pragma once\n#include \"a.h\"\n"},
     };
-    const auto diags = checkIncludeGraph(tree);
+    const auto diags = includeGraph(tree);
     const Diagnostic *d = findRule(diags, kRuleCycle);
     ASSERT_NE(nullptr, d);
     EXPECT_NE(std::string::npos,
@@ -413,14 +431,14 @@ TEST(LintLayering, RobustSitsBetweenObsAndParallel)
         {"src/linalg/linalg.cc", "#include \"robust/fault.h\"\n"},
         {"src/robust/fault.h", "#pragma once\n"},
     };
-    EXPECT_TRUE(checkIncludeGraph(ok).empty());
+    EXPECT_TRUE(includeGraph(ok).empty());
 
     const std::vector<SourceFile> bad = {
         {"src/robust/recovery.cc",
          "#include \"parallel/thread_pool.h\"\n"},
         {"src/parallel/thread_pool.h", "#pragma once\n"},
     };
-    EXPECT_TRUE(hasRule(checkIncludeGraph(bad), kRuleLayering));
+    EXPECT_TRUE(hasRule(includeGraph(bad), kRuleLayering));
 }
 
 TEST(LintLayering, SystemIncludesAreOutsideTheGraph)
@@ -428,16 +446,15 @@ TEST(LintLayering, SystemIncludesAreOutsideTheGraph)
     const std::vector<SourceFile> tree = {
         {"src/util/logging.cc", "#include <thread>\n#include <vector>\n"},
     };
-    EXPECT_TRUE(checkIncludeGraph(tree).empty());
+    EXPECT_TRUE(includeGraph(tree).empty());
 }
 
 // ------------------------------------------------------------- formatting
 
-TEST(LintFormat, HumanAndFixListFormats)
+TEST(LintFormat, HumanFormat)
 {
     const Diagnostic d{"src/a.cc", 7, "banned-random", "no rand()", ""};
     EXPECT_EQ("src/a.cc:7: [banned-random] no rand()", formatDiagnostic(d));
-    EXPECT_EQ("src/a.cc\t7\tbanned-random\tno rand()", formatFixList(d));
 }
 
 TEST(LintFormat, LintFilesSortsAndMergesGraphRules)
@@ -610,6 +627,91 @@ void coldSetup(std::vector<float> &v) { v.reserve(64); }
     EXPECT_FALSE(hasRule(diags, kRuleHotPathAlloc));
 }
 
+TEST(LintHotPath, UnqualifiedCallResolvesInTheCallersClassFirst)
+{
+    // A::runAll's `run(k)` names A::run. B::run, an allocating
+    // function of the same name in another file, is not reached.
+    const std::vector<SourceFile> tree = {
+        {"src/eval/a.cc", R"(
+namespace lrd {
+int A::run(int k) {
+    std::vector<int> v;
+    v.push_back(k);
+    return v[0];
+}
+int A::runAll() { return run(1) + run(2); }
+void sweep(A &a, long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) { a.runAll(); });
+}
+} // namespace lrd
+)"},
+        {"src/serve/b.cc", R"(
+namespace lrd {
+void B::run(std::vector<int> &queue) { queue.push_back(1); }
+} // namespace lrd
+)"},
+    };
+    const auto diags = lintFiles(tree);
+    const Diagnostic *d = findRule(diags, kRuleHotPathAlloc);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ("lrd::A::run", d->symbol);
+    for (const Diagnostic &x : diags)
+        EXPECT_NE("src/serve/b.cc", x.file) << x.message;
+}
+
+TEST(LintHotPath, UnqualifiedCallResolvesInTheCallersFileNext)
+{
+    // No `emit` shares debug's namespace, so the call names the one
+    // in debug's own file, not report::emit elsewhere.
+    const std::vector<SourceFile> tree = {
+        {"src/eval/log.cc", R"(
+namespace lrd {
+namespace {
+void emit(int v) { (void)v; }
+} // namespace
+void debug(int v) { emit(v); }
+void traceAll(long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) { debug(1); });
+}
+} // namespace lrd
+)"},
+        {"tools/report.cc", R"(
+namespace lrd::report {
+void emit(std::vector<int> &rows) { rows.push_back(1); }
+} // namespace lrd::report
+)"},
+    };
+    EXPECT_FALSE(hasRule(lintFiles(tree), kRuleHotPathAlloc));
+}
+
+TEST(LintHotPath, SizedContainerConstructionAllocates)
+{
+    const auto diags = lintFiles({{"src/model/heads.cc", R"(
+namespace lrd {
+void scoreHeads(long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) {
+        std::vector<float> scores(static_cast<size_t>(hi - lo));
+        std::string label(4, 'x');
+        std::deque<int> pending(2);
+        std::vector<std::vector<float>> rows(2);
+        std::vector<float> none;
+        thread_local std::vector<float> scratch;
+        std::vector<float> empty();
+    });
+}
+} // namespace lrd
+)"}});
+    std::vector<int> lines;
+    for (const Diagnostic &d : diags)
+        if (d.rule == kRuleHotPathAlloc)
+            lines.push_back(d.line);
+    EXPECT_EQ((std::vector<int>{5, 6, 7, 8}), lines);
+    const Diagnostic *d = findRule(diags, kRuleHotPathAlloc);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("allocation (vector(n))"), std::string::npos)
+        << d->message;
+}
+
 TEST(LintHotPath, BaselinedLambdaSurvivesLinesInsertedAbove)
 {
     // A lambda is keyed by its ordinal in the enclosing function, not
@@ -676,50 +778,6 @@ TEST(LintBaseline, EntryMatchingNoFindingInAScannedFileIsStale)
 }
 
 // --------------------------------------------------------- lock-discipline
-
-TEST(LintLock, UnknownMutexNameInAnnotationIsFlagged)
-{
-    const auto diags = lintFiles({{"src/obs/state.cc", R"(
-namespace lrd {
-namespace {
-// lrd-lint: mutex(ghostMu)
-int gCount = 0;
-} // namespace
-} // namespace lrd
-)"}});
-    const Diagnostic *d = findRule(diags, kRuleLockDiscipline);
-    ASSERT_NE(d, nullptr);
-    EXPECT_NE(d->message.find("ghostMu"), std::string::npos);
-    EXPECT_NE(d->message.find("not declared"), std::string::npos);
-}
-
-TEST(LintLock, WriteWithoutHoldingAnnotatedMutexIsFlagged)
-{
-    const auto diags = lintFiles({{"src/obs/state.cc", R"(
-namespace lrd {
-namespace {
-std::mutex gMu;
-// lrd-lint: mutex(gMu)
-int gCount = 0;
-} // namespace
-void bumpGuarded() {
-    std::lock_guard<std::mutex> l(gMu);
-    gCount = 1;
-}
-void bumpRacy() { gCount = 2; }
-} // namespace lrd
-)"}});
-    const Diagnostic *d = findRule(diags, kRuleLockDiscipline);
-    ASSERT_NE(d, nullptr);
-    EXPECT_NE(d->message.find("bumpRacy"), std::string::npos);
-    EXPECT_NE(d->message.find("without acquiring"), std::string::npos);
-    // The guarded writer must not be reported.
-    for (const Diagnostic &x : diags) {
-        if (x.rule == kRuleLockDiscipline) {
-            EXPECT_EQ(x.message.find("bumpGuarded"), std::string::npos);
-        }
-    }
-}
 
 TEST(LintLock, OppositeAcquisitionOrdersFormACycle)
 {
@@ -813,40 +871,6 @@ void second() {
     EXPECT_FALSE(hasRule(diags, kRuleLockDiscipline));
 }
 
-// -------------------------------------------------------- unchecked-result
-
-TEST(LintUnchecked, DiscardedStatusReturnIsFlagged)
-{
-    const auto diags = lintFiles({{"src/decomp/apply.cc", R"(
-namespace lrd {
-Status applyStep(int k) { return Status(); }
-void run() { applyStep(3); }
-} // namespace lrd
-)"}});
-    const Diagnostic *d = findRule(diags, kRuleUncheckedResult);
-    ASSERT_NE(d, nullptr);
-    EXPECT_NE(d->message.find("applyStep"), std::string::npos);
-    EXPECT_NE(d->message.find("discarded"), std::string::npos);
-}
-
-TEST(LintUnchecked, CheckedAndVoidCastCallsAreClean)
-{
-    const auto diags = lintFiles({{"src/decomp/apply.cc", R"(
-namespace lrd {
-Status applyStep(int k) { return Status(); }
-int plainValue() { return 4; }
-void run() {
-    const Status st = applyStep(3);
-    if (!st.ok())
-        return;
-    (void)applyStep(4);
-    plainValue();
-}
-} // namespace lrd
-)"}});
-    EXPECT_FALSE(hasRule(diags, kRuleUncheckedResult));
-}
-
 // --------------------------------------------------------------- fp-order
 
 TEST(LintFpOrder, CapturedAccumulationInChunkBodyIsFlagged)
@@ -934,47 +958,9 @@ TEST(Extra, Helper) { EXPECT_EQ(1, lrd::orphanHelper()); }
     EXPECT_FALSE(hasRule(lintFiles(tree), kRuleDeadSymbol));
 }
 
-// --------------------------------------------------- cache and reporters
+// ---------------------------------------------------------------- reports
 
-TEST(LintCache, SummaryRoundTripsThroughSerialization)
-{
-    const FileSummary sum = parseFile(
-        SourceFile{"src/obs/state.cc", R"(
-namespace lrd {
-namespace {
-std::mutex gMu;
-// lrd-lint: mutex(gMu)
-int gCount = 0;
-} // namespace
-Status bump() {
-    std::lock_guard<std::mutex> l(gMu);
-    gCount += 1;
-    return Status();
-}
-void all(long n) {
-    parallelFor(0, n, 1, [&](long lo, long hi) { bump(); });
-}
-} // namespace lrd
-)"},
-        "feedcafe");
-    const std::string wire = serializeSummary(sum);
-    FileSummary back;
-    ASSERT_TRUE(deserializeSummary(wire, back));
-    // Round-tripped summaries must analyze identically, which the
-    // re-serialization equality pins down field by field.
-    EXPECT_EQ(wire, serializeSummary(back));
-    EXPECT_EQ(sum.path, back.path);
-    EXPECT_EQ(sum.functions.size(), back.functions.size());
-}
-
-TEST(LintCache, DeserializeRejectsCorruptPayload)
-{
-    FileSummary out;
-    EXPECT_FALSE(deserializeSummary("not a summary", out));
-    EXPECT_FALSE(deserializeSummary("", out));
-}
-
-TEST(LintOutput, SarifAndJsonAreDeterministic)
+TEST(LintOutput, SarifIsDeterministic)
 {
     const std::vector<Diagnostic> diags = {
         {"src/a.cc", 7, kRuleHotPathAlloc, "allocation (new) on the hot path", "f"},
@@ -984,9 +970,6 @@ TEST(LintOutput, SarifAndJsonAreDeterministic)
     EXPECT_EQ(sarif, toSarif(diags));
     EXPECT_NE(sarif.find("\"2.1.0\""), std::string::npos);
     EXPECT_NE(sarif.find(kRuleHotPathAlloc), std::string::npos);
-    const std::string json = toJson(diags);
-    EXPECT_EQ(json, toJson(diags));
-    EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
 }
 
 } // namespace

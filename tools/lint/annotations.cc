@@ -23,28 +23,18 @@ parseAnnotations(const std::vector<Comment> &comments)
             continue;
         const std::string verb = com.text.substr(pos, open - pos);
         const size_t close = com.text.find(')', open);
-        if (close == std::string::npos)
+        if (close == std::string::npos || verb != "allow")
             continue;
-        std::string args = com.text.substr(open + 1, close - open - 1);
-        if (verb == "mutex") {
-            args.erase(std::remove_if(args.begin(), args.end(),
+        std::istringstream iss(com.text.substr(open + 1, close - open - 1));
+        std::string rule;
+        while (std::getline(iss, rule, ',')) {
+            rule.erase(std::remove_if(rule.begin(), rule.end(),
                                       [](unsigned char c) {
                                           return std::isspace(c);
                                       }),
-                       args.end());
-            ann.mutexNames[com.line] = args;
-        } else if (verb == "allow") {
-            std::istringstream iss(args);
-            std::string rule;
-            while (std::getline(iss, rule, ',')) {
-                rule.erase(std::remove_if(rule.begin(), rule.end(),
-                                          [](unsigned char c) {
-                                              return std::isspace(c);
-                                          }),
-                           rule.end());
-                if (!rule.empty())
-                    ann.allows[com.line].insert(rule);
-            }
+                       rule.end());
+            if (!rule.empty())
+                ann.allows[com.line].insert(rule);
         }
     }
     return ann;

@@ -1,15 +1,12 @@
 /**
  * @file
- * In-source lint annotations, shared by the token rules and the
+ * In-source lint suppressions, shared by the token rules and the
  * cross-TU semantic rules:
  *
  *   // lrd-lint: allow(<rule>[, <rule>...])   suppress on this/next line
- *   // lrd-lint: mutex(<name>)                global guarded by <name>
  *
- * The token rules consume these at lintFile() time; the semantic
- * rules consume them from the cached FileSummary, so a suppression
- * works identically whether the file was re-parsed or served from the
- * incremental cache.
+ * The token rules consume them at lintFile() time; the semantic rules
+ * read them from each file's FileSummary.
  */
 
 #ifndef LRD_TOOLS_LINT_ANNOTATIONS_H
@@ -24,24 +21,16 @@
 
 namespace lrd::lint {
 
-/** Suppression / annotation state parsed out of a file's comments. */
+/** Suppression state parsed out of a file's comments. */
 struct Annotations
 {
     /** line -> rules allowed on that line and the next. */
     std::map<int, std::set<std::string>> allows;
-    /** line -> mutex name from a `mutex(<name>)` annotation. */
-    std::map<int, std::string> mutexNames;
-
-    bool
-    mutexAnnotated(int line) const
-    {
-        return mutexNames.count(line) > 0 || mutexNames.count(line - 1) > 0;
-    }
 };
 
 /**
- * Parse "lrd-lint: allow(a, b)" / "lrd-lint: mutex(name)" markers.
- * Unknown directives are ignored (forward compatibility).
+ * Parse "lrd-lint: allow(a, b)" markers. Unknown directives are
+ * ignored (forward compatibility).
  */
 Annotations parseAnnotations(const std::vector<Comment> &comments);
 

@@ -16,6 +16,15 @@ lastComponent(const std::string &name)
     return pos == std::string::npos ? name : name.substr(pos + 2);
 }
 
+/** Enclosing scope of a qualified name: "lrd::A::f" -> "lrd::A". */
+std::string
+scopeOf(const std::string &qualName)
+{
+    const size_t pos = qualName.rfind("::");
+    return pos == std::string::npos ? std::string()
+                                    : qualName.substr(0, pos);
+}
+
 /** Bare callable name: strip the member "." prefix. */
 std::string
 bareName(const std::string &callee)
@@ -73,9 +82,7 @@ RepoGraph::buildIndex()
                 continue;
             const FunctionRef ref{static_cast<int>(f),
                                   static_cast<int>(i)};
-            allByName_[fn.name].push_back(ref);
-            if (!fn.isDeclOnly)
-                defsByName_[fn.name].push_back(ref);
+            defsByName_[fn.name].push_back(ref);
         }
         for (const std::string &ident : sum.usedIdentifiers)
             live_.insert(ident);
@@ -113,7 +120,7 @@ isStlMemberName(const std::string &name)
 } // namespace
 
 std::vector<FunctionRef>
-RepoGraph::resolve(int callerFile, const std::string &callee) const
+RepoGraph::resolve(const FunctionRef &caller, const std::string &callee) const
 {
     std::vector<FunctionRef> out;
     const bool member = !callee.empty() && callee[0] == '.';
@@ -133,37 +140,29 @@ RepoGraph::resolve(int callerFile, const std::string &callee) const
         const FunctionInfo &cand = fn(ref);
         if (qualified && !qualSuffixMatch(cand.qualName, callee))
             continue;
-        if (!qualified && cand.internal && ref.file != callerFile)
+        if (!qualified && cand.internal && ref.file != caller.file)
             continue;
         out.push_back(ref);
     }
-    return out;
-}
+    if (member || qualified || out.size() < 2)
+        return out;
 
-std::vector<FunctionRef>
-RepoGraph::resolveAny(int callerFile, const std::string &callee) const
-{
-    std::vector<FunctionRef> out;
-    const bool member = !callee.empty() && callee[0] == '.';
-    const std::string name = lastComponent(bareName(callee));
-    if (member && isStlMemberName(name))
-        return out;
-    const auto it = allByName_.find(name);
-    if (it == allByName_.end())
-        return out;
-    const bool qualified =
-        !member && callee.find("::") != std::string::npos;
-    if (qualified && callee.compare(0, 5, "std::") == 0)
-        return out;
-    for (const FunctionRef &ref : it->second) {
-        const FunctionInfo &cand = fn(ref);
-        if (qualified && !qualSuffixMatch(cand.qualName, callee))
-            continue;
-        if (!qualified && cand.internal && ref.file != callerFile)
-            continue;
-        out.push_back(ref);
+    // An unqualified call names the caller's own scope first (its
+    // class, or its namespace), then its own file; only then any
+    // same-named function in the tree.
+    const std::string &self = fn(caller).qualName;
+    const std::string scope =
+        scopeOf(self.substr(0, self.find("::<lambda#")));
+    std::vector<FunctionRef> sameScope, sameFile;
+    for (const FunctionRef &ref : out) {
+        if (scopeOf(fn(ref).qualName) == scope)
+            sameScope.push_back(ref);
+        if (ref.file == caller.file)
+            sameFile.push_back(ref);
     }
-    return out;
+    if (!sameScope.empty())
+        return sameScope;
+    return sameFile.empty() ? out : sameFile;
 }
 
 std::string
@@ -181,18 +180,13 @@ RepoGraph::seedHotRoots()
             sum.path.find("src/tensor/simd/") != std::string::npos;
         for (size_t i = 0; i < sum.functions.size(); ++i) {
             const FunctionInfo &fi = sum.functions[i];
-            if (fi.isDeclOnly)
-                continue;
             const FunctionRef ref{static_cast<int>(f),
                                   static_cast<int>(i)};
-            if (simd && !fi.isLambda) {
-                hot_.emplace(ref,
-                             HotMark{{}, "SIMD microkernel module"});
-                continue;
-            }
-            if (fi.isLambda && bareName(fi.passedTo) == "parallelFor")
-                hot_.emplace(ref,
-                             HotMark{{}, "chunk body passed to parallelFor"});
+            // Roots: every function of the SIMD kernel module and
+            // every chunk body passed to parallelFor.
+            if ((simd && !fi.isLambda)
+                || (fi.isLambda && bareName(fi.passedTo) == "parallelFor"))
+                hot_.emplace(ref, FunctionRef{});
         }
     }
 }
@@ -201,7 +195,7 @@ void
 RepoGraph::propagateHot()
 {
     std::deque<FunctionRef> work;
-    for (const auto &[ref, mark] : hot_)
+    for (const auto &[ref, parent] : hot_)
         work.push_back(ref);
 
     // A lambda nested in a hot function is constructed (and in this
@@ -212,12 +206,8 @@ RepoGraph::propagateHot()
             const FunctionInfo &fi = sum.functions[i];
             const FunctionRef nested{ref.file, static_cast<int>(i)};
             if (fi.isLambda && fi.enclosing == ref.fn
-                && !hot_.count(nested)) {
-                hot_.emplace(nested,
-                             HotMark{ref, "defined inside hot "
-                                          + fn(ref).qualName});
+                && hot_.emplace(nested, ref).second)
                 work.push_back(nested);
-            }
         }
     };
 
@@ -233,13 +223,8 @@ RepoGraph::propagateHot()
                 const FunctionRef ref{static_cast<int>(f),
                                       static_cast<int>(i)};
                 if (fi.isLambda && bareName(fi.passedTo) == name
-                    && !hot_.count(ref)) {
-                    hot_.emplace(
-                        ref, HotMark{cause, "callback passed into "
-                                            "hot conduit '" + name
-                                            + "'"});
+                    && hot_.emplace(ref, cause).second)
                     work.push_back(ref);
-                }
             }
         }
     };
@@ -267,20 +252,9 @@ RepoGraph::propagateHot()
         enqueueNested(ref);
         const FunctionInfo &fi = fn(ref);
         for (const CallSite &call : fi.calls) {
-            for (const FunctionRef &callee :
-                 resolve(ref.file, call.name)) {
-                if (hot_.count(callee))
-                    continue;
-                hot_.emplace(callee,
-                             HotMark{ref, "called from " + fi.qualName
-                                          + " at "
-                                          + files_[static_cast<size_t>(
-                                                       ref.file)]
-                                                .path
-                                          + ":"
-                                          + std::to_string(call.line)});
-                work.push_back(callee);
-            }
+            for (const FunctionRef &callee : resolve(ref, call.name))
+                if (hot_.emplace(callee, ref).second)
+                    work.push_back(callee);
             // Callback conduit: a hot body invoking one of its (or an
             // enclosing function's) parameters means lambdas passed
             // into that function run hot too.
@@ -306,7 +280,7 @@ RepoGraph::hotPath(const FunctionRef &r) const
         const auto it = hot_.find(cur);
         if (it == hot_.end())
             break;
-        cur = it->second.parent;
+        cur = it->second;
     }
     std::string out;
     for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
@@ -368,7 +342,6 @@ RepoGraph::buildLocks()
                 if (key.empty())
                     continue;
                 transLocks_[ref].insert(key);
-                acquired_.insert(key);
             }
         }
     }
@@ -384,7 +357,7 @@ RepoGraph::buildLocks()
                                       static_cast<int>(i)};
                 for (const CallSite &call : fi.calls) {
                     for (const FunctionRef &callee :
-                         resolve(static_cast<int>(f), call.name)) {
+                         resolve(ref, call.name)) {
                         const auto ct = transLocks_.find(callee);
                         if (ct == transLocks_.end())
                             continue;
@@ -414,6 +387,7 @@ RepoGraph::buildLocks()
         const FileSummary &sum = files_[f];
         for (size_t i = 0; i < sum.functions.size(); ++i) {
             const FunctionInfo &fi = sum.functions[i];
+            const FunctionRef ref{static_cast<int>(f), static_cast<int>(i)};
             for (size_t a = 0; a < fi.locks.size(); ++a) {
                 const LockSite &l1 = fi.locks[a];
                 const std::string k1 =
@@ -436,8 +410,7 @@ RepoGraph::buildLocks()
                 for (const CallSite &call : fi.calls) {
                     if (call.line < l1.line)
                         continue;
-                    for (const FunctionRef &callee :
-                         resolve(static_cast<int>(f), call.name))
+                    for (const FunctionRef &callee : resolve(ref, call.name))
                         for (const std::string &k2 :
                              transitiveLocks(callee))
                             addEdge(k1, k2, witness, sum.path, l1.line);

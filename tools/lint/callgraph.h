@@ -10,10 +10,11 @@
  * repo-wide identifier liveness set.
  *
  * Resolution is name matching, not overload resolution: a call
- * resolves to every in-tree definition that the written name could
+ * resolves to the in-tree definitions that the written name could
  * denote (same-file restriction for internal-linkage functions,
- * suffix matching for qualified names). Rules that need certainty
- * (unchecked-result) only fire when every candidate agrees.
+ * suffix matching for qualified names). An unqualified non-member
+ * call prefers candidates in the caller's own scope, then in the
+ * caller's own file, before it falls back to every name match.
  */
 
 #ifndef LRD_TOOLS_LINT_CALLGRAPH_H
@@ -41,20 +42,6 @@ struct FunctionRef
     {
         return file != o.file ? file < o.file : fn < o.fn;
     }
-    bool
-    operator==(const FunctionRef &o) const
-    {
-        return file == o.file && fn == o.fn;
-    }
-};
-
-/** Why a function is on the hot path (one hop of the proof). */
-struct HotMark
-{
-    /** Caller that made this function hot; invalid for roots. */
-    FunctionRef parent;
-    /** Human-readable hop: root reason or "called from ... at f:l". */
-    std::string via;
 };
 
 /** One directed lock-order edge with its witness. */
@@ -88,47 +75,25 @@ class RepoGraph
 
     /**
      * Definitions a call written as `callee` ("f", "A::f", ".f")
-     * from `callerFile` may reach. Empty for out-of-tree names.
+     * inside `caller` may reach. Empty for out-of-tree names.
      */
-    std::vector<FunctionRef> resolve(int callerFile,
+    std::vector<FunctionRef> resolve(const FunctionRef &caller,
                                      const std::string &callee) const;
 
-    /** Like resolve(), but including body-less prototypes. */
-    std::vector<FunctionRef>
-    resolveAny(int callerFile, const std::string &callee) const;
-
-    /** Hot-path set with per-function provenance. */
-    const std::map<FunctionRef, HotMark> &hotSet() const
+    /**
+     * Hot-path set: each hot function -> the hot function that
+     * reached it (invalid for roots).
+     */
+    const std::map<FunctionRef, FunctionRef> &hotSet() const
     {
         return hot_;
     }
-    bool isHot(const FunctionRef &r) const { return hot_.count(r) > 0; }
 
     /**
      * The reachability proof for a hot function, root first:
      * "qualName (file:line)" per hop joined with " -> ".
      */
     std::string hotPath(const FunctionRef &r) const;
-
-    /**
-     * Canonical identity of the mutex named `siteName` as seen from
-     * `fileIdx` ("ThreadPool::mu_", "src/obs/trace.cc::State::mu");
-     * empty when the name matches no unique in-tree declaration.
-     */
-    std::string mutexKey(int fileIdx, const std::string &siteName) const;
-
-    /** Keys of every mutex acquired anywhere in the tree. */
-    const std::set<std::string> &acquiredKeys() const
-    {
-        return acquired_;
-    }
-
-    /** Mutexes a call into `r` may acquire (transitive closure). */
-    const std::set<std::string> &
-    transitiveLocks(const FunctionRef &r) const;
-
-    /** All lock-order edges (deterministic order). */
-    const std::vector<LockEdge> &lockEdges() const { return edges_; }
 
     /**
      * One lock-order cycle if any exists: the edge sequence forming
@@ -139,24 +104,32 @@ class RepoGraph
     /** Identifiers referenced anywhere outside their declaration. */
     const std::set<std::string> &liveNames() const { return live_; }
 
-    /** "file:line" for a function (diagnostic convenience). */
-    std::string where(const FunctionRef &r) const;
-
   private:
     void buildIndex();
     void seedHotRoots();
     void propagateHot();
     void buildLocks();
 
+    /** "file:line" for a function (diagnostic convenience). */
+    std::string where(const FunctionRef &r) const;
+
+    /**
+     * Canonical identity of the mutex named `siteName` as seen from
+     * `fileIdx` ("ThreadPool::mu_", "src/obs/trace.cc::State::mu");
+     * empty when the name matches no unique in-tree declaration.
+     */
+    std::string mutexKey(int fileIdx, const std::string &siteName) const;
+
+    /** Mutexes a call into `r` may acquire (transitive closure). */
+    const std::set<std::string> &
+    transitiveLocks(const FunctionRef &r) const;
+
     const std::vector<FileSummary> &files_;
     /** name -> definitions (bodies only, no lambdas). */
     std::map<std::string, std::vector<FunctionRef>> defsByName_;
-    /** name -> definitions and prototypes (no lambdas). */
-    std::map<std::string, std::vector<FunctionRef>> allByName_;
-    std::map<FunctionRef, HotMark> hot_;
+    std::map<FunctionRef, FunctionRef> hot_;
     /** Names of functions whose callback parameters run hot. */
     std::set<std::string> conduits_;
-    std::set<std::string> acquired_;
     std::map<FunctionRef, std::set<std::string>> transLocks_;
     std::vector<LockEdge> edges_;
     std::set<std::string> live_;

@@ -26,20 +26,11 @@
 #include <tuple>
 #include <vector>
 
-#include "lexer.h"
-#include "lint.h"
 #include "semantic.h"
 
 namespace lrd::lint {
 
 namespace {
-
-/** (path, includes) view shared by both entry points. */
-struct TuIncludes
-{
-    const std::string *path;
-    const std::vector<IncludeDirective> *includes;
-};
 
 const std::map<std::string, int> kLayerOf = {
     {"util", 0},   {"obs", 1},    {"robust", 2},   {"parallel", 3},
@@ -148,10 +139,8 @@ moduleLayer(const std::string &module)
     return it == kLayerOf.end() ? -1 : it->second;
 }
 
-namespace {
-
 std::vector<Diagnostic>
-checkIncludeGraphImpl(const std::vector<TuIncludes> &files)
+checkIncludeGraph(const std::vector<FileSummary> &files)
 {
     std::vector<Diagnostic> out;
 
@@ -163,20 +152,20 @@ checkIncludeGraphImpl(const std::vector<TuIncludes> &files)
     };
     std::map<std::string, std::vector<FileInclude>> fileIncludes;
     std::set<std::string> known;
-    for (const TuIncludes &f : files)
-        known.insert(*f.path);
+    for (const FileSummary &f : files)
+        known.insert(f.path);
 
     std::map<std::pair<std::string, std::string>, ModuleEdge> moduleEdges;
 
-    for (const TuIncludes &f : files) {
-        const std::string fromMod = moduleOf(*f.path);
+    for (const FileSummary &f : files) {
+        const std::string fromMod = moduleOf(f.path);
         const int fromLayer = moduleLayer(fromMod);
-        auto &incs = fileIncludes[*f.path];
+        auto &incs = fileIncludes[f.path];
 
-        for (const IncludeDirective &inc : *f.includes) {
+        for (const IncludeDirective &inc : f.includes) {
             if (!inc.quoted)
                 continue; // system headers are outside the layering
-            const std::string target = resolveInclude(*f.path, inc.target);
+            const std::string target = resolveInclude(f.path, inc.target);
             incs.push_back({target, inc.line});
 
             const std::string toMod = moduleOf(target);
@@ -189,14 +178,14 @@ checkIncludeGraphImpl(const std::vector<TuIncludes> &files)
                 oss << "layering back-edge: module '" << fromMod
                     << "' (layer " << fromLayer << ") must not include '"
                     << toMod << "' (layer " << toLayer << "); "
-                    << *f.path << " includes \"" << inc.target << "\"";
-                out.push_back(Diagnostic{*f.path, inc.line, kRuleLayering,
+                    << f.path << " includes \"" << inc.target << "\"";
+                out.push_back(Diagnostic{f.path, inc.line, kRuleLayering,
                                          oss.str(), ""});
             } else if (toLayer == fromLayer) {
                 // Candidate intra-layer edge for the cycle check.
                 const auto key = std::make_pair(fromMod, toMod);
                 if (!moduleEdges.count(key))
-                    moduleEdges[key] = ModuleEdge{fromMod, toMod, *f.path,
+                    moduleEdges[key] = ModuleEdge{fromMod, toMod, f.path,
                                                   inc.target, inc.line};
             }
         }
@@ -248,8 +237,8 @@ checkIncludeGraphImpl(const std::vector<TuIncludes> &files)
             return false;
         };
 
-    for (const TuIncludes &f : files) {
-        if (state[*f.path] == 0 && dfs(*f.path) && !fileCycle.empty()) {
+    for (const FileSummary &f : files) {
+        if (state[f.path] == 0 && dfs(f.path) && !fileCycle.empty()) {
             std::ostringstream oss;
             oss << "include cycle: ";
             for (size_t i = 0; i < fileCycle.size(); ++i)
@@ -261,34 +250,6 @@ checkIncludeGraphImpl(const std::vector<TuIncludes> &files)
     }
 
     return out;
-}
-
-} // namespace
-
-std::vector<Diagnostic>
-checkIncludeGraph(const std::vector<SourceFile> &files)
-{
-    // Lex just for the include lists; the cached path goes through
-    // the FileSummary overload instead.
-    std::vector<std::vector<IncludeDirective>> storage;
-    storage.reserve(files.size());
-    for (const SourceFile &f : files)
-        storage.push_back(lex(f.content).includes);
-    std::vector<TuIncludes> tus;
-    tus.reserve(files.size());
-    for (size_t i = 0; i < files.size(); ++i)
-        tus.push_back(TuIncludes{&files[i].path, &storage[i]});
-    return checkIncludeGraphImpl(tus);
-}
-
-std::vector<Diagnostic>
-checkIncludeGraph(const std::vector<FileSummary> &sums)
-{
-    std::vector<TuIncludes> tus;
-    tus.reserve(sums.size());
-    for (const FileSummary &s : sums)
-        tus.push_back(TuIncludes{&s.path, &s.includes});
-    return checkIncludeGraphImpl(tus);
 }
 
 } // namespace lrd::lint

@@ -17,13 +17,14 @@
  *    tools/tests/bench must stay acyclic with no back-edges;
  *  - error discipline: `throw` is confined to src/util (fatal/panic
  *    and Rng argument checks); everything else reports failures as
- *    lrd::Status / lrd::Result;
+ *    lrd::Status / lrd::Result, which are [[nodiscard]], so the
+ *    compiler (every target builds with -Werror) rejects a dropped
+ *    one;
  *  - header hygiene: include guards, no `using namespace` at
  *    namespace scope in headers.
  *
  * Violations are suppressible in place with a trailing or preceding
- * comment `// lrd-lint: allow(<rule>[, <rule>...])`. Mutable globals
- * guarded by a mutex are annotated `// lrd-lint: mutex(<name>)`.
+ * comment `// lrd-lint: allow(<rule>[, <rule>...])`.
  *
  * The core operates on (path, content) pairs so tests can feed
  * fixture snippets without touching the filesystem; the CLI wrapper
@@ -78,7 +79,6 @@ inline constexpr const char *kRuleBlockingSleep = "blocking-sleep";
 inline constexpr const char *kRuleIntrinsics = "intrinsics-outside-simd";
 inline constexpr const char *kRuleHotPathAlloc = "hot-path-alloc";
 inline constexpr const char *kRuleLockDiscipline = "lock-discipline";
-inline constexpr const char *kRuleUncheckedResult = "unchecked-result";
 inline constexpr const char *kRuleFpOrder = "fp-order";
 inline constexpr const char *kRuleDeadSymbol = "dead-symbol";
 inline constexpr const char *kRuleStaleBaseline = "stale-baseline";
@@ -100,19 +100,13 @@ std::string moduleOf(const std::string &path);
 std::vector<Diagnostic> lintFile(const SourceFile &file);
 
 /**
- * Run the include-graph rules (layering back-edges, module cycles,
- * file-level include cycles) over a whole tree.
+ * Per-file rules, include-graph rules and the cross-TU semantic
+ * rules over a whole tree, sorted by (file, line, rule).
  */
-std::vector<Diagnostic> checkIncludeGraph(const std::vector<SourceFile> &files);
-
-/** Per-file rules plus graph rules, sorted by (file, line, rule). */
 std::vector<Diagnostic> lintFiles(const std::vector<SourceFile> &files);
 
 /** "file:line: [rule] message" -- the human-readable report line. */
 std::string formatDiagnostic(const Diagnostic &d);
-
-/** "file\tline\trule\tmessage" -- the --fix-list machine format. */
-std::string formatFixList(const Diagnostic &d);
 
 } // namespace lrd::lint
 

@@ -3,35 +3,26 @@
  * lrd-lint CLI: walk the tree, run every rule, report.
  *
  * Usage:
- *   lrd-lint [--root <dir>] [--fix-list] [--sarif <file>]
- *            [--json <file>] [--baseline <file>]
- *            [--write-baseline <file>] [--cache-dir <dir>] [path...]
+ *   lrd-lint [--root <dir>] [--sarif <file>] [--baseline <file>]
+ *            [--write-baseline <file>] [path...]
  *
  * With no paths the default scan set is src/, tools/, tests/ and
  * bench/ under the root. Paths may be files or directories and are
- * interpreted relative to the root. Exit status: 0 clean, 1 when
+ * interpreted relative to the root. Findings print one per line as
+ * "file:line: [rule] message". Exit status: 0 clean, 1 when
  * violations were found, 2 on usage or I/O errors.
  *
- * --fix-list switches the report to the machine-readable
- * "file<TAB>line<TAB>rule<TAB>message" format consumed by editor
- * integrations and CI annotators.
- *
- * --sarif / --json write machine-readable reports of the live
- * (post-baseline) findings; both are deterministic.
+ * --sarif writes a SARIF 2.1.0 report of the live (post-baseline)
+ * findings for code scanning; it is deterministic.
  *
  * --baseline suppresses findings listed in the given file (keyed by
  * rule/file/symbol) and reports each entry whose file was scanned but
  * which matched no finding as a stale-baseline finding;
  * --write-baseline regenerates that file from the current findings
  * and exits 0.
- *
- * --cache-dir enables the incremental parse cache: per-file parse
- * results are stored keyed by content hash, and a warm run re-parses
- * only changed files. Hit/miss counts are reported on stdout.
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -40,30 +31,23 @@
 #include <vector>
 
 #include "baseline.h"
-#include "cache.h"
 #include "lint.h"
 #include "output.h"
-#include "parser.h"
-#include "semantic.h"
-#include "sha256.h"
 
 namespace fs = std::filesystem;
 
 namespace {
 
 const char *kUsage =
-    "usage: lrd-lint [--root <dir>] [--fix-list] [--sarif <file>]\n"
-    "                [--json <file>] [--baseline <file>]\n"
-    "                [--write-baseline <file>] [--cache-dir <dir>]\n"
-    "                [path...]\n"
+    "usage: lrd-lint [--root <dir>] [--sarif <file>] [--baseline <file>]\n"
+    "                [--write-baseline <file>] [path...]\n"
     "\n"
     "Lints the lrd tree for determinism, concurrency, layering,\n"
     "header-hygiene and cross-TU semantic invariants (hot-path\n"
-    "allocations, lock discipline, discarded Status/Result values,\n"
-    "floating-point reduction order, dead symbols). Default paths:\n"
-    "src tools tests bench. Suppress one finding with\n"
-    "'// lrd-lint: allow(<rule>)' on the same or preceding line;\n"
-    "grandfather legacy findings via --baseline.\n";
+    "allocations, lock order, floating-point reduction order, dead\n"
+    "symbols). Default paths: src tools tests bench. Suppress one\n"
+    "finding with '// lrd-lint: allow(<rule>)' on the same or\n"
+    "preceding line; grandfather legacy findings via --baseline.\n";
 
 bool
 isSourceFile(const fs::path &p)
@@ -108,9 +92,7 @@ int
 main(int argc, char **argv)
 {
     fs::path root = fs::current_path();
-    bool fixList = false;
-    std::string sarifPath, jsonPath, baselinePath, writeBaselinePath,
-        cacheDir;
+    std::string sarifPath, baselinePath, writeBaselinePath;
     std::vector<std::string> paths;
 
     const auto needValue = [&](int &i, const char *flag,
@@ -132,22 +114,14 @@ main(int argc, char **argv)
                 return 2;
             }
             root = argv[++i];
-        } else if (arg == "--fix-list") {
-            fixList = true;
         } else if (arg == "--sarif") {
             if (!needValue(i, "--sarif", sarifPath))
-                return 2;
-        } else if (arg == "--json") {
-            if (!needValue(i, "--json", jsonPath))
                 return 2;
         } else if (arg == "--baseline") {
             if (!needValue(i, "--baseline", baselinePath))
                 return 2;
         } else if (arg == "--write-baseline") {
             if (!needValue(i, "--write-baseline", writeBaselinePath))
-                return 2;
-        } else if (arg == "--cache-dir") {
-            if (!needValue(i, "--cache-dir", cacheDir))
                 return 2;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << kUsage;
@@ -212,27 +186,7 @@ main(int argc, char **argv)
                             }),
                 files.end());
 
-    // Per-file phase, through the cache when one is configured.
-    lrd::lint::CacheStats stats;
-    std::vector<lrd::lint::FileSummary> sums;
-    sums.reserve(files.size());
-    for (const lrd::lint::SourceFile &f : files) {
-        const std::string sha = lrd::lint::sha256Hex(f.content);
-        lrd::lint::FileSummary sum;
-        if (!cacheDir.empty()
-            && lrd::lint::cacheLoad(cacheDir, f.path, sha, sum)) {
-            ++stats.hits;
-        } else {
-            ++stats.misses;
-            sum = lrd::lint::parseFile(f, sha);
-            if (!cacheDir.empty())
-                lrd::lint::cacheStore(cacheDir, sum);
-        }
-        sums.push_back(std::move(sum));
-    }
-
-    std::vector<lrd::lint::Diagnostic> diags =
-        lrd::lint::analyzeSummaries(sums);
+    std::vector<lrd::lint::Diagnostic> diags = lrd::lint::lintFiles(files);
 
     if (!writeBaselinePath.empty()) {
         if (!writeFile(root / writeBaselinePath,
@@ -271,28 +225,16 @@ main(int argc, char **argv)
         std::cerr << "lrd-lint: cannot write " << sarifPath << "\n";
         return 2;
     }
-    if (!jsonPath.empty()
-        && !writeFile(root / jsonPath, lrd::lint::toJson(diags))) {
-        std::cerr << "lrd-lint: cannot write " << jsonPath << "\n";
-        return 2;
-    }
 
     for (const lrd::lint::Diagnostic &d : diags)
-        std::cout << (fixList ? lrd::lint::formatFixList(d)
-                              : lrd::lint::formatDiagnostic(d))
-                  << "\n";
-    if (!fixList) {
-        if (diags.empty())
-            std::cout << "lrd-lint: " << files.size() << " files clean";
-        else
-            std::cout << "lrd-lint: " << diags.size() << " violation(s) in "
-                      << files.size() << " files";
-        if (suppressed > 0)
-            std::cout << " (" << suppressed << " baselined)";
-        std::cout << "\n";
-        if (!cacheDir.empty())
-            std::cout << "lrd-lint: cache " << stats.hits << " hit(s), "
-                      << stats.misses << " miss(es)\n";
-    }
+        std::cout << lrd::lint::formatDiagnostic(d) << "\n";
+    if (diags.empty())
+        std::cout << "lrd-lint: " << files.size() << " files clean";
+    else
+        std::cout << "lrd-lint: " << diags.size() << " violation(s) in "
+                  << files.size() << " files";
+    if (suppressed > 0)
+        std::cout << " (" << suppressed << " baselined)";
+    std::cout << "\n";
     return diags.empty() ? 0 : 1;
 }

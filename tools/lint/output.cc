@@ -29,16 +29,14 @@ const RuleDoc kRuleDocs[] = {
     {kRuleBlockingSleep, "Blocking sleep outside tools/"},
     {kRuleIntrinsics, "SIMD intrinsics outside src/tensor/simd"},
     {kRuleHotPathAlloc, "Allocation reachable from a hot path"},
-    {kRuleLockDiscipline, "Mutex annotation or lock-order violation"},
-    {kRuleUncheckedResult, "Discarded Status/Result return value"},
+    {kRuleLockDiscipline, "Lock acquisition order cycle"},
     {kRuleFpOrder,
      "Unordered floating-point reduction in a parallel chunk body"},
     {kRuleDeadSymbol, "Public function with no in-tree caller"},
     {kRuleStaleBaseline, "Baseline entry that matches no finding"},
 };
 
-} // namespace
-
+/** Escape a string for embedding in a JSON string literal. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -75,6 +73,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+} // namespace
 
 std::string
 toSarif(const std::vector<Diagnostic> &diags)
@@ -126,24 +126,6 @@ toSarif(const std::vector<Diagnostic> &diags)
         << "    }\n"
         << "  ]\n"
         << "}\n";
-    return oss.str();
-}
-
-std::string
-toJson(const std::vector<Diagnostic> &diags)
-{
-    std::ostringstream oss;
-    oss << "{\n  \"diagnostics\": [\n";
-    for (size_t i = 0; i < diags.size(); ++i) {
-        const Diagnostic &d = diags[i];
-        oss << "    {\"file\": \"" << jsonEscape(d.file)
-            << "\", \"line\": " << d.line << ", \"rule\": \""
-            << jsonEscape(d.rule) << "\", \"symbol\": \""
-            << jsonEscape(d.symbol) << "\", \"message\": \""
-            << jsonEscape(d.message) << "\"}"
-            << (i + 1 < diags.size() ? "," : "") << "\n";
-    }
-    oss << "  ],\n  \"count\": " << diags.size() << "\n}\n";
     return oss.str();
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Machine-readable report writers: SARIF 2.1.0 (for GitHub code
- * scanning) and a plain JSON array. Both are deterministic: the same
- * diagnostics produce byte-identical output, which is what the
- * incremental-cache test asserts (cold run == warm run).
+ * The machine-readable report: SARIF 2.1.0, which CI uploads to
+ * GitHub code scanning. It is deterministic: the same diagnostics
+ * produce byte-identical output.
  */
 
 #ifndef LRD_TOOLS_LINT_OUTPUT_H
@@ -16,14 +15,8 @@
 
 namespace lrd::lint {
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /** SARIF 2.1.0 log with one run; results in input order. */
 std::string toSarif(const std::vector<Diagnostic> &diags);
-
-/** {"diagnostics": [...], "count": N} in input order. */
-std::string toJson(const std::vector<Diagnostic> &diags);
 
 } // namespace lrd::lint
 

@@ -6,7 +6,7 @@
  * scopes classify each statement (namespace / type / function /
  * variable / initializer); function bodies are scanned by a separate
  * routine that records calls, lambdas, allocation primitives, lock
- * acquisitions, writes and discarded-call statements.
+ * acquisitions and floating-point compound assignments.
  */
 
 #include "parser.h"
@@ -41,6 +41,11 @@ const std::set<std::string> kAllocCalls = {
     "malloc",      "calloc",      "realloc",    "aligned_alloc",
     "strdup",      "posix_memalign", "make_unique", "make_shared",
     "to_string",
+};
+
+/** Containers whose construction with arguments (`T x(n)`) allocates. */
+const std::set<std::string> kSizedContainers = {
+    "vector", "string", "deque",
 };
 
 /** Container/string members that (may) grow their allocation. */
@@ -81,11 +86,9 @@ struct ScopeName
 class DeclParser
 {
   public:
-    DeclParser(const SourceFile &file, const LexedFile &lexed,
-               FileSummary &out)
+    DeclParser(const LexedFile &lexed, FileSummary &out)
         : toks_(lexed.tokens), out_(out)
     {
-        (void)file;
         for (const Token &t : lexed.directiveTokens)
             ++useCount_[t.text];
     }
@@ -381,16 +384,17 @@ class DeclParser
     }
 
     /**
-     * Register a function definition or declaration from its heading
-     * statement. Returns the index into out_.functions, or -1 when
-     * the statement turned out not to be a function after all.
+     * Register a function definition from its heading statement; a
+     * prototype (`declOnly`) only marks its name token as a
+     * declaration, not a use. Returns the index into out_.functions,
+     * or -1 for a prototype or a statement that turned out not to be
+     * a function after all.
      */
     int
     registerFunction(const std::vector<Token> &stmt, size_t parenPos,
                      bool declOnly)
     {
         FunctionInfo fn;
-        fn.isDeclOnly = declOnly;
 
         // Function-pointer variable: `int (*fp)(...)`.
         if (parenPos + 1 < stmt.size() && stmt[parenPos + 1].text == "*")
@@ -432,14 +436,9 @@ class DeclParser
             || kStatementStarters.count(fn.name))
             return -1;
 
-        // Return type: tokens before the name chain, plus a trailing
-        // `-> Type` after the parameter list.
-        for (size_t k = 0; k < nameEnd; ++k) {
-            if (stmt[k].text == "Status" || stmt[k].text == "Result")
-                fn.returnsStatus = true;
+        for (size_t k = 0; k < nameEnd; ++k)
             if (stmt[k].text == "static")
                 fn.internal = true;
-        }
         // Matching close of the parameter list.
         size_t closeParen = stmt.size();
         {
@@ -453,9 +452,6 @@ class DeclParser
                 }
             }
         }
-        for (size_t k = closeParen; k < stmt.size(); ++k)
-            if (stmt[k].text == "Status" || stmt[k].text == "Result")
-                fn.returnsStatus = true;
 
         // Parameters: last identifier of each top-level segment.
         if (!fn.special && closeParen > parenPos) {
@@ -518,6 +514,8 @@ class DeclParser
         fn.qualName = qual;
 
         notDeclUse(fn.name);
+        if (declOnly)
+            return -1;
         out_.functions.push_back(std::move(fn));
         return static_cast<int>(out_.functions.size() - 1);
     }
@@ -552,18 +550,16 @@ class DeclParser
                                              line});
             return;
         }
-        if (!enclosingTypeName().empty())
-            return; // plain data members are not interesting
-        notDeclUse(name);
-        out_.globals.push_back(GlobalDecl{name, line});
+        if (enclosingTypeName().empty())
+            notDeclUse(name); // a namespace-scope variable's declaration
     }
 
     // ------------------------------------------------- body scans
 
     /**
      * Scan one function (or lambda) body, cursor just past its '{'.
-     * Records calls, allocs, locks, writes, fp compound assignments,
-     * discarded-call statements and nested lambdas.
+     * Records calls, allocs, locks, fp compound assignments and nested
+     * lambdas.
      */
     void
     parseBody(int fnIdx)
@@ -597,7 +593,6 @@ class DeclParser
                 continue;
             }
             if (t.text == ";" && callStack.empty()) {
-                recordDiscardIfCall(fn(), stmt);
                 stmt.clear();
                 ++i_;
                 continue;
@@ -641,27 +636,13 @@ class DeclParser
                 continue;
             }
 
-            // Compound assignment / increment on the previous token.
+            // Compound assignment on the previous token.
             if ((t.text == "+" || t.text == "-" || t.text == "*"
                  || t.text == "/")
                 && peek() && peek()->text == "="
-                && peek()->line == t.line) {
-                recordCompound(fn(), stmt, t);
-                stmt.push_back(t);
-                ++i_;
-                continue;
-            }
-            if ((t.text == "+" || t.text == "-") && peek()
-                && peek()->text == t.text && !stmt.empty()
-                && isIdent(stmt.back())) {
-                // Postfix increment/decrement: a write to the operand.
-                fn().writes.push_back(
-                    WriteSite{stmt.back().text, t.line});
-            }
-            if (t.text == "=" && (!peek() || peek()->text != "=")
-                && (stmt.empty() || stmt.back().text != "=")) {
-                recordAssign(fn(), stmt, t.line);
-            }
+                && peek()->line == t.line && !stmt.empty()
+                && isIdent(stmt.back()))
+                fn().fpWrites.push_back(FpWrite{stmt.back().text, t.line});
 
             stmt.push_back(t);
             ++i_;
@@ -850,7 +831,38 @@ class DeclParser
                 AllocSite{"." + nameTok.text, nameTok.line});
         else if (!member && kAllocCalls.count(nameTok.text))
             fn.allocs.push_back(AllocSite{nameTok.text, nameTok.line});
+        // `std::vector<float> x(n)`: a container declared with
+        // constructor arguments allocates.
+        const std::string sized = sizedContainerBefore(stmt, k - 1);
+        if (!sized.empty() && peek() && peek()->text != ")")
+            fn.allocs.push_back(AllocSite{sized + "(n)", nameTok.line});
         return recorded;
+    }
+
+    /**
+     * The sized-container type ("vector", "string", "deque") written
+     * just before stmt[nameIdx], through one template argument list
+     * (`std::vector<float> x`, `std::string s`); "" otherwise.
+     */
+    static std::string
+    sizedContainerBefore(const std::vector<Token> &stmt, size_t nameIdx)
+    {
+        size_t t = nameIdx;
+        if (t > 0 && stmt[t - 1].text == ">") {
+            int depth = 0;
+            while (t > 0) {
+                --t;
+                if (stmt[t].text == ">")
+                    ++depth;
+                else if (stmt[t].text == "<" && --depth == 0)
+                    break;
+            }
+            if (depth != 0)
+                return "";
+        }
+        if (t == 0 || !kSizedContainers.count(stmt[t - 1].text))
+            return "";
+        return stmt[t - 1].text;
     }
 
     /** Identifier at the cursor: new/alloc/lock-wrapper handling. */
@@ -858,13 +870,6 @@ class DeclParser
     scanIdentifier(FunctionInfo &fn, const std::vector<Token> &stmt)
     {
         const Token &t = cur();
-        // Prefix increment/decrement: `++x` / `--x` is a write to x.
-        if (stmt.size() >= 2) {
-            const std::string &a = stmt[stmt.size() - 2].text;
-            const std::string &b = stmt.back().text;
-            if ((a == "+" && b == "+") || (a == "-" && b == "-"))
-                fn.writes.push_back(WriteSite{t.text, t.line});
-        }
         if (t.text == "new") {
             fn.allocs.push_back(AllocSite{"new", t.line});
             return;
@@ -948,111 +953,22 @@ class DeclParser
             }
         }
     }
-
-    /** `x +=` / `x *=` (float-order candidates) and writes. */
-    void
-    recordCompound(FunctionInfo &fn, const std::vector<Token> &stmt,
-                   const Token &op)
-    {
-        if (stmt.empty())
-            return;
-        const Token &lhs = stmt.back();
-        if (!isIdent(lhs))
-            return; // subscripted / call-result target
-        fn.writes.push_back(WriteSite{lhs.text, op.line});
-        if (op.text == "+" || op.text == "-" || op.text == "*"
-            || op.text == "/")
-            fn.fpWrites.push_back(FpWrite{lhs.text, op.line});
-    }
-
-    /** `x = ...` simple assignment (write tracking for globals). */
-    void
-    recordAssign(FunctionInfo &fn, const std::vector<Token> &stmt,
-                 int line)
-    {
-        if (stmt.empty())
-            return;
-        const Token &lhs = stmt.back();
-        if (!isIdent(lhs))
-            return;
-        // Exclude comparisons spelled as `a = = b` (split ==) and
-        // declarations with initializers (`int x = 0` is still a
-        // write to x, which is fine for our purposes).
-        fn.writes.push_back(WriteSite{lhs.text, line});
-    }
-
-    /**
-     * A ';' closed a statement at call depth 0: if the whole
-     * statement is a single call expression, its result is discarded.
-     */
-    void
-    recordDiscardIfCall(FunctionInfo &fn, const std::vector<Token> &stmt)
-    {
-        if (stmt.size() < 3 || !isIdent(stmt.front()))
-            return;
-        if (kControlKeywords.count(stmt.front().text)
-            || kStatementStarters.count(stmt.front().text))
-            return;
-        // Walk the callee: ident ((::|.|->) ident)*
-        size_t k = 1;
-        std::string lastName = stmt[0].text;
-        bool member = false;
-        while (k + 1 < stmt.size()) {
-            if (stmt[k].text == "::" && isIdent(stmt[k + 1])) {
-                lastName = stmt[k + 1].text;
-                k += 2;
-                continue;
-            }
-            if (stmt[k].text == "." && isIdent(stmt[k + 1])) {
-                lastName = stmt[k + 1].text;
-                member = true;
-                k += 2;
-                continue;
-            }
-            if (stmt[k].text == "-" && k + 2 < stmt.size()
-                && stmt[k + 1].text == ">" && isIdent(stmt[k + 2])) {
-                lastName = stmt[k + 2].text;
-                member = true;
-                k += 3;
-                continue;
-            }
-            break;
-        }
-        if (k >= stmt.size() || stmt[k].text != "(")
-            return;
-        // The call's closing paren must be the statement's last token.
-        int depth = 0;
-        size_t close = stmt.size();
-        for (size_t j = k; j < stmt.size(); ++j) {
-            if (stmt[j].text == "(")
-                ++depth;
-            else if (stmt[j].text == ")" && --depth == 0) {
-                close = j;
-                break;
-            }
-        }
-        if (close != stmt.size() - 1)
-            return;
-        fn.discards.push_back(CallSite{member ? "." + lastName : lastName,
-                                       stmt.front().line});
-    }
 };
 
 } // namespace
 
 FileSummary
-parseFile(const SourceFile &file, const std::string &sha)
+parseFile(const SourceFile &file)
 {
     FileSummary sum;
     sum.path = file.path;
-    sum.sha = sha;
 
     const LexedFile lexed = lex(file.content);
     sum.includes = lexed.includes;
     sum.annotations = parseAnnotations(lexed.comments);
-    sum.fileDiags = lintFile(file);
+    sum.fileDiags = lintLexed(file, lexed, sum.annotations);
 
-    DeclParser parser(file, lexed, sum);
+    DeclParser parser(lexed, sum);
     parser.run();
     return sum;
 }

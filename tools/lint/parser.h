@@ -4,17 +4,12 @@
  * analysis.
  *
  * parseFile() turns one translation unit into a FileSummary: every
- * function/method/lambda definition (with its qualified name, calls,
- * allocation sites, lock acquisitions, floating-point compound
- * assignments and discarded-call statements), declarations that carry
- * return types, namespace-scope globals and mutexes, the include
- * list, the in-source annotations, and the identifier-use set for the
- * liveness scan.
- *
+ * function/method/lambda (with its qualified name, calls, allocation
+ * sites, lock acquisitions and floating-point compound assignments),
+ * the mutex declarations, the include list, the in-source
+ * suppressions, and the identifier-use set for the liveness scan.
  * A FileSummary is everything the whole-repo phase (callgraph.h)
- * needs, which is what makes it cacheable: the incremental cache
- * stores summaries keyed by content hash, and a warm run never
- * re-lexes an unchanged file.
+ * needs from one file.
  *
  * This is a heuristic parser, not a compiler front end: templates are
  * parsed by token shape, overload resolution is name matching, and
@@ -47,7 +42,7 @@ struct CallSite
 /** One allocation primitive inside a function body. */
 struct AllocSite
 {
-    /** "new", "malloc", ".push_back", ".resize", "make_unique", ... */
+    /** "new", "malloc", ".push_back", "make_unique", "vector(n)", ... */
     std::string what;
     int line = 0;
 };
@@ -60,13 +55,6 @@ struct LockSite
     int line = 0;
 };
 
-/** One write (assignment / compound assignment / ++ / --). */
-struct WriteSite
-{
-    std::string var;
-    int line = 0;
-};
-
 /** One floating-point compound assignment (+= -= *= /=). */
 struct FpWrite
 {
@@ -74,7 +62,7 @@ struct FpWrite
     int line = 0;
 };
 
-/** One function, method, or lambda. */
+/** One function or method definition, or a lambda. */
 struct FunctionInfo
 {
     /** Last name component ("parallelFor"); lambdas: "<lambda>". */
@@ -85,10 +73,6 @@ struct FunctionInfo
     std::string qualName;
     int line = 0;
     bool isLambda = false;
-    /** Declaration without a body (prototype / extern). */
-    bool isDeclOnly = false;
-    /** Return type mentions Status or Result. */
-    bool returnsStatus = false;
     /** Internal linkage: anonymous namespace or file-static. */
     bool internal = false;
     /** Constructor, destructor, operator, or main: exempt from the
@@ -107,9 +91,6 @@ struct FunctionInfo
     std::vector<AllocSite> allocs;
     std::vector<LockSite> locks;
     std::vector<FpWrite> fpWrites;
-    std::vector<WriteSite> writes;
-    /** Statement-level calls whose return value is discarded. */
-    std::vector<CallSite> discards;
 };
 
 /** One namespace-scope or class-scope mutex declaration. */
@@ -121,23 +102,13 @@ struct MutexDecl
     int line = 0;
 };
 
-/** One namespace-scope variable (for lock-discipline pairing). */
-struct GlobalDecl
-{
-    std::string name;
-    int line = 0;
-};
-
 /** Everything the cross-TU phase needs from one file. */
 struct FileSummary
 {
     std::string path;
-    /** Content hash the summary was parsed from (cache key). */
-    std::string sha;
     std::vector<FunctionInfo> functions;
     std::vector<IncludeDirective> includes;
     std::vector<MutexDecl> mutexes;
-    std::vector<GlobalDecl> globals;
     Annotations annotations;
     /**
      * Sorted unique identifiers used in the file, excluding each
@@ -150,11 +121,15 @@ struct FileSummary
 };
 
 /**
- * Parse one file: lex, run the per-file token rules, and extract the
- * declaration summary. `sha` is stored verbatim (pass the content
- * hash when caching; tests may pass anything).
+ * Parse one file: lex it once, run the per-file token rules, and
+ * extract the declaration summary.
  */
-FileSummary parseFile(const SourceFile &file, const std::string &sha = "");
+FileSummary parseFile(const SourceFile &file);
+
+/** The per-file token rules (lintFile()) over an already-lexed file. */
+std::vector<Diagnostic> lintLexed(const SourceFile &file,
+                                  const LexedFile &lexed,
+                                  const Annotations &ann);
 
 } // namespace lrd::lint
 

@@ -12,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "annotations.h"
-#include "lexer.h"
-#include "lint.h"
+#include "parser.h"
 
 namespace lrd::lint {
 
@@ -263,12 +261,12 @@ const std::set<std::string> kNonVariableStarters = {
 /**
  * Walk the token stream tracking namespace scope and classify every
  * namespace-scope statement; emit nonconst-global for mutable
- * variables lacking a safe marker or mutex annotation, and
- * using-namespace-header for headers.
+ * variables lacking a safe marker, and using-namespace-header for
+ * headers.
  */
 void
 checkNamespaceScope(const SourceFile &file, const std::vector<Token> &toks,
-                    const Annotations &ann, Sink &sink)
+                    Sink &sink)
 {
     const bool header = isHeaderPath(file.path);
     std::vector<BraceKind> stack;
@@ -358,8 +356,6 @@ checkNamespaceScope(const SourceFile &file, const std::vector<Token> &toks,
                 safe = true;
                 break;
             }
-        if (!safe && ann.mutexAnnotated(line))
-            safe = true;
         if (!safe) {
             std::string name;
             for (size_t i = 0; i < std::min(eqPos, stmt.size()); ++i)
@@ -369,9 +365,9 @@ checkNamespaceScope(const SourceFile &file, const std::vector<Token> &toks,
                       "mutable namespace-scope variable" +
                           (name.empty() ? std::string()
                                         : " '" + name + "'") +
-                          " without std::atomic, const, or a "
-                          "'// lrd-lint: mutex(<name>)' annotation "
-                          "is a data-race and determinism hazard");
+                          " without std::atomic or const is a data-race "
+                          "and determinism hazard; justify a guarded "
+                          "one with '// lrd-lint: allow(nonconst-global)'");
         }
         stmt.clear();
     };
@@ -458,14 +454,20 @@ checkHeaderGuard(const SourceFile &file, const LexedFile &lexed, Sink &sink)
 std::vector<Diagnostic>
 lintFile(const SourceFile &file)
 {
-    std::vector<Diagnostic> out;
     const LexedFile lexed = lex(file.content);
-    const Annotations ann = parseAnnotations(lexed.comments);
+    return lintLexed(file, lexed, parseAnnotations(lexed.comments));
+}
+
+std::vector<Diagnostic>
+lintLexed(const SourceFile &file, const LexedFile &lexed,
+          const Annotations &ann)
+{
+    std::vector<Diagnostic> out;
     Sink sink{file, ann, out};
 
     checkBannedIdentifiers(file, lexed.tokens, sink);
     checkIntrinsicsConfinement(file, lexed, sink);
-    checkNamespaceScope(file, lexed.tokens, ann, sink);
+    checkNamespaceScope(file, lexed.tokens, sink);
     checkHeaderGuard(file, lexed, sink);
     return out;
 }
@@ -475,14 +477,6 @@ formatDiagnostic(const Diagnostic &d)
 {
     std::ostringstream oss;
     oss << d.file << ":" << d.line << ": [" << d.rule << "] " << d.message;
-    return oss.str();
-}
-
-std::string
-formatFixList(const Diagnostic &d)
-{
-    std::ostringstream oss;
-    oss << d.file << "\t" << d.line << "\t" << d.rule << "\t" << d.message;
     return oss.str();
 }
 

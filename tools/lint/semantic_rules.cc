@@ -1,7 +1,6 @@
 #include "semantic.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -26,23 +25,11 @@ productionPath(const std::string &path)
            || path.compare(0, 6, "tools/") == 0;
 }
 
-/** Mutex name annotated on `line` (or the line above), or "". */
-std::string
-annotatedMutex(const Annotations &ann, int line)
-{
-    for (int l : {line, line - 1}) {
-        const auto it = ann.mutexNames.find(l);
-        if (it != ann.mutexNames.end())
-            return it->second;
-    }
-    return "";
-}
-
 void
 checkHotPathAlloc(const RepoGraph &graph, std::vector<Diagnostic> &out)
 {
-    for (const auto &[ref, mark] : graph.hotSet()) {
-        (void)mark;
+    for (const auto &[ref, parent] : graph.hotSet()) {
+        (void)parent;
         const FileSummary &sum = graph.file(ref);
         if (!productionPath(sum.path))
             continue;
@@ -62,136 +49,24 @@ checkHotPathAlloc(const RepoGraph &graph, std::vector<Diagnostic> &out)
     }
 }
 
+/** The repo-wide lock acquisition order must be acyclic. */
 void
-checkLockDiscipline(const RepoGraph &graph, std::vector<Diagnostic> &out)
+checkLockOrder(const RepoGraph &graph, std::vector<Diagnostic> &out)
 {
-    const std::vector<FileSummary> &sums = graph.files();
-
-    // Every mutex name declared anywhere (for the unknown-name check).
-    std::set<std::string> declaredNames;
-    for (const FileSummary &sum : sums)
-        for (const MutexDecl &m : sum.mutexes)
-            declaredNames.insert(m.name);
-
-    for (size_t f = 0; f < sums.size(); ++f) {
-        const FileSummary &sum = sums[f];
-        for (const auto &[line, name] : sum.annotations.mutexNames) {
-            if (!declaredNames.count(name)) {
-                out.push_back(Diagnostic{
-                    sum.path, line, kRuleLockDiscipline,
-                    "mutex annotation names '" + name
-                        + "', which is not declared anywhere in the "
-                          "tree",
-                    name});
-                continue;
-            }
-            const std::string key =
-                graph.mutexKey(static_cast<int>(f), name);
-            if (!key.empty() && !graph.acquiredKeys().count(key))
-                out.push_back(Diagnostic{
-                    sum.path, line, kRuleLockDiscipline,
-                    "mutex '" + name
-                        + "' is annotated as a guard but never "
-                          "acquired (no lock_guard/unique_lock/"
-                          "scoped_lock/.lock() in the tree)",
-                    name});
-        }
-
-        // Writers of an annotated global must hold its mutex. The
-        // check is same-file: every annotated global in this tree has
-        // internal linkage.
-        for (const GlobalDecl &g : sum.globals) {
-            const std::string mutexName =
-                annotatedMutex(sum.annotations, g.line);
-            if (mutexName.empty())
-                continue;
-            const std::string key =
-                graph.mutexKey(static_cast<int>(f), mutexName);
-            if (key.empty())
-                continue; // unknown/ambiguous: reported above
-            for (size_t i = 0; i < sum.functions.size(); ++i) {
-                const FunctionInfo &fi = sum.functions[i];
-                if (fi.isDeclOnly)
-                    continue;
-                bool writes = false;
-                int writeLine = 0;
-                for (const WriteSite &w : fi.writes)
-                    if (w.var == g.name) {
-                        writes = true;
-                        writeLine = w.line;
-                        break;
-                    }
-                if (!writes)
-                    continue;
-                bool holds = false;
-                for (const LockSite &l : fi.locks)
-                    if (graph.mutexKey(static_cast<int>(f),
-                                       l.mutexName)
-                        == key)
-                        holds = true;
-                if (holds
-                    || isSuppressed(sum.annotations, writeLine,
-                                    kRuleLockDiscipline))
-                    continue;
-                out.push_back(Diagnostic{
-                    sum.path, writeLine, kRuleLockDiscipline,
-                    "write to '" + g.name + "' (annotated mutex("
-                        + mutexName + ")) in " + fi.qualName
-                        + " without acquiring it",
-                    fi.qualName});
-            }
-        }
-    }
-
-    // Repo-wide acquisition order must be acyclic.
     const std::vector<LockEdge> cycle = graph.findLockCycle();
-    if (!cycle.empty()) {
-        std::ostringstream oss;
-        oss << "lock acquisition order cycle: ";
-        for (size_t i = 0; i < cycle.size(); ++i) {
-            if (i)
-                oss << "; ";
-            oss << cycle[i].from << " -> " << cycle[i].to << " in "
-                << cycle[i].witness;
-        }
-        out.push_back(Diagnostic{cycle.front().file, cycle.front().line,
-                                 kRuleLockDiscipline, oss.str(),
-                                 cycle.front().from});
+    if (cycle.empty())
+        return;
+    std::ostringstream oss;
+    oss << "lock acquisition order cycle: ";
+    for (size_t i = 0; i < cycle.size(); ++i) {
+        if (i)
+            oss << "; ";
+        oss << cycle[i].from << " -> " << cycle[i].to << " in "
+            << cycle[i].witness;
     }
-}
-
-void
-checkUncheckedResult(const RepoGraph &graph, std::vector<Diagnostic> &out)
-{
-    const std::vector<FileSummary> &sums = graph.files();
-    for (size_t f = 0; f < sums.size(); ++f) {
-        const FileSummary &sum = sums[f];
-        for (const FunctionInfo &fi : sum.functions) {
-            for (const CallSite &d : fi.discards) {
-                const std::vector<FunctionRef> cands =
-                    graph.resolveAny(static_cast<int>(f), d.name);
-                if (cands.empty())
-                    continue;
-                const bool allStatus = std::all_of(
-                    cands.begin(), cands.end(),
-                    [&](const FunctionRef &r) {
-                        return graph.fn(r).returnsStatus;
-                    });
-                if (!allStatus)
-                    continue;
-                if (isSuppressed(sum.annotations, d.line,
-                                 kRuleUncheckedResult))
-                    continue;
-                const std::string callee = bareName(d.name);
-                out.push_back(Diagnostic{
-                    sum.path, d.line, kRuleUncheckedResult,
-                    "result of '" + callee
-                        + "' (returns Status/Result) is discarded; "
-                          "check it or cast to void",
-                    fi.qualName + " -> " + callee});
-            }
-        }
-    }
+    out.push_back(Diagnostic{cycle.front().file, cycle.front().line,
+                             kRuleLockDiscipline, oss.str(),
+                             cycle.front().from});
 }
 
 void
@@ -257,7 +132,7 @@ checkDeadSymbols(const RepoGraph &graph, std::vector<Diagnostic> &out)
         if (sum.path.compare(0, 4, "src/") != 0)
             continue;
         for (const FunctionInfo &fi : sum.functions) {
-            if (fi.isLambda || fi.isDeclOnly || fi.special
+            if (fi.isLambda || fi.special
                 || fi.internal)
                 continue;
             if (graph.liveNames().count(fi.name))
@@ -283,20 +158,23 @@ runSemanticRules(const std::vector<FileSummary> &sums)
     const RepoGraph graph(sums);
     std::vector<Diagnostic> out;
     checkHotPathAlloc(graph, out);
-    checkLockDiscipline(graph, out);
-    checkUncheckedResult(graph, out);
+    checkLockOrder(graph, out);
     checkFpOrder(graph, out);
     checkDeadSymbols(graph, out);
     return out;
 }
 
 std::vector<Diagnostic>
-analyzeSummaries(const std::vector<FileSummary> &sums)
+lintFiles(const std::vector<SourceFile> &files)
 {
+    std::vector<FileSummary> sums;
+    sums.reserve(files.size());
     std::vector<Diagnostic> out;
-    for (const FileSummary &sum : sums)
-        out.insert(out.end(), sum.fileDiags.begin(),
-                   sum.fileDiags.end());
+    for (const SourceFile &f : files) {
+        sums.push_back(parseFile(f));
+        out.insert(out.end(), sums.back().fileDiags.begin(),
+                   sums.back().fileDiags.end());
+    }
 
     std::vector<Diagnostic> graph = checkIncludeGraph(sums);
     out.insert(out.end(), graph.begin(), graph.end());
@@ -310,16 +188,6 @@ analyzeSummaries(const std::vector<FileSummary> &sums)
                          < std::tie(b.file, b.line, b.rule, b.message);
               });
     return out;
-}
-
-std::vector<Diagnostic>
-lintFiles(const std::vector<SourceFile> &files)
-{
-    std::vector<FileSummary> sums;
-    sums.reserve(files.size());
-    for (const SourceFile &f : files)
-        sums.push_back(parseFile(f));
-    return analyzeSummaries(sums);
 }
 
 } // namespace lrd::lint
