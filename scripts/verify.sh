@@ -63,18 +63,23 @@ else
     echo "== clang-tidy not installed; blocking pass skipped (CI runs it) =="
 fi
 
-echo "== TSan: determinism + obs + serve suites under -fsanitize=thread =="
+echo "== TSan: determinism + obs + serve + telemetry + session suites under -fsanitize=thread =="
 # Every pool worker forwards the one shared model: determinism_test
 # covers the evaluator on a dense, a factorized and an encoder model,
 # and a trainer thread running lossAndGrad beside the pool's scoring on
 # one model; serve_test covers Batcher::execute
 # (the bitwise-identity test at 4 and 8 threads, the chaos sweep at
-# 2). serve_test runs under ASan below too.
+# 2). serve_test runs under ASan below too. telemetry_test races
+# threads on the per-thread tensor-arena cells and the sampler's reads
+# of them; session_test drives the KV caches that grow as they append.
 cmake -B build-tsan -S . -DLRD_SANITIZE=thread
-cmake --build build-tsan -j --target determinism_test obs_test serve_test
+cmake --build build-tsan -j --target determinism_test obs_test serve_test \
+    telemetry_test session_test
 ./build-tsan/tests/determinism_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/serve_test
+./build-tsan/tests/telemetry_test
+./build-tsan/tests/session_test
 
 echo "== UBSan: determinism + obs + GEMM + linalg suites under -fsanitize=undefined =="
 # gemm_reference_test and tensor_test run the skinny gemmTransB
@@ -91,6 +96,7 @@ cmake --build build-ubsan -j --target determinism_test obs_test \
 ./build-ubsan/tests/linalg_test
 
 echo "== ASan: robust + resume + cancel + serve + model + train + GEMM + linalg suites under -fsanitize=address =="
+# session_test and layers_test cover the KV caches' growth copies.
 cmake -B build-asan -S . -DLRD_SANITIZE=address
 cmake --build build-asan -j --target robust_test resume_test cancel_test \
     serve_test model_test session_test serialization_test layers_test \

@@ -185,9 +185,6 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
             "MultiHeadAttention::forwardCached: bad input");
     const int64_t n = x.dim(0);
     const int64_t start = cache.len;
-    require(start + n <= cache.k.dim(0),
-            "MultiHeadAttention::forwardCached: cache overflow (", start + n,
-            " > ", cache.k.dim(0), ")");
 
     Tensor q = wq_->forward(x);
     Tensor k = wk_->forward(x);
@@ -197,7 +194,16 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
         rope_->apply(k, start, false, kvHeads_);
     }
 
-    // Append to the cache (rows are kvDim wide under GQA).
+    // Append to the cache (rows are kvDim wide under GQA). Storage
+    // grows only past the most rows it has held: a rewound cache
+    // keeps its storage.
+    const auto stored = static_cast<size_t>((start + n) * kvDim_);
+    if (cache.k.size() < stored) {
+        // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's K rows, allocated as it appends them
+        cache.k.resize(stored);
+        // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's V rows, allocated as it appends them
+        cache.v.resize(stored);
+    }
     for (int64_t i = 0; i < n; ++i) {
         float *kdst = cache.k.data() + (start + i) * kvDim_;
         float *vdst = cache.v.data() + (start + i) * kvDim_;

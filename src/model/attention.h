@@ -21,18 +21,17 @@
 
 namespace lrd {
 
-/** Per-layer key/value cache for incremental decoding. */
+/**
+ * Per-layer key/value cache for incremental decoding. It stores only
+ * the rows appended so far, kvDim floats each: forwardCached() grows
+ * the storage, and rewinding `len` keeps it for the next append.
+ * InferenceSession bounds the length by the model's maxSeq.
+ */
 struct KvCache
 {
-    KvCache() = default;
-    KvCache(int64_t maxSeq, int64_t dModel)
-        : k({maxSeq, dModel}), v({maxSeq, dModel})
-    {
-    }
-
-    Tensor k;        ///< Cached post-RoPE keys, rows 0..len.
-    Tensor v;        ///< Cached values, rows 0..len.
-    int64_t len = 0; ///< Number of valid cached positions.
+    std::vector<float> k; ///< Cached post-RoPE keys, row-major.
+    std::vector<float> v; ///< Cached values, row-major.
+    int64_t len = 0;      ///< Number of valid cached positions.
 };
 
 /** Multi-head self-attention block. */
@@ -53,7 +52,8 @@ class MultiHeadAttention
 
     /**
      * Incremental forward: append x's rows (usually one) at positions
-     * cache.len..cache.len+n and attend over everything cached so far.
+     * cache.len..cache.len+n, growing the cache's storage when it holds
+     * fewer rows, and attend over everything cached so far.
      */
     Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 

@@ -439,15 +439,12 @@ InferenceSession::InferenceSession(const TransformerModel &model)
 {
     require(model.config().arch == Arch::LlamaStyle,
             "InferenceSession: KV-cache decoding is decoder-only");
-    reset();
 }
 
 void
 InferenceSession::reset()
 {
-    caches_.assign(static_cast<size_t>(model_->numLayers()),
-                   KvCache(model_->config().maxSeq,
-                           model_->config().kvDim()));
+    truncate(0);
 }
 
 void
@@ -467,6 +464,10 @@ InferenceSession::append(const TokenSeq &tokens)
     require(start + static_cast<int64_t>(tokens.size())
                 <= model_->config().maxSeq,
             "InferenceSession::append: exceeds maxSeq");
+    if (caches_.empty()) {
+        // lrd-lint: allow(hot-path-alloc) one empty cache per layer, on a session's first append
+        caches_.resize(static_cast<size_t>(model_->numLayers()));
+    }
     Tensor h = model_->embedding_->forward(tokens, start);
     for (int64_t l = 0; l < model_->numLayers(); ++l) {
         h = model_->blocks_[static_cast<size_t>(l)]->forwardCached(

@@ -138,9 +138,12 @@ class TransformerModel
 
 /**
  * KV-cache incremental decoding session over a LlamaStyle model.
- * truncate() rewinds it to a shorter prefix, which the evaluator uses
- * to score every choice of an item against one shared context; copies
- * are deep (they duplicate the whole cache) and diverge independently.
+ * Construction allocates nothing: each layer's cache storage grows
+ * with the rows appended, up to the model's maxSeq, which append()
+ * enforces. truncate() rewinds it to a shorter prefix, which the
+ * evaluator uses to score every choice of an item against one shared
+ * context; copies are deep (they duplicate the stored rows) and
+ * diverge independently.
  */
 class InferenceSession
 {
@@ -148,7 +151,7 @@ class InferenceSession
     /** `model` is borrowed; sessions on other threads may share it. */
     explicit InferenceSession(const TransformerModel &model);
 
-    /** Clear the caches; the session restarts at position 0. */
+    /** Rewind to position 0, keeping the caches' storage. */
     void reset();
 
     /**
@@ -161,10 +164,10 @@ class InferenceSession
     int64_t length() const { return caches_.empty() ? 0 : caches_[0].len; }
 
     /**
-     * Rewind to the first `n` tokens (0 <= n <= length()). Cached
-     * attention reads only rows below the cache length and the next
-     * append overwrites rows from `n` on, so the session then computes
-     * bitwise what a copy taken at length `n` would.
+     * Rewind to the first `n` tokens (0 <= n <= length()), keeping the
+     * storage. Cached attention reads only rows below the cache length
+     * and the next append overwrites rows from `n` on, so the session
+     * then computes bitwise what a copy taken at length `n` would.
      */
     void truncate(int64_t n);
 

@@ -111,7 +111,6 @@ appendMemory(std::ostringstream &oss)
     oss << "\"rss_bytes\": " << mem.rssBytes
         << ", \"rss_peak_bytes\": " << mem.peakRssBytes
         << ", \"arena_live_bytes\": " << arena.liveBytes
-        << ", \"arena_peak_bytes\": " << arena.peakLiveBytes
         << ", \"arena_allocs\": " << arena.allocCount
         << ", \"arena_alloc_bytes\": " << arena.allocBytes;
 }

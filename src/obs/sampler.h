@@ -9,14 +9,14 @@
  *                              of every segment.
  *   {"type":"sample","t_ms":..,"phase":"train",
  *    "rss_bytes":..,"rss_peak_bytes":..,
- *    "arena_live_bytes":..,"arena_peak_bytes":..,
- *    "arena_allocs":..,"arena_alloc_bytes":..,
+ *    "arena_live_bytes":..,"arena_allocs":..,"arena_alloc_bytes":..,
  *    "counters":{<name>:<delta since previous sample>, ...},
  *    "gauges":{<name>:<current value>, ...},
  *    "hist":{<name>:{"count":..,"p50":..,"p90":..,"p99":..}, ...}}
  *   {"type":"final","t_ms":..,"runId":..,"samples":..,"rotations":..,
- *    "counters":{<cumulative totals>},"gauges":{..},"hist":{..},
- *    "rss_peak_bytes":..,"arena_peak_bytes":..}
+ *    "rss_bytes":..,"rss_peak_bytes":..,
+ *    "arena_live_bytes":..,"arena_allocs":..,"arena_alloc_bytes":..,
+ *    "counters":{<cumulative totals>},"gauges":{..},"hist":{..}}
  *
  * Durability and bounding: every record is fflush()ed as it is
  * written, so a SIGKILL loses at most the line being appended (and

@@ -1,7 +1,9 @@
 #include "robust/recovery.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 
 #include "obs/metrics.h"
@@ -171,17 +173,23 @@ numericFaultPending()
 int64_t
 firstNonFinite(const float *p, int64_t n)
 {
-    // |x| accumulation: any NaN or Inf poisons the sum, and the
-    // library's activation magnitudes cannot overflow a float sum.
-    float acc = 0.0F;
-    for (int64_t i = 0; i < n; ++i)
-        acc += std::fabs(p[i]);
-    if (std::isfinite(acc))
+    // A float is NaN or Inf exactly when its exponent bits are all
+    // ones. OR-ing one such flag per element is an integer reduction
+    // with no order to keep, so it vectorizes without -ffast-math.
+    constexpr uint32_t kExponentBits = 0x7F800000U;
+    uint32_t anyBad = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        uint32_t bits = 0;
+        std::memcpy(&bits, p + i, sizeof(bits));
+        anyBad |=
+            static_cast<uint32_t>((bits & kExponentBits) == kExponentBits);
+    }
+    if (anyBad == 0)
         return -1;
     for (int64_t i = 0; i < n; ++i)
         if (!std::isfinite(p[i]))
             return i;
-    return -1; // Sum overflowed without a non-finite element.
+    return -1;
 }
 
 void

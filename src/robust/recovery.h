@@ -83,8 +83,9 @@ bool numericFaultPending();
 
 /**
  * Index of the first non-finite value in p[0..n), or -1. The common
- * all-finite case is one vectorizable |x| accumulation; the exact
- * element-wise scan runs only when that sum comes back non-finite.
+ * all-finite case is one vectorizable integer OR of "exponent bits all
+ * ones" flags; the element-wise scan for the index runs only when that
+ * flag comes back set.
  */
 int64_t firstNonFinite(const float *p, int64_t n);
 

@@ -49,9 +49,9 @@ class Tensor
     Tensor(Shape shape, std::vector<float> data);
 
     /** @name Arena-accounted special members
-     *  Every tensor reports its payload bytes to the process-wide
-     *  arena counters (util/memprobe.h) so the telemetry sampler can
-     *  chart live/peak numeric memory without walking live objects.
+     *  Every tensor reports its payload bytes to the arena counters
+     *  (util/memprobe.h, one cell per thread) so the telemetry sampler
+     *  can chart live numeric memory without walking live objects.
      *  Moves transfer the accounted bytes; copies account their own.
      *  @{
      */

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
+#include <vector>
 
 namespace lrd {
 
@@ -21,23 +23,92 @@ parseStatusLine(const char *line, const char *key)
     return static_cast<int64_t>(kb) * 1024;
 }
 
-struct ArenaCounters
+/** One thread's counts. Only the owning thread writes them (relaxed
+ *  load + store); the atomics make tensorArenaStats()' reads
+ *  race-free. Cache-line aligned so no two threads share a line. */
+struct alignas(64) ArenaCell
 {
     std::atomic<int64_t> allocCount{0};
     std::atomic<int64_t> allocBytes{0};
     std::atomic<int64_t> freedBytes{0};
-    std::atomic<int64_t> liveBytes{0};
-    std::atomic<int64_t> peakLiveBytes{0};
 };
 
-ArenaCounters &
-arena()
+/** Every cell ever made, behind one mutex; cold paths only. */
+struct ArenaState
+{
+    std::mutex mu;
+    std::vector<ArenaCell *> cells; ///< All ever created; never freed.
+    std::vector<ArenaCell *> free;  ///< Released by exited threads.
+    /** Records made after a thread released its cell, from any
+     *  thread: the one cell updated with atomic adds. */
+    ArenaCell late;
+};
+
+ArenaState &
+state()
 {
     // Leaked: tensors owned by function-local statics (the model
     // cache) destruct after main, and their accounting must still
-    // find live counters.
-    static ArenaCounters *c = new ArenaCounters; // lrd-lint: allow(hot-path-alloc) lazy singleton
-    return *c;
+    // find the state.
+    static ArenaState *s = new ArenaState; // lrd-lint: allow(hot-path-alloc) lazy singleton
+    return *s;
+}
+
+// Trivially destructible, so still readable while the thread's
+// thread-locals are being destroyed.
+thread_local ArenaCell *tCell = nullptr;
+thread_local bool tReleased = false;
+
+/** Hands the thread's cell back on thread exit for the next thread
+ *  to reuse; later records on this thread go to the late cell. */
+struct CellRelease
+{
+    ~CellRelease()
+    {
+        ArenaState &s = state();
+        std::lock_guard<std::mutex> lock(s.mu);
+        s.free.push_back(tCell); // lrd-lint: allow(hot-path-alloc) once per thread exit
+        tCell = nullptr;
+        tReleased = true;
+    }
+};
+
+/** A thread's first record: take a released cell or make one, and
+ *  arm its release. Out of line to keep the per-record path short. */
+[[gnu::noinline]] ArenaCell *
+acquireCell()
+{
+    {
+        ArenaState &s = state();
+        std::lock_guard<std::mutex> lock(s.mu);
+        if (s.free.empty()) {
+            s.cells.push_back(new ArenaCell); // lrd-lint: allow(hot-path-alloc) one cell per thread, first record only
+            tCell = s.cells.back();
+        } else {
+            tCell = s.free.back();
+            s.free.pop_back();
+        }
+    }
+    thread_local CellRelease release;
+    (void)release;
+    return tCell;
+}
+
+/** The calling thread's cell; null once released at thread exit. */
+inline ArenaCell *
+myCell()
+{
+    if (tCell != nullptr || tReleased) [[likely]]
+        return tCell;
+    return acquireCell();
+}
+
+/** Single-writer add: no read-modify-write instruction. */
+inline void
+cellAdd(std::atomic<int64_t> &cell, int64_t n)
+{
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
 }
 
 } // namespace
@@ -67,45 +138,42 @@ sampleProcMem()
 void
 tensorArenaRecordAlloc(int64_t bytes)
 {
-    ArenaCounters &c = arena();
-    c.allocCount.fetch_add(1, std::memory_order_relaxed);
-    c.allocBytes.fetch_add(bytes, std::memory_order_relaxed);
-    const int64_t live =
-        c.liveBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    int64_t peak = c.peakLiveBytes.load(std::memory_order_relaxed);
-    while (live > peak
-           && !c.peakLiveBytes.compare_exchange_weak(
-               peak, live, std::memory_order_relaxed))
-        ;
+    if (ArenaCell *c = myCell()) {
+        cellAdd(c->allocCount, 1);
+        cellAdd(c->allocBytes, bytes);
+        return;
+    }
+    ArenaCell &late = state().late;
+    late.allocCount.fetch_add(1, std::memory_order_relaxed);
+    late.allocBytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void
 tensorArenaRecordFree(int64_t bytes)
 {
-    ArenaCounters &c = arena();
-    c.freedBytes.fetch_add(bytes, std::memory_order_relaxed);
-    c.liveBytes.fetch_sub(bytes, std::memory_order_relaxed);
+    if (ArenaCell *c = myCell()) {
+        cellAdd(c->freedBytes, bytes);
+        return;
+    }
+    state().late.freedBytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 TensorArenaStats
 tensorArenaStats()
 {
-    ArenaCounters &c = arena();
     TensorArenaStats out;
-    out.allocCount = c.allocCount.load(std::memory_order_relaxed);
-    out.allocBytes = c.allocBytes.load(std::memory_order_relaxed);
-    out.freedBytes = c.freedBytes.load(std::memory_order_relaxed);
-    out.liveBytes = c.liveBytes.load(std::memory_order_relaxed);
-    out.peakLiveBytes = c.peakLiveBytes.load(std::memory_order_relaxed);
+    const auto addCell = [&out](const ArenaCell &c) {
+        out.allocCount += c.allocCount.load(std::memory_order_relaxed);
+        out.allocBytes += c.allocBytes.load(std::memory_order_relaxed);
+        out.freedBytes += c.freedBytes.load(std::memory_order_relaxed);
+    };
+    ArenaState &s = state();
+    std::lock_guard<std::mutex> lock(s.mu);
+    for (const ArenaCell *c : s.cells)
+        addCell(*c);
+    addCell(s.late);
+    out.liveBytes = out.allocBytes - out.freedBytes;
     return out;
-}
-
-void
-tensorArenaResetPeakForTest()
-{
-    ArenaCounters &c = arena();
-    c.peakLiveBytes.store(c.liveBytes.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
 }
 
 } // namespace lrd

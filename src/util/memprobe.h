@@ -8,16 +8,23 @@
  * - sampleProcMem() reads /proc/self/status (VmRSS / VmHWM) — what
  *   the kernel actually charges the process, including code, stacks,
  *   allocator slack, and the model cache. Zeroes on non-Linux hosts.
+ *   VmHWM is the exact resident high-water mark.
  * - The tensor arena counters track bytes owned by live Tensor
  *   objects. Tensor's constructors and destructor (src/tensor/) call
  *   tensorArenaRecordAlloc/Free; the counters live here in util
  *   (layer 0) so the telemetry sampler in src/obs/ (layer 1) can read
  *   them without an obs → tensor layering back-edge.
  *
- * All counters are relaxed atomics: cheap enough to leave always-on
- * (one fetch_add per Tensor construction — construction itself is an
- * O(n) zero-fill), and safe to read from the sampler thread. The peak
- * is maintained with a CAS loop on the allocation path only.
+ * Each thread records into its own cache-line-sized cell, written by
+ * that thread alone with relaxed loads and stores (no atomic
+ * read-modify-write, no line shared between pool workers), and
+ * tensorArenaStats() sums every cell under a lock. A cell outlives
+ * its thread and is reused by the next thread to start, so the totals
+ * stay exact across pool resizes: a tensor built on one thread and
+ * freed on another counts its bytes in and out. A record made after
+ * the thread's cell was released (a static destroyed after main's
+ * thread-locals) goes to one shared atomic cell. No high-water mark
+ * is kept: per-thread cells cannot order their updates into one.
  */
 
 #ifndef LRD_UTIL_MEMPROBE_H
@@ -40,11 +47,10 @@ ProcMemSample sampleProcMem();
 /** Cumulative + live byte accounting of Tensor storage. */
 struct TensorArenaStats
 {
-    int64_t allocCount = 0;    ///< Tensors ever constructed.
-    int64_t allocBytes = 0;    ///< Cumulative bytes allocated.
-    int64_t freedBytes = 0;    ///< Cumulative bytes released.
-    int64_t liveBytes = 0;     ///< allocBytes - freedBytes.
-    int64_t peakLiveBytes = 0; ///< High-water mark of liveBytes.
+    int64_t allocCount = 0; ///< Tensors ever constructed.
+    int64_t allocBytes = 0; ///< Cumulative bytes allocated.
+    int64_t freedBytes = 0; ///< Cumulative bytes released.
+    int64_t liveBytes = 0;  ///< allocBytes - freedBytes.
 };
 
 /** Record `bytes` entering the arena (Tensor construction). */
@@ -53,11 +59,8 @@ void tensorArenaRecordAlloc(int64_t bytes);
 /** Record `bytes` leaving the arena (Tensor destruction). */
 void tensorArenaRecordFree(int64_t bytes);
 
-/** Coherent-enough snapshot of the counters (relaxed loads). */
+/** Sum of every thread's cells; exact once the writers are quiet. */
 TensorArenaStats tensorArenaStats();
-
-/** Reset the peak to the current live level (tests). */
-void tensorArenaResetPeakForTest();
 
 } // namespace lrd
 

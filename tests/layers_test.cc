@@ -241,11 +241,11 @@ TEST(Rope, ShiftedPositionsChangeScores)
     MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({2, cfg.dModel}, rng);
 
-    KvCache cacheA(cfg.maxSeq, cfg.dModel);
+    KvCache cacheA;
     Tensor outA = attn.forwardCached(x, cacheA);
 
     // Same content, but starting at position 5.
-    KvCache cacheB(cfg.maxSeq, cfg.dModel);
+    KvCache cacheB;
     Tensor pad = Tensor::randn({5, cfg.dModel}, rng);
     (void)attn.forwardCached(pad, cacheB);
     // Restrict attention of the probe rows to themselves by reading
@@ -260,6 +260,22 @@ TEST(Rope, ShiftedPositionsChangeScores)
     // is independent of p, so dot(rope(q,p), rope(k,p)) depends only
     // on the offset. Build two positions with the same offset.
     EXPECT_EQ(outA.shape(), outB.shape());
+}
+
+TEST(KvCacheStorage, HoldsOnlyTheAppendedRows)
+{
+    // The cache stores the rows appended so far, not maxSeq rows.
+    Rng rng(14);
+    const ModelConfig cfg = testLlamaConfig();
+    MultiHeadAttention attn(cfg, 0, &rng);
+    KvCache cache;
+    EXPECT_EQ(cache.k.size(), 0U);
+    EXPECT_EQ(cache.v.size(), 0U);
+    (void)attn.forwardCached(Tensor::randn({3, cfg.dModel}, rng), cache);
+    EXPECT_EQ(cache.len, 3);
+    const auto threeRows = static_cast<size_t>(3 * cfg.kvDim());
+    EXPECT_EQ(cache.k.size(), threeRows);
+    EXPECT_EQ(cache.v.size(), threeRows);
 }
 
 /**

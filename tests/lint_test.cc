@@ -684,6 +684,49 @@ void emit(std::vector<int> &rows) { rows.push_back(1); }
     EXPECT_FALSE(hasRule(lintFiles(tree), kRuleHotPathAlloc));
 }
 
+TEST(LintHotPath, CallThroughALocalLambdaNamesTheLambda)
+{
+    // Block::collect's `append(v)` invokes its own lambda, not the
+    // Session::append in the same file.
+    const auto diags = lintFiles({{"src/model/block.cc", R"(
+namespace lrd {
+void Block::collect(std::vector<int> &out) {
+    const auto append = [&](int v) { out.push_back(v); };
+    append(1);
+}
+void Session::append(std::vector<int> &rows) { rows.resize(8); }
+void loadAll(long n, std::vector<int> &out) {
+    parallelFor(0, n, 1, [&](long lo, long hi) { Block().collect(out); });
+}
+} // namespace lrd
+)"}});
+    std::vector<std::string> symbols;
+    for (const Diagnostic &d : diags)
+        if (d.rule == kRuleHotPathAlloc)
+            symbols.push_back(d.symbol);
+    EXPECT_EQ((std::vector<std::string>{"lrd::Block::collect::<lambda#1>"}),
+              symbols);
+}
+
+TEST(LintParser, TemplateTypeCloseIsNotAnArrow)
+{
+    // The '>' closing `std::vector<float>` declares `run`; only the
+    // '>' of `->` makes a member call, and a comparison a plain one.
+    const FileSummary sum = parseFile(SourceFile{"src/model/f.cc", R"(
+void f(long n) { std::vector<float> run(n); }
+void g(Runner *r) { r->run(); }
+bool h(int a) { return a > run(a); }
+)"});
+    ASSERT_EQ(3U, sum.functions.size());
+    EXPECT_TRUE(sum.functions[0].calls.empty());
+    ASSERT_EQ(1U, sum.functions[0].allocs.size());
+    EXPECT_EQ("vector(n)", sum.functions[0].allocs[0].what);
+    ASSERT_EQ(1U, sum.functions[1].calls.size());
+    EXPECT_EQ(".run", sum.functions[1].calls[0].name);
+    ASSERT_EQ(1U, sum.functions[2].calls.size());
+    EXPECT_EQ("run", sum.functions[2].calls[0].name);
+}
+
 TEST(LintHotPath, SizedContainerConstructionAllocates)
 {
     const auto diags = lintFiles({{"src/model/heads.cc", R"(

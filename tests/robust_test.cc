@@ -325,6 +325,13 @@ TEST(NumericGuards, FirstNonFiniteFindsTheFirstBadElement)
     EXPECT_EQ(firstNonFinite(v.data(), static_cast<int64_t>(v.size())),
               63);
     EXPECT_EQ(firstNonFinite(v.data(), 0), -1);
+    v[0] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(firstNonFinite(v.data(), static_cast<int64_t>(v.size())), 0);
+    // Finite values whose |x| sum overflows to Inf are still finite.
+    std::vector<float> huge(100, std::numeric_limits<float>::max());
+    huge[7] = -huge[7];
+    EXPECT_EQ(firstNonFinite(huge.data(), static_cast<int64_t>(huge.size())),
+              -1);
 }
 
 TEST(NumericGuards, NoteAndTakeSlotFirstWinsAndClears)

@@ -71,6 +71,22 @@ TEST(Session, TruncatedSessionMatchesACopyBitwise)
     ASSERT_EQ(rewound.size(), copied.size());
     EXPECT_EQ(0, std::memcmp(rewound.data(), copied.data(),
                              sizeof(float) * rewound.size()));
+
+    // One-token appends grow the storage through every reallocation up
+    // to maxSeq; rewound, s keeps that storage, while the copy taken
+    // before the growth reallocates as it re-appends past its 4 rows.
+    const int64_t maxSeq = m.config().maxSeq;
+    while (s.length() < maxSeq)
+        (void)s.append({static_cast<int>(s.length() % 29) + 1});
+    s.truncate(4);
+    for (int64_t pos = 4; pos < maxSeq; ++pos) {
+        const int token = static_cast<int>((pos * 7) % 31) + 1;
+        const Tensor grown = s.append({token});
+        const Tensor fresh = copy.append({token});
+        ASSERT_EQ(0, std::memcmp(grown.data(), fresh.data(),
+                                 sizeof(float) * grown.size()))
+            << "position " << pos;
+    }
 }
 
 TEST(Session, TruncateOutsideTheSessionThrows)

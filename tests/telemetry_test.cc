@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/evaluator.h"
@@ -298,19 +300,6 @@ TEST(MemProbe, RssProbeIsSane)
     EXPECT_GE(mem.peakRssBytes, mem.rssBytes);
 }
 
-TEST(MemProbe, ResetPeakDropsToLiveLevel)
-{
-    {
-        Tensor scratch({128, 128});
-        (void)scratch;
-    }
-    EXPECT_GE(tensorArenaStats().peakLiveBytes,
-              tensorArenaStats().liveBytes);
-    tensorArenaResetPeakForTest();
-    EXPECT_EQ(tensorArenaStats().peakLiveBytes,
-              tensorArenaStats().liveBytes);
-}
-
 TEST(MemProbe, ArenaTracksTensorLifetimes)
 {
     const TensorArenaStats before = tensorArenaStats();
@@ -333,7 +322,57 @@ TEST(MemProbe, ArenaTracksTensorLifetimes)
     }
     const TensorArenaStats after = tensorArenaStats();
     EXPECT_EQ(after.liveBytes, before.liveBytes);
-    EXPECT_GE(after.peakLiveBytes, before.liveBytes + 2 * kBytes);
+}
+
+TEST(MemProbe, ArenaCountsAreExactAcrossThreads)
+{
+    // Every thread records into its own cell; the sum must not lose a
+    // record, whichever thread frees a tensor, and after the threads
+    // that recorded have exited.
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 2000;
+    constexpr int64_t kRowBytes = 16 * sizeof(float);
+    int64_t droppedBytes = 0;
+    for (int i = 0; i < kPerThread; ++i)
+        droppedBytes += (1 + i % 5) * kRowBytes;
+    const TensorArenaStats before = tensorArenaStats();
+
+    std::optional<Tensor> handed; // built on thread 0, freed on main
+    // The raw threads are the point: each one takes a cell and
+    // releases it on exit, racing the others.
+    std::vector<std::thread> threads; // lrd-lint: allow(thread-outside-parallel)
+    for (int w = 0; w < kThreads; ++w)
+        threads.emplace_back([&handed, w] {
+            // Declared before the thread's first record, so it is
+            // destroyed after the thread released its cell.
+            thread_local std::optional<Tensor> outlivesCell;
+            if (w == kThreads - 1)
+                outlivesCell.emplace(Shape{2, 16});
+            for (int i = 0; i < kPerThread; ++i) {
+                const Tensor t({1 + i % 5, 16});
+                (void)t;
+            }
+            if (w == 0)
+                handed.emplace(Shape{3, 16});
+        });
+    for (auto &t : threads)
+        t.join();
+
+    const TensorArenaStats joined = tensorArenaStats();
+    EXPECT_EQ(joined.allocCount - before.allocCount,
+              kThreads * kPerThread + 2);
+    EXPECT_EQ(joined.allocBytes - before.allocBytes,
+              kThreads * droppedBytes + 5 * kRowBytes);
+    EXPECT_EQ(joined.freedBytes - before.freedBytes,
+              kThreads * droppedBytes + 2 * kRowBytes);
+    EXPECT_EQ(joined.liveBytes - before.liveBytes, 3 * kRowBytes);
+
+    handed.reset();
+    const TensorArenaStats after = tensorArenaStats();
+    EXPECT_EQ(after.allocCount, joined.allocCount);
+    EXPECT_EQ(after.freedBytes - before.freedBytes,
+              kThreads * droppedBytes + 5 * kRowBytes);
+    EXPECT_EQ(after.liveBytes, before.liveBytes);
 }
 
 /** Required keys per record type, verified over a real sampler run. */
@@ -375,8 +414,7 @@ TEST(Sampler, WritesSchemaValidJsonl)
         EXPECT_EQ(s.stringOr("type", ""), "sample") << "record " << i;
         for (const char *key :
              {"t_ms", "rss_bytes", "rss_peak_bytes",
-              "arena_live_bytes", "arena_peak_bytes", "arena_allocs",
-              "arena_alloc_bytes"})
+              "arena_live_bytes", "arena_allocs", "arena_alloc_bytes"})
             EXPECT_NE(s.find(key), nullptr)
                 << "sample " << i << " lacks " << key;
         for (const char *key : {"phase", "counters", "gauges", "hist"})

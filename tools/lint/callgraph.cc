@@ -127,6 +127,17 @@ RepoGraph::resolve(const FunctionRef &caller, const std::string &callee) const
     const std::string name = lastComponent(bareName(callee));
     if (member && isStlMemberName(name))
         return out;
+    // A plain call through a local lambda variable (`auto f = [...]`
+    // in the caller or a function enclosing it) names that lambda.
+    if (!member && callee.find("::") == std::string::npos) {
+        const FileSummary &sum = file(caller);
+        for (int scope = caller.fn; scope >= 0;
+             scope = sum.functions[static_cast<size_t>(scope)].enclosing)
+            for (size_t i = 0; i < sum.functions.size(); ++i)
+                if (sum.functions[i].enclosing == scope
+                    && sum.functions[i].boundTo == name)
+                    return {FunctionRef{caller.file, static_cast<int>(i)}};
+    }
     const auto it = defsByName_.find(name);
     if (it == defsByName_.end())
         return out;

@@ -13,8 +13,10 @@
  * resolves to the in-tree definitions that the written name could
  * denote (same-file restriction for internal-linkage functions,
  * suffix matching for qualified names). An unqualified non-member
- * call prefers candidates in the caller's own scope, then in the
- * caller's own file, before it falls back to every name match.
+ * call names a lambda bound to a local variable of that name in the
+ * caller or a function enclosing it; otherwise it prefers candidates
+ * in the caller's own scope, then in the caller's own file, before it
+ * falls back to every name match.
  */
 
 #ifndef LRD_TOOLS_LINT_CALLGRAPH_H

@@ -606,7 +606,7 @@ class DeclParser
                     continue;
                 }
                 if (lambdaIntroducer(stmt)) {
-                    parseLambda(fnIdx, callStack);
+                    parseLambda(fnIdx, callStack, stmt);
                     stmt.clear();
                     continue;
                 }
@@ -684,10 +684,12 @@ class DeclParser
 
     /**
      * Parse a lambda starting at its '[' introducer: register it as
-     * a function of its own and scan its body.
+     * a function of its own and scan its body. `stmt` holds the
+     * statement's tokens before the introducer.
      */
     void
-    parseLambda(int enclosingIdx, const std::vector<std::string> &callStack)
+    parseLambda(int enclosingIdx, const std::vector<std::string> &callStack,
+                const std::vector<Token> &stmt)
     {
         const int line = cur().line;
         FunctionInfo fn;
@@ -702,6 +704,11 @@ class DeclParser
                 fn.passedTo = *it;
                 break;
             }
+        // `auto f = [...]`: calls to f inside the enclosing function
+        // invoke this lambda.
+        if (callStack.empty() && stmt.size() >= 2 && stmt.back().text == "="
+            && isIdent(stmt[stmt.size() - 2]))
+            fn.boundTo = stmt[stmt.size() - 2].text;
 
         skipBalanced("[", "]"); // capture list (identifiers counted
                                 // as uses by the initial pass)
@@ -788,18 +795,8 @@ class DeclParser
         size_t k = stmt.size();
         // Skip one balanced template argument list: foo<int>(...)
         if (stmt.back().text == ">") {
-            int depth = 0;
-            size_t j = stmt.size();
-            while (j > 0) {
-                --j;
-                if (stmt[j].text == ">")
-                    ++depth;
-                else if (stmt[j].text == "<" && --depth == 0)
-                    break;
-            }
-            if (depth == 0 && j > 0 && isIdent(stmt[j - 1]))
-                k = j;
-            else
+            k = matchingAngle(stmt, stmt.size() - 1);
+            if (k == stmt.size() || k == 0 || !isIdent(stmt[k - 1]))
                 return "";
         }
         if (k == 0 || !isIdent(stmt[k - 1]))
@@ -816,14 +813,18 @@ class DeclParser
                 j -= 2;
                 continue;
             }
-            if (stmt[j - 1].text == "." || stmt[j - 1].text == ">") {
-                // `.f` or `->f` (lexer splits -> into '-' '>').
-                member = true;
-            }
+            // `.f` or `->f` (the lexer splits -> into '-' '>').
+            member = stmt[j - 1].text == "."
+                     || (stmt[j - 1].text == ">" && j >= 2
+                         && stmt[j - 2].text == "-");
             break;
         }
+        // `Type<...> x(args)` declares x: no call named x.
+        const bool declared = !member && name == nameTok.text
+                              && closesTemplateType(stmt, k - 1);
         const std::string recorded = member ? "." + nameTok.text : name;
-        fn.calls.push_back(CallSite{recorded, nameTok.line});
+        if (!declared)
+            fn.calls.push_back(CallSite{recorded, nameTok.line});
 
         // Allocation primitives.
         if (member && kGrowthMembers.count(nameTok.text))
@@ -836,7 +837,38 @@ class DeclParser
         const std::string sized = sizedContainerBefore(stmt, k - 1);
         if (!sized.empty() && peek() && peek()->text != ")")
             fn.allocs.push_back(AllocSite{sized + "(n)", nameTok.line});
-        return recorded;
+        return declared ? "" : recorded;
+    }
+
+    /** Index of the '<' matching the '>' at stmt[close], or
+     *  stmt.size() when there is none. */
+    static size_t
+    matchingAngle(const std::vector<Token> &stmt, size_t close)
+    {
+        int depth = 0;
+        for (size_t j = close + 1; j > 0;) {
+            --j;
+            if (stmt[j].text == ">")
+                ++depth;
+            else if (stmt[j].text == "<" && --depth == 0)
+                return j;
+        }
+        return stmt.size();
+    }
+
+    /**
+     * Is stmt[nameIdx - 1] the '>' closing a template argument list
+     * that follows a type name (`std::vector<float> x`), as opposed to
+     * a comparison (`a > f(x)`) or the '>' of `->`?
+     */
+    static bool
+    closesTemplateType(const std::vector<Token> &stmt, size_t nameIdx)
+    {
+        if (nameIdx < 2 || stmt[nameIdx - 1].text != ">"
+            || stmt[nameIdx - 2].text == "-")
+            return false;
+        const size_t open = matchingAngle(stmt, nameIdx - 1);
+        return open != stmt.size() && open > 0 && isIdent(stmt[open - 1]);
     }
 
     /**
@@ -849,15 +881,8 @@ class DeclParser
     {
         size_t t = nameIdx;
         if (t > 0 && stmt[t - 1].text == ">") {
-            int depth = 0;
-            while (t > 0) {
-                --t;
-                if (stmt[t].text == ">")
-                    ++depth;
-                else if (stmt[t].text == "<" && --depth == 0)
-                    break;
-            }
-            if (depth != 0)
+            t = matchingAngle(stmt, t - 1);
+            if (t == stmt.size())
                 return "";
         }
         if (t == 0 || !kSizedContainers.count(stmt[t - 1].text))

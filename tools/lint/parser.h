@@ -84,6 +84,9 @@ struct FunctionInfo
     /** Callee name when this lambda is written directly inside a call
      *  argument list ("parallelFor", ".parallelFor", "scoreWith"). */
     std::string passedTo;
+    /** Local variable this lambda initializes (`auto f = [...]`), whose
+     *  calls in the enclosing function name the lambda; else empty. */
+    std::string boundTo;
     std::vector<std::string> params;
     /** Parameter / local names declared as scalar float or double. */
     std::vector<std::string> floatLocals;

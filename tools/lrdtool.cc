@@ -870,7 +870,7 @@ printPhaseTable(const TelemetryFile &tf)
         int64_t durMs = 0;
         int64_t macs = 0;
         int64_t rssMax = 0;
-        int64_t arenaPeak = 0;
+        int64_t arenaLiveMax = 0; ///< Largest sampled live bytes.
     };
     std::vector<std::pair<std::string, PhaseAgg>> phases;
     int64_t prevT = 0;
@@ -895,12 +895,13 @@ printPhaseTable(const TelemetryFile &tf)
                 s.findPath({"counters", "gemm.macs"}))
             agg.macs += macs->asInt();
         agg.rssMax = std::max(agg.rssMax, s.intOr("rss_bytes", 0));
-        agg.arenaPeak =
-            std::max(agg.arenaPeak, s.intOr("arena_peak_bytes", 0));
+        agg.arenaLiveMax =
+            std::max(agg.arenaLiveMax, s.intOr("arena_live_bytes", 0));
     }
     TablePrinter table("Per-phase telemetry");
     table.setHeader({"phase", "samples", "time (s)", "MACs (G)",
-                     "G MACs/s", "RSS max (MB)", "arena peak (MB)"});
+                     "G MACs/s", "RSS max (MB)",
+                     "arena peak, sampled (MB)"});
     for (const auto &[label, agg] : phases) {
         const double sec = static_cast<double>(agg.durMs) / 1e3;
         const double gmacs = static_cast<double>(agg.macs) / 1e9;
@@ -911,7 +912,8 @@ printPhaseTable(const TelemetryFile &tf)
                       TablePrinter::num(
                           static_cast<double>(agg.rssMax) / 1e6, 1),
                       TablePrinter::num(
-                          static_cast<double>(agg.arenaPeak) / 1e6, 1)});
+                          static_cast<double>(agg.arenaLiveMax) / 1e6,
+                          1)});
     }
     table.print();
     // Serving runs get their own rollup: outcome counters, the
@@ -1125,14 +1127,10 @@ cmdCompare(const std::string &pathA, const std::string &pathB)
     const double tb = static_cast<double>(fb.intOr("t_ms", 0)) / 1e3;
     totals.addRow({"wall time (s)", TablePrinter::num(ta, 2),
                    TablePrinter::num(tb, 2), deltaCell(ta, tb)});
-    for (const char *key : {"rss_peak_bytes", "arena_peak_bytes"}) {
-        const double va = static_cast<double>(fa.intOr(key, 0));
-        const double vb = static_cast<double>(fb.intOr(key, 0));
-        totals.addRow({strCat(key, " (MB)"),
-                       TablePrinter::num(va / 1e6, 1),
-                       TablePrinter::num(vb / 1e6, 1),
-                       deltaCell(va, vb)});
-    }
+    const double rssA = static_cast<double>(fa.intOr("rss_peak_bytes", 0));
+    const double rssB = static_cast<double>(fb.intOr("rss_peak_bytes", 0));
+    totals.addRow({"rss_peak_bytes (MB)", TablePrinter::num(rssA / 1e6, 1),
+                   TablePrinter::num(rssB / 1e6, 1), deltaCell(rssA, rssB)});
     for (const std::string &name :
          memberNameUnion(fa.find("counters"), fb.find("counters"))) {
         const JsonValue *ca = fa.findPath({"counters", name});
