@@ -355,7 +355,7 @@ BM_DecodeStep(benchmark::State &state)
     for (auto _ : state) {
         if (session.length() + 1 >= model.config().maxSeq) {
             state.PauseTiming();
-            session.reset();
+            session.truncate(0);
             (void)session.append({1, 2, 3, 4});
             state.ResumeTiming();
         }

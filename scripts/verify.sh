@@ -2,9 +2,10 @@
 # Tier-1 verification: clean Release build + full ctest, the lrd-lint
 # static-analysis gate, a ThreadSanitizer build that re-runs the
 # determinism + observability suites, a UBSan build of the same two
-# suites plus the GEMM and linalg suites (signed overflow / misaligned
-# loads in the packed and skinny GEMM kernels and the Jacobi rotations
-# would surface here), and an ASan build of the fault-tolerance suites
+# suites plus the GEMM, linalg, session and model suites (signed
+# overflow / misaligned loads in the packed and skinny GEMM kernels,
+# the Jacobi rotations and attention's head loop would surface here),
+# and an ASan build of the fault-tolerance suites
 # (checkpoint I/O and injected alloc failures exercise error paths
 # where leaks and overreads hide), the model and train suites
 # (shape-only deserialize, caller-owned tapes and gradient buffers),
@@ -81,19 +82,23 @@ cmake --build build-tsan -j --target determinism_test obs_test serve_test \
 ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/session_test
 
-echo "== UBSan: determinism + obs + GEMM + linalg suites under -fsanitize=undefined =="
+echo "== UBSan: determinism + obs + GEMM + linalg + session + model suites under -fsanitize=undefined =="
 # gemm_reference_test and tensor_test run the skinny gemmTransB
 # kernel's whole-vector loads over k blocks, k tails and partial
 # output groups, linalg_test the Jacobi rotation helpers' raw-pointer
-# walks; they run under ASan below too.
+# walks, session_test and model_test attention's one head loop over
+# cached rows and over a call's own rows (raw-pointer row offsets);
+# they run under ASan below too.
 cmake -B build-ubsan -S . -DLRD_SANITIZE=undefined
 cmake --build build-ubsan -j --target determinism_test obs_test \
-    gemm_reference_test tensor_test linalg_test
+    gemm_reference_test tensor_test linalg_test session_test model_test
 ./build-ubsan/tests/determinism_test
 ./build-ubsan/tests/obs_test
 ./build-ubsan/tests/gemm_reference_test
 ./build-ubsan/tests/tensor_test
 ./build-ubsan/tests/linalg_test
+./build-ubsan/tests/session_test
+./build-ubsan/tests/model_test
 
 echo "== ASan: robust + resume + cancel + serve + model + train + GEMM + linalg suites under -fsanitize=address =="
 # session_test and layers_test cover the KV caches' growth copies.

@@ -64,14 +64,9 @@ pickCausal(const TransformerModel &model, const McTask &task,
     int best = 0;
     for (size_t c = 0; c < task.choices.size(); ++c) {
         const TokenSeq &choice = task.choices[c];
-        require(!choice.empty(), "Evaluator: empty choice");
         // Every token but the last extends the context; a one-token
         // choice never touches the session.
-        double ll = contextLp[choice[0]];
-        for (size_t i = 1; i < choice.size(); ++i) {
-            const Tensor logits = session.append({choice[i - 1]});
-            ll += logSoftmaxLastDim(logits)[choice[i]];
-        }
+        double ll = session.scoreContinuation(contextLp, choice);
         session.truncate(contextLen);
         if (opts.lengthNormalize)
             ll /= static_cast<double>(choice.size());

@@ -1,7 +1,9 @@
 #include "attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "model/tape.h"
@@ -38,35 +40,71 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
 }
 
 Tensor
-MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
+MultiHeadAttention::forward(const Tensor &x, Tape *tape, KvCache *cache) const
 {
     LRD_TRACE_SPAN("attn.forward");
     require(x.rank() == 2 && x.dim(1) == dModel_,
             "MultiHeadAttention::forward: bad input ", x.shape());
-    const int64_t t = x.dim(0);
+    require(cache == nullptr || (causal_ && tape == nullptr),
+            "MultiHeadAttention::forward: a KV cache is decoder-only and "
+            "untaped");
+    const int64_t n = x.dim(0);
+    const int64_t start = cache != nullptr ? cache->len : 0;
     Tensor q = wq_->forward(x, tape);
     Tensor k = wk_->forward(x, tape);
     Tensor v = wv_->forward(x, tape);
     if (rope_ != nullptr) {
-        rope_->apply(q, 0, false, nHeads_);
-        rope_->apply(k, 0, false, kvHeads_);
+        rope_->apply(q, start, false, nHeads_);
+        rope_->apply(k, start, false, kvHeads_);
+    }
+
+    // Keys and values are row-major (rows, kvDim): this call's own, or
+    // the cache's with this call's appended. Cache storage grows only
+    // past the most rows it has held: a rewound cache keeps its storage.
+    const int64_t rows = start + n;
+    const float *keys = k.data();
+    const float *values = v.data();
+    if (cache != nullptr) {
+        const auto stored = static_cast<size_t>(rows * kvDim_);
+        if (cache->k.size() < stored) {
+            // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's K rows, allocated as it appends them
+            cache->k.resize(stored);
+            // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's V rows, allocated as it appends them
+            cache->v.resize(stored);
+        }
+        std::copy(k.data(), k.data() + k.size(),
+                  cache->k.data() + start * kvDim_);
+        std::copy(v.data(), v.data() + v.size(),
+                  cache->v.data() + start * kvDim_);
+        cache->len = rows;
+        keys = cache->k.data();
+        values = cache->v.data();
+    }
+
+    // A taped forward keeps every softmax row, in backward's
+    // (nHeads, n, n) layout; an untaped one reuses one per-thread row.
+    std::optional<Tensor> probsAll;
+    thread_local std::vector<float> scratch;
+    if (tape != nullptr) {
+        probsAll = Tensor({nHeads_, n, n});
+    } else {
+        // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the longest sequence a thread sees, reused after
+        scratch.resize(static_cast<size_t>(rows));
     }
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
-    Tensor probsAll({nHeads_, t, t});
-    Tensor ctx({t, dModel_});
-
+    Tensor ctx({n, dModel_});
     const int64_t group = nHeads_ / kvHeads_;
     for (int64_t h = 0; h < nHeads_; ++h) {
         const int64_t kvh = h / group;
-        float *probs = probsAll.data() + h * t * t;
-        for (int64_t i = 0; i < t; ++i) {
+        for (int64_t i = 0; i < n; ++i) {
             const float *qrow = q.data() + i * dModel_ + h * headDim_;
-            float *prow = probs + i * t;
-            const int64_t limit = causal_ ? i + 1 : t;
+            float *prow = probsAll ? probsAll->data() + (h * n + i) * n
+                                   : scratch.data();
+            const int64_t limit = causal_ ? start + i + 1 : rows;
             float mx = -std::numeric_limits<float>::infinity();
             for (int64_t j = 0; j < limit; ++j) {
-                const float *krow = k.data() + j * kvDim_ + kvh * headDim_;
+                const float *krow = keys + j * kvDim_ + kvh * headDim_;
                 float s = 0.0F;
                 for (int64_t d = 0; d < headDim_; ++d)
                     s += qrow[d] * krow[d];
@@ -79,16 +117,13 @@ MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
                 prow[j] = std::exp(prow[j] - mx);
                 sum += prow[j];
             }
+            // Normalize the row in place while accumulating ctx = P V.
             const float inv = 1.0F / sum;
-            for (int64_t j = 0; j < limit; ++j)
-                prow[j] *= inv;
-            for (int64_t j = limit; j < t; ++j)
-                prow[j] = 0.0F;
-            // ctx row = P V for this head.
             float *crow = ctx.data() + i * dModel_ + h * headDim_;
             for (int64_t j = 0; j < limit; ++j) {
-                const float *vrow = v.data() + j * kvDim_ + kvh * headDim_;
-                const float p = prow[j];
+                const float p = prow[j] * inv;
+                prow[j] = p;
+                const float *vrow = values + j * kvDim_ + kvh * headDim_;
                 for (int64_t d = 0; d < headDim_; ++d)
                     crow[d] += p * vrow[d];
             }
@@ -96,7 +131,7 @@ MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
     }
     if (tape != nullptr)
         tape->record(this, std::move(q), std::move(k), std::move(v),
-                     std::move(probsAll));
+                     std::move(*probsAll));
     return wso_->forward(ctx, tape);
 }
 
@@ -175,88 +210,6 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
     axpy(dx, 1.0F, wk_->backward(dk, tape, grads));
     axpy(dx, 1.0F, wv_->backward(dv, tape, grads));
     return dx;
-}
-
-Tensor
-MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
-{
-    LRD_TRACE_SPAN("attn.cached");
-    require(x.rank() == 2 && x.dim(1) == dModel_,
-            "MultiHeadAttention::forwardCached: bad input");
-    const int64_t n = x.dim(0);
-    const int64_t start = cache.len;
-
-    Tensor q = wq_->forward(x);
-    Tensor k = wk_->forward(x);
-    Tensor v = wv_->forward(x);
-    if (rope_ != nullptr) {
-        rope_->apply(q, start, false, nHeads_);
-        rope_->apply(k, start, false, kvHeads_);
-    }
-
-    // Append to the cache (rows are kvDim wide under GQA). Storage
-    // grows only past the most rows it has held: a rewound cache
-    // keeps its storage.
-    const auto stored = static_cast<size_t>((start + n) * kvDim_);
-    if (cache.k.size() < stored) {
-        // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's K rows, allocated as it appends them
-        cache.k.resize(stored);
-        // lrd-lint: allow(hot-path-alloc) amortized doubling: a session's V rows, allocated as it appends them
-        cache.v.resize(stored);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-        float *kdst = cache.k.data() + (start + i) * kvDim_;
-        float *vdst = cache.v.data() + (start + i) * kvDim_;
-        const float *ksrc = k.data() + i * kvDim_;
-        const float *vsrc = v.data() + i * kvDim_;
-        for (int64_t j = 0; j < kvDim_; ++j) {
-            kdst[j] = ksrc[j];
-            vdst[j] = vsrc[j];
-        }
-    }
-    cache.len = start + n;
-
-    const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
-    Tensor ctx({n, dModel_});
-    const int64_t group = nHeads_ / kvHeads_;
-    thread_local std::vector<float> scores;
-    // lrd-lint: allow(hot-path-alloc) thread_local scratch: grows to the longest cache a thread sees, reused after
-    scores.resize(static_cast<size_t>(cache.len));
-    for (int64_t h = 0; h < nHeads_; ++h) {
-        const int64_t kvh = h / group;
-        for (int64_t i = 0; i < n; ++i) {
-            const int64_t absPos = start + i;
-            const int64_t limit = causal_ ? absPos + 1 : cache.len;
-            const float *qrow = q.data() + i * dModel_ + h * headDim_;
-            float mx = -std::numeric_limits<float>::infinity();
-            for (int64_t j = 0; j < limit; ++j) {
-                const float *krow =
-                    cache.k.data() + j * kvDim_ + kvh * headDim_;
-                float s = 0.0F;
-                for (int64_t d = 0; d < headDim_; ++d)
-                    s += qrow[d] * krow[d];
-                s *= invSqrt;
-                scores[static_cast<size_t>(j)] = s;
-                mx = std::max(mx, s);
-            }
-            float sum = 0.0F;
-            for (int64_t j = 0; j < limit; ++j) {
-                scores[static_cast<size_t>(j)] =
-                    std::exp(scores[static_cast<size_t>(j)] - mx);
-                sum += scores[static_cast<size_t>(j)];
-            }
-            const float inv = 1.0F / sum;
-            float *crow = ctx.data() + i * dModel_ + h * headDim_;
-            for (int64_t j = 0; j < limit; ++j) {
-                const float p = scores[static_cast<size_t>(j)] * inv;
-                const float *vrow =
-                    cache.v.data() + j * kvDim_ + kvh * headDim_;
-                for (int64_t d = 0; d < headDim_; ++d)
-                    crow[d] += p * vrow[d];
-            }
-        }
-    }
-    return wso_->forward(ctx);
 }
 
 Linear &

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-head self-attention with optional causal masking and rotary
- * position embeddings, full-sequence forward/backward for training
- * and an incremental KV-cache path for autoregressive inference.
+ * position embeddings. One forward serves training, full-sequence
+ * scoring and KV-cached prefill and decode.
  *
  * The four projection weights (W_Q, W_K, W_V, W_SO) are the
  * attention-side decomposable tensors of the paper's Figure 4; each is
@@ -23,9 +23,10 @@ namespace lrd {
 
 /**
  * Per-layer key/value cache for incremental decoding. It stores only
- * the rows appended so far, kvDim floats each: forwardCached() grows
- * the storage, and rewinding `len` keeps it for the next append.
- * InferenceSession bounds the length by the model's maxSeq.
+ * the rows appended so far, kvDim floats each: a cached
+ * MultiHeadAttention::forward() grows the storage, and rewinding `len`
+ * keeps it for the next append. InferenceSession bounds the length by
+ * the model's maxSeq.
  */
 struct KvCache
 {
@@ -41,21 +42,20 @@ class MultiHeadAttention
     /** A null rng builds zero weights with no draws (see Linear). */
     MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    /** Full-sequence forward: x (T, d) -> (T, d). With a tape it
-     *  records the post-RoPE q, k, v and the softmax rows for
-     *  backward(). */
-    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /**
+     * x (n, d) -> (n, d). Without a cache the rows attend over
+     * themselves from position 0; with a tape the forward records the
+     * post-RoPE q, k, v and the softmax rows for backward(). With a
+     * cache (causal and untaped only) the rows are appended at
+     * positions cache->len.. and attend over every cached row; the
+     * cache's storage grows when it holds fewer rows.
+     */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr,
+                   KvCache *cache = nullptr) const;
 
     /** Backward through the forward `tape` recorded; returns dL/dx. */
     Tensor backward(const Tensor &dy, const Tape &tape,
                     Gradients &grads) const;
-
-    /**
-     * Incremental forward: append x's rows (usually one) at positions
-     * cache.len..cache.len+n, growing the cache's storage when it holds
-     * fewer rows, and attend over everything cached so far.
-     */
-    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access one of the four projection Linears by kind. */
     Linear &linear(WeightKind kind);

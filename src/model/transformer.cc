@@ -51,15 +51,16 @@ TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
 }
 
 Tensor
-TransformerBlock::forward(const Tensor &x, Tape *tape) const
+TransformerBlock::forward(const Tensor &x, Tape *tape, KvCache *cache) const
 {
     if (arch_ == Arch::LlamaStyle) {
         // Pre-norm: x + attn(rms1(x)), then + mlp(rms2(.)).
-        Tensor a = add(x, attn_->forward(rms1_->forward(x, tape), tape));
+        Tensor a =
+            add(x, attn_->forward(rms1_->forward(x, tape), tape, cache));
         return add(a, mlp_->forward(rms2_->forward(a, tape), tape));
     }
     // Post-norm: ln1(x + attn(x)), then ln2(a + mlp(a)).
-    Tensor a = ln1_->forward(add(x, attn_->forward(x, tape)), tape);
+    Tensor a = ln1_->forward(add(x, attn_->forward(x, tape, cache)), tape);
     return ln2_->forward(add(a, mlp_->forward(a, tape)), tape);
 }
 
@@ -83,15 +84,6 @@ TransformerBlock::backward(const Tensor &dy, const Tape &tape,
     Tensor dx = dIn1;
     axpy(dx, 1.0F, attn_->backward(dIn1, tape, grads));
     return dx;
-}
-
-Tensor
-TransformerBlock::forwardCached(const Tensor &x, KvCache &cache) const
-{
-    require(arch_ == Arch::LlamaStyle,
-            "TransformerBlock::forwardCached: KV cache is decoder-only");
-    Tensor a = add(x, attn_->forwardCached(rms1_->forward(x), cache));
-    return add(a, mlp_->forward(rms2_->forward(a)));
 }
 
 Linear &
@@ -166,12 +158,21 @@ TransformerModel::TransformerModel(const ModelConfig &cfg,
 Tensor
 TransformerModel::forward(const TokenSeq &tokens, Tape *tape) const
 {
-    require(static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
-            "TransformerModel::forward: sequence length ", tokens.size(),
-            " exceeds maxSeq ", cfg_.maxSeq);
-    Tensor h = embedding_->forward(tokens);
+    return walk(tokens, tape, nullptr);
+}
+
+Tensor
+TransformerModel::walk(const TokenSeq &tokens, Tape *tape,
+                       KvCache *caches) const
+{
+    const int64_t start = caches != nullptr ? caches[0].len : 0;
+    require(start + static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
+            "TransformerModel: ", tokens.size(), " tokens at position ",
+            start, " exceed maxSeq ", cfg_.maxSeq);
+    Tensor h = embedding_->forward(tokens, start);
     for (size_t l = 0; l < blocks_.size(); ++l) {
-        h = blocks_[l]->forward(h, tape);
+        h = blocks_[l]->forward(h, tape,
+                                caches != nullptr ? &caches[l] : nullptr);
         guardBlockOutput(h, static_cast<int64_t>(l));
     }
     if (finalNorm_)
@@ -442,12 +443,6 @@ InferenceSession::InferenceSession(const TransformerModel &model)
 }
 
 void
-InferenceSession::reset()
-{
-    truncate(0);
-}
-
-void
 InferenceSession::truncate(int64_t n)
 {
     require(n >= 0 && n <= length(), "InferenceSession::truncate: length ", n,
@@ -460,22 +455,11 @@ Tensor
 InferenceSession::append(const TokenSeq &tokens)
 {
     require(!tokens.empty(), "InferenceSession::append: empty input");
-    const int64_t start = length();
-    require(start + static_cast<int64_t>(tokens.size())
-                <= model_->config().maxSeq,
-            "InferenceSession::append: exceeds maxSeq");
     if (caches_.empty()) {
         // lrd-lint: allow(hot-path-alloc) one empty cache per layer, on a session's first append
         caches_.resize(static_cast<size_t>(model_->numLayers()));
     }
-    Tensor h = model_->embedding_->forward(tokens, start);
-    for (int64_t l = 0; l < model_->numLayers(); ++l) {
-        h = model_->blocks_[static_cast<size_t>(l)]->forwardCached(
-            h, caches_[static_cast<size_t>(l)]);
-        guardBlockOutput(h, l);
-    }
-    h = model_->finalNorm_->forward(h);
-    Tensor logits = model_->lmHead_->forward(h);
+    const Tensor logits = model_->walk(tokens, nullptr, caches_.data());
     // Return the last row only.
     const int64_t v = logits.dim(1);
     Tensor last({v});
@@ -486,22 +470,27 @@ InferenceSession::append(const TokenSeq &tokens)
 }
 
 double
+InferenceSession::scoreContinuation(const Tensor &lastLogProbs,
+                                    const TokenSeq &continuation)
+{
+    require(!continuation.empty(),
+            "InferenceSession::scoreContinuation: empty continuation");
+    double total = lastLogProbs[continuation[0]];
+    for (size_t i = 1; i < continuation.size(); ++i) {
+        const Tensor logits = append({continuation[i - 1]});
+        total += logSoftmaxLastDim(logits)[continuation[i]];
+    }
+    return total;
+}
+
+double
 scoreContinuation(const TransformerModel &model, const TokenSeq &context,
                   const TokenSeq &continuation)
 {
-    require(!context.empty() && !continuation.empty(),
-            "scoreContinuation: context and continuation must be "
-            "non-empty");
+    require(!context.empty(), "scoreContinuation: empty context");
     InferenceSession session(model);
-    Tensor logits = session.append(context);
-    double total = 0.0;
-    for (size_t i = 0; i < continuation.size(); ++i) {
-        Tensor logProbs = logSoftmaxLastDim(logits);
-        total += logProbs[continuation[i]];
-        if (i + 1 < continuation.size())
-            logits = session.append({continuation[i]});
-    }
-    return total;
+    const Tensor contextLogProbs = logSoftmaxLastDim(session.append(context));
+    return session.scoreContinuation(contextLogProbs, continuation);
 }
 
 TokenSeq

@@ -2,10 +2,11 @@
  * @file
  * The full transformer: embedding, a stack of blocks, final norm and
  * LM head. Provides training (forward + cross-entropy + backward),
- * full-sequence inference, KV-cache incremental inference, Tucker
- * decomposition of any (layer, tensor) pair, and serialization. The
- * model holds its weights only: training keeps activations and
- * gradients in a caller-owned Tape and Gradients (model/tape.h).
+ * full-sequence inference, KV-cache incremental inference (one layer
+ * walk serves both), Tucker decomposition of any (layer, tensor) pair,
+ * and serialization. The model holds its weights only: training keeps
+ * activations and gradients in a caller-owned Tape and Gradients
+ * (model/tape.h).
  */
 
 #ifndef LRD_MODEL_TRANSFORMER_H
@@ -36,11 +37,12 @@ class TransformerBlock
     /** A null rng builds zero weights with no draws (see Linear). */
     TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
-    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /** With a cache (LlamaStyle, untaped) the attention appends x's
+     *  rows to it; see MultiHeadAttention::forward. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr,
+                   KvCache *cache = nullptr) const;
     Tensor backward(const Tensor &dy, const Tape &tape,
                     Gradients &grads) const;
-    /** Incremental decode step (LlamaStyle only). */
-    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access any decomposable tensor of this layer by kind. */
     Linear &linear(WeightKind kind);
@@ -129,6 +131,15 @@ class TransformerModel
      *  every tensor zeroed and draws nothing (deserialize()). */
     TransformerModel(const ModelConfig &cfg, std::optional<Rng> init);
 
+    /**
+     * The layer walk forward() and InferenceSession::append() share:
+     * embed `tokens` from position `caches[0].len` (0 without caches),
+     * run each block, on its own layer's cache when `caches` holds one
+     * per layer, then the final norm and lm_head. Returns the logits
+     * (tokens, vocab).
+     */
+    Tensor walk(const TokenSeq &tokens, Tape *tape, KvCache *caches) const;
+
     ModelConfig cfg_;
     std::unique_ptr<Embedding> embedding_;
     std::vector<std::unique_ptr<TransformerBlock>> blocks_;
@@ -151,23 +162,30 @@ class InferenceSession
     /** `model` is borrowed; sessions on other threads may share it. */
     explicit InferenceSession(const TransformerModel &model);
 
-    /** Rewind to position 0, keeping the caches' storage. */
-    void reset();
-
     /**
      * Feed tokens and return the logits row of the last fed token
      * (shape (vocab)).
      */
     Tensor append(const TokenSeq &tokens);
 
+    /**
+     * Sum of log-probabilities of a non-empty `continuation` after the
+     * tokens fed so far, given `lastLogProbs`, the log-softmax of the
+     * last fed token's logits. Feeds every continuation token but the
+     * last; truncate() rewinds them.
+     */
+    double scoreContinuation(const Tensor &lastLogProbs,
+                             const TokenSeq &continuation);
+
     /** Number of tokens consumed so far. */
     int64_t length() const { return caches_.empty() ? 0 : caches_[0].len; }
 
     /**
      * Rewind to the first `n` tokens (0 <= n <= length()), keeping the
-     * storage. Cached attention reads only rows below the cache length
-     * and the next append overwrites rows from `n` on, so the session
-     * then computes bitwise what a copy taken at length `n` would.
+     * storage; truncate(0) restarts the session. Cached attention reads
+     * only rows below the cache length and the next append overwrites
+     * rows from `n` on, so the session then computes bitwise what a
+     * copy taken at length `n` would.
      */
     void truncate(int64_t n);
 

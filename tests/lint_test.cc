@@ -708,6 +708,38 @@ void loadAll(long n, std::vector<int> &out) {
               symbols);
 }
 
+TEST(LintHotPath, MemberCallOnATypedLocalNamesItsClassMethod)
+{
+    // `s.append(1)` on a local declared as the in-tree class Session is
+    // a call to Session::append, not container growth, whichever way s
+    // is declared; the push_back inside Session::append is the finding.
+    const auto diags = lintFiles({{"src/eval/items.cc", R"(
+namespace lrd {
+void Session::append(int token) { tokens_.push_back(token); }
+void scoreAll(const Model &m, long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) {
+        Session s(m);
+        s.append(1);
+        Session braced{m};
+        braced.append(2);
+        Session copied = s;
+        copied.append(3);
+    });
+}
+} // namespace lrd
+)"}});
+    std::vector<const Diagnostic *> found;
+    for (const Diagnostic &d : diags)
+        if (d.rule == kRuleHotPathAlloc)
+            found.push_back(&d);
+    ASSERT_EQ(1U, found.size());
+    EXPECT_EQ("lrd::Session::append", found[0]->symbol);
+    const std::string &msg = found[0]->message;
+    const std::string tail = "-> lrd::Session::append (src/eval/items.cc:3)";
+    ASSERT_GE(msg.size(), tail.size()) << msg;
+    EXPECT_EQ(tail, msg.substr(msg.size() - tail.size())) << msg;
+}
+
 TEST(LintParser, TemplateTypeCloseIsNotAnArrow)
 {
     // The '>' closing `std::vector<float>` declares `run`; only the

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "model/transformer.h"
 #include "tensor/ops.h"
+#include "tensor/simd/pack.h"
 #include "util/rng.h"
 
 namespace lrd {
@@ -210,26 +212,58 @@ TEST(Model, BertIsBidirectional)
     EXPECT_GT(diff, 1e-6);
 }
 
+/** Row `row` of the (T, vocab) `logits` equals `last` bit for bit. */
+bool
+sameBits(const Tensor &logits, int64_t row, const Tensor &last)
+{
+    const int64_t vocab = logits.dim(1);
+    return last.size() == vocab
+           && std::memcmp(logits.data() + row * vocab, last.data(),
+                          sizeof(float) * static_cast<size_t>(vocab))
+                  == 0;
+}
+
+/**
+ * A session fed `toks` matches forward() of each prefix. A one-chunk
+ * prefill runs forward's GEMMs on forward's rows, so its last row is
+ * forward's bit for bit at every length. One-token appends run one-row
+ * GEMMs, which equal forward's only while the prefix is under
+ * 2 * simd::kMr rows (useBlockedGemm's cutoff); from there forward's
+ * blocked GEMM sums in its own order.
+ */
+void
+expectSessionMatchesForward(const TransformerModel &m, const TokenSeq &toks)
+{
+    InferenceSession stepped(m);
+    for (size_t n = 1; n <= toks.size(); ++n) {
+        const TokenSeq prefix(toks.begin(),
+                              toks.begin() + static_cast<long>(n));
+        const Tensor full = m.forward(prefix);
+        const auto rows = static_cast<int64_t>(n);
+        const int64_t last = rows - 1;
+        InferenceSession chunk(m);
+        EXPECT_TRUE(sameBits(full, last, chunk.append(prefix)))
+            << "one-chunk prefill of " << n << " tokens";
+        const Tensor step = stepped.append({toks[n - 1]});
+        if (rows < 2 * simd::kMr) {
+            EXPECT_TRUE(sameBits(full, last, step))
+                << "one-token appends to " << n << " tokens";
+            continue;
+        }
+        // ROADMAP direction 1, step 2 (one accumulation order for every
+        // GEMM shape) makes these bitwise too.
+        for (int64_t j = 0; j < step.size(); ++j)
+            ASSERT_NEAR(step[j], full(last, j), 2e-3)
+                << "one-token appends to " << n << " tokens";
+    }
+}
+
 TEST(Model, KvCacheMatchesFullForward)
 {
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg);
     Rng rng(10);
-    TokenSeq toks = randomTokens(cfg, 9, rng);
-
-    Tensor full = m.forward(toks);
-    InferenceSession session(m);
-    // Feed a 4-token chunk then the rest one-by-one.
-    TokenSeq head(toks.begin(), toks.begin() + 4);
-    Tensor logits = session.append(head);
-    for (int64_t j = 0; j < cfg.vocabSize; ++j)
-        EXPECT_NEAR(logits[j], full(3, j), 2e-3) << "after prefill";
-    for (size_t i = 4; i < toks.size(); ++i) {
-        logits = session.append({toks[i]});
-        for (int64_t j = 0; j < cfg.vocabSize; ++j)
-            ASSERT_NEAR(logits[j], full(static_cast<int64_t>(i), j), 2e-3)
-                << "pos " << i;
-    }
+    expectSessionMatchesForward(m, randomTokens(cfg, cfg.maxSeq, rng));
 }
 
 TEST(Model, KvCacheWorksWithFactorizedLayers)
@@ -239,32 +273,32 @@ TEST(Model, KvCacheWorksWithFactorizedLayers)
     for (WeightKind k : decomposableKinds(cfg.arch))
         ASSERT_TRUE(m.applyTucker(0, k, 2).ok());
     Rng rng(11);
-    TokenSeq toks = randomTokens(cfg, 6, rng);
-    Tensor full = m.forward(toks);
-    InferenceSession session(m);
-    Tensor logits = session.append(toks);
-    for (int64_t j = 0; j < cfg.vocabSize; ++j)
-        EXPECT_NEAR(logits[j], full(5, j), 2e-3);
+    expectSessionMatchesForward(m, randomTokens(cfg, cfg.maxSeq, rng));
 }
 
 TEST(Model, ScoreContinuationMatchesFullForward)
 {
+    // Eight tokens, under the 16-row GEMM cutoff: bitwise, dense and
+    // factorized.
     ModelConfig cfg = testLlamaConfig();
-    TransformerModel m(cfg);
+    TransformerModel dense(cfg);
+    TransformerModel factorized(cfg);
+    for (WeightKind k : decomposableKinds(cfg.arch))
+        ASSERT_TRUE(factorized.applyTucker(0, k, 2).ok());
     Rng rng(12);
     TokenSeq ctx = randomTokens(cfg, 5, rng);
     TokenSeq cont = randomTokens(cfg, 3, rng);
-
     TokenSeq all = ctx;
     all.insert(all.end(), cont.begin(), cont.end());
-    Tensor logits = m.forward(all);
-    Tensor lp = logSoftmaxLastDim(logits);
-    double want = 0.0;
-    for (size_t i = 0; i < cont.size(); ++i)
-        want += lp(static_cast<int64_t>(ctx.size() + i) - 1,
-                   cont[i]);
 
-    EXPECT_NEAR(scoreContinuation(m, ctx, cont), want, 5e-3);
+    for (const TransformerModel *m : {&dense, &factorized}) {
+        Tensor lp = logSoftmaxLastDim(m->forward(all));
+        double want = 0.0;
+        for (size_t i = 0; i < cont.size(); ++i)
+            want += lp(static_cast<int64_t>(ctx.size() + i) - 1, cont[i]);
+        EXPECT_EQ(scoreContinuation(*m, ctx, cont), want)
+            << (m == &dense ? "dense" : "factorized");
+    }
 }
 
 TEST(Model, SerializationRoundTripsExactLogits)
@@ -332,14 +366,9 @@ TEST(Gqa, GroupedKvReducesParamsAndStaysConsistent)
     EXPECT_LT(m.paramCount(), mFull.paramCount());
     EXPECT_EQ(m.paramCount(), cfg.totalParams());
 
-    // Causality and KV-cache equivalence must hold under GQA too.
+    // KV-cache equivalence must hold under GQA too.
     Rng rng(51);
-    TokenSeq toks = randomTokens(cfg, 7, rng);
-    Tensor fullLogits = m.forward(toks);
-    InferenceSession session(m);
-    Tensor logits = session.append(toks);
-    for (int64_t j = 0; j < cfg.vocabSize; ++j)
-        EXPECT_NEAR(logits[j], fullLogits(6, j), 2e-3);
+    expectSessionMatchesForward(m, randomTokens(cfg, cfg.maxSeq, rng));
 }
 
 TEST(Gqa, GradientsFlowThroughGroupedHeads)

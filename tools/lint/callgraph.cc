@@ -176,6 +176,18 @@ RepoGraph::resolve(const FunctionRef &caller, const std::string &callee) const
     return sameFile.empty() ? out : sameFile;
 }
 
+std::vector<FunctionRef>
+RepoGraph::resolve(const FunctionRef &caller, const CallSite &call) const
+{
+    if (!call.receiverType.empty()) {
+        std::vector<FunctionRef> typed =
+            resolve(caller, call.receiverType + "::" + bareName(call.name));
+        if (!typed.empty())
+            return typed;
+    }
+    return resolve(caller, call.name);
+}
+
 std::string
 RepoGraph::where(const FunctionRef &r) const
 {
@@ -263,7 +275,7 @@ RepoGraph::propagateHot()
         enqueueNested(ref);
         const FunctionInfo &fi = fn(ref);
         for (const CallSite &call : fi.calls) {
-            for (const FunctionRef &callee : resolve(ref, call.name))
+            for (const FunctionRef &callee : resolve(ref, call))
                 if (hot_.emplace(callee, ref).second)
                     work.push_back(callee);
             // Callback conduit: a hot body invoking one of its (or an
@@ -367,8 +379,7 @@ RepoGraph::buildLocks()
                 const FunctionRef ref{static_cast<int>(f),
                                       static_cast<int>(i)};
                 for (const CallSite &call : fi.calls) {
-                    for (const FunctionRef &callee :
-                         resolve(ref, call.name)) {
+                    for (const FunctionRef &callee : resolve(ref, call)) {
                         const auto ct = transLocks_.find(callee);
                         if (ct == transLocks_.end())
                             continue;
@@ -421,7 +432,7 @@ RepoGraph::buildLocks()
                 for (const CallSite &call : fi.calls) {
                     if (call.line < l1.line)
                         continue;
-                    for (const FunctionRef &callee : resolve(ref, call.name))
+                    for (const FunctionRef &callee : resolve(ref, call))
                         for (const std::string &k2 :
                              transitiveLocks(callee))
                             addEdge(k1, k2, witness, sum.path, l1.line);

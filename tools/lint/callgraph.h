@@ -12,11 +12,12 @@
  * Resolution is name matching, not overload resolution: a call
  * resolves to the in-tree definitions that the written name could
  * denote (same-file restriction for internal-linkage functions,
- * suffix matching for qualified names). An unqualified non-member
- * call names a lambda bound to a local variable of that name in the
- * caller or a function enclosing it; otherwise it prefers candidates
- * in the caller's own scope, then in the caller's own file, before it
- * falls back to every name match.
+ * suffix matching for qualified names). A member call on a local
+ * declared as an in-tree class T (`T x(...); x.f()`) names T::f. An
+ * unqualified non-member call names a lambda bound to a local variable
+ * of that name in the caller or a function enclosing it; otherwise it
+ * prefers candidates in the caller's own scope, then in the caller's
+ * own file, before it falls back to every name match.
  */
 
 #ifndef LRD_TOOLS_LINT_CALLGRAPH_H
@@ -81,6 +82,11 @@ class RepoGraph
      */
     std::vector<FunctionRef> resolve(const FunctionRef &caller,
                                      const std::string &callee) const;
+
+    /** As above for one recorded call: a member call on a local of an
+     *  in-tree class T names T's method. */
+    std::vector<FunctionRef> resolve(const FunctionRef &caller,
+                                     const CallSite &call) const;
 
     /**
      * Hot-path set: each hot function -> the hot function that

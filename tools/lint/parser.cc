@@ -578,6 +578,7 @@ class DeclParser
             const Token &t = cur();
 
             if (t.text == "{") {
+                noteDeclaration(fn(), stmt); // `T x{args}`
                 ++depth;
                 stmt.clear();
                 ++i_;
@@ -635,6 +636,10 @@ class DeclParser
                 ++i_;
                 continue;
             }
+
+            // `T x = ...` (not `==`).
+            if (t.text == "=" && !(peek() && peek()->text == "="))
+                noteDeclaration(fn(), stmt);
 
             // Compound assignment on the previous token.
             if ((t.text == "+" || t.text == "-" || t.text == "*"
@@ -819,25 +824,90 @@ class DeclParser
                          && stmt[j - 2].text == "-");
             break;
         }
-        // `Type<...> x(args)` declares x: no call named x.
-        const bool declared = !member && name == nameTok.text
-                              && closesTemplateType(stmt, k - 1);
+        // `T x(args)` declares x: no call named x.
+        const std::string declaredType =
+            member || name != nameTok.text ? ""
+                                           : declaredTypeBefore(stmt, k - 1);
+        if (!declaredType.empty())
+            fn.localTypes[nameTok.text] = declaredType;
+        const std::string receiverType =
+            member ? receiverTypeOf(stmt, j - 1, fn) : "";
         const std::string recorded = member ? "." + nameTok.text : name;
-        if (!declared)
-            fn.calls.push_back(CallSite{recorded, nameTok.line});
+        if (declaredType.empty())
+            fn.calls.push_back(
+                CallSite{recorded, nameTok.line, receiverType});
 
         // Allocation primitives.
         if (member && kGrowthMembers.count(nameTok.text))
             fn.allocs.push_back(
-                AllocSite{"." + nameTok.text, nameTok.line});
+                AllocSite{"." + nameTok.text, nameTok.line, receiverType});
         else if (!member && kAllocCalls.count(nameTok.text))
-            fn.allocs.push_back(AllocSite{nameTok.text, nameTok.line});
+            fn.allocs.push_back(AllocSite{nameTok.text, nameTok.line, ""});
         // `std::vector<float> x(n)`: a container declared with
         // constructor arguments allocates.
         const std::string sized = sizedContainerBefore(stmt, k - 1);
         if (!sized.empty() && peek() && peek()->text != ")")
-            fn.allocs.push_back(AllocSite{sized + "(n)", nameTok.line});
-        return declared ? "" : recorded;
+            fn.allocs.push_back(AllocSite{sized + "(n)", nameTok.line, ""});
+        return declaredType.empty() ? recorded : "";
+    }
+
+    /**
+     * The type T of a declaration `T x` whose name is stmt[nameIdx]
+     * (`Session s`, `const lrd::Session s`, `std::vector<float> v`):
+     * T's last identifier ("Session", "vector"); "" when stmt[nameIdx]
+     * follows no type name.
+     */
+    static std::string
+    declaredTypeBefore(const std::vector<Token> &stmt, size_t nameIdx)
+    {
+        if (!isIdent(stmt[nameIdx]))
+            return "";
+        size_t t = nameIdx;
+        if (closesTemplateType(stmt, nameIdx))
+            t = matchingAngle(stmt, nameIdx - 1);
+        if (t == 0 || !isIdent(stmt[t - 1]))
+            return "";
+        const std::string &type = stmt[t - 1].text;
+        if (kControlKeywords.count(type) || kStatementStarters.count(type))
+            return "";
+        return type;
+    }
+
+    /** Record the declaration `T x` that ends `stmt` in fn.localTypes. */
+    static void
+    noteDeclaration(FunctionInfo &fn, const std::vector<Token> &stmt)
+    {
+        if (stmt.empty())
+            return;
+        const std::string type = declaredTypeBefore(stmt, stmt.size() - 1);
+        if (!type.empty())
+            fn.localTypes[stmt.back().text] = type;
+    }
+
+    /**
+     * The declared type of x in a member call `x.f(` whose '.' is
+     * stmt[dot], looked up in fn and the functions enclosing it; ""
+     * for `->`, a member chain (`a.x.f(`) or an undeclared x.
+     */
+    std::string
+    receiverTypeOf(const std::vector<Token> &stmt, size_t dot,
+                   const FunctionInfo &fn) const
+    {
+        if (stmt[dot].text != "." || dot == 0 || !isIdent(stmt[dot - 1]))
+            return "";
+        if (dot >= 2
+            && (stmt[dot - 2].text == "." || stmt[dot - 2].text == "::"
+                || (stmt[dot - 2].text == ">" && dot >= 3
+                    && stmt[dot - 3].text == "-")))
+            return "";
+        for (const FunctionInfo *f = &fn;;
+             f = &out_.functions[static_cast<size_t>(f->enclosing)]) {
+            const auto it = f->localTypes.find(stmt[dot - 1].text);
+            if (it != f->localTypes.end())
+                return it->second;
+            if (f->enclosing < 0)
+                return "";
+        }
     }
 
     /** Index of the '<' matching the '>' at stmt[close], or
@@ -896,7 +966,7 @@ class DeclParser
     {
         const Token &t = cur();
         if (t.text == "new") {
-            fn.allocs.push_back(AllocSite{"new", t.line});
+            fn.allocs.push_back(AllocSite{"new", t.line, ""});
             return;
         }
         if (t.text == "float" || t.text == "double") {

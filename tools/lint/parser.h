@@ -22,6 +22,7 @@
 #ifndef LRD_TOOLS_LINT_PARSER_H
 #define LRD_TOOLS_LINT_PARSER_H
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,9 @@ struct CallSite
     /** Callee as written: "f", "A::B::f", or ".f" for member calls. */
     std::string name;
     int line = 0;
+    /** For `x.f(...)` on a local x of FunctionInfo::localTypes, x's
+     *  declared type ("InferenceSession"); else empty. */
+    std::string receiverType;
 };
 
 /** One allocation primitive inside a function body. */
@@ -45,6 +49,10 @@ struct AllocSite
     /** "new", "malloc", ".push_back", "make_unique", "vector(n)", ... */
     std::string what;
     int line = 0;
+    /** As CallSite::receiverType, for a growth member (".append"):
+     *  when it names an in-tree class with that method, the site is a
+     *  call, not container growth. */
+    std::string receiverType;
 };
 
 /** One mutex acquisition (lock_guard/unique_lock/scoped_lock/.lock). */
@@ -90,6 +98,9 @@ struct FunctionInfo
     std::vector<std::string> params;
     /** Parameter / local names declared as scalar float or double. */
     std::vector<std::string> floatLocals;
+    /** Locals declared `T x(args)`, `T x{args}` or `T x = ...`: name ->
+     *  the last identifier of T ("InferenceSession", "vector"). */
+    std::map<std::string, std::string> localTypes;
     std::vector<CallSite> calls;
     std::vector<AllocSite> allocs;
     std::vector<LockSite> locks;

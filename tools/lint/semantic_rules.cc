@@ -38,6 +38,13 @@ checkHotPathAlloc(const RepoGraph &graph, std::vector<Diagnostic> &out)
             if (isSuppressed(sum.annotations, alloc.line,
                              kRuleHotPathAlloc))
                 continue;
+            // A growth-named member of an in-tree class is a call.
+            if (!alloc.receiverType.empty()
+                && !graph
+                        .resolve(ref, alloc.receiverType
+                                          + "::" + bareName(alloc.what))
+                        .empty())
+                continue;
             std::ostringstream oss;
             oss << "allocation (" << alloc.what
                 << ") on the hot path; reachable via: "
