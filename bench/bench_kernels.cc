@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <tuple>
 
 #include "decomp/tucker.h"
@@ -17,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "serve/server.h"
 #include "serve/workload.h"
 #include "tensor/ops.h"
@@ -486,13 +488,15 @@ BENCHMARK(BM_ServeP99)->UseRealTime();
 int
 main(int argc, char **argv)
 {
-    // Tag the JSON context with the dispatch choice and the build
-    // type of THIS library (google-benchmark's own
-    // "library_build_type" describes the preinstalled libbenchmark,
-    // not our kernels).
+    // Tag the JSON context with the dispatch choice, the build type
+    // of THIS library (google-benchmark's own "library_build_type"
+    // describes the preinstalled libbenchmark, not our kernels) and
+    // the pool size LRD_THREADS gives the rows that reach the pool.
     benchmark::AddCustomContext(
         "lrd_simd", lrd::simd::levelName(lrd::simd::activeLevel()));
     benchmark::AddCustomContext("lrd_build_type", LRD_CMAKE_BUILD_TYPE);
+    benchmark::AddCustomContext("lrd_threads",
+                                std::to_string(lrd::threadCountFromEnv()));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -9,12 +9,14 @@ recorded coefficient of variation: a fresh median is a regression when
 
     fresh > baseline * (1 + max(threshold, cv_margin * cv))
 
-Context gating: the two files must agree on the manifest-identifying
-context fields (lrd_simd, lrd_build_type). A mismatch means the
-numbers are not comparable (different machine class or an unoptimized
-build) — the gate reports SKIPPED and exits 0 so CI stays advisory,
-unless --force insists on comparing anyway. Every mismatched key is
-named on stderr so a skip is always attributable.
+Context gating: the two files must agree on the host- and
+build-identifying context fields (lrd_simd, lrd_build_type,
+lrd_threads, num_cpus, library_build_type). A mismatch means the
+numbers are not comparable (different machine class, pool size or an
+unoptimized build) — the gate reports SKIPPED and exits 0 so CI stays
+advisory, unless --force insists on comparing anyway. Every mismatched
+key is named on stderr so a skip is always attributable; a key one
+file lacks is a mismatch.
 
 Baseline benchmarks missing from the fresh run FAIL the gate: a gated
 benchmark silently dropping out (renamed, filtered, crashed) would
@@ -33,7 +35,8 @@ import json
 import sys
 
 # Context fields that must match for a comparison to be meaningful.
-CONTEXT_KEYS = ("lrd_simd", "lrd_build_type")
+CONTEXT_KEYS = ("lrd_simd", "lrd_build_type", "lrd_threads", "num_cpus",
+                "library_build_type")
 
 
 def load_medians(doc):
@@ -146,8 +149,9 @@ def run_gate(args):
 
 def self_test(args):
     """Gate sanity without running benchmarks: the baseline compared
-    against itself must pass, and against a synthetic 20% slowdown
-    must fail."""
+    against itself must pass, against a synthetic 20% slowdown must
+    fail, and a run that differs in any one context key must be
+    reported not comparable, naming that key."""
     try:
         with open(args.baseline) as f:
             baseline = json.load(f)
@@ -183,9 +187,23 @@ def self_test(args):
             print("check_bench: self-test FAIL — dropped benchmark "
                   f"{dropped!r} was not reported missing (got {missing})")
             return 1
+    if context_mismatches(baseline, baseline):
+        print("check_bench: self-test FAIL — baseline context does not "
+              "match itself")
+        return 1
+    for key in CONTEXT_KEYS:
+        other = json.loads(json.dumps(baseline))
+        ctx = other.setdefault("context", {})
+        ctx[key] = f"{ctx.get(key)}-elsewhere"
+        got = context_mismatches(baseline, other)
+        if len(got) != 1 or not got[0].startswith(key + ":"):
+            print(f"check_bench: self-test FAIL — a changed {key!r} was "
+                  f"not the one mismatch reported (got {got})")
+            return 1
     print("check_bench: self-test OK (identity passes, +20% synthetic "
           f"slowdown trips {len(slowed)} benchmarks, dropped benchmarks "
-          "are detected)")
+          f"are detected, each of {len(CONTEXT_KEYS)} context keys "
+          "gates)")
     return 0
 
 

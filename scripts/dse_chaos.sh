@@ -15,7 +15,8 @@
 #   - unknown flags, malformed numeric flags and positional numbers,
 #     and --ranks values that cannot make a shrinking candidate exit 1,
 #   - an LRD_* variable lrdtool does not read, or a malformed
-#     LRD_ROBUST, exits 1 naming the variable before loading a model,
+#     LRD_ROBUST or LRD_THREADS, exits 1 naming the variable before
+#     loading a model or starting a thread,
 #   - a metrics file that cannot be written (LRD_STATS=/dev/full)
 #     warns and is never reported as written.
 #
@@ -84,8 +85,10 @@ bad_env() {
     grep -q -- "${var%%=*}" <<<"${err}" \
         || fail "${var} lrdtool dse: stderr does not name ${var%%=*}"
 }
+# A bad LRD_THREADS is rejected before the pool starts a thread.
 for var in LRD_WATCHDOG=5 LRD_FUSED=0 LRD_DEADLINE=steps:3 LRD_THREAD=4 \
-           LRD_ROBUST=retry LRD_ROBUST=bogus; do
+           LRD_ROBUST=retry LRD_ROBUST=bogus LRD_THREADS=4x LRD_THREADS=0 \
+           LRD_THREADS=4097; do
     bad_env "${var}"
 done
 # A full disk shows up only when the stats file is flushed and closed.
@@ -147,8 +150,11 @@ echo "dse_chaos: --ranks past break-even or width exit 1"
 
 # SIGKILL each sweep as soon as its first checkpoint lands, resume it,
 # and compare the resumed --out with the uninterrupted reference.
+# sweep execs lrdtool, so run it in a subshell: `(sweep) &` makes $!
+# the sweep itself, and the SIGKILL cannot miss it and leave it running
+# beside its resume.
 sweep() {
-    LRD_THREADS="${threads}" "${lrdtool}" dse --tasks="${TASKS}" \
+    LRD_THREADS="${threads}" exec "${lrdtool}" dse --tasks="${TASKS}" \
         --every="${EVERY}" --ranks="${RANKS}" --ckpt="${ckpt}" \
         --out="${out}" "$@"
 }
@@ -158,7 +164,7 @@ for threads in 1 4 8; do
     mkdir -p "${dir}"
     ckpt="${dir}/dse.ckpt"
     out="${dir}/out.bin"
-    sweep >"${dir}/killed.log" 2>&1 &
+    (sweep) >"${dir}/killed.log" 2>&1 &
     pid=$!
     while [[ ! -e "${ckpt}" ]] && kill -0 "${pid}" 2>/dev/null; do
         sleep 0.01
@@ -167,7 +173,7 @@ for threads in 1 4 8; do
     wait "${pid}" 2>/dev/null || true
     rm -f "${out}"
 
-    sweep --resume >"${dir}/resumed.log" 2>&1 \
+    (sweep --resume) >"${dir}/resumed.log" 2>&1 \
         || fail "resumed dse at ${threads} threads failed: $(cat "${dir}/resumed.log")"
     cmp -s "${workdir}/serial-t1.bin" "${out}" \
         || fail "resumed result (${threads} threads) differs from serial"

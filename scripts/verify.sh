@@ -27,7 +27,7 @@ cmake --build build -j
 # it.
 ctest --test-dir build --output-on-failure --timeout 300 -j "$(nproc)"
 
-echo "== lint: lrd-lint over src/ tools/ tests/ bench/ =="
+echo "== lint: lrd-lint over src/ tools/ tests/ bench/ examples/ pipebench/ =="
 cmake --build build -j --target lrd-lint
 # The checked-in baseline grandfathers reviewed findings; anything
 # new fails. The SARIF report is what CI uploads for code scanning.

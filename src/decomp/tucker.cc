@@ -81,17 +81,7 @@ hooi(const Tensor &t, const std::vector<int64_t> &ranks,
     checkRanks(t, ranks);
     require(opts.maxIters >= 1, "hooi: maxIters must be >= 1");
 
-    TuckerResult cur;
-    if (opts.hosvdInit) {
-        cur = hosvd(t, ranks);
-    } else {
-        Rng rng(opts.seed);
-        cur.factors.reserve(ranks.size());
-        for (int64_t m = 0; m < t.rank(); ++m)
-            cur.factors.push_back(randomOrthonormal(
-                t.dim(m), ranks[static_cast<size_t>(m)], rng));
-        cur.core = projectAllBut(t, cur.factors, -1);
-    }
+    TuckerResult cur = hosvd(t, ranks);
 
     const double normT = t.norm();
     double prevFit = -1.0;

@@ -38,9 +38,6 @@ struct HoiOptions
 {
     int maxIters = 30;      ///< Maximum alternating sweeps.
     double tol = 1e-7;      ///< Stop when fit improves less than this.
-    bool hosvdInit = true;  ///< Init factors via truncated HOSVD
-                            ///< (false: random orthonormal).
-    uint64_t seed = 42;     ///< Seed for random init.
 };
 
 /**
@@ -52,8 +49,8 @@ TuckerResult hosvd(const Tensor &t, const std::vector<int64_t> &ranks);
 
 /**
  * Tucker decomposition via Higher Order Orthogonal Iteration
- * (Algorithm 1). @param ranks one target rank per mode, each in
- * [1, n_i].
+ * (Algorithm 1), initialized with hosvd(). @param ranks one target
+ * rank per mode, each in [1, n_i].
  *
  * A Jacobi non-convergence inside any factor update surfaces in the
  * result's status.

@@ -34,16 +34,6 @@ benchmarkName(BenchmarkKind kind)
     panic("benchmarkName: unknown kind");
 }
 
-int
-benchmarkNumChoices(BenchmarkKind kind)
-{
-    switch (kind) {
-      case BenchmarkKind::WinoGrande: return 2;
-      case BenchmarkKind::Gsm8k: return 0;
-      default: return 4;
-    }
-}
-
 namespace {
 
 /** The three fact relations a question can probe. */

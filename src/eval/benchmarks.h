@@ -48,10 +48,6 @@ const std::vector<BenchmarkKind> &allBenchmarks();
 /** Display name ("ARC Easy", ...). */
 std::string benchmarkName(BenchmarkKind kind);
 
-/** Number of choices per item (2 for WinoGrande, else 4; 0 for the
- *  generation-scored Gsm8k). */
-int benchmarkNumChoices(BenchmarkKind kind);
-
 /**
  * Generate `n` multiple-choice items. @pre kind != Gsm8k.
  * Deterministic in (kind, world, seed).

@@ -219,12 +219,6 @@ Evaluator::pickChoiceCausal(const McTask &task)
     return pickCausal(model_, task, opts_);
 }
 
-int
-Evaluator::pickChoiceBert(const McTask &task)
-{
-    return pickBert(model_, world_, task, opts_);
-}
-
 EvalResult
 Evaluator::runMc(BenchmarkKind kind)
 {

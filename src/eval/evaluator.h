@@ -55,9 +55,6 @@ class Evaluator
     /** Which choice a decoder model picks for one item. */
     int pickChoiceCausal(const McTask &task);
 
-    /** Which choice an encoder model picks for one item (PLL). */
-    int pickChoiceBert(const McTask &task);
-
   private:
     EvalResult runMc(BenchmarkKind kind);
     EvalResult runGen();

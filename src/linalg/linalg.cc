@@ -420,7 +420,7 @@ randomizedSvd(const Tensor &a, int64_t k, Rng &rng, int64_t oversample,
 }
 
 double
-orthonormalityError(const Tensor &q)
+orthonormalityError(const Tensor &q) // lrd-lint: allow(dead-symbol) test oracle: Qr.ReconstructsInput, Svd.ReconstructsRandomMatrices
 {
     require(q.rank() == 2, "orthonormalityError: input must be a matrix");
     Tensor gram = matmulTransA(q, q);

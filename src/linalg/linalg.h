@@ -108,7 +108,7 @@ double orthonormalityError(const Tensor &q);
 
 /**
  * Random matrix with orthonormal columns (m x k, k <= m), produced by
- * QR of a Gaussian matrix; used to initialize HOI factors.
+ * QR of a Gaussian matrix.
  */
 Tensor randomOrthonormal(int64_t m, int64_t k, Rng &rng);
 

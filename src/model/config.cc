@@ -174,7 +174,7 @@ testLlamaConfig()
 }
 
 ModelConfig
-testBertConfig()
+testBertConfig() // lrd-lint: allow(dead-symbol) test fixture: Evaluator.BertPathRunsAndIsDeterministic
 {
     ModelConfig c;
     c.name = "test-bert";

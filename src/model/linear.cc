@@ -208,23 +208,6 @@ Linear::installFactors(Tucker2d d)
     factorized_ = true;
 }
 
-void
-Linear::densify()
-{
-    require(factorized_, "Linear::densify: not factorized");
-    Tucker2d d;
-    d.u1 = u1_.value;
-    d.core = core_.value;
-    d.u2 = u2_.value;
-    const std::string base = u1_.name.substr(0, u1_.name.size() - 3);
-    w_ = Parameter(base, d.reconstruct());
-    u1_ = Parameter();
-    core_ = Parameter();
-    u2_ = Parameter();
-    factorized_ = false;
-    prunedRank_ = 0;
-}
-
 int64_t
 Linear::paramCount() const
 {
@@ -267,7 +250,7 @@ Linear::weight() const
 }
 
 Tensor
-Linear::effectiveWeight() const
+Linear::effectiveWeight() const // lrd-lint: allow(dead-symbol) test oracle: FusedFactorizedForward.MatchesUnfusedWithinTolerance
 {
     if (!factorized_)
         return w_.value;

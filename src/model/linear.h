@@ -109,9 +109,6 @@ class Linear
      */
     void installFactorShape(int64_t prunedRank);
 
-    /** Contract the factors back into a dense weight. */
-    void densify();
-
     bool isFactorized() const { return factorized_; }
     int64_t outDim() const { return outDim_; }
     int64_t inDim() const { return inDim_; }

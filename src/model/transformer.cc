@@ -275,13 +275,6 @@ TransformerModel::linear(int64_t layer, WeightKind kind)
     return blocks_[static_cast<size_t>(layer)]->linear(kind);
 }
 
-Status
-TransformerModel::applyTucker(int64_t layer, WeightKind kind,
-                              int64_t prunedRank)
-{
-    return linear(layer, kind).factorize(prunedRank);
-}
-
 int64_t
 TransformerModel::paramCount() const
 {
@@ -293,16 +286,6 @@ TransformerModel::paramCount() const
     if (finalNorm_)
         n += finalNorm_->parameters()[0]->size();
     return n;
-}
-
-bool
-TransformerModel::anyFactorized() const
-{
-    for (const auto &b : blocks_)
-        for (WeightKind k : decomposableKinds(cfg_.arch))
-            if (b->linear(k).isFactorized())
-                return true;
-    return false;
 }
 
 std::vector<uint8_t>
@@ -369,8 +352,7 @@ TransformerModel::deserialize(std::vector<uint8_t> bytes)
 {
     ByteReader r(std::move(bytes));
     const std::string magic = r.getString();
-    require(magic == "lrd-model-v1" || magic == "lrd-model-v2"
-                || magic == "lrd-model-v3",
+    require(magic == "lrd-model-v3",
             "TransformerModel::deserialize: bad magic");
     ModelConfig cfg;
     cfg.name = r.getString();
@@ -379,8 +361,7 @@ TransformerModel::deserialize(std::vector<uint8_t> bytes)
     cfg.dModel = static_cast<int64_t>(r.getU64());
     cfg.nLayers = static_cast<int64_t>(r.getU64());
     cfg.nHeads = static_cast<int64_t>(r.getU64());
-    if (magic == "lrd-model-v3")
-        cfg.nKvHeads = static_cast<int64_t>(r.getU64());
+    cfg.nKvHeads = static_cast<int64_t>(r.getU64());
     cfg.dFf = static_cast<int64_t>(r.getU64());
     cfg.maxSeq = static_cast<int64_t>(r.getU64());
     cfg.validate();
@@ -405,18 +386,16 @@ TransformerModel::deserialize(std::vector<uint8_t> bytes)
             r.remaining(), " bytes follow");
 
     TransformerModel model(cfg, std::nullopt);
-    if (magic != "lrd-model-v1") {
-        const std::vector<WeightKind> kinds = decomposableKinds(cfg.arch);
-        const uint64_t n = r.getU64();
-        for (uint64_t i = 0; i < n; ++i) {
-            const auto layer = static_cast<int64_t>(r.getU64());
-            const auto kind = static_cast<WeightKind>(r.getU32());
-            const auto rank = static_cast<int64_t>(r.getU64());
-            require(std::count(kinds.begin(), kinds.end(), kind) == 1,
-                    "TransformerModel::deserialize: manifest entry ", i,
-                    " names no tensor this architecture factorizes");
-            model.linear(layer, kind).installFactorShape(rank);
-        }
+    const std::vector<WeightKind> kinds = decomposableKinds(cfg.arch);
+    const uint64_t nFactorized = r.getU64();
+    for (uint64_t i = 0; i < nFactorized; ++i) {
+        const auto layer = static_cast<int64_t>(r.getU64());
+        const auto kind = static_cast<WeightKind>(r.getU32());
+        const auto rank = static_cast<int64_t>(r.getU64());
+        require(std::count(kinds.begin(), kinds.end(), kind) == 1,
+                "TransformerModel::deserialize: manifest entry ", i,
+                " names no tensor this architecture factorizes");
+        model.linear(layer, kind).installFactorShape(rank);
     }
     auto params = model.parameters();
     const uint64_t n = r.getU64();

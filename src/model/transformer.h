@@ -94,14 +94,6 @@ class TransformerModel
     /** Access a decomposable weight tensor. */
     Linear &linear(int64_t layer, WeightKind kind);
 
-    /**
-     * Factorize one weight with the given pruned rank (the paper's
-     * per-tensor decomposition step). Returns the factorization
-     * status; under the degrade policy a non-converged SVD leaves the
-     * tensor dense and reports NonConvergence.
-     */
-    Status applyTucker(int64_t layer, WeightKind kind, int64_t prunedRank);
-
     /** Live parameter count (drops after decomposition). */
     int64_t paramCount() const;
 
@@ -117,12 +109,9 @@ class TransformerModel
      * round-trip at their compressed size.
      */
     std::vector<uint8_t> serialize() const;
-    /** Restore a model saved by serialize() (reads v1 to v3). Takes
-     *  the bytes by value: pass an rvalue and nothing is copied. */
+    /** Restore a model saved by serialize() (v3 only). Takes the
+     *  bytes by value: pass an rvalue and nothing is copied. */
     static TransformerModel deserialize(std::vector<uint8_t> bytes);
-
-    /** Whether any linear layer is factorized. */
-    bool anyFactorized() const;
 
   private:
     friend class InferenceSession;

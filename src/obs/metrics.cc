@@ -262,6 +262,8 @@ HistogramSnapshot::quantile(double q) const
     q = q < 0.0 ? 0.0 : q > 1.0 ? 1.0 : q;
     // Rank of the q-th sample (1-based, nearest-rank convention).
     const double rank = q * static_cast<double>(count);
+    double estimate = static_cast<double>(
+        Histogram::bucketLowerBound(obsdetail::kHistBuckets - 1));
     int64_t seen = 0;
     for (int b = 0; b < obsdetail::kHistBuckets; ++b) {
         const int64_t n = buckets[static_cast<size_t>(b)];
@@ -271,17 +273,21 @@ HistogramSnapshot::quantile(double q) const
         seen += n;
         if (static_cast<double>(seen) < rank)
             continue;
-        if (b == 0)
-            return 0.0; // The <=0 bucket.
+        if (b == 0) {
+            estimate = 0.0; // The <=0 bucket.
+            break;
+        }
         const double lo =
             static_cast<double>(Histogram::bucketLowerBound(b));
         const double width = lo; // [2^(b-1), 2^b) spans its lower bound.
         const double frac =
             (rank - static_cast<double>(before)) / static_cast<double>(n);
-        return lo + width * (frac < 0.0 ? 0.0 : frac > 1.0 ? 1.0 : frac);
+        estimate = lo + width * std::clamp(frac, 0.0, 1.0);
+        break;
     }
-    return static_cast<double>(
-        Histogram::bucketLowerBound(obsdetail::kHistBuckets - 1));
+    // No sample lies outside the exact [min, max].
+    return std::clamp(estimate, static_cast<double>(min),
+                      static_cast<double>(max));
 }
 
 MetricsRegistry &
@@ -412,7 +418,9 @@ MetricsRegistry::toJson() const
     const MetricsSnapshot snap = snapshot();
     std::ostringstream oss;
     oss << "{\n  \"context\": {\n    \"metricsEnabled\": "
-        << (enabled() ? "true" : "false") << "\n  },\n";
+        << (enabled() ? "true" : "false")
+        << ",\n    \"histogramQuantiles\": \"log2-bucket estimates "
+           "clamped to each histogram's exact min and max\"\n  },\n";
 
     oss << "  \"counters\": {";
     for (size_t i = 0; i < snap.counters.size(); ++i) {

@@ -174,11 +174,12 @@ struct HistogramSnapshot
 
     /**
      * Estimated value at quantile q in [0, 1], linearly interpolated
-     * inside the covering log2 bucket [2^(b-1), 2^b). The estimate is
-     * exact for bucket boundaries and within one bucket width (a
-     * factor of 2) otherwise — good enough to read a latency
-     * distribution, which raw log2 bucket counts are not. Returns 0
-     * for an empty histogram.
+     * inside the covering log2 bucket [2^(b-1), 2^b) and clamped to
+     * the exact [min, max], so it never names a value outside the
+     * samples. Within one bucket width (a factor of 2) of the true
+     * quantile, and not necessarily a value any sample had: every
+     * tool that prints it labels it an estimate. Returns 0 for an
+     * empty histogram.
      */
     double quantile(double q) const;
 

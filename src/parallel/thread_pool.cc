@@ -16,27 +16,26 @@ namespace {
 /** True while this thread runs (or posts) a parallel-region chunk. */
 thread_local bool tlInParallel = false;
 
-int
-defaultThreadCount()
-{
-    if (const char *env = std::getenv("LRD_THREADS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-            return static_cast<int>(v);
-        warn(strCat("LRD_THREADS='", env, "' is not a valid thread "
-                    "count; using hardware concurrency"));
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 } // namespace
+
+int
+threadCountFromEnv()
+{
+    const char *env = std::getenv("LRD_THREADS");
+    if (env == nullptr)
+        return hardwareConcurrency();
+    char *end = nullptr;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || v < 1 || v > 4096)
+        fatal(strCat("LRD_THREADS='", env,
+                     "' is not a thread count in [1, 4096]"));
+    return static_cast<int>(v);
+}
 
 ThreadPool &
 ThreadPool::instance()
 {
-    static ThreadPool pool(defaultThreadCount());
+    static ThreadPool pool(threadCountFromEnv());
     return pool;
 }
 

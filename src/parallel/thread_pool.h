@@ -5,7 +5,8 @@
  * Design rules (see docs/ARCHITECTURE.md, "Threading model"):
  *
  * - One process-wide pool, created on first use and sized by the
- *   LRD_THREADS environment variable (default: hardware concurrency).
+ *   LRD_THREADS environment variable (default: hardware concurrency;
+ *   a value outside [1, 4096] is fatal).
  * - parallelFor() splits [begin, end) into fixed chunks of `grain`
  *   iterations. The chunk boundaries depend only on (begin, end,
  *   grain) — never on the thread count — so any parallel region whose
@@ -42,8 +43,8 @@ class ThreadPool
 {
   public:
     /**
-     * The process-wide pool. Created on first use with LRD_THREADS
-     * threads (default std::thread::hardware_concurrency, minimum 1).
+     * The process-wide pool. Created on first use with
+     * threadCountFromEnv() threads.
      */
     static ThreadPool &instance();
 
@@ -132,6 +133,13 @@ int parallelWorkers();
  * else about threading goes through the pool.
  */
 int hardwareConcurrency();
+
+/**
+ * The pool size LRD_THREADS names, or hardwareConcurrency() when it is
+ * unset. @throws std::runtime_error (via fatal()) naming LRD_THREADS
+ * when the value is not an integer in [1, 4096].
+ */
+int threadCountFromEnv();
 
 } // namespace lrd
 

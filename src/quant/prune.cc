@@ -46,7 +46,7 @@ magnitudePrune(const Tensor &w, double sparsity)
 }
 
 double
-sparsityOf(const Tensor &w)
+sparsityOf(const Tensor &w) // lrd-lint: allow(dead-symbol) test oracle: Prune.ExactSparsityAchieved
 {
     int64_t zeros = 0;
     for (int64_t i = 0; i < w.size(); ++i)

@@ -86,7 +86,7 @@ cancelStatus(const char *site)
 }
 
 void
-clearCancelRequest()
+clearCancelRequest() // lrd-lint: allow(dead-symbol) test hook: Cancel.SignalHandlerRequestsCancellation
 {
     CancelState &s = state();
     s.cause.store(0, std::memory_order_release);

@@ -110,7 +110,7 @@ setFault(const FaultSpec &spec)
 }
 
 void
-clearFaults()
+clearFaults() // lrd-lint: allow(dead-symbol) test hook: FaultAt.FiresExactlyOnNthOccurrence
 {
     FaultState &s = state();
     std::lock_guard<std::mutex> lock(s.mu);
@@ -148,7 +148,7 @@ initFaultsFromEnv()
 }
 
 bool
-faultInjectionEnabled()
+faultInjectionEnabled() // lrd-lint: allow(dead-symbol) test hook: FaultAt.FiresExactlyOnNthOccurrence
 {
     return state().armed.load(std::memory_order_acquire);
 }

@@ -97,7 +97,7 @@ robustPolicy()
 }
 
 void
-setRobustPolicy(const RobustPolicy &policy)
+setRobustPolicy(const RobustPolicy &policy) // lrd-lint: allow(dead-symbol) test hook: Resume.EvaluatorDegradesPoisonedItemsWithinBudget
 {
     PolicyState &s = policyState();
     std::lock_guard<std::mutex> lock(s.mu);
@@ -162,12 +162,6 @@ takeNumericFault()
     Status s = std::move(tlFault);
     tlFault = Status();
     return s;
-}
-
-bool
-numericFaultPending()
-{
-    return tlHasFault;
 }
 
 int64_t

@@ -76,9 +76,6 @@ void noteNumericFault(Status status);
 
 /** Take (and clear) the current thread's noted fault; ok when none. */
 Status takeNumericFault();
-
-/** Whether the current thread has an untaken noted fault. */
-bool numericFaultPending();
 /** @} */
 
 /**

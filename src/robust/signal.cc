@@ -81,13 +81,13 @@ signalHandlersInstalled()
 }
 
 int
-signalsSeen()
+signalsSeen() // lrd-lint: allow(dead-symbol) test hook: Cancel.SignalHandlerRequestsCancellation
 {
     return gSignalsSeen.load(std::memory_order_acquire);
 }
 
 void
-resetSignalsForTest()
+resetSignalsForTest() // lrd-lint: allow(dead-symbol) test hook: Cancel.SignalHandlerRequestsCancellation
 {
     gSignalsSeen.store(0, std::memory_order_release);
 }

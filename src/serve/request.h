@@ -33,9 +33,6 @@ enum class ServeOutcome : int
     Unavailable,    ///< Scored but delivery failed after retries.
 };
 
-/** Stable lowercase name for an outcome ("responded", ...). */
-const char *serveOutcomeName(ServeOutcome outcome);
-
 /**
  * Client-side backoff in ticks: attempt k (0-based) waits
  * baseTicks * 2^k, capped at maxTicks. Pure integer arithmetic on the

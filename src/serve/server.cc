@@ -376,24 +376,4 @@ Server::run(std::vector<ServeRequest> workload)
     return report;
 }
 
-const char *
-serveOutcomeName(ServeOutcome outcome)
-{
-    switch (outcome) {
-    case ServeOutcome::Pending:
-        return "pending";
-    case ServeOutcome::Responded:
-        return "responded";
-    case ServeOutcome::Shed:
-        return "shed";
-    case ServeOutcome::DeadlineMissed:
-        return "deadline-missed";
-    case ServeOutcome::Cancelled:
-        return "cancelled";
-    case ServeOutcome::Unavailable:
-        return "unavailable";
-    }
-    return "unknown";
-}
-
 } // namespace lrd

@@ -386,18 +386,6 @@ add(const Tensor &a, const Tensor &b)
 }
 
 Tensor
-sub(const Tensor &a, const Tensor &b)
-{
-    checkSameShape(a, b, "sub");
-    Tensor c = a;
-    float *cd = c.data();
-    const float *bd = b.data();
-    for (int64_t i = 0; i < c.size(); ++i)
-        cd[i] -= bd[i];
-    return c;
-}
-
-Tensor
 hadamard(const Tensor &a, const Tensor &b)
 {
     checkSameShape(a, b, "hadamard");
@@ -550,15 +538,6 @@ transpose2d(const Tensor &a)
 }
 
 Tensor
-relu(const Tensor &a)
-{
-    Tensor c = a;
-    for (float *p = c.data(), *e = p + c.size(); p != e; ++p)
-        *p = *p > 0.0F ? *p : 0.0F;
-    return c;
-}
-
-Tensor
 gelu(const Tensor &a)
 {
     Tensor c = a;
@@ -578,30 +557,6 @@ silu(const Tensor &a)
     for (float *p = c.data(), *e = p + c.size(); p != e; ++p) {
         const float x = *p;
         *p = x / (1.0F + std::exp(-x));
-    }
-    return c;
-}
-
-Tensor
-softmaxLastDim(const Tensor &a)
-{
-    require(a.rank() >= 1, "softmaxLastDim: rank must be >= 1");
-    Tensor c = a;
-    const int64_t cols = a.dim(a.rank() - 1);
-    const int64_t rows = a.size() / cols;
-    for (int64_t r = 0; r < rows; ++r) {
-        float *row = c.data() + r * cols;
-        float mx = row[0];
-        for (int64_t j = 1; j < cols; ++j)
-            mx = std::max(mx, row[j]);
-        float sum = 0.0F;
-        for (int64_t j = 0; j < cols; ++j) {
-            row[j] = std::exp(row[j] - mx);
-            sum += row[j];
-        }
-        const float inv = 1.0F / sum;
-        for (int64_t j = 0; j < cols; ++j)
-            row[j] *= inv;
     }
     return c;
 }

@@ -18,7 +18,6 @@ namespace lrd {
  *  @{
  */
 Tensor add(const Tensor &a, const Tensor &b);
-Tensor sub(const Tensor &a, const Tensor &b);
 Tensor hadamard(const Tensor &a, const Tensor &b);
 Tensor scale(const Tensor &a, float s);
 /** a += s * b (AXPY); mutates a in place. */
@@ -62,18 +61,11 @@ void gemmTransA(const float *a, const float *b, float *c, int64_t m,
 /** @name Activations
  *  @{
  */
-Tensor relu(const Tensor &a);
 /** Tanh-approximation GELU as used by BERT. */
 Tensor gelu(const Tensor &a);
 /** SiLU (x * sigmoid(x)) as used by Llama's SwiGLU MLP. */
 Tensor silu(const Tensor &a);
 /** @} */
-
-/**
- * Softmax along the last mode, numerically stabilized.
- * Works for any rank >= 1.
- */
-Tensor softmaxLastDim(const Tensor &a);
 
 /**
  * Log-softmax along the last mode, numerically stabilized.

@@ -151,7 +151,7 @@ availableLevels()
 }
 
 bool
-levelSupported(Level level)
+levelSupported(Level level) // lrd-lint: allow(dead-symbol) test hook: SkinnyGemmTransB.MatchesLaneDotBitwise
 {
     return cpuSupports(level);
 }
@@ -168,7 +168,7 @@ parseLevel(const std::string &name, Level *out)
 }
 
 MicroKernelFn
-microKernelForLevel(Level level)
+microKernelForLevel(Level level) // lrd-lint: allow(dead-symbol) test hook: SimdDispatch.PerLevelLookupMatchesDispatchTable
 {
     return cpuSupports(level) ? tableFor(level).microKernel : nullptr;
 }

@@ -8,12 +8,6 @@
 
 namespace lrd {
 
-std::string
-shapeToString(const Shape &shape)
-{
-    return strCat(shape);
-}
-
 int64_t
 numElements(const Shape &shape)
 {
@@ -118,7 +112,7 @@ Tensor::full(Shape shape, float value)
 }
 
 Tensor
-Tensor::eye(int64_t n)
+Tensor::eye(int64_t n) // lrd-lint: allow(dead-symbol) test fixture: Tensor.EyeIsIdentity, ModeProduct.IdentityIsNoop
 {
     require(n > 0, "Tensor::eye: n must be positive");
     Tensor t({n, n});
@@ -133,15 +127,6 @@ Tensor::randn(Shape shape, Rng &rng, float stddev)
     Tensor t(std::move(shape));
     for (auto &v : t.data_)
         v = static_cast<float>(rng.normal(0.0, stddev));
-    return t;
-}
-
-Tensor
-Tensor::randu(Shape shape, Rng &rng, float lo, float hi)
-{
-    Tensor t(std::move(shape));
-    for (auto &v : t.data_)
-        v = rng.uniform(lo, hi);
     return t;
 }
 
@@ -193,27 +178,10 @@ Tensor::operator()(int64_t i, int64_t j) const
     return data_[static_cast<size_t>(i * shape_[1] + j)];
 }
 
-Tensor
-Tensor::reshaped(Shape shape) const
-{
-    require(numElements(shape) == size(), "Tensor::reshaped: cannot reshape ",
-            shape_, " to ", shape);
-    return Tensor(std::move(shape), data_);
-}
-
 void
 Tensor::fill(float value)
 {
     std::fill(data_.begin(), data_.end(), value);
-}
-
-bool
-Tensor::allFinite() const
-{
-    for (float v : data_)
-        if (!std::isfinite(v))
-            return false;
-    return true;
 }
 
 double
@@ -232,20 +200,6 @@ Tensor::norm() const
     for (float v : data_)
         s += static_cast<double>(v) * v;
     return std::sqrt(s);
-}
-
-float
-Tensor::minValue() const
-{
-    require(!data_.empty(), "Tensor::minValue: empty tensor");
-    return *std::min_element(data_.begin(), data_.end());
-}
-
-float
-Tensor::maxValue() const
-{
-    require(!data_.empty(), "Tensor::maxValue: empty tensor");
-    return *std::max_element(data_.begin(), data_.end());
 }
 
 std::string

@@ -23,9 +23,6 @@ namespace lrd {
 /** Shape of a tensor: per-mode extents. */
 using Shape = std::vector<int64_t>;
 
-/** Human-readable "[a, b, c]" rendering of a shape. */
-std::string shapeToString(const Shape &shape);
-
 /** Product of extents (the element count); 1 for an empty shape. */
 int64_t numElements(const Shape &shape);
 
@@ -72,9 +69,6 @@ class Tensor
     static Tensor eye(int64_t n);
     /** I.i.d. normal entries with the given std deviation. */
     static Tensor randn(Shape shape, Rng &rng, float stddev = 1.0F);
-    /** I.i.d. uniform entries in [lo, hi). */
-    static Tensor randu(Shape shape, Rng &rng, float lo = 0.0F,
-                        float hi = 1.0F);
     /** @} */
 
     const Shape &shape() const { return shape_; }
@@ -106,27 +100,14 @@ class Tensor
     /** Linear offset of a multi-index (row-major). */
     int64_t offsetOf(const std::vector<int64_t> &index) const;
 
-    /**
-     * Reinterpret with a new shape of identical element count.
-     * @throws via fatal() when the element counts differ.
-     */
-    Tensor reshaped(Shape shape) const;
-
     /** Set every element to the given value. */
     void fill(float value);
-
-    /** True when every element is finite. */
-    bool allFinite() const;
 
     /** Sum of all elements. */
     double sum() const;
 
     /** Frobenius norm (sqrt of sum of squares). */
     double norm() const;
-
-    /** Smallest / largest element (tensor must be non-empty). */
-    float minValue() const;
-    float maxValue() const;
 
     /** "[shape] (n elems)" debugging summary. */
     std::string describe() const;

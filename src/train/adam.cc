@@ -29,11 +29,11 @@ AdamW::step(const Gradients &grads, double lrScale)
     for (size_t k = 0; k < grads.size(); ++k)
         for (int64_t i = 0; i < grads[k].size(); ++i)
             norm2 += static_cast<double>(grads[k][i]) * grads[k][i];
-    lastGradNorm_ = std::sqrt(norm2);
+    const double gradNorm = std::sqrt(norm2);
 
     double clipScale = 1.0;
-    if (opts_.clipNorm > 0.0 && lastGradNorm_ > opts_.clipNorm)
-        clipScale = opts_.clipNorm / lastGradNorm_;
+    if (opts_.clipNorm > 0.0 && gradNorm > opts_.clipNorm)
+        clipScale = opts_.clipNorm / gradNorm;
 
     const double lr = opts_.lr * lrScale;
     const double bc1 = 1.0 - std::pow(opts_.beta1, static_cast<double>(t_));

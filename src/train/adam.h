@@ -40,11 +40,6 @@ class AdamW
      */
     void step(const Gradients &grads, double lrScale = 1.0);
 
-    /** Pre-clip global gradient norm of the last step() call. */
-    double lastGradNorm() const { return lastGradNorm_; }
-
-    int64_t stepCount() const { return t_; }
-
     /** Append the moment estimates and step count to a checkpoint. */
     void serializeState(ByteWriter &w) const;
 
@@ -60,7 +55,6 @@ class AdamW
     std::vector<Tensor> m_;
     std::vector<Tensor> v_;
     int64_t t_ = 0;
-    double lastGradNorm_ = 0.0;
 };
 
 /** Warmup + cosine decay multiplier in [minScale, 1]. */

@@ -12,13 +12,6 @@ CorpusGenerator::CorpusGenerator(const World &world, uint64_t seed)
 }
 
 TokenSeq
-CorpusGenerator::colorFact(int entity) const
-{
-    return {world_.entityToken(entity), world_.hasColorToken(),
-            world_.colorToken(world_.colorOf(entity)), world_.sepToken()};
-}
-
-TokenSeq
 CorpusGenerator::colorSentenceSampled(int entity, Rng &rng) const
 {
     // Myth-dominant entities: the false color is stated twice as

@@ -40,8 +40,6 @@ class CorpusGenerator
     /** @name Individual sentence emitters
      *  @{
      */
-    /** "E HAS_COLOR colorOf(E) <sep>" — the *true* fact. */
-    TokenSeq colorFact(int entity) const;
     /**
      * Plain color sentence as it actually circulates: for
      * myth-dominant entities the myth color appears more often than

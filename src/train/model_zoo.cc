@@ -83,14 +83,4 @@ pretrainedTinyBert()
     return trainOrLoad(tinyBertConfig());
 }
 
-TransformerModel
-pretrainedModel(const std::string &name)
-{
-    if (name == "tiny-llama")
-        return pretrainedTinyLlama();
-    if (name == "tiny-bert")
-        return pretrainedTinyBert();
-    fatal("pretrainedModel: unknown preset " + name);
-}
-
 } // namespace lrd

@@ -33,12 +33,6 @@ TransformerModel pretrainedTinyLlama();
 /** The pretrained tiny BERT-style encoder (stand-in for BERT-Base). */
 TransformerModel pretrainedTinyBert();
 
-/**
- * Fresh copy of a cached model by preset name ("tiny-llama" or
- * "tiny-bert"); used by harnesses that decompose destructively.
- */
-TransformerModel pretrainedModel(const std::string &name);
-
 } // namespace lrd
 
 #endif // LRD_TRAIN_MODEL_ZOO_H

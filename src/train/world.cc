@@ -164,47 +164,4 @@ World::sampleEntityZipf(Rng &rng) const
     return static_cast<int>(rng.categorical(zipfWeights_));
 }
 
-std::string
-World::tokenName(int token) const
-{
-    require(token >= 0 && token < vocabSize_, "World: token out of range");
-    switch (token) {
-      case 0: return "<pad>";
-      case 1: return "<bos>";
-      case 2: return "<sep>";
-      case 3: return "<mask>";
-      case 4: return "HAS_COLOR";
-      case 5: return "IS_A";
-      case 6: return "LIVES_IN";
-      case 7: return "PLUS";
-      case 8: return "EQUALS";
-      case 9: return "RUMOR";
-      case 10: return "BECAUSE";
-      default: break;
-    }
-    int i = token - kNumStructural;
-    if (i < spec_.numEntities)
-        return strCat("ent", i);
-    i -= spec_.numEntities;
-    if (i < spec_.numColors)
-        return strCat("color", i);
-    i -= spec_.numColors;
-    if (i < spec_.numCategories)
-        return strCat("kind", i);
-    i -= spec_.numCategories;
-    if (i < spec_.numPlaces)
-        return strCat("place", i);
-    i -= spec_.numPlaces;
-    if (i < spec_.numNumbers)
-        return strCat("num", i);
-    i -= spec_.numNumbers;
-    if (i < spec_.numVerbs)
-        return strCat("verb", i);
-    i -= spec_.numVerbs;
-    if (i < 2)
-        return i == 0 ? "he" : "she";
-    i -= 2;
-    return strCat("sym", i);
-}
-
 } // namespace lrd

@@ -25,7 +25,6 @@
 #define LRD_TRAIN_WORLD_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/embedding.h"
@@ -59,16 +58,16 @@ class World
     const WorldSpec &spec() const { return spec_; }
     int vocabSize() const { return vocabSize_; }
 
-    /** @name Special tokens
+    /** @name Special tokens (0 is a padding id nothing emits)
      *  @{
      */
-    int padToken() const { return 0; }
     int bosToken() const { return 1; }
     int sepToken() const { return 2; }
     int maskToken() const { return 3; }
     /** @} */
 
-    /** @name Structural tokens (relations, operators, markers)
+    /** @name Structural tokens (relations, operators, markers; 10 is
+     *  a reserved id nothing emits)
      *  @{
      */
     int hasColorToken() const { return 4; }
@@ -77,7 +76,6 @@ class World
     int plusToken() const { return 7; }
     int equalsToken() const { return 8; }
     int rumorToken() const { return 9; }
-    int becauseToken() const { return 10; }
     /** @} */
 
     /** @name Content tokens
@@ -111,9 +109,6 @@ class World
      * mentioned far more often than tail entities).
      */
     int sampleEntityZipf(Rng &rng) const;
-
-    /** Human-readable token name, for debugging and examples. */
-    std::string tokenName(int token) const;
 
   private:
     WorldSpec spec_;

@@ -79,13 +79,6 @@ cacheRead(const std::string &name)
 }
 
 void
-cacheErase(const std::string &name)
-{
-    std::error_code ec;
-    fs::remove(cachePath(name), ec);
-}
-
-void
 ByteWriter::putU32(uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
@@ -97,14 +90,6 @@ ByteWriter::putU64(uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
         buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-ByteWriter::putF32(float v)
-{
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU32(bits);
 }
 
 void
@@ -166,15 +151,6 @@ ByteReader::getU64()
     for (int i = 0; i < 8; ++i)
         v |= static_cast<uint64_t>(buf_[pos_ + i]) << (8 * i);
     pos_ += 8;
-    return v;
-}
-
-float
-ByteReader::getF32()
-{
-    uint32_t bits = getU32();
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
     return v;
 }
 

@@ -32,9 +32,6 @@ void cacheWrite(const std::string &name, const std::vector<uint8_t> &bytes);
 /** Read a named entry; NotFound status when missing or unreadable. */
 Result<std::vector<uint8_t>> cacheRead(const std::string &name);
 
-/** Remove a named entry if present. */
-void cacheErase(const std::string &name);
-
 /**
  * Binary serialization helpers used by weight (de)serialization.
  * All values are little-endian; this library only targets one host.
@@ -44,7 +41,6 @@ class ByteWriter
   public:
     void putU32(uint32_t v);
     void putU64(uint64_t v);
-    void putF32(float v);
     void putF64(double v);
     void putString(const std::string &s);
     void putFloats(const std::vector<float> &v);
@@ -66,12 +62,10 @@ class ByteReader
     explicit ByteReader(std::vector<uint8_t> bytes);
     uint32_t getU32();
     uint64_t getU64();
-    float getF32();
     double getF64();
     std::string getString();
     std::vector<float> getFloats();
     std::vector<uint8_t> getBytes();
-    bool atEnd() const { return pos_ == buf_.size(); }
     /** Bytes not yet read. */
     size_t remaining() const { return buf_.size() - pos_; }
 

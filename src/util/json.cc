@@ -4,12 +4,6 @@
 
 namespace lrd {
 
-bool
-JsonValue::asBool(bool fallback) const
-{
-    return kind_ == Kind::Bool ? bool_ : fallback;
-}
-
 double
 JsonValue::asNumber(double fallback) const
 {
@@ -215,11 +209,9 @@ class JsonParser
             return parseString(out.string_);
           case 't':
             out.kind_ = JsonValue::Kind::Bool;
-            out.bool_ = true;
             return literal("true");
           case 'f':
             out.kind_ = JsonValue::Kind::Bool;
-            out.bool_ = false;
             return literal("false");
           case 'n':
             out.kind_ = JsonValue::Kind::Null;

@@ -47,15 +47,12 @@ class JsonValue
     JsonValue() = default;
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
     bool isObject() const { return kind_ == Kind::Object; }
     bool isArray() const { return kind_ == Kind::Array; }
 
     /** Typed readers; return the fallback on a kind mismatch. */
-    bool asBool(bool fallback = false) const;
     double asNumber(double fallback = 0.0) const;
     int64_t asInt(int64_t fallback = 0) const;
     const std::string &asString() const { return string_; }
@@ -82,7 +79,6 @@ class JsonValue
     friend class JsonParser;
 
     Kind kind_ = Kind::Null;
-    bool bool_ = false;
     double number_ = 0.0;
     std::string string_;
     std::vector<Member> members_;

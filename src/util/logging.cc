@@ -64,12 +64,6 @@ setLogTimestamps(bool on)
     g_timestamps.store(on, std::memory_order_relaxed);
 }
 
-bool
-logTimestamps()
-{
-    return g_timestamps.load(std::memory_order_relaxed);
-}
-
 LogSpec
 parseLogSpec(const std::string &spec)
 {
@@ -128,13 +122,6 @@ warn(const std::string &msg)
 {
     if (logLevel() <= LogLevel::Warn)
         emit("warn: ", msg);
-}
-
-void
-debug(const std::string &msg)
-{
-    if (logLevel() <= LogLevel::Debug)
-        emit("debug: ", msg);
 }
 
 void

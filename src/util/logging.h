@@ -22,7 +22,8 @@
 
 namespace lrd {
 
-/** Severity levels for log output. */
+/** Severity levels for log output. Nothing logs at Debug; LRD_LOG=debug
+ *  is accepted and prints what Info prints. */
 enum class LogLevel { Debug, Info, Warn, Error };
 
 /**
@@ -39,7 +40,6 @@ LogLevel logLevel();
  * "+ts" suffix of LRD_LOG (see parseLogSpec).
  */
 void setLogTimestamps(bool on);
-bool logTimestamps();
 
 /** A parsed LRD_LOG specification. */
 struct LogSpec
@@ -61,9 +61,6 @@ void inform(const std::string &msg);
 
 /** Print a warning message to stderr (when level permits). */
 void warn(const std::string &msg);
-
-/** Print a debug message to stderr (when level permits). */
-void debug(const std::string &msg);
 
 /**
  * Report an unrecoverable user-facing error.
@@ -111,8 +108,8 @@ strCat(const Args &...args)
  * The message is passed as parts and formatted only on failure, so a
  * passing check costs one branch: require(n == 4, "got ", n, " of ",
  * t.shape()). A std::string temporary as a part (strCat(...),
- * shapeToString(...), "a" + b) would be built on every call, so it
- * does not compile; pass its pieces instead.
+ * t.describe(), "a" + b) would be built on every call, so it does not
+ * compile; pass its pieces instead (a Shape prints as "[a, b]").
  */
 template <class... Parts>
 void

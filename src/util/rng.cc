@@ -124,12 +124,6 @@ Rng::categorical(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xA3C59AC2EB0AA5F7ULL);
-}
-
 RngState
 Rng::state() const
 {

@@ -13,7 +13,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace lrd {
@@ -64,20 +63,6 @@ class Rng
      * @param weights Non-negative weights; at least one must be positive.
      */
     size_t categorical(const std::vector<double> &weights);
-
-    /** In-place Fisher-Yates shuffle. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        for (size_t i = v.size(); i > 1; --i) {
-            size_t j = uniformInt(i);
-            std::swap(v[i - 1], v[j]);
-        }
-    }
-
-    /** Split off an independent child generator (for parallel streams). */
-    Rng split();
 
     /**
      * Snapshot / restore the full generator state, including the

@@ -185,13 +185,6 @@ class [[nodiscard]] Result
         return std::move(value_);
     }
 
-    /** The value, or `fallback` when this holds an error. */
-    T
-    valueOr(T fallback) const
-    {
-        return ok() ? value_ : std::move(fallback);
-    }
-
   private:
     void
     checkOk() const

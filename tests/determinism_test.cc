@@ -404,9 +404,9 @@ distinctSweepWeights(const ModelConfig &cfg)
 
 /**
  * The sweep computed the direct way: the dense baseline, then for every
- * grid point a fresh model with applyTucker per entry, evaluated and
- * estimated as optimizeDecomposition does (EDP projected onto
- * Llama2-7B), folded by the same serial fold.
+ * grid point a fresh model with each entry's Linear factorized,
+ * evaluated and estimated as optimizeDecomposition does (EDP projected
+ * onto Llama2-7B), folded by the same serial fold.
  */
 OptimizerResult
 perCandidateReference(const std::vector<uint8_t> &bytes,
@@ -440,7 +440,8 @@ perCandidateReference(const std::vector<uint8_t> &bytes,
                 rank);
             TransformerModel model = TransformerModel::deserialize(bytes);
             for (const PrunedRankEntry &e : rec.config.prunedRanks())
-                EXPECT_TRUE(model.applyTucker(e.layer, e.kind, e.rank).ok());
+                EXPECT_TRUE(
+                    model.linear(e.layer, e.kind).factorize(e.rank).ok());
             rec.accuracy =
                 Evaluator(model, sweepfix::smallWorld(), evalOpts)
                     .aggregateAccuracy();

@@ -77,10 +77,10 @@ TEST(Benchmarks, StructureInvariants)
             continue;
         const auto tasks = makeMcTasks(kind, w, 30, 7);
         ASSERT_EQ(tasks.size(), 30U);
+        // Two choices for WinoGrande, four for the rest.
+        const size_t numChoices = kind == BenchmarkKind::WinoGrande ? 2 : 4;
         for (const McTask &t : tasks) {
-            EXPECT_EQ(static_cast<int>(t.choices.size()),
-                      benchmarkNumChoices(kind))
-                << benchmarkName(kind);
+            EXPECT_EQ(t.choices.size(), numChoices) << benchmarkName(kind);
             ASSERT_GE(t.gold, 0);
             ASSERT_LT(t.gold, static_cast<int>(t.choices.size()));
             EXPECT_EQ(t.context.front(), w.bosToken());
@@ -218,16 +218,8 @@ TEST(Evaluator, BertPathRunsAndIsDeterministic)
     const EvalResult b = ev.run(BenchmarkKind::ArcEasy);
     EXPECT_EQ(a.numCorrect, b.numCorrect);
     EXPECT_EQ(a.numTasks, 15);
-
-    // The per-item PLL entry point must be deterministic too and pick
-    // a valid choice index.
-    const auto tasks = makeMcTasks(BenchmarkKind::ArcEasy, w, 5, 21);
-    for (const McTask &t : tasks) {
-        const int pick = ev.pickChoiceBert(t);
-        EXPECT_GE(pick, 0);
-        EXPECT_LT(pick, static_cast<int>(t.choices.size()));
-        EXPECT_EQ(ev.pickChoiceBert(t), pick);
-    }
+    EXPECT_GE(a.numCorrect, 0);
+    EXPECT_LE(a.numCorrect, a.numTasks);
 }
 
 TEST(Evaluator, RunAllCoversEveryBenchmark)

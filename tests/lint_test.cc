@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -740,6 +741,61 @@ void scoreAll(const Model &m, long n) {
     EXPECT_EQ(tail, msg.substr(msg.size() - tail.size())) << msg;
 }
 
+TEST(LintHotPath, MemberCallThroughAParameterNamesItsClassMethod)
+{
+    // A reference or pointer parameter of the in-tree class Session
+    // types its receiver like a local does: `s.append(1)` and
+    // `p->append(2)` call Session::append, whose push_back is the one
+    // finding.
+    const auto diags = lintFiles({{"src/eval/items.cc", R"(
+namespace lrd {
+void Session::append(int token) { tokens_.push_back(token); }
+void scoreOne(Session &s) { s.append(1); }
+void scoreVia(const Session *p) { p->append(2); }
+void scoreAll(Session &s, long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) {
+        scoreOne(s);
+        scoreVia(&s);
+    });
+}
+} // namespace lrd
+)"}});
+    std::vector<const Diagnostic *> found;
+    for (const Diagnostic &d : diags)
+        if (d.rule == kRuleHotPathAlloc)
+            found.push_back(&d);
+    ASSERT_EQ(1U, found.size());
+    EXPECT_EQ("lrd::Session::append", found[0]->symbol);
+    const std::string &msg = found[0]->message;
+    const std::string tail = "-> lrd::scoreOne (src/eval/items.cc:4) "
+                             "-> lrd::Session::append (src/eval/items.cc:3)";
+    ASSERT_GE(msg.size(), tail.size()) << msg;
+    EXPECT_EQ(tail, msg.substr(msg.size() - tail.size())) << msg;
+}
+
+TEST(LintHotPath, EmplaceOnAnOptionalIsNotGrowth)
+{
+    // `slot` is declared without an initializer; its type still
+    // counts, and std::optional::emplace allocates nothing of its own.
+    const auto diags = lintFiles({{"src/model/slots.cc", R"(
+namespace lrd {
+void fill(long n) {
+    parallelFor(0, n, 1, [&](long lo, long hi) {
+        std::optional<Tensor> slot;
+        slot.emplace(3);
+        std::map<int, int> seen;
+        seen.emplace(1, 2);
+    });
+}
+} // namespace lrd
+)"}});
+    std::vector<int> lines;
+    for (const Diagnostic &d : diags)
+        if (d.rule == kRuleHotPathAlloc)
+            lines.push_back(d.line);
+    EXPECT_EQ((std::vector<int>{8}), lines);
+}
+
 TEST(LintParser, TemplateTypeCloseIsNotAnArrow)
 {
     // The '>' closing `std::vector<float>` declares `run`; only the
@@ -757,6 +813,21 @@ bool h(int a) { return a > run(a); }
     EXPECT_EQ(".run", sum.functions[1].calls[0].name);
     ASSERT_EQ(1U, sum.functions[2].calls.size());
     EXPECT_EQ("run", sum.functions[2].calls[0].name);
+}
+
+TEST(LintParser, ParametersKeepTheirNamesAndTypes)
+{
+    // A default value names no parameter; a reference or pointer
+    // parameter records its type, a by-value one does not.
+    const FileSummary sum = parseFile(SourceFile{"src/model/f.cc", R"(
+void f(const Session &s, Tape *tape = nullptr, int n = kRows, Model m) {}
+)"});
+    ASSERT_EQ(1U, sum.functions.size());
+    const FunctionInfo &fn = sum.functions[0];
+    EXPECT_EQ((std::vector<std::string>{"s", "tape", "n", "m"}), fn.params);
+    EXPECT_EQ((std::map<std::string, std::string>{{"s", "Session"},
+                                                  {"tape", "Tape"}}),
+              fn.localTypes);
 }
 
 TEST(LintHotPath, SizedContainerConstructionAllocates)
@@ -1017,20 +1088,37 @@ int orphanHelper() { return 1; }
     EXPECT_NE(d->message.find("orphanHelper"), std::string::npos);
 }
 
-TEST(LintDead, ReferenceFromTestsCountsAsLive)
-{
-    const std::vector<SourceFile> tree = {
-        {"src/util/extra.cc", R"(
+const SourceFile kOrphanHelper = {"src/util/extra.cc", R"(
 namespace lrd {
 int orphanHelper() { return 1; }
 } // namespace lrd
-)"},
+)"};
+
+TEST(LintDead, ReferenceFromTestsAloneIsFlagged)
+{
+    const std::vector<SourceFile> tree = {
+        kOrphanHelper,
         {"tests/extra_test.cc", R"(
 #include <gtest/gtest.h>
 TEST(Extra, Helper) { EXPECT_EQ(1, lrd::orphanHelper()); }
 )"},
     };
-    EXPECT_FALSE(hasRule(lintFiles(tree), kRuleDeadSymbol));
+    const auto diags = lintFiles(tree);
+    const Diagnostic *d = findRule(diags, kRuleDeadSymbol);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->file, "src/util/extra.cc");
+}
+
+TEST(LintDead, ReferenceFromBenchOrPipebenchCountsAsLive)
+{
+    const std::string caller = R"(
+int main() { return lrd::orphanHelper(); }
+)";
+    for (const char *path : {"bench/bench_extra.cc", "pipebench/extra.cc"}) {
+        SCOPED_TRACE(path);
+        EXPECT_FALSE(hasRule(lintFiles({kOrphanHelper, {path, caller}}),
+                             kRuleDeadSymbol));
+    }
 }
 
 // ---------------------------------------------------------------- reports

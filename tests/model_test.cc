@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "model/transformer.h"
+#include "robust/recovery.h"
 #include "tensor/ops.h"
 #include "tensor/simd/pack.h"
 #include "util/rng.h"
@@ -118,12 +119,12 @@ TEST(Linear, FullRankFactorizationPreservesOutput)
 
 TEST(Linear, DensifyRoundTrip)
 {
+    // Contracting full-rank factors gives the dense weight back.
     Rng rng(3);
     Linear l(8, 8, false, "t", &rng);
     Tensor w0 = l.weight().value;
     ASSERT_TRUE(l.factorize(8).ok());
-    l.densify();
-    EXPECT_LT(relativeError(w0, l.weight().value), 1e-4);
+    EXPECT_LT(relativeError(w0, l.effectiveWeight()), 1e-4);
 }
 
 TEST(Linear, FactorizedOutputErrorShrinksWithRank)
@@ -162,7 +163,8 @@ TEST(Model, ForwardShapeAndFiniteness)
         TokenSeq toks = randomTokens(cfg, 10, rng);
         Tensor logits = m.forward(toks);
         EXPECT_EQ(logits.shape(), (Shape{10, cfg.vocabSize})) << cfg.name;
-        EXPECT_TRUE(logits.allFinite()) << cfg.name;
+        EXPECT_LT(firstNonFinite(logits.data(), logits.size()), 0)
+            << cfg.name;
     }
 }
 
@@ -271,7 +273,7 @@ TEST(Model, KvCacheWorksWithFactorizedLayers)
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg);
     for (WeightKind k : decomposableKinds(cfg.arch))
-        ASSERT_TRUE(m.applyTucker(0, k, 2).ok());
+        ASSERT_TRUE(m.linear(0, k).factorize(2).ok());
     Rng rng(11);
     expectSessionMatchesForward(m, randomTokens(cfg, cfg.maxSeq, rng));
 }
@@ -284,7 +286,7 @@ TEST(Model, ScoreContinuationMatchesFullForward)
     TransformerModel dense(cfg);
     TransformerModel factorized(cfg);
     for (WeightKind k : decomposableKinds(cfg.arch))
-        ASSERT_TRUE(factorized.applyTucker(0, k, 2).ok());
+        ASSERT_TRUE(factorized.linear(0, k).factorize(2).ok());
     Rng rng(12);
     TokenSeq ctx = randomTokens(cfg, 5, rng);
     TokenSeq cont = randomTokens(cfg, 3, rng);
@@ -318,11 +320,12 @@ TEST(Model, FactorizedSerializationRoundTrips)
 {
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg, 42);
-    ASSERT_TRUE(m.applyTucker(1, WeightKind::Gate, 2).ok());
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Query, 1).ok());
+    ASSERT_TRUE(m.linear(1, WeightKind::Gate).factorize(2).ok());
+    ASSERT_TRUE(m.linear(0, WeightKind::Query).factorize(1).ok());
     const auto bytes = m.serialize();
     TransformerModel m2 = TransformerModel::deserialize(bytes);
-    EXPECT_TRUE(m2.anyFactorized());
+    EXPECT_TRUE(m2.linear(1, WeightKind::Gate).isFactorized());
+    EXPECT_TRUE(m2.linear(0, WeightKind::Query).isFactorized());
     EXPECT_EQ(m2.paramCount(), m.paramCount());
     Rng rng(4);
     TokenSeq toks = randomTokens(cfg, 6, rng);
@@ -337,7 +340,7 @@ TEST(Model, ApplyTuckerReducesParamCount)
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg);
     const int64_t before = m.paramCount();
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Query, 1).ok());
+    ASSERT_TRUE(m.linear(0, WeightKind::Query).factorize(1).ok());
     const int64_t after = m.paramCount();
     // Test config dModel = 16, pr = 1: dense 256 -> 16 + 1 + 16.
     EXPECT_EQ(before - after, 16 * 16 - (16 * 1 + 1 * 1 + 1 * 16));
@@ -493,8 +496,8 @@ TEST(GradCheckFactorized, AnalyticMatchesNumeric)
 {
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg, 22);
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Gate, 2).ok());
-    ASSERT_TRUE(m.applyTucker(1, WeightKind::Query, 2).ok());
+    ASSERT_TRUE(m.linear(0, WeightKind::Gate).factorize(2).ok());
+    ASSERT_TRUE(m.linear(1, WeightKind::Query).factorize(2).ok());
     Rng rng(16);
     TokenSeq toks = randomTokens(cfg, 8, rng);
     std::vector<int> targets = shiftTargets(toks);

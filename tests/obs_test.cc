@@ -494,7 +494,6 @@ TEST(Logging, LevelFilteringAndPrefixes)
     setLogLevel(LogLevel::Warn);
     testing::internal::CaptureStderr();
     inform("should be filtered");
-    debug("also filtered");
     std::string out = testing::internal::GetCapturedStderr();
     EXPECT_TRUE(out.empty()) << out;
 
@@ -515,12 +514,14 @@ TEST(Logging, LevelFilteringAndPrefixes)
 
 TEST(Logging, TimestampToggleRoundTrips)
 {
-    const bool before = logTimestamps();
-    setLogTimestamps(true);
-    EXPECT_TRUE(logTimestamps());
-    setLogTimestamps(false);
-    EXPECT_FALSE(logTimestamps());
-    setLogTimestamps(before);
+    ObsStateGuard guard;
+    for (bool on : {true, false, true}) {
+        setLogTimestamps(on);
+        testing::internal::CaptureStderr();
+        warn("toggled");
+        const std::string out = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(out.find("s w0] ") != std::string::npos, on) << out;
+    }
 }
 
 TEST(Logging, ParseLogSpec)
@@ -560,7 +561,7 @@ TEST(Logging, ConcurrentLevelAccessIsRaceFree)
         }
     });
     parallelFor(0, 2000, 1, [&](int64_t, int64_t) {
-        debug("never printed"); // Reads the level on a pool worker.
+        inform("never printed"); // Reads the level on a pool worker.
     });
     stop.store(true);
     flipper.join();

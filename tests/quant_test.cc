@@ -9,6 +9,7 @@
 
 #include "quant/prune.h"
 #include "quant/quantize.h"
+#include "robust/recovery.h"
 #include "tensor/ops.h"
 
 namespace lrd {
@@ -88,7 +89,7 @@ TEST(Quantize, ApplyToModelKeepsItFunctional)
     Tensor before = m.forward(toks);
     applyFakeQuantization(m, 8);
     Tensor after = m.forward(toks);
-    EXPECT_TRUE(after.allFinite());
+    EXPECT_LT(firstNonFinite(after.data(), after.size()), 0);
     // 8-bit is near-lossless on logits.
     EXPECT_LT(relativeError(before, after), 0.15);
 }
@@ -97,7 +98,7 @@ TEST(Quantize, FactorizedLayerRejected)
 {
     ModelConfig cfg = testLlamaConfig();
     TransformerModel m(cfg, 5);
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Query, 1).ok());
+    ASSERT_TRUE(m.linear(0, WeightKind::Query).factorize(1).ok());
     EXPECT_THROW(applyFakeQuantization(m, 8), std::runtime_error);
 }
 
@@ -154,7 +155,7 @@ TEST(Prune, ModelStaysFunctionalAndDegradesGracefully)
     Tensor before = m.forward(toks);
     applyMagnitudePruning(m, 0.2);
     Tensor after = m.forward(toks);
-    EXPECT_TRUE(after.allFinite());
+    EXPECT_LT(firstNonFinite(after.data(), after.size()), 0);
     const double err20 = relativeError(before, after);
     applyMagnitudePruning(m, 0.8);
     const double err80 = relativeError(before, m.forward(toks));

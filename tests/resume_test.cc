@@ -372,7 +372,7 @@ TEST(Resume, FactorizeDegradeKeepsDenseOnNonConvergence)
     const int64_t denseParams = model.paramCount();
 
     setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
-    const Status s = model.applyTucker(0, WeightKind::Query, 2);
+    const Status s = model.linear(0, WeightKind::Query).factorize(2);
     clearFaults();
     EXPECT_EQ(s.code(), StatusCode::NonConvergence);
     // Degrade keeps the dense weight: the model is untouched and
@@ -391,7 +391,7 @@ TEST(Resume, StrictPolicyFailsFastOnNonConvergence)
 
     TransformerModel model(smallConfig(), 42);
     setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
-    EXPECT_THROW(model.applyTucker(0, WeightKind::Query, 2),
+    EXPECT_THROW(model.linear(0, WeightKind::Query).factorize(2),
                  std::runtime_error);
     clearFaults();
 }
@@ -559,7 +559,8 @@ TEST(Resume, FactorBankSlotsSkippedByCancelReadCancelled)
         const Status s = gamma.applyTo(model, bank);
         EXPECT_EQ(s.code(), StatusCode::Cancelled);
         if (nThreads == 1) {
-            EXPECT_FALSE(model.anyFactorized());
+            for (const PrunedRankEntry &e : gamma.prunedRanks())
+                EXPECT_FALSE(model.linear(e.layer, e.kind).isFactorized());
         }
         clearCancelRequest();
         resetSignalsForTest();

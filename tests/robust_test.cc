@@ -126,12 +126,10 @@ TEST(Result, HoldsValueOrStatus)
     const Result<int> good(42);
     ASSERT_TRUE(good.ok());
     EXPECT_EQ(good.value(), 42);
-    EXPECT_EQ(good.valueOr(7), 42);
 
     const Result<int> bad(Status(StatusCode::NotFound, "cache.read", "x"));
     EXPECT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), StatusCode::NotFound);
-    EXPECT_EQ(bad.valueOr(7), 7);
     EXPECT_THROW(bad.value(), std::runtime_error);
 }
 
@@ -337,13 +335,11 @@ TEST(NumericGuards, FirstNonFiniteFindsTheFirstBadElement)
 TEST(NumericGuards, NoteAndTakeSlotFirstWinsAndClears)
 {
     RobustGuard guard;
-    EXPECT_FALSE(numericFaultPending());
+    EXPECT_TRUE(takeNumericFault().ok());
     noteNumericFault(Status(StatusCode::NonFinite, "model.block", "a"));
     noteNumericFault(Status(StatusCode::NonFinite, "model.block", "b"));
-    EXPECT_TRUE(numericFaultPending());
     const Status s = takeNumericFault();
     EXPECT_EQ(s.message(), "a"); // First note wins.
-    EXPECT_FALSE(numericFaultPending());
     EXPECT_TRUE(takeNumericFault().ok());
 }
 
@@ -494,7 +490,7 @@ TEST(FaultSites, EveryRegisteredSiteSupportsCancelKill)
         if (site == "jacobi") {
             TransformerModel model(smallConfig(), 42);
             setFault(FaultSpec{"jacobi", FaultKind::Cancel, 1});
-            const Status s = model.applyTucker(0, WeightKind::Query, 2);
+            const Status s = model.linear(0, WeightKind::Query).factorize(2);
             EXPECT_EQ(s.code(), StatusCode::Cancelled) << s.toString();
             // The kill never commits a partially rotated factor.
             EXPECT_FALSE(

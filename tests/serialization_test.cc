@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <string>
 
 #include "model/transformer.h"
 #include "tensor/ops.h"
@@ -51,6 +52,21 @@ TEST(Serialization, BadMagicIsRejected)
     bytes[8] ^= 0xFF; // inside the magic string
     EXPECT_THROW(TransformerModel::deserialize(bytes),
                  std::runtime_error);
+
+    // Only "lrd-model-v3" is read; nothing ever wrote v1 or v2.
+    for (uint8_t version : {'1', '2'}) {
+        auto old = bytesFor(2);
+        ASSERT_EQ(old[8 + 11], '3'); // after the u64 length prefix
+        old[8 + 11] = version;
+        try {
+            (void)TransformerModel::deserialize(old);
+            ADD_FAILURE() << "a v" << version << " stream was read";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("bad magic"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Serialization, ConfigRoundTripsExactly)
@@ -72,8 +88,8 @@ TEST(Serialization, ConfigRoundTripsExactly)
 TEST(Serialization, FactorizedManifestPreservesRanks)
 {
     TransformerModel m(testLlamaConfig(), 4);
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Down, 3).ok());
-    ASSERT_TRUE(m.applyTucker(1, WeightKind::Key, 1).ok());
+    ASSERT_TRUE(m.linear(0, WeightKind::Down).factorize(3).ok());
+    ASSERT_TRUE(m.linear(1, WeightKind::Key).factorize(1).ok());
     TransformerModel m2 = TransformerModel::deserialize(m.serialize());
     EXPECT_TRUE(m2.linear(0, WeightKind::Down).isFactorized());
     EXPECT_EQ(m2.linear(0, WeightKind::Down).prunedRank(), 3);
@@ -90,7 +106,7 @@ TEST(Serialization, FactorizedCheckpointIsSmallerProportionally)
     TransformerModel comp(testLlamaConfig(), 5);
     for (WeightKind k : decomposableKinds(Arch::LlamaStyle))
         for (int64_t l = 0; l < comp.numLayers(); ++l)
-            ASSERT_TRUE(comp.applyTucker(l, k, 1).ok());
+            ASSERT_TRUE(comp.linear(l, k).factorize(1).ok());
     const size_t compSize = comp.serialize().size();
     // Param counts predict the byte sizes (4 bytes per float + small
     // header/manifest overhead).
@@ -99,15 +115,6 @@ TEST(Serialization, FactorizedCheckpointIsSmallerProportionally)
     const double byteRatio = static_cast<double>(compSize)
                              / static_cast<double>(denseSize);
     EXPECT_NEAR(byteRatio, paramRatio, 0.12); // small model: header/name overhead
-}
-
-TEST(Serialization, DensifiedModelReadsBackAsDense)
-{
-    TransformerModel m(testLlamaConfig(), 6);
-    ASSERT_TRUE(m.applyTucker(0, WeightKind::Query, 2).ok());
-    m.linear(0, WeightKind::Query).densify();
-    TransformerModel m2 = TransformerModel::deserialize(m.serialize());
-    EXPECT_FALSE(m2.anyFactorized());
 }
 
 TEST(Serialization, GqaConfigSurvivesRoundTrip)

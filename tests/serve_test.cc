@@ -578,20 +578,6 @@ TEST(ServeChaos, SigintMidRunDrainsAsCancelled)
     EXPECT_EQ(exitCodeForStatus(r.status), kExitCancelled);
 }
 
-TEST(ServeChaos, OutcomeNamesAreStable)
-{
-    // These strings are CLI surface (`lrdtool serve` outcome table)
-    // and chaos-script grep targets.
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Pending), "pending");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Responded), "responded");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Shed), "shed");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::DeadlineMissed),
-                 "deadline-missed");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Cancelled), "cancelled");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Unavailable),
-                 "unavailable");
-}
-
 TEST(ServeChaos, RegistryListsEveryServeSite)
 {
     // `lrdtool faults` documents what chaos runs can target; a serve

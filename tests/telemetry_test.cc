@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "parallel/thread_pool.h"
 #include "robust/cancel.h"
 #include "robust/fault.h"
+#include "robust/recovery.h"
 #include "robust/signal.h"
 #include "tensor/ops.h"
 #include "train/model_zoo.h"
@@ -94,14 +96,16 @@ TEST(HistogramQuantiles, EmptyHistogramIsZero)
 
 TEST(HistogramQuantiles, SingleBucketInterpolates)
 {
-    // 100 samples in the [8, 16) bucket: quantiles interpolate
-    // linearly across the bucket.
+    // 100 samples in the [8, 16) bucket, 8 to 15: quantiles
+    // interpolate linearly across the bucket, up to the largest sample.
     HistogramSnapshot hs;
     hs.count = 100;
+    hs.min = 8;
+    hs.max = 15;
     hs.buckets[static_cast<size_t>(Histogram::bucketOf(8))] = 100;
     EXPECT_DOUBLE_EQ(hs.p50(), 12.0);
-    EXPECT_DOUBLE_EQ(hs.p90(), 15.2);
-    EXPECT_DOUBLE_EQ(hs.p99(), 15.92);
+    EXPECT_DOUBLE_EQ(hs.p90(), 15.0); // 15.2 interpolated
+    EXPECT_DOUBLE_EQ(hs.p99(), 15.0); // 15.92 interpolated
 }
 
 TEST(HistogramQuantiles, SkewedMassPicksTheRightBucket)
@@ -110,19 +114,51 @@ TEST(HistogramQuantiles, SkewedMassPicksTheRightBucket)
     // bucket, p99 lands in the large one.
     HistogramSnapshot hs;
     hs.count = 100;
+    hs.min = 1;
+    hs.max = 1500;
     hs.buckets[static_cast<size_t>(Histogram::bucketOf(1))] = 90;
     hs.buckets[static_cast<size_t>(Histogram::bucketOf(1024))] = 10;
     EXPECT_LT(hs.p50(), 2.01);
     EXPECT_GE(hs.p99(), 1024.0);
-    EXPECT_LT(hs.p99(), 2048.0);
+    EXPECT_LE(hs.p99(), 1500.0); // 1945.6 interpolated
 }
 
 TEST(HistogramQuantiles, ZeroBucketReportsZero)
 {
     HistogramSnapshot hs;
     hs.count = 10;
+    hs.min = -3;
+    hs.max = 0;
     hs.buckets[0] = 10; // All samples <= 0.
     EXPECT_EQ(hs.p99(), 0.0);
+}
+
+TEST(HistogramQuantiles, EstimatesStayInsideTheSamples)
+{
+    // Latencies capped at a 64-tick deadline: 64 opens the [64, 128)
+    // bucket, whose interpolation would report up to 127.
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    const bool wasEnabled = reg.enabled();
+    reg.setEnabled(true);
+    Histogram *h = reg.histogram("test.quantile.capped");
+    for (int64_t i = 0; i < 300; ++i)
+        h->record(33 + i % 31);
+    for (int i = 0; i < 100; ++i)
+        h->record(64);
+    const MetricsSnapshot snap = reg.snapshot();
+    reg.setEnabled(wasEnabled);
+    const auto it = std::find_if(
+        snap.histograms.begin(), snap.histograms.end(),
+        [](const auto &e) { return e.first == "test.quantile.capped"; });
+    ASSERT_NE(it, snap.histograms.end());
+    const HistogramSnapshot &hs = it->second;
+    EXPECT_EQ(hs.min, 33);
+    EXPECT_EQ(hs.max, 64);
+    for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+        EXPECT_GE(hs.quantile(q), 33.0) << q;
+        EXPECT_LE(hs.quantile(q), 64.0) << q;
+    }
+    EXPECT_EQ(hs.p99(), 64.0);
 }
 
 TEST(TelemetrySpec, ParsesIntervalAndPath)
@@ -158,8 +194,8 @@ TEST(Json, ParsesScalarsObjectsAndArrays)
     const JsonValue *b = v.find("b");
     ASSERT_NE(b, nullptr);
     ASSERT_EQ(b->elements().size(), 3U);
-    EXPECT_TRUE(b->elements()[0].asBool());
-    EXPECT_TRUE(b->elements()[1].isNull());
+    EXPECT_EQ(b->elements()[0].kind(), JsonValue::Kind::Bool);
+    EXPECT_EQ(b->elements()[1].kind(), JsonValue::Kind::Null);
     EXPECT_EQ(b->elements()[2].asString(), "x\"y");
     const JsonValue *d = v.findPath({"c", "d"});
     ASSERT_NE(d, nullptr);
@@ -257,9 +293,9 @@ TEST(Json, HugeAndTinyNumbersFollowStrtod)
 
     const Result<JsonValue> b = parseJson("[true, false, 0]");
     ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(b.value().elements()[0].isBool());
-    EXPECT_TRUE(b.value().elements()[1].isBool());
-    EXPECT_FALSE(b.value().elements()[2].isBool());
+    EXPECT_EQ(b.value().elements()[0].kind(), JsonValue::Kind::Bool);
+    EXPECT_EQ(b.value().elements()[1].kind(), JsonValue::Kind::Bool);
+    EXPECT_EQ(b.value().elements()[2].kind(), JsonValue::Kind::Number);
     EXPECT_FALSE(b.value().elements()[0].isNumber());
 }
 
@@ -392,7 +428,7 @@ TEST(Sampler, WritesSchemaValidJsonl)
     const Tensor b = Tensor::randn({96, 96}, rng);
     for (int i = 0; i < 8; ++i) {
         const Tensor c = matmul(a, b);
-        ASSERT_TRUE(c.allFinite());
+        ASSERT_LT(firstNonFinite(c.data(), c.size()), 0);
     }
     stopTelemetrySampler();
     EXPECT_FALSE(telemetrySamplerRunning());
@@ -561,7 +597,7 @@ TEST(Sampler, RotatesSegmentsAndRestampsManifest)
     // the generous iteration cap only bounds a broken sampler).
     for (int i = 0; i < 200000 && telemetrySampleCount() <= 12; ++i) {
         const Tensor c = matmul(a, b);
-        ASSERT_TRUE(c.allFinite());
+        ASSERT_LT(firstNonFinite(c.data(), c.size()), 0);
         requestTelemetryFlush();
     }
     ASSERT_GT(telemetrySampleCount(), 12);

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "robust/recovery.h"
 #include "tensor/ops.h"
 #include "tensor/unfold.h"
 #include "util/rng.h"
@@ -23,7 +24,7 @@ TEST(TensorEdge, ScalarTensorBehaves)
     s[0] = 4.0F;
     EXPECT_DOUBLE_EQ(s.sum(), 4.0);
     EXPECT_DOUBLE_EQ(s.norm(), 4.0);
-    Tensor r = s.reshaped({1, 1});
+    Tensor r({1, 1}, s.storage());
     EXPECT_FLOAT_EQ(r(0, 0), 4.0F);
 }
 
@@ -49,20 +50,19 @@ TEST(TensorEdge, ZeroExtentTensor)
     Tensor t({0, 4});
     EXPECT_EQ(t.size(), 0);
     EXPECT_DOUBLE_EQ(t.sum(), 0.0);
-    EXPECT_TRUE(t.allFinite());
-    EXPECT_THROW(t.minValue(), std::runtime_error);
+    EXPECT_LT(firstNonFinite(t.data(), t.size()), 0);
 }
 
 TEST(TensorEdge, Rank1MatvecAndOps)
 {
     Tensor v({4}, {1, 2, 3, 4});
     Tensor m = Tensor::eye(4);
-    Tensor y = matmulTransB(v.reshaped({1, 4}), m).reshaped({4});
+    Tensor y({4}, matmulTransB(Tensor({1, 4}, v.storage()), m).storage());
     EXPECT_LT(relativeError(v, y), 1e-7);
-    Tensor sm = softmaxLastDim(v);
+    Tensor ls = logSoftmaxLastDim(v);
     double sum = 0.0;
     for (int64_t i = 0; i < 4; ++i)
-        sum += sm[i];
+        sum += std::exp(ls[i]);
     EXPECT_NEAR(sum, 1.0, 1e-6);
 }
 
@@ -90,7 +90,7 @@ TEST(TensorEdge, Order5ModeProductChain)
         want[static_cast<size_t>(m)] = 4;
         EXPECT_EQ(p.shape(), want);
     }
-    EXPECT_TRUE(p.allFinite());
+    EXPECT_LT(firstNonFinite(p.data(), p.size()), 0);
 }
 
 TEST(TensorEdge, ReshapeChainPreservesRowMajorOrder)
@@ -98,7 +98,8 @@ TEST(TensorEdge, ReshapeChainPreservesRowMajorOrder)
     Tensor t({2, 3, 4});
     for (int64_t i = 0; i < t.size(); ++i)
         t[i] = static_cast<float>(i);
-    Tensor r = t.reshaped({4, 6}).reshaped({24}).reshaped({3, 2, 4});
+    const Tensor flat({24}, Tensor({4, 6}, t.storage()).storage());
+    Tensor r({3, 2, 4}, flat.storage());
     for (int64_t i = 0; i < t.size(); ++i)
         EXPECT_FLOAT_EQ(r[i], static_cast<float>(i));
 }
@@ -106,9 +107,9 @@ TEST(TensorEdge, ReshapeChainPreservesRowMajorOrder)
 TEST(TensorEdge, SoftmaxSingleColumn)
 {
     Tensor t({3, 1}, {5.0F, -2.0F, 0.0F});
-    Tensor p = softmaxLastDim(t);
+    Tensor ls = logSoftmaxLastDim(t);
     for (int64_t i = 0; i < 3; ++i)
-        EXPECT_FLOAT_EQ(p[i], 1.0F);
+        EXPECT_FLOAT_EQ(ls[i], 0.0F);
 }
 
 TEST(TensorEdge, LogSoftmaxExtremeLogits)

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "robust/recovery.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -70,9 +71,9 @@ TEST(Tensor, AtBoundsChecked)
 TEST(Tensor, ReshapePreservesData)
 {
     Tensor t({2, 3}, {0, 1, 2, 3, 4, 5});
-    Tensor r = t.reshaped({3, 2});
+    Tensor r({3, 2}, t.storage());
     EXPECT_FLOAT_EQ(r(2, 1), 5.0F);
-    EXPECT_THROW(t.reshaped({4, 2}), std::runtime_error);
+    EXPECT_THROW(Tensor({4, 2}, t.storage()), std::runtime_error);
 }
 
 TEST(Tensor, SumNormMinMax)
@@ -80,32 +81,16 @@ TEST(Tensor, SumNormMinMax)
     Tensor t({2, 2}, {1, -2, 3, -4});
     EXPECT_DOUBLE_EQ(t.sum(), -2.0);
     EXPECT_NEAR(t.norm(), std::sqrt(30.0), 1e-6);
-    EXPECT_FLOAT_EQ(t.minValue(), -4.0F);
-    EXPECT_FLOAT_EQ(t.maxValue(), 3.0F);
 }
 
 TEST(Tensor, AllFiniteDetectsNanInf)
 {
     Tensor t({2});
-    EXPECT_TRUE(t.allFinite());
-    t[0] = std::nanf("");
-    EXPECT_FALSE(t.allFinite());
+    EXPECT_LT(firstNonFinite(t.data(), t.size()), 0);
+    t[1] = std::nanf("");
+    EXPECT_EQ(firstNonFinite(t.data(), t.size()), 1);
     t[0] = INFINITY;
-    EXPECT_FALSE(t.allFinite());
-}
-
-TEST(Tensor, RanduStaysInRangeAndIsSeedDeterministic)
-{
-    Rng a(7);
-    Tensor x = Tensor::randu({256}, a, -0.5F, 2.0F);
-    for (int64_t i = 0; i < x.size(); ++i) {
-        EXPECT_GE(x[i], -0.5F);
-        EXPECT_LT(x[i], 2.0F);
-    }
-    Rng b(7);
-    const Tensor y = Tensor::randu({256}, b, -0.5F, 2.0F);
-    for (int64_t i = 0; i < y.size(); ++i)
-        EXPECT_EQ(x[i], y[i]);
+    EXPECT_EQ(firstNonFinite(t.data(), t.size()), 0);
 }
 
 TEST(Tensor, RandnStatistics)
@@ -123,7 +108,6 @@ TEST(Ops, AddSubHadamardScale)
     Tensor a({2}, {1, 2});
     Tensor b({2}, {3, 5});
     EXPECT_FLOAT_EQ(add(a, b)[1], 7.0F);
-    EXPECT_FLOAT_EQ(sub(b, a)[0], 2.0F);
     EXPECT_FLOAT_EQ(hadamard(a, b)[1], 10.0F);
     EXPECT_FLOAT_EQ(scale(a, -2.0F)[0], -2.0F);
 }
@@ -184,8 +168,8 @@ TEST(Ops, MatvecMatchesMatmul)
     Rng rng(10);
     Tensor a = Tensor::randn({3, 4}, rng);
     Tensor x = Tensor::randn({4}, rng);
-    Tensor y = matmulTransB(x.reshaped({1, 4}), a);
-    Tensor viaMm = matmul(a, x.reshaped({4, 1}));
+    Tensor y = matmulTransB(Tensor({1, 4}, x.storage()), a);
+    Tensor viaMm = matmul(a, Tensor({4, 1}, x.storage()));
     for (int64_t i = 0; i < 3; ++i)
         EXPECT_NEAR(y(0, i), viaMm(i, 0), 1e-5);
 }
@@ -200,10 +184,6 @@ TEST(Ops, TransposeIsInvolution)
 TEST(Ops, ReluGeluSiluPointwiseValues)
 {
     Tensor x({3}, {-1.0F, 0.0F, 2.0F});
-    Tensor r = relu(x);
-    EXPECT_FLOAT_EQ(r[0], 0.0F);
-    EXPECT_FLOAT_EQ(r[2], 2.0F);
-
     Tensor g = gelu(x);
     EXPECT_NEAR(g[0], -0.1588F, 1e-3); // known GELU(-1)
     EXPECT_FLOAT_EQ(g[1], 0.0F);
@@ -219,12 +199,12 @@ TEST(Ops, SoftmaxRowsSumToOne)
 {
     Rng rng(12);
     Tensor x = Tensor::randn({5, 8}, rng, 3.0F);
-    Tensor p = softmaxLastDim(x);
+    Tensor ls = logSoftmaxLastDim(x);
     for (int64_t r = 0; r < 5; ++r) {
         double s = 0.0;
         for (int64_t c = 0; c < 8; ++c) {
-            EXPECT_GT(p(r, c), 0.0F);
-            s += p(r, c);
+            EXPECT_LT(ls(r, c), 0.0F);
+            s += std::exp(ls(r, c));
         }
         EXPECT_NEAR(s, 1.0, 1e-5);
     }
@@ -233,9 +213,9 @@ TEST(Ops, SoftmaxRowsSumToOne)
 TEST(Ops, SoftmaxStableUnderLargeInputs)
 {
     Tensor x({1, 3}, {1000.0F, 1000.0F, 1000.0F});
-    Tensor p = softmaxLastDim(x);
+    Tensor ls = logSoftmaxLastDim(x);
     for (int64_t c = 0; c < 3; ++c)
-        EXPECT_NEAR(p(0, c), 1.0F / 3.0F, 1e-5);
+        EXPECT_NEAR(std::exp(ls(0, c)), 1.0 / 3.0, 1e-5);
 }
 
 TEST(Ops, LogSoftmaxMatchesLogOfSoftmax)
@@ -243,9 +223,16 @@ TEST(Ops, LogSoftmaxMatchesLogOfSoftmax)
     Rng rng(13);
     Tensor x = Tensor::randn({4, 6}, rng, 2.0F);
     Tensor ls = logSoftmaxLastDim(x);
-    Tensor p = softmaxLastDim(x);
-    for (int64_t i = 0; i < x.size(); ++i)
-        EXPECT_NEAR(ls[i], std::log(p[i]), 1e-4);
+    // log softmax(x) = x - logsumexp(x): a per-row shift whose
+    // exponentials sum to one.
+    for (int64_t r = 0; r < 4; ++r) {
+        double s = 0.0;
+        for (int64_t c = 0; c < 6; ++c) {
+            EXPECT_NEAR(ls(r, c) - x(r, c), ls(r, 0) - x(r, 0), 1e-5);
+            s += std::exp(ls(r, c));
+        }
+        EXPECT_NEAR(s, 1.0, 1e-5);
+    }
 }
 
 TEST(Ops, RelativeErrorProperties)

@@ -16,6 +16,7 @@
 #include "linalg/linalg.h"
 #include "tensor/ops.h"
 #include "tensor/unfold.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace lrd {
@@ -91,17 +92,6 @@ TEST(Hooi, ExactForLowMultilinearRank)
     Tensor t = makeLowRankTensor({7, 6, 5}, {2, 2, 3}, rng);
     TuckerResult r = hooi(t, {2, 2, 3});
     EXPECT_LT(relativeError(t, r.reconstruct()), 1e-4);
-}
-
-TEST(Hooi, RandomInitConvergesToo)
-{
-    Rng rng(7);
-    Tensor t = makeLowRankTensor({6, 6, 6}, {2, 2, 2}, rng);
-    HoiOptions opts;
-    opts.hosvdInit = false;
-    opts.maxIters = 50;
-    TuckerResult r = hooi(t, {2, 2, 2}, opts);
-    EXPECT_LT(relativeError(t, r.reconstruct()), 1e-3);
 }
 
 TEST(Hooi, WorksOnMatricesAndMatchesSvd)
@@ -184,7 +174,7 @@ TEST(Tucker2d, PrefixOfOneSvdIsBitwiseThePerRankDecomposition)
         const SvdResult full = svd(w);
         const int64_t maxRank = std::min(shape[0], shape[1]);
         for (int64_t k : {int64_t{1}, int64_t{2}, int64_t{5}, maxRank}) {
-            SCOPED_TRACE(shapeToString(shape) + " k=" + std::to_string(k));
+            SCOPED_TRACE(strCat(shape, " k=", k));
             const Tucker2d sliced = tucker2dFromSvd(full, k);
             const Tucker2d direct = tucker2dDecompose(w, k);
             EXPECT_TRUE(sameBits(sliced.u1, direct.u1));
@@ -263,8 +253,8 @@ TEST_P(Tucker2dOptimal, MatchesEckartYoung)
     double tail = 0.0;
     for (size_t i = static_cast<size_t>(pr); i < full.s.size(); ++i)
         tail += full.s[i] * full.s[i];
-    const Tensor diff = sub(a, d.reconstruct());
-    EXPECT_NEAR(diff.norm(), std::sqrt(tail), 1e-3);
+    EXPECT_NEAR(relativeError(a, d.reconstruct()) * a.norm(),
+                std::sqrt(tail), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomShapes, Tucker2dOptimal,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <set>
 
 #include "tensor/tensor.h"
@@ -119,30 +120,6 @@ TEST(Rng, CategoricalRejectsBadWeights)
     EXPECT_THROW(rng.categorical({1.0, -0.5}), std::invalid_argument);
 }
 
-TEST(Rng, ShuffleIsPermutation)
-{
-    Rng rng(31);
-    std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-    auto sorted = v;
-    rng.shuffle(v);
-    std::vector<int> back = v;
-    std::sort(back.begin(), back.end());
-    EXPECT_EQ(back, sorted);
-}
-
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(41);
-    Rng child = a.split();
-    // The child stream must not replay the parent stream.
-    Rng parentCopy(41);
-    (void)parentCopy.next(); // consumed by split()
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += child.next() == parentCopy.next();
-    EXPECT_LT(same, 2);
-}
-
 TEST(Rng, StateRoundTripResumesTheDrawSequence)
 {
     Rng a(77);
@@ -211,7 +188,6 @@ TEST(Logging, RequireFormatsItsPartsOnlyOnFailure)
 TEST(Logging, StrCatPrintsAShapeLikeShapeToString)
 {
     EXPECT_EQ(strCat(Shape{2, 3}), "[2, 3]");
-    EXPECT_EQ(shapeToString(Shape{2, 3}), "[2, 3]");
     EXPECT_EQ(strCat("x ", Shape{}, Shape{7}), "x [][7]");
 }
 
@@ -261,7 +237,7 @@ TEST(Cache, WriteReadRoundTrip)
     const Result<std::vector<uint8_t>> got = cacheRead(name);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), payload);
-    cacheErase(name);
+    std::filesystem::remove(cachePath(name));
     EXPECT_FALSE(cacheHas(name));
 }
 
@@ -271,7 +247,6 @@ TEST(Cache, ReadMissingEntryReturnsNotFound)
         cacheRead("definitely_missing_entry.bin");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::NotFound);
-    EXPECT_EQ(r.valueOr({0xAB}), std::vector<uint8_t>{0xAB});
     EXPECT_THROW(r.value(), std::runtime_error);
 }
 
@@ -280,7 +255,6 @@ TEST(Bytes, RoundTripAllTypes)
     ByteWriter w;
     w.putU32(0xDEADBEEF);
     w.putU64(0x0123456789ABCDEFULL);
-    w.putF32(3.25F);
     w.putF64(-1.0e-300);
     w.putString("hello");
     w.putFloats({1.0F, -2.5F, 0.0F});
@@ -289,12 +263,11 @@ TEST(Bytes, RoundTripAllTypes)
     ByteReader r(w.bytes());
     EXPECT_EQ(r.getU32(), 0xDEADBEEF);
     EXPECT_EQ(r.getU64(), 0x0123456789ABCDEFULL);
-    EXPECT_FLOAT_EQ(r.getF32(), 3.25F);
     EXPECT_EQ(r.getF64(), -1.0e-300);
     EXPECT_EQ(r.getString(), "hello");
     EXPECT_EQ(r.getFloats(), (std::vector<float>{1.0F, -2.5F, 0.0F}));
     EXPECT_EQ(r.getBytes(), (std::vector<uint8_t>{9, 8, 7}));
-    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(r.remaining(), 0U);
 }
 
 TEST(Bytes, TruncatedStreamIsFatal)

@@ -84,6 +84,9 @@ RepoGraph::buildIndex()
                                   static_cast<int>(i)};
             defsByName_[fn.name].push_back(ref);
         }
+        // A name only tests reach is not kept alive by them.
+        if (sum.path.compare(0, 6, "tests/") == 0)
+            continue;
         for (const std::string &ident : sum.usedIdentifiers)
             live_.insert(ident);
     }

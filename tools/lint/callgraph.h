@@ -109,7 +109,7 @@ class RepoGraph
      */
     std::vector<LockEdge> findLockCycle() const;
 
-    /** Identifiers referenced anywhere outside their declaration. */
+    /** Identifiers referenced outside their declaration and tests/. */
     const std::set<std::string> &liveNames() const { return live_; }
 
   private:

@@ -6,8 +6,8 @@
  *   lrd-lint [--root <dir>] [--sarif <file>] [--baseline <file>]
  *            [--write-baseline <file>] [path...]
  *
- * With no paths the default scan set is src/, tools/, tests/ and
- * bench/ under the root. Paths may be files or directories and are
+ * With no paths the default scan set is src/, tools/, tests/, bench/,
+ * examples/ and pipebench/ under the root. Paths may be files or directories and are
  * interpreted relative to the root. Findings print one per line as
  * "file:line: [rule] message". Exit status: 0 clean, 1 when
  * violations were found, 2 on usage or I/O errors.
@@ -45,9 +45,10 @@ const char *kUsage =
     "Lints the lrd tree for determinism, concurrency, layering,\n"
     "header-hygiene and cross-TU semantic invariants (hot-path\n"
     "allocations, lock order, floating-point reduction order, dead\n"
-    "symbols). Default paths: src tools tests bench. Suppress one\n"
-    "finding with '// lrd-lint: allow(<rule>)' on the same or\n"
-    "preceding line; grandfather legacy findings via --baseline.\n";
+    "symbols). Default paths: src tools tests bench examples\n"
+    "pipebench. Suppress one finding with '// lrd-lint:\n"
+    "allow(<rule>)' on the same or preceding line; grandfather\n"
+    "legacy findings via --baseline.\n";
 
 bool
 isSourceFile(const fs::path &p)
@@ -135,7 +136,7 @@ main(int argc, char **argv)
         }
     }
     if (paths.empty())
-        paths = {"src", "tools", "tests", "bench"};
+        paths = {"src", "tools", "tests", "bench", "examples", "pipebench"};
 
     std::error_code ec;
     root = fs::canonical(root, ec);

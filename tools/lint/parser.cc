@@ -75,6 +75,58 @@ isIdent(const Token &t)
     return t.kind == TokKind::Identifier;
 }
 
+/**
+ * One parameter list, fed its top-level tokens segment by segment
+ * (flush() at each top-level ',' and at the end). A segment's last
+ * identifier before any default value is the parameter; a scalar
+ * float/double one is a float local, and a reference or pointer one
+ * records its type's last identifier in localTypes (`Session &s` ->
+ * "Session"), as a local's declaration does.
+ */
+class ParamList
+{
+  public:
+    explicit ParamList(FunctionInfo &fn) : fn_(fn) {}
+
+    void
+    token(const Token &t)
+    {
+        const std::string &s = t.text;
+        if (s == "=")
+            sawDefault_ = true;
+        if (sawDefault_)
+            return;
+        if (isIdent(t) && s != "const" && s != "volatile") {
+            type_ = name_;
+            name_ = s;
+        }
+        if (s == "float" || s == "double")
+            sawFloat_ = true;
+        if (s == "*" || s == "&" || s == "&&")
+            sawPtr_ = true;
+    }
+
+    void
+    flush()
+    {
+        if (!name_.empty()) {
+            fn_.params.push_back(name_);
+            if (sawFloat_ && !sawPtr_)
+                fn_.floatLocals.push_back(name_);
+            if (sawPtr_ && !type_.empty())
+                fn_.localTypes[name_] = type_;
+        }
+        name_.clear();
+        type_.clear();
+        sawFloat_ = sawPtr_ = sawDefault_ = false;
+    }
+
+  private:
+    FunctionInfo &fn_;
+    std::string name_, type_;
+    bool sawFloat_ = false, sawPtr_ = false, sawDefault_ = false;
+};
+
 /** One entry of the lexical scope the parser walks. */
 struct ScopeName
 {
@@ -456,17 +508,7 @@ class DeclParser
         // Parameters: last identifier of each top-level segment.
         if (!fn.special && closeParen > parenPos) {
             int depth = 0, angles = 0;
-            std::string lastIdent;
-            bool sawFloat = false, sawPtr = false;
-            const auto flush = [&] {
-                if (!lastIdent.empty()) {
-                    fn.params.push_back(lastIdent);
-                    if (sawFloat && !sawPtr)
-                        fn.floatLocals.push_back(lastIdent);
-                }
-                lastIdent.clear();
-                sawFloat = sawPtr = false;
-            };
+            ParamList params(fn);
             for (size_t k = parenPos + 1; k < closeParen; ++k) {
                 const std::string &s = stmt[k].text;
                 if (s == "(" || s == "[")
@@ -478,19 +520,11 @@ class DeclParser
                 else if (s == ">")
                     angles = std::max(0, angles - 1);
                 else if (s == "," && depth == 0 && angles == 0)
-                    flush();
-                else if (depth == 0 && angles == 0) {
-                    if (isIdent(stmt[k]))
-                        lastIdent = s;
-                    if (s == "float" || s == "double")
-                        sawFloat = true;
-                    if (s == "*" || s == "&")
-                        sawPtr = true;
-                    if (s == "=")
-                        lastIdent.clear(); // default value, keep prior
-                }
+                    params.flush();
+                else if (depth == 0 && angles == 0)
+                    params.token(stmt[k]);
             }
-            flush();
+            params.flush();
         }
 
         fn.internal = fn.internal || inAnonNamespace();
@@ -594,6 +628,7 @@ class DeclParser
                 continue;
             }
             if (t.text == ";" && callStack.empty()) {
+                noteDeclaration(fn(), stmt); // `T x;`
                 stmt.clear();
                 ++i_;
                 continue;
@@ -721,17 +756,7 @@ class DeclParser
         // Optional parameter list.
         if (!done() && cur().text == "(") {
             int depth = 0, angles = 0;
-            std::string lastIdent;
-            bool sawFloat = false, sawPtr = false;
-            const auto flush = [&] {
-                if (!lastIdent.empty()) {
-                    fn.params.push_back(lastIdent);
-                    if (sawFloat && !sawPtr)
-                        fn.floatLocals.push_back(lastIdent);
-                }
-                lastIdent.clear();
-                sawFloat = sawPtr = false;
-            };
+            ParamList params(fn);
             while (!done()) {
                 const std::string &s = cur().text;
                 if (s == "(") {
@@ -746,20 +771,13 @@ class DeclParser
                 } else if (s == ">") {
                     angles = std::max(0, angles - 1);
                 } else if (s == "," && depth == 1 && angles == 0) {
-                    flush();
+                    params.flush();
                 } else if (depth == 1 && angles == 0) {
-                    if (isIdent(cur()))
-                        lastIdent = s;
-                    if (s == "float" || s == "double")
-                        sawFloat = true;
-                    if (s == "*" || s == "&")
-                        sawPtr = true;
-                    if (s == "=")
-                        lastIdent.clear();
+                    params.token(cur());
                 }
                 ++i_;
             }
-            flush();
+            params.flush();
         }
 
         // Specifiers / trailing return type up to the body.
@@ -837,8 +855,10 @@ class DeclParser
             fn.calls.push_back(
                 CallSite{recorded, nameTok.line, receiverType});
 
-        // Allocation primitives.
-        if (member && kGrowthMembers.count(nameTok.text))
+        // Allocation primitives. `emplace` on a std::optional builds
+        // in place and allocates nothing of its own.
+        if (member && kGrowthMembers.count(nameTok.text)
+            && !(nameTok.text == "emplace" && receiverType == "optional"))
             fn.allocs.push_back(
                 AllocSite{"." + nameTok.text, nameTok.line, receiverType});
         else if (!member && kAllocCalls.count(nameTok.text))
@@ -885,15 +905,19 @@ class DeclParser
     }
 
     /**
-     * The declared type of x in a member call `x.f(` whose '.' is
-     * stmt[dot], looked up in fn and the functions enclosing it; ""
-     * for `->`, a member chain (`a.x.f(`) or an undeclared x.
+     * The declared type of x in a member call `x.f(` or `x->f(` whose
+     * '.' or '>' is stmt[dot], looked up in fn and the functions
+     * enclosing it; "" for a member chain (`a.x.f(`) or an undeclared x.
      */
     std::string
     receiverTypeOf(const std::vector<Token> &stmt, size_t dot,
                    const FunctionInfo &fn) const
     {
-        if (stmt[dot].text != "." || dot == 0 || !isIdent(stmt[dot - 1]))
+        if (stmt[dot].text == ">")
+            --dot; // `->` lexes as '-' '>'
+        else if (stmt[dot].text != ".")
+            return "";
+        if (dot == 0 || !isIdent(stmt[dot - 1]))
             return "";
         if (dot >= 2
             && (stmt[dot - 2].text == "." || stmt[dot - 2].text == "::"

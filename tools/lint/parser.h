@@ -38,8 +38,9 @@ struct CallSite
     /** Callee as written: "f", "A::B::f", or ".f" for member calls. */
     std::string name;
     int line = 0;
-    /** For `x.f(...)` on a local x of FunctionInfo::localTypes, x's
-     *  declared type ("InferenceSession"); else empty. */
+    /** For `x.f(...)` or `x->f(...)` on a local or parameter x of
+     *  FunctionInfo::localTypes, x's declared type
+     *  ("InferenceSession"); else empty. */
     std::string receiverType;
 };
 
@@ -98,7 +99,8 @@ struct FunctionInfo
     std::vector<std::string> params;
     /** Parameter / local names declared as scalar float or double. */
     std::vector<std::string> floatLocals;
-    /** Locals declared `T x(args)`, `T x{args}` or `T x = ...`: name ->
+    /** Locals declared `T x;`, `T x(args)`, `T x{args}` or
+     *  `T x = ...`, and reference or pointer parameters `T &x`: name ->
      *  the last identifier of T ("InferenceSession", "vector"). */
     std::map<std::string, std::string> localTypes;
     std::vector<CallSite> calls;

@@ -16,8 +16,9 @@
  *    across thread counts; use the fixed-order helpers in
  *    src/parallel/ (which are exempt).
  *  - dead-symbol: an external-linkage function defined under src/
- *    whose name is never referenced outside its own declarations has
- *    no in-tree caller (tests count as callers).
+ *    whose name is never referenced outside its own declarations and
+ *    tests/ has no caller that ships (benches, examples, pipebench
+ *    and tools count; a test hook says so with an allow comment).
  *
  * hot-path-alloc and fp-order report only on src/ and tools/ files:
  * tests and benches intentionally allocate and accumulate inside

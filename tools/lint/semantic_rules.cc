@@ -150,8 +150,8 @@ checkDeadSymbols(const RepoGraph &graph, std::vector<Diagnostic> &out)
                 sum.path, fi.line, kRuleDeadSymbol,
                 "'" + fi.qualName
                     + "' has no in-tree reference outside its own "
-                      "declaration (tests and benches count as "
-                      "callers)",
+                      "declaration and tests/ (benches, examples and "
+                      "tools count as callers)",
                 fi.qualName});
         }
     }

@@ -100,6 +100,11 @@ constexpr std::string_view kEnvNames[] = {
     "LRD_FAULT",
 };
 
+/** Title of every histogram-quantile table: the values interpolate
+ *  inside log2 buckets (HistogramSnapshot::quantile). */
+constexpr const char *kQuantileTitle =
+    "Histogram quantiles (log2-bucket estimates)";
+
 /** The first LRD_* variable set that lrdtool does not read, or "". */
 std::string
 unknownEnvName()
@@ -365,7 +370,7 @@ cmdStats(double percent)
     inform(strCat("stats: scored ", r.numTasks, " items (accuracy ",
                   r.accuracy, ")"));
     const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
-    TablePrinter quantiles("Histogram quantiles");
+    TablePrinter quantiles(kQuantileTitle);
     quantiles.setHeader({"histogram", "count", "p50", "p90", "p99"});
     for (const auto &[name, hs] : snap.histograms) {
         if (hs.count == 0)
@@ -962,7 +967,7 @@ printPhaseTable(const TelemetryFile &tf)
             if (const JsonValue *lat =
                     fin.findPath({"hist", "serve.latency.ticks"}))
                 serve.addRow(
-                    {"latency ticks p50/p99",
+                    {"latency ticks p50/p99 (log2-bucket estimates)",
                      strCat(TablePrinter::num(lat->numberOr("p50", 0.0),
                                               1),
                             " / ",
@@ -1155,7 +1160,7 @@ cmdCompare(const std::string &pathA, const std::string &pathB)
     const std::vector<std::string> histNames =
         memberNameUnion(fa.find("hist"), fb.find("hist"));
     if (!histNames.empty()) {
-        TablePrinter hist("Histogram quantiles");
+        TablePrinter hist(kQuantileTitle);
         hist.setHeader({"histogram", "A p50", "B p50", "d p50",
                         "A p99", "B p99", "d p99"});
         for (const std::string &name : histNames) {
@@ -1221,11 +1226,13 @@ usage()
         "                                flight-recorder JSONL file\n"
         "  compare <runA> <runB>         diff two flight-recorder runs\n"
         "environment (any other LRD_* variable exits 1):\n"
-        "  LRD_THREADS=<n>     thread-pool size (default: all cores)\n"
+        "  LRD_THREADS=<n>     thread-pool size, 1-4096 (default: all\n"
+        "                      cores; any other value exits 1)\n"
         "  LRD_SIMD=<level>    pin the GEMM kernel: scalar|avx2|avx512|\n"
         "                      neon (default: best the CPU supports)\n"
-        "  LRD_LOG=<level>[+ts]  debug|info|warn|error; +ts adds\n"
-        "                      timestamp / worker prefixes\n"
+        "  LRD_LOG=<level>[+ts]  debug|info|warn|error (debug prints\n"
+        "                      what info does); +ts adds timestamp /\n"
+        "                      worker prefixes\n"
         "  LRD_TRACE=<file>    write chrome://tracing JSON (and\n"
         "                      <file>.summary.csv) on exit\n"
         "  LRD_STATS=<file>    write metrics-registry JSON on exit\n"
@@ -1270,6 +1277,8 @@ main(int argc, char **argv)
     }
     const std::string cmd = argv[1];
     try {
+        // A bad LRD_THREADS fails here, before any thread starts.
+        (void)threadCountFromEnv();
         initObservabilityFromEnv();
         initFaultsFromEnv();
         robustPolicy(); // Parses LRD_ROBUST: a bad value fails here.
